@@ -5,17 +5,37 @@ State and gating follow the DeepSORT lineage: the Kalman state is
 (cx, cy, aspect, height) plus velocities, measurement noise scales with the
 box height, and track-detection pairs are gated at the 0.95 chi-square
 quantile for 4 degrees of freedom.
+
+A ``Tracker`` keeps all live tracks in one struct-of-arrays ``TrackTable``:
+means ``(T, 8)``, covariances ``(T, 8, 8)``, a gallery ring ``(T, B, D)`` of
+unit embeddings with fill counts and write pointers, attribute estimates
+``(T, 32)``, and status, hit, age, identity and pending-box columns.  Each
+frame predicts, gates and updates all tracks in one batched pass, and each
+cost mode is one array expression over the whole table.  The batched Kalman
+kernels keep the operation order of the one-track filter, so their rows are
+bit-identical to it; ``kalman_init``, ``kalman_predict``, ``kalman_update``
+and ``gating_distance`` are one-row calls into them.  Dead rows are removed
+by boolean compaction, and capacity grows by doubling.
+
+Numeric failure stays with its track: a track whose innovation covariance
+is not positive definite is infeasible against every detection of the
+frame, so it is never updated and coasts until ``max_age`` ends it, while
+the other tracks go on.  A detection embedding whose dimension differs from
+the gallery's is rejected with a ``ValueError`` before any state changes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import BBox, Detection, GtEntry
-from .fusion import fuse_for_association, predict_attributes
+from .core import N_ATTRIBUTES, BBox, Detection, GtEntry, box_rows, pairwise_iou
+from .fusion import predict_attributes_batch
+# Not called here: perfbench/spans.py wraps ``assoc.predict_attributes`` by
+# name, so the name stays importable from this module.
+from .fusion import predict_attributes  # noqa: F401
 
 CHI2_95_4DOF = 9.4877
 INF_COST = 1e5
@@ -33,6 +53,125 @@ _DEFAULT_MATCH_THRESHOLD = {
     "concat": 1.0,
 }
 
+_I4 = np.arange(4)
+_I8 = np.arange(8)
+# Constant-velocity transition: each of (cx, cy, aspect, h) adds its velocity.
+_F = np.eye(8)
+_F[_I4, _I4 + 4] = 1.0
+_F.flags.writeable = False
+
+
+# ---------------------------------------------------------------------------
+# Batched Kalman kernels: row i of every argument belongs to track i
+# ---------------------------------------------------------------------------
+
+def _measurements(ltwh: np.ndarray) -> np.ndarray:
+    """(N, 4) rows (cx, cy, aspect, h) of (left, top, width, height) rows."""
+    meas = np.empty_like(ltwh)
+    meas[:, :2] = ltwh[:, :2] + ltwh[:, 2:] / 2.0
+    meas[:, 2] = ltwh[:, 2] / ltwh[:, 3]
+    meas[:, 3] = ltwh[:, 3]
+    return meas
+
+
+def _box_rows(means: np.ndarray) -> np.ndarray:
+    """(T, 4) (left, top, width, height) boxes of the states, each side at
+    least 1 pixel."""
+    boxes = np.empty((len(means), 4))
+    boxes[:, 3] = np.maximum(means[:, 3], 1.0)
+    boxes[:, 2] = np.maximum(means[:, 2] * boxes[:, 3], 1.0)
+    boxes[:, :2] = means[:, :2] - boxes[:, 2:] / 2.0
+    return boxes
+
+
+def _height_std(h: np.ndarray, pos: float, vel: float,
+                aspect: float, aspect_vel: float) -> np.ndarray:
+    """(T, 8) std of the state components: ``pos * h`` for cx, cy and h,
+    ``vel * h`` for their velocities, constants for the aspect and its
+    velocity."""
+    std = h[:, None] * np.array([pos, pos, 0.0, pos, vel, vel, 0.0, vel])
+    std[:, 2] = aspect
+    std[:, 6] = aspect_vel
+    return std
+
+
+def _init_rows(meas: np.ndarray):
+    """Initial states from measurements; zero velocity."""
+    means = np.zeros((len(meas), 8))
+    means[:, :4] = meas
+    std = _height_std(meas[:, 3], 2 * _STD_POS, 10 * _STD_VEL, 1e-2, 1e-5)
+    covs = np.zeros((len(meas), 8, 8))
+    covs[:, _I8, _I8] = std * std
+    return means, covs
+
+
+def _predict_rows(means: np.ndarray, covs: np.ndarray):
+    """Constant-velocity prediction; process noise strictly grows the trace."""
+    qstd = _height_std(means[:, 3], _STD_POS, _STD_VEL, 1e-2, 1e-5)
+    means = means @ _F.T
+    covs = _F[None] @ covs @ _F.T[None]
+    covs[:, _I8, _I8] += qstd * qstd
+    covs = (covs + covs.transpose(0, 2, 1)) / 2.0
+    return means, covs
+
+
+def _innovation_cov(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    std = _height_std(means[:, 3], _STD_POS, 0.0, 1e-1, 0.0)[:, :4]
+    S = covs[:, :4, :4].copy()
+    S[:, _I4, _I4] += std * std
+    return S
+
+
+def _cholesky_rows(S: np.ndarray):
+    """Lower Cholesky factors of a stack of matrices plus a mask of the rows
+    that are positive definite; failed rows get an identity placeholder."""
+    try:
+        return np.linalg.cholesky(S), np.ones(len(S), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.empty_like(S)
+    ok = np.ones(len(S), dtype=bool)
+    for i, s in enumerate(S):
+        try:
+            chol[i] = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            chol[i] = np.eye(len(s))
+            ok[i] = False
+    return chol, ok
+
+
+def _gate_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray) -> np.ndarray:
+    """(T, N) squared Mahalanobis distances of the measurements under the
+    states; +inf on every row whose innovation covariance is not positive
+    definite."""
+    chol, ok = _cholesky_rows(_innovation_cov(means, covs))
+    y = meas[None, :, :] - means[:, None, :4]          # (T, N, 4)
+    z = np.linalg.solve(chol, y.transpose(0, 2, 1))    # (T, 4, N)
+    d2 = (z * z).sum(axis=1)
+    d2[~ok] = np.inf
+    return d2
+
+
+def _update_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray):
+    """Standard correction of each state by its (cx, cy, aspect, h)
+    measurement.  Raises LinAlgError if an innovation covariance is not
+    positive definite; the tracker only updates rows that passed the gate."""
+    chol = np.linalg.cholesky(_innovation_cov(means, covs))
+    y = meas - means[:, :4]
+    PHt = covs[:, :, :4]
+    # K = P H' S^-1 via two solves; the transposes keep each K in the
+    # memory layout of the one-track filter, so BLAS rounds identically.
+    K = np.linalg.solve(chol.transpose(0, 2, 1),
+                        np.linalg.solve(chol, PHt.transpose(0, 2, 1))).transpose(0, 2, 1)
+    means = means + (K @ y[:, :, None])[:, :, 0]
+    covs = covs - K @ PHt.transpose(0, 2, 1)
+    covs = (covs + covs.transpose(0, 2, 1)) / 2.0
+    return means, covs
+
+
+# ---------------------------------------------------------------------------
+# One-track interface
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class KalmanState:
@@ -42,131 +181,177 @@ class KalmanState:
     covariance: np.ndarray
 
     def box(self) -> BBox:
-        cx, cy, a, h = self.mean[:4]
-        h = max(h, 1.0)
-        w = max(a * h, 1.0)
-        return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
+        return BBox(*_box_rows(self.mean[None])[0].tolist())
 
 
-def _box_to_measurement(box: BBox) -> np.ndarray:
-    return np.array([box.cx, box.cy, box.width / box.height, box.height])
+def _measurement_row(box: BBox) -> np.ndarray:
+    return _measurements(box_rows([box]))
 
 
 def kalman_init(box: BBox) -> KalmanState:
     """Initial state from an unmatched detection; zero velocity."""
-    mean = np.zeros(8)
-    mean[:4] = _box_to_measurement(box)
-    h = box.height
-    std = np.array([
-        2 * _STD_POS * h, 2 * _STD_POS * h, 1e-2, 2 * _STD_POS * h,
-        10 * _STD_VEL * h, 10 * _STD_VEL * h, 1e-5, 10 * _STD_VEL * h,
-    ])
-    return KalmanState(mean=mean, covariance=np.diag(std * std))
-
-
-def _motion_matrices(h: float):
-    F = np.eye(8)
-    for i in range(4):
-        F[i, i + 4] = 1.0
-    std = np.array([
-        _STD_POS * h, _STD_POS * h, 1e-2, _STD_POS * h,
-        _STD_VEL * h, _STD_VEL * h, 1e-5, _STD_VEL * h,
-    ])
-    return F, np.diag(std * std)
+    means, covs = _init_rows(_measurement_row(box))
+    return KalmanState(mean=means[0], covariance=covs[0])
 
 
 def kalman_predict(state: KalmanState) -> KalmanState:
     """Constant-velocity prediction; process noise strictly grows the trace."""
-    F, Q = _motion_matrices(state.mean[3])
-    mean = F @ state.mean
-    cov = F @ state.covariance @ F.T + Q
-    cov = (cov + cov.T) / 2.0
-    return KalmanState(mean=mean, covariance=cov)
-
-
-def _innovation(state: KalmanState, box: BBox):
-    h = state.mean[3]
-    std = np.array([_STD_POS * h, _STD_POS * h, 1e-1, _STD_POS * h])
-    R = np.diag(std * std)
-    S = state.covariance[:4, :4] + R
-    y = _box_to_measurement(box) - state.mean[:4]
-    return y, S
+    means, covs = _predict_rows(state.mean[None], state.covariance[None])
+    return KalmanState(mean=means[0], covariance=covs[0])
 
 
 def kalman_update(state: KalmanState, box: BBox) -> KalmanState:
     """Standard correction on the (cx, cy, aspect, h) measurement."""
-    y, S = _innovation(state, box)
     try:
-        chol = np.linalg.cholesky(S)
+        means, covs = _update_rows(state.mean[None], state.covariance[None], _measurement_row(box))
     except np.linalg.LinAlgError as exc:
         raise ValueError("innovation covariance is not positive definite") from exc
-    PHt = state.covariance[:, :4]
-    # K = P H' S^-1 via two triangular solves
-    K = np.linalg.solve(chol.T, np.linalg.solve(chol, PHt.T)).T
-    mean = state.mean + K @ y
-    cov = state.covariance - K @ PHt.T
-    cov = (cov + cov.T) / 2.0
-    return KalmanState(mean=mean, covariance=cov)
+    return KalmanState(mean=means[0], covariance=covs[0])
 
 
 def gating_distance(state: KalmanState, box: BBox) -> float:
     """Squared Mahalanobis distance of the box under the predicted state."""
-    y, S = _innovation(state, box)
-    try:
-        chol = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular innovation covariance") from exc
-    z = np.linalg.solve(chol, y)
-    return float(z @ z)
+    d2 = float(_gate_rows(state.mean[None], state.covariance[None], _measurement_row(box))[0, 0])
+    if d2 == math.inf:
+        raise ValueError("innovation covariance is not positive definite")
+    return d2
 
 
 # ---------------------------------------------------------------------------
-# Track lifecycle
+# Track table
 # ---------------------------------------------------------------------------
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
-LOST = "lost"
+
+# Row shape and dtype of each column; the gallery ring is added once the
+# first embedding fixes its dimension.
+_COLUMNS = {
+    "mean": ((8,), np.float64),
+    "cov": ((8, 8), np.float64),
+    "attr": ((N_ATTRIBUTES,), np.float64),   # attribute estimate (EMA)
+    "has_attr": ((), bool),
+    "confirmed": ((), bool),
+    "hits": ((), np.int64),
+    "age": ((), np.int64),                   # frames since the last match
+    "identity": ((), np.int64),
+    "gal_n": ((), np.int64),                 # filled gallery slots
+    "gal_ptr": ((), np.int64),               # next gallery slot to write
+}
 
 
-@dataclass
-class Track:
-    identity: int
-    state: KalmanState
-    status: str = TENTATIVE
-    hits: int = 1
-    time_since_update: int = 0
-    attr_estimate: np.ndarray | None = None
-    pending: list = field(default_factory=list)  # (frame, box) before confirmation
-    # gallery ring buffer of unit-normalized embeddings (min-distance lookup
-    # is order independent, so overwrite-in-place replaces FIFO eviction)
-    _gal_buf: np.ndarray | None = None
-    _gal_n: int = 0
-    _gal_ptr: int = 0
+class TrackTable:
+    """Struct-of-arrays state of a tracker's live tracks, one row per track
+    in birth order.
 
-    def is_active(self) -> bool:
-        return self.status in (TENTATIVE, CONFIRMED)
+    Each column (``mean``, ``cov``, ``gallery``, ``attr``, ...) is an
+    attribute holding a view of the first ``len(table)`` rows of a buffer:
+    write through it in place, never rebind it.  The gallery is a ring of
+    unit embeddings; the min-distance lookup is order independent, so
+    overwriting the oldest slot in place replaces FIFO eviction.
+    """
+
+    def __init__(self, gallery_budget: int):
+        self.budget = gallery_budget
+        self.dim: int | None = None       # embedding dimension of the gallery
+        self.pending: list[list] = []     # per row: (frame, box) before confirmation
+        self._n = 0
+        self._buf = {name: np.zeros((0, *shape), dtype)
+                     for name, (shape, dtype) in _COLUMNS.items()}
+        self._views()
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return (TrackView(self, i) for i in range(self._n))
+
+    def _views(self) -> None:
+        for name, buf in self._buf.items():
+            setattr(self, name, buf[:self._n])
+
+    def gallery_filled(self) -> np.ndarray:
+        """(T, B) mask of the filled gallery slots."""
+        return np.arange(self.budget)[None, :] < self.gal_n[:, None]
+
+    def set_dim(self, dim: int) -> None:
+        self.dim = dim
+        cap = len(self._buf["mean"])
+        self._buf["gallery"] = np.zeros((cap, self.budget, dim))
+        self._views()
+
+    def add_rows(self, k: int) -> slice:
+        """Append ``k`` zeroed rows; returns their slice."""
+        n = self._n
+        cap = len(self._buf["mean"])
+        if n + k > cap:
+            cap = max(2 * cap, n + k, 8)
+            for name, buf in self._buf.items():
+                grown = np.zeros((cap, *buf.shape[1:]), buf.dtype)
+                grown[:n] = buf[:n]
+                self._buf[name] = grown
+        for buf in self._buf.values():
+            buf[n:n + k] = 0
+        self._n = n + k
+        self.pending.extend([] for _ in range(k))
+        self._views()
+        return slice(n, n + k)
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep the rows where ``keep`` is true, in order."""
+        n = self._n
+        first = int(np.argmin(keep))   # rows before the first dropped one stay put
+        k = first + int(keep[first:].sum())
+        for buf in self._buf.values():
+            buf[first:k] = buf[first:n][keep[first:]]
+        self.pending = [p for p, kept in zip(self.pending, keep.tolist()) if kept]
+        self._n = k
+        self._views()
+
+    def push_embeddings(self, rows: np.ndarray, unit: np.ndarray) -> None:
+        """Write one unit embedding per row into its gallery ring."""
+        self.gallery[rows, self.gal_ptr[rows]] = unit
+        self.gal_ptr[rows] = (self.gal_ptr[rows] + 1) % self.budget
+        self.gal_n[rows] = np.minimum(self.gal_n[rows] + 1, self.budget)
+
+
+class TrackView:
+    """One row of a ``TrackTable``, read through the attributes a per-track
+    object would have.  Valid until the table's rows change (the next
+    ``Tracker.step``); ``state`` arrays are writable views of the row."""
+
+    __slots__ = ("_table", "_row")
+
+    def __init__(self, table: TrackTable, row: int):
+        self._table = table
+        self._row = row
+
+    @property
+    def identity(self) -> int:
+        return int(self._table.identity[self._row])
+
+    @property
+    def status(self) -> str:
+        return CONFIRMED if self._table.confirmed[self._row] else TENTATIVE
+
+    @property
+    def time_since_update(self) -> int:
+        return int(self._table.age[self._row])
+
+    @property
+    def state(self) -> KalmanState:
+        return KalmanState(mean=self._table.mean[self._row],
+                           covariance=self._table.cov[self._row])
 
     @property
     def gallery(self) -> list:
-        if self._gal_buf is None:
-            return []
-        return [self._gal_buf[i] for i in range(self._gal_n)]
+        t, i = self._table, self._row
+        return [t.gallery[i, k] for k in range(t.gal_n[i])]
 
-    def push_feature(self, emb: np.ndarray, budget: int) -> None:
-        norm = np.linalg.norm(emb)
-        if norm == 0:
-            raise ValueError("degenerate embedding")
-        if self._gal_buf is None:
-            self._gal_buf = np.empty((budget, emb.shape[0]))
-            self._gal_n = 0
-            self._gal_ptr = 0
-        self._gal_buf[self._gal_ptr] = emb / norm
-        self._gal_ptr = (self._gal_ptr + 1) % self._gal_buf.shape[0]
-        self._gal_n = min(self._gal_n + 1, self._gal_buf.shape[0])
-
-    def gallery_matrix(self) -> np.ndarray:
-        return self._gal_buf[: self._gal_n]
+    @property
+    def attr_estimate(self) -> np.ndarray | None:
+        t, i = self._table, self._row
+        return t.attr[i] if t.has_attr[i] else None
 
 
 @dataclass(frozen=True)
@@ -213,13 +398,10 @@ class AssocConfig:
         return _DEFAULT_MATCH_THRESHOLD[self.mode]
 
 
-def _needs_features(mode: str) -> bool:
-    return mode in ("embed", "attr", "embed+attr", "concat")
-
-
-def detection_attr_vector(det: Detection, config: AssocConfig,
-                          fusion_params=None) -> np.ndarray:
-    """Attribute vector used for costs/EMA: observed or head-predicted."""
+def detection_attrs(detections: list[Detection], config: AssocConfig,
+                    fusion_params=None) -> np.ndarray:
+    """(N, 32) attribute vectors used for costs/EMA: observed or predicted by
+    the fusion head, all detections in one batch."""
     if config.attr_source == "fusion":
         if fusion_params is None:
             raise ValueError("fusion_params required for attr_source='fusion'")
@@ -227,15 +409,27 @@ def detection_attr_vector(det: Detection, config: AssocConfig,
         # The observed attribute vector (when present) is the query source,
         # mirroring training; embeddings-only input falls back to the
         # learned linear attribute head.
-        probs, _ = predict_attributes(det.embedding, det.attr_obs, strategy, params)
-        vec = probs
+        emb = np.array([d.embedding for d in detections], dtype=np.float64)
+        has_obs = np.array([d.attr_obs is not None for d in detections], dtype=bool)
+        vecs = np.empty((len(detections), N_ATTRIBUTES))
+        if has_obs.any():
+            obs = np.stack([d.attr_obs for d in detections if d.attr_obs is not None])
+            vecs[has_obs] = predict_attributes_batch(emb[has_obs], obs, strategy, params)[0]
+        if not has_obs.all():
+            vecs[~has_obs] = predict_attributes_batch(emb[~has_obs], None, strategy, params)[0]
     else:
-        if det.attr_obs is None:
+        if any(d.attr_obs is None for d in detections):
             raise ValueError("detection carries no attribute observation")
-        vec = det.attr_obs
+        vecs = np.array([d.attr_obs for d in detections], dtype=np.float64).reshape(-1, N_ATTRIBUTES)
     if config.attr_binarize:
-        vec = (vec >= 0.5).astype(np.float64)
-    return vec
+        vecs = (vecs >= 0.5).astype(np.float64)
+    return vecs
+
+
+def detection_attr_vector(det: Detection, config: AssocConfig,
+                          fusion_params=None) -> np.ndarray:
+    """Attribute vector of one detection: a one-row ``detection_attrs``."""
+    return detection_attrs([det], config, fusion_params)[0]
 
 
 def _normalize_rows(feats: np.ndarray) -> np.ndarray:
@@ -245,48 +439,14 @@ def _normalize_rows(feats: np.ndarray) -> np.ndarray:
     return feats / fn
 
 
-def _gallery_min_cosine(gallery_mat: np.ndarray, feats_normed: np.ndarray) -> np.ndarray:
-    """Min cosine distance from each normalized feature row to the gallery."""
-    sim = gallery_mat @ feats_normed.T
-    return np.clip(1.0 - sim, 0.0, 2.0).min(axis=0)
-
-
-def _gating_matrix(tracks: list, meas: np.ndarray) -> np.ndarray:
-    """(T, D) squared Mahalanobis distances, batched over tracks."""
-    means = np.stack([t.state.mean for t in tracks])
-    covs = np.stack([t.state.covariance for t in tracks])
-    h = means[:, 3]
-    std = np.stack([_STD_POS * h, _STD_POS * h, np.full_like(h, 1e-1), _STD_POS * h], axis=1)
-    S = covs[:, :4, :4].copy()
-    idx = np.arange(4)
-    S[:, idx, idx] += std * std
-    chol = np.linalg.cholesky(S)
-    y = meas[None, :, :] - means[:, None, :4]          # (T, D, 4)
-    z = np.linalg.solve(chol, y.transpose(0, 2, 1))    # (T, 4, D)
-    return (z * z).sum(axis=1)
-
-
-def _predict_all(tracks: list) -> None:
-    """Batched constant-velocity prediction over all live tracks."""
-    if not tracks:
-        return
-    means = np.stack([t.state.mean for t in tracks])
-    covs = np.stack([t.state.covariance for t in tracks])
-    F = np.eye(8)
-    idx4 = np.arange(4)
-    F[idx4, idx4 + 4] = 1.0
-    h = means[:, 3]
-    qstd = np.stack([
-        _STD_POS * h, _STD_POS * h, np.full_like(h, 1e-2), _STD_POS * h,
-        _STD_VEL * h, _STD_VEL * h, np.full_like(h, 1e-5), _STD_VEL * h,
-    ], axis=1)
-    means = means @ F.T
-    covs = F[None] @ covs @ F.T[None]
-    idx8 = np.arange(8)
-    covs[:, idx8, idx8] += qstd * qstd
-    covs = (covs + covs.transpose(0, 2, 1)) / 2.0
-    for t, m, P in zip(tracks, means, covs):
-        t.state = KalmanState(mean=m, covariance=P)
+def _gallery_min_cosine(gallery: np.ndarray, filled: np.ndarray,
+                        feats_normed: np.ndarray) -> np.ndarray:
+    """(T, N) min cosine distance from each normalized feature row to the
+    filled slots of each track's gallery ring, in one batched product."""
+    sim = gallery @ feats_normed.T
+    dist = np.clip(1.0 - sim, 0.0, 2.0)
+    dist[~filled] = np.inf
+    return dist.min(axis=1)
 
 
 def _minmax(col: np.ndarray) -> np.ndarray:
@@ -301,13 +461,14 @@ def _minmax(col: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_cost_matrix(tracks: list[Track], detections: list[Detection],
+def build_cost_matrix(tracks: TrackTable, detections: list[Detection],
                       config: AssocConfig, fusion_params=None,
-                      det_attrs: list[np.ndarray] | None = None):
+                      det_attrs: np.ndarray | None = None):
     """Cost matrix plus infeasibility mask (Mahalanobis-gated pairs).
 
-    ``det_attrs`` lets the caller reuse precomputed per-detection attribute
-    vectors; otherwise they are derived per ``config.attr_source``.
+    ``tracks`` is a tracker's ``TrackTable``.  ``det_attrs`` lets the caller
+    reuse precomputed ``detection_attrs``; otherwise they are derived per
+    ``config.attr_source``.
     """
     n_t, n_d = len(tracks), len(detections)
     cost = np.zeros((n_t, n_d))
@@ -315,34 +476,24 @@ def build_cost_matrix(tracks: list[Track], detections: list[Detection],
     if n_t == 0 or n_d == 0:
         return cost, infeasible
     mode = config.mode
-    if _needs_features(mode) and mode != "attr":
-        for det in detections:
-            if det.embedding is None:
-                raise ValueError("detection carries no embedding for this cost mode")
-    if det_attrs is None and mode in ("attr", "embed+attr", "concat"):
-        det_attrs = [detection_attr_vector(d, config, fusion_params) for d in detections]
-
-    meas = np.stack([_box_to_measurement(d.box) for d in detections])
-    infeasible = _gating_matrix(tracks, meas) > config.gating_threshold
-
     if mode in ("embed", "embed+attr", "concat"):
+        if any(d.embedding is None for d in detections):
+            raise ValueError("detection carries no embedding for this cost mode")
         det_emb = np.stack([d.embedding for d in detections])
+    if det_attrs is None and mode in ("attr", "embed+attr", "concat"):
+        det_attrs = detection_attrs(detections, config, fusion_params)
+
+    det_boxes = box_rows(d.box for d in detections)
+    infeasible = _gate_rows(tracks.mean, tracks.cov, _measurements(det_boxes)) > config.gating_threshold
+
     if mode in ("embed", "embed+attr"):
-        det_normed = _normalize_rows(det_emb)
-        embed_mat = np.stack([
-            _gallery_min_cosine(t.gallery_matrix(), det_normed) for t in tracks
-        ])
+        embed_mat = _gallery_min_cosine(tracks.gallery, tracks.gallery_filled(),
+                                        _normalize_rows(det_emb))
     if mode in ("attr", "embed+attr"):
-        attr_det = np.stack(det_attrs)
-        attr_trk = np.stack([t.attr_estimate for t in tracks])
-        attr_mat = np.abs(attr_trk[:, None, :] - attr_det[None, :, :]).mean(axis=2)
+        attr_mat = np.abs(tracks.attr[:, None, :] - det_attrs[None, :, :]).mean(axis=2)
 
     if mode == "iou":
-        from .core import iou
-        for i, trk in enumerate(tracks):
-            tb = trk.state.box()
-            for j, det in enumerate(detections):
-                cost[i, j] = 1.0 - iou(tb, det.box)
+        cost = 1.0 - pairwise_iou(_box_rows(tracks.mean), det_boxes)
     elif mode == "embed":
         cost = embed_mat
     elif mode == "attr":
@@ -353,16 +504,14 @@ def build_cost_matrix(tracks: list[Track], detections: list[Detection],
             attr_mat = _minmax(attr_mat)
         cost = config.lambda_e * embed_mat + config.lambda_a * attr_mat
     elif mode == "concat":
-        det_feats = _normalize_rows(np.concatenate([det_emb, np.stack(det_attrs)], axis=1))
-        cost = np.stack([
-            _gallery_min_cosine(
-                _normalize_rows(np.stack([
-                    fuse_for_association(g, trk.attr_estimate) for g in trk.gallery
-                ])),
-                det_feats,
-            )
-            for trk in tracks
-        ])
+        det_feats = _normalize_rows(np.concatenate([det_emb, det_attrs], axis=1))
+        gal = tracks.gallery
+        filled = tracks.gallery_filled()
+        attr = np.broadcast_to(tracks.attr[:, None, :], gal.shape[:2] + (N_ATTRIBUTES,))
+        fused = np.concatenate([gal, attr], axis=2)
+        norms = np.linalg.norm(fused, axis=2, keepdims=True)
+        fused = fused / np.where(filled[:, :, None], norms, 1.0)
+        cost = _gallery_min_cosine(fused, filled, det_feats)
     return cost, infeasible
 
 
@@ -415,92 +564,133 @@ class Tracker:
             raise ValueError("fusion_params required for attr_source='fusion'")
         self.config = config
         self.fusion_params = fusion_params
-        self.tracks: list[Track] = []
+        self.table = TrackTable(config.gallery_budget)
         self._next_id = 1
+
+    @property
+    def tracks(self) -> list[TrackView]:
+        """Views of the live tracks, valid until the next ``step``."""
+        return list(self.table)
+
+    def _unit_embeddings(self, detections: list[Detection]):
+        """Unit-norm embedding rows and a has-embedding mask per detection.
+
+        Every embedding must have the gallery's dimension (or, before the
+        first one, the same dimension as the others in the frame).
+        """
+        has = np.array([d.embedding is not None for d in detections], dtype=bool)
+        embs = [d.embedding for d in detections if d.embedding is not None]
+        if not embs:
+            return np.zeros((len(detections), 0)), has
+        expected = self.table.dim if self.table.dim is not None else embs[0].shape[0]
+        for e in embs:
+            if e.shape != (expected,):
+                raise ValueError(f"detection embedding has shape {e.shape}; "
+                                 f"the gallery holds dimension {expected}")
+        unit = np.zeros((len(detections), expected))
+        stacked = np.stack(embs)
+        # row-by-row dot products, as the norm of one embedding computes them
+        norms = np.sqrt((stacked[:, None, :] @ stacked[:, :, None])[:, 0, 0])
+        if (norms == 0).any():
+            raise ValueError("degenerate embedding")
+        unit[has] = stacked / norms[:, None]
+        return unit, has
+
+    def _absorb(self, rows: np.ndarray, cols: np.ndarray, unit, has_emb,
+                attrs, has_attr) -> None:
+        """Fold detection ``cols`` into track ``rows``: gallery push and the
+        attribute EMA (a row without an estimate takes the vector as is)."""
+        tab = self.table
+        e = has_emb[cols]
+        if e.any():
+            if tab.dim is None:
+                tab.set_dim(unit.shape[1])
+            tab.push_embeddings(rows[e], unit[cols[e]])
+        a = has_attr[cols]
+        if a.any():
+            r, new = rows[a], attrs[cols[a]]
+            ema = self.config.attr_ema
+            tab.attr[r] = np.where(tab.has_attr[r][:, None],
+                                   ema * tab.attr[r] + (1 - ema) * new, new)
+            tab.has_attr[r] = True
 
     def step(self, frame: int, detections: list[Detection]) -> list[TrackOutput]:
         """Advance one frame.  Returns this frame's confirmed boxes; when a
         track reaches confirmation its buffered tentative boxes (earlier
         frames) are emitted retroactively in the same call."""
         cfg = self.config
+        tab = self.table
         detections = [d for d in detections if d.confidence >= cfg.min_confidence]
-        _predict_all(self.tracks)
-        for trk in self.tracks:
-            trk.time_since_update += 1
+        unit, has_emb = self._unit_embeddings(detections)
+        tab.mean[:], tab.cov[:] = _predict_rows(tab.mean, tab.cov)
+        tab.age += 1
 
         need_attr = cfg.mode in ("attr", "embed+attr", "concat")
-        det_attrs = (
-            [detection_attr_vector(d, cfg, self.fusion_params) for d in detections]
-            if need_attr and detections else None
-        )
-        cost, infeasible = build_cost_matrix(self.tracks, detections, cfg,
-                                             self.fusion_params, det_attrs)
+        if need_attr:
+            attrs = detection_attrs(detections, cfg, self.fusion_params)
+            has_attr = np.ones(len(detections), dtype=bool)
+        else:
+            has_attr = np.array([d.attr_obs is not None for d in detections], dtype=bool)
+            attrs = np.zeros((len(detections), N_ATTRIBUTES))
+            if has_attr.any():
+                attrs[has_attr] = [d.attr_obs for d in detections if d.attr_obs is not None]
+        cost, infeasible = build_cost_matrix(tab, detections, cfg, self.fusion_params,
+                                             attrs if need_attr else None)
         matches, u_tracks, u_dets = solve_assignment(cost, infeasible, cfg.threshold)
+        meas = _measurements(box_rows(d.box for d in detections))
 
         outputs: list[TrackOutput] = []
-        for r, c in matches:
-            trk = self.tracks[r]
-            det = detections[c]
-            trk.state = kalman_update(trk.state, det.box)
-            trk.hits += 1
-            trk.time_since_update = 0
-            if det.embedding is not None:
-                trk.push_feature(det.embedding, cfg.gallery_budget)
-            if det_attrs is not None:
-                a = det_attrs[c]
-                if trk.attr_estimate is None:
-                    trk.attr_estimate = a.copy()
-                else:
-                    trk.attr_estimate = cfg.attr_ema * trk.attr_estimate + (1 - cfg.attr_ema) * a
-            elif det.attr_obs is not None:
-                if trk.attr_estimate is None:
-                    trk.attr_estimate = det.attr_obs.copy()
-                else:
-                    trk.attr_estimate = cfg.attr_ema * trk.attr_estimate + (1 - cfg.attr_ema) * det.attr_obs
-            box = trk.state.box()
-            if trk.status == TENTATIVE:
-                trk.pending.append((frame, box))
-                if trk.hits >= cfg.n_init:
-                    trk.status = CONFIRMED
-                    outputs.extend(TrackOutput(f, trk.identity, b) for f, b in trk.pending)
-                    trk.pending = []
-            else:
-                outputs.append(TrackOutput(frame, trk.identity, box))
+        if matches:
+            rows, cols = np.array(matches).T
+            tab.mean[rows], tab.cov[rows] = _update_rows(tab.mean[rows], tab.cov[rows], meas[cols])
+            tab.hits[rows] += 1
+            tab.age[rows] = 0
+            self._absorb(rows, cols, unit, has_emb, attrs, has_attr)
+            confirm = ~tab.confirmed[rows] & (tab.hits[rows] >= cfg.n_init)
+            for r, ident, was_confirmed, now, box in zip(
+                    rows.tolist(), tab.identity[rows].tolist(), tab.confirmed[rows].tolist(),
+                    confirm.tolist(), _box_rows(tab.mean[rows]).tolist()):
+                box = BBox(*box)
+                if was_confirmed:
+                    outputs.append(TrackOutput(frame, ident, box))
+                    continue
+                pending = tab.pending[r]
+                pending.append((frame, box))
+                if now:
+                    outputs.extend(TrackOutput(f, ident, b) for f, b in pending)
+                    pending.clear()
+            tab.confirmed[rows] |= confirm
 
-        removed = []
-        for r in u_tracks:
-            trk = self.tracks[r]
-            if trk.status == TENTATIVE:
-                removed.append(r)  # confirmation requires consecutive hits
-            elif trk.time_since_update > cfg.max_age:
-                trk.status = LOST
-            elif cfg.emit_coasting and trk.status == CONFIRMED:
-                outputs.append(TrackOutput(frame, trk.identity, trk.state.box()))
-        self.tracks = [t for i, t in enumerate(self.tracks)
-                       if i not in removed and t.status != LOST]
+        if u_tracks:
+            u = np.array(u_tracks)
+            kept = tab.confirmed[u] & (tab.age[u] <= cfg.max_age)
+            # a tentative track needs consecutive hits; a confirmed one is
+            # lost after max_age frames without a match
+            if cfg.emit_coasting:
+                coast = u[kept]
+                outputs.extend(TrackOutput(frame, ident, BBox(*box)) for ident, box in zip(
+                    tab.identity[coast].tolist(), _box_rows(tab.mean[coast]).tolist()))
+            if not kept.all():
+                keep = np.ones(len(tab), dtype=bool)
+                keep[u[~kept]] = False
+                tab.compact(keep)
 
-        for c in u_dets:
-            det = detections[c]
-            trk = Track(identity=self._next_id, state=kalman_init(det.box))
-            self._next_id += 1
-            if det.embedding is not None:
-                trk.push_feature(det.embedding, cfg.gallery_budget)
-            if det_attrs is not None:
-                trk.attr_estimate = det_attrs[c].copy()
-            elif det.attr_obs is not None:
-                trk.attr_estimate = det.attr_obs.copy()
-            trk.pending.append((frame, det.box))
-            if cfg.n_init <= 1:
-                trk.status = CONFIRMED
-                outputs.extend(TrackOutput(f, trk.identity, b) for f, b in trk.pending)
-                trk.pending = []
-            self.tracks.append(trk)
+        if u_dets:
+            cols = np.array(u_dets)
+            new = tab.add_rows(len(cols))
+            rows = np.arange(new.start, new.stop)
+            tab.mean[new], tab.cov[new] = _init_rows(meas[cols])
+            tab.hits[new] = 1
+            tab.identity[new] = np.arange(self._next_id, self._next_id + len(cols))
+            self._next_id += len(cols)
+            self._absorb(rows, cols, unit, has_emb, attrs, has_attr)
+            tab.confirmed[new] = cfg.n_init <= 1
+            for r, c, ident in zip(rows.tolist(), u_dets, tab.identity[new].tolist()):
+                if cfg.n_init <= 1:
+                    outputs.append(TrackOutput(frame, ident, detections[c].box))
+                else:
+                    tab.pending[r].append((frame, detections[c].box))
         return outputs
-
-
-def tracker_step(tracker: Tracker, frame: int, detections: list[Detection]) -> list[TrackOutput]:
-    """Functional wrapper over Tracker.step."""
-    return tracker.step(frame, detections)
 
 
 def run_sequence(frames: dict[int, list[Detection]], config: AssocConfig,

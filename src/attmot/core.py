@@ -105,6 +105,28 @@ def iou(a: BBox, b: BBox) -> float:
     return min(1.0, inter / (a.area + b.area - inter))
 
 
+def box_rows(boxes) -> np.ndarray:
+    """(N, 4) float array of (left, top, width, height) rows of the boxes."""
+    return np.array([(b.left, b.top, b.width, b.height) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU matrix between (N, 4) and (M, 4) arrays of
+    (left, top, width, height) rows.
+
+    Entry (i, j) is exactly ``iou`` of the two boxes: the same operations
+    in the same order, the clamp to 1 included.
+    """
+    right_a, right_b = a[:, 0] + a[:, 2], b[:, 0] + b[:, 2]
+    bottom_a, bottom_b = a[:, 1] + a[:, 3], b[:, 1] + b[:, 3]
+    w = np.minimum(right_a[:, None], right_b[None, :]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    h = np.minimum(bottom_a[:, None], bottom_b[None, :]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.where((w > 0) & (h > 0), w * h, 0.0)
+    union = (a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter
+    return np.where(inter > 0.0, np.minimum(inter / union, 1.0), 0.0)
+
+
 def occlusion_fraction(target: BBox, occluder: BBox) -> float:
     """Fraction of the target box covered by the occluder, in [0, 1]."""
     return min(1.0, intersection_area(target, occluder) / target.area)

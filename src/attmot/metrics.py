@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import GtEntry
+from .core import GtEntry, box_rows, pairwise_iou
 
 HOTA_ALPHAS = np.round(np.arange(0.05, 0.96, 0.05), 2)  # 19 thresholds
 
@@ -32,21 +32,7 @@ def _by_frame(entries):
 
 def _pairwise_iou(a_entries, b_entries) -> np.ndarray:
     """IoU matrix between two per-frame entry lists."""
-    if not a_entries or not b_entries:
-        return np.zeros((len(a_entries), len(b_entries)))
-    A = np.array([[e.box.left, e.box.top, e.box.width, e.box.height] for e in a_entries],
-                 dtype=np.float64)
-    B = np.array([[e.box.left, e.box.top, e.box.width, e.box.height] for e in b_entries],
-                 dtype=np.float64)
-    lx = np.maximum(A[:, None, 0], B[None, :, 0])
-    ty = np.maximum(A[:, None, 1], B[None, :, 1])
-    rx = np.minimum(A[:, None, 0] + A[:, None, 2], B[None, :, 0] + B[None, :, 2])
-    by = np.minimum(A[:, None, 1] + A[:, None, 3], B[None, :, 1] + B[None, :, 3])
-    inter = np.clip(rx - lx, 0, None) * np.clip(by - ty, 0, None)
-    areas = A[:, 2] * A[:, 3]
-    areab = B[:, 2] * B[:, 3]
-    union = areas[:, None] + areab[None, :] - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    return pairwise_iou(box_rows(e.box for e in a_entries), box_rows(e.box for e in b_entries))
 
 
 def _suppress_ignored(gts_f, preds_f, iou_threshold, suppress):

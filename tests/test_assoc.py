@@ -3,13 +3,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attmot import metrics
 from attmot.assoc import (
     AssocConfig,
     KalmanState,
     Tracker,
+    _gate_rows,
+    _predict_rows,
+    _update_rows,
     build_cost_matrix,
+    detection_attrs,
     gating_distance,
     kalman_init,
     kalman_predict,
@@ -19,7 +25,8 @@ from attmot.assoc import (
     run_sequence,
     solve_assignment,
 )
-from attmot.core import BBox, Detection, attribute_distance, cosine_distance
+from attmot.core import BBox, Detection, attribute_distance, cosine_distance, iou
+from attmot.fusion import FusionParams, all_strategies, predict_attributes
 from attmot.synthgen import WorldConfig, simulate_sequence
 
 
@@ -206,7 +213,7 @@ class TestBuildCostMatrix:
                          det(1, BBox(200, 0, 10, 20), e2, a2)])
         dets = [det(2, BBox(1, 0, 10, 20), _unit([1, 0.1, 0, 0]), a1),
                 det(2, BBox(201, 0, 10, 20), _unit([0.1, 1, 0, 0]), a2)]
-        return tracker.tracks, dets, cfg
+        return tracker.table, dets, cfg
 
     def test_additivity_and_degenerate_weights(self):
         tracks, dets, _ = self._tracks_and_dets()
@@ -301,12 +308,6 @@ class TestBuildCostMatrix:
         from attmot.assoc import detection_attr_vector
         np.testing.assert_array_equal(detection_attr_vector(d, cfg_soft), soft)
         np.testing.assert_array_equal(detection_attr_vector(d, cfg_hard), hard)
-
-    def test_tracker_step_wrapper(self):
-        from attmot.assoc import tracker_step
-        tracker = Tracker(AssocConfig(mode="iou", n_init=1))
-        out = tracker_step(tracker, 1, [det(1, BBox(0, 0, 20, 40))])
-        assert len(out) == 1 and out[0].frame == 1
 
 
 class TestTrackerLifecycle:
@@ -424,3 +425,195 @@ class TestRunSequence:
         outputs = run_bundle(bundle, AssocConfig(mode="embed"))
         rep = metrics.clear_metrics(bundle.gt_entries(), outputs_to_entries(outputs))
         assert rep.mota == 1.0 and rep.idsw == 0 and rep.fp == 0 and rep.fn == 0
+
+
+class TestFailureContainment:
+    def test_non_pd_innovation_marks_only_its_row(self):
+        cfg = AssocConfig(mode="iou", n_init=1, max_age=2)
+        tracker = Tracker(cfg)
+        boxes = [BBox(0, 0, 20, 40), BBox(300, 0, 20, 40)]
+        tracker.step(1, [det(1, b) for b in boxes])
+        broken, healthy = tracker.tracks
+        healthy_id = healthy.identity
+        broken.state.covariance[:4, :4] = -1e6 * np.eye(4)
+        with pytest.raises(ValueError, match="positive definite"):
+            kalman_update(broken.state, boxes[0])
+        with pytest.raises(ValueError, match="positive definite"):
+            gating_distance(broken.state, boxes[0])
+
+        _, infeasible = build_cost_matrix(tracker.table, [det(2, b) for b in boxes], cfg)
+        assert infeasible[0].all() and not infeasible[1, 1]
+        out = tracker.step(2, [det(2, b) for b in boxes])
+        # the healthy track keeps its identity; the broken one is not
+        # updated, so its detection starts a new track
+        assert sorted(o.identity for o in out) == [healthy_id, 3]
+        assert [t.time_since_update for t in tracker.tracks] == [1, 0, 0]
+        for f in range(3, 6):
+            out = tracker.step(f, [det(f, b) for b in boxes])
+            assert len(out) == 2
+        # max_age ends the broken track; the others carry on
+        assert [t.identity for t in tracker.tracks] == [healthy_id, 3]
+
+    def test_embedding_dimension_change_rejected(self):
+        tracker = Tracker(AssocConfig(mode="embed", n_init=1))
+        tracker.step(1, [det(1, BBox(0, 0, 20, 40), _unit([1, 0, 0, 0]))])
+        with pytest.raises(ValueError, match=r"shape \(3,\); the gallery holds dimension 4"):
+            tracker.step(2, [det(2, BBox(0, 0, 20, 40), _unit([1, 0, 0]))])
+        # the rejected frame changed no state
+        assert tracker.tracks[0].time_since_update == 0
+        fresh = Tracker(AssocConfig(mode="iou"))
+        with pytest.raises(ValueError, match=r"shape \(2,\); the gallery holds dimension 3"):
+            fresh.step(1, [det(1, BBox(0, 0, 20, 40), _unit([1, 0, 0])),
+                           det(1, BBox(90, 0, 20, 40), _unit([1, 0]))])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the one-track Kalman filter the batched kernels replaced, verbatim
+# ---------------------------------------------------------------------------
+
+_STD_POS = 1.0 / 20.0
+_STD_VEL = 1.0 / 160.0
+
+
+def _oracle_measurement(box):
+    return np.array([box.cx, box.cy, box.width / box.height, box.height])
+
+
+def _oracle_init(box):
+    mean = np.zeros(8)
+    mean[:4] = _oracle_measurement(box)
+    h = box.height
+    std = np.array([
+        2 * _STD_POS * h, 2 * _STD_POS * h, 1e-2, 2 * _STD_POS * h,
+        10 * _STD_VEL * h, 10 * _STD_VEL * h, 1e-5, 10 * _STD_VEL * h,
+    ])
+    return mean, np.diag(std * std)
+
+
+def _oracle_predict(mean, covariance):
+    h = mean[3]
+    F = np.eye(8)
+    for i in range(4):
+        F[i, i + 4] = 1.0
+    std = np.array([
+        _STD_POS * h, _STD_POS * h, 1e-2, _STD_POS * h,
+        _STD_VEL * h, _STD_VEL * h, 1e-5, _STD_VEL * h,
+    ])
+    Q = np.diag(std * std)
+    cov = F @ covariance @ F.T + Q
+    return F @ mean, (cov + cov.T) / 2.0
+
+
+def _oracle_innovation(mean, covariance, box):
+    h = mean[3]
+    std = np.array([_STD_POS * h, _STD_POS * h, 1e-1, _STD_POS * h])
+    S = covariance[:4, :4] + np.diag(std * std)
+    return _oracle_measurement(box) - mean[:4], S
+
+
+def _oracle_update(mean, covariance, box):
+    y, S = _oracle_innovation(mean, covariance, box)
+    chol = np.linalg.cholesky(S)
+    PHt = covariance[:, :4]
+    K = np.linalg.solve(chol.T, np.linalg.solve(chol, PHt.T)).T
+    cov = covariance - K @ PHt.T
+    return mean + K @ y, (cov + cov.T) / 2.0
+
+
+def _oracle_gate(mean, covariance, box):
+    y, S = _oracle_innovation(mean, covariance, box)
+    z = np.linalg.solve(np.linalg.cholesky(S), y)
+    return float(z @ z)
+
+
+_coord = st.floats(-200.0, 1200.0)
+_side = st.floats(2.0, 300.0)
+_boxes = st.builds(BBox, _coord, _coord, _side, _side)
+
+
+@st.composite
+def _oracle_states(draw):
+    """A state reached by the oracle from a birth through predicts and updates."""
+    mean, cov = _oracle_init(draw(_boxes))
+    for predict in draw(st.lists(st.booleans(), max_size=6)):
+        if predict:
+            mean, cov = _oracle_predict(mean, cov)
+        else:
+            mean, cov = _oracle_update(mean, cov, draw(_boxes))
+    return mean, cov
+
+
+_state_lists = st.lists(_oracle_states(), min_size=1, max_size=8)
+
+# Measured, not derived; the worst gap seen over thousands of random
+# examples was 4 ulp for both, and the bounds allow four times that.
+# The batched gate solves all detections of a track as one multi-column
+# system and sums squares in numpy, where the oracle solves one column and
+# sums with a BLAS dot.
+GATE_MAX_ULP = 16
+# The fusion head runs one (N, D) matrix product per layer in place of N
+# vector products, which rounds each logit differently.
+ATTR_MAX_ULP = 16
+
+
+class TestBatchedAgainstOracle:
+    @given(_state_lists)
+    @settings(max_examples=150)
+    def test_predict_exact(self, states):
+        means, covs = _predict_rows(np.stack([m for m, _ in states]),
+                                    np.stack([c for _, c in states]))
+        for (mean, cov), m, c in zip(states, means, covs):
+            om, oc = _oracle_predict(mean, cov)
+            np.testing.assert_array_equal(m, om)
+            np.testing.assert_array_equal(c, oc)
+
+    @given(_state_lists, st.data())
+    @settings(max_examples=150)
+    def test_update_exact(self, states, data):
+        boxes = [data.draw(_boxes) for _ in states]
+        meas = np.stack([_oracle_measurement(b) for b in boxes])
+        means, covs = _update_rows(np.stack([m for m, _ in states]),
+                                   np.stack([c for _, c in states]), meas)
+        for (mean, cov), box, m, c in zip(states, boxes, means, covs):
+            om, oc = _oracle_update(mean, cov, box)
+            np.testing.assert_array_equal(m, om)
+            np.testing.assert_array_equal(c, oc)
+
+    @given(_state_lists, st.lists(_boxes, min_size=1, max_size=8))
+    @settings(max_examples=150)
+    def test_gate_within_ulp_bound(self, states, boxes):
+        meas = np.stack([_oracle_measurement(b) for b in boxes])
+        d2 = _gate_rows(np.stack([m for m, _ in states]), np.stack([c for _, c in states]), meas)
+        oracle = np.array([[_oracle_gate(m, c, b) for b in boxes] for m, c in states])
+        np.testing.assert_array_max_ulp(d2, oracle, maxulp=GATE_MAX_ULP)
+
+    @given(_state_lists, st.lists(_boxes, min_size=1, max_size=8))
+    @settings(max_examples=100)
+    @example([(_oracle_init(BBox(0.1, 0.1, 0.2, 0.2)))], [BBox(0.1, 0.1, 0.2, 0.2)])
+    @example([(_oracle_init(BBox(0, 0, 10, 10)))], [BBox(10, 0, 10, 10), BBox(2, 2, 4, 4),
+                                                    BBox(50, 50, 5, 5), BBox(0, 0, 10, 10)])
+    def test_iou_cost_equals_iou_loop(self, states, boxes):
+        tracker = Tracker(AssocConfig(mode="iou"))
+        tab = tracker.table
+        tab.add_rows(len(states))
+        tab.mean[:] = [m for m, _ in states]
+        tab.cov[:] = [c for _, c in states]
+        dets = [det(1, b) for b in boxes]
+        cost, _ = build_cost_matrix(tab, dets, AssocConfig(mode="iou"))
+        expected = [[1.0 - iou(trk.state.box(), d.box) for d in dets] for trk in tab]
+        np.testing.assert_array_equal(cost, expected)
+
+    @given(st.sampled_from(all_strategies()), st.integers(0, 2**16),
+           st.lists(st.booleans(), min_size=1, max_size=12))
+    @settings(max_examples=30)
+    def test_fusion_attributes_match_per_detection(self, strategy, seed, observed):
+        params = FusionParams.random(16, n_identities=3, n_tokens=4, seed=seed)
+        rng = np.random.default_rng(seed)
+        dets = [det(1, BBox(0, 0, 10, 20), rng.normal(size=16),
+                    rng.uniform(0, 1, 32) if has_obs else None)
+                for has_obs in observed]
+        cfg = AssocConfig(mode="embed+attr", attr_source="fusion")
+        batched = detection_attrs(dets, cfg, (params, strategy))
+        single = np.stack([predict_attributes(d.embedding, d.attr_obs, strategy, params)[0]
+                           for d in dets])
+        np.testing.assert_array_max_ulp(batched, single, maxulp=ATTR_MAX_ULP)

@@ -1,7 +1,7 @@
 """Value types and distance primitives."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attmot.core import (
@@ -11,8 +11,10 @@ from attmot.core import (
     GtEntry,
     attribute_distance,
     cosine_distance,
+    box_rows,
     iou,
     occlusion_fraction,
+    pairwise_iou,
     validate_binary_attributes,
 )
 
@@ -64,6 +66,17 @@ class TestIou:
         v = iou(a, b)
         assert 0.0 <= v <= 1.0
         assert v == pytest.approx(iou(b, a), abs=1e-12)
+
+
+class TestPairwiseIou:
+    @given(st.lists(box_strategy, max_size=6), st.lists(box_strategy, max_size=6))
+    @settings(max_examples=200)
+    @example([BBox(0, 0, 10, 10)], [BBox(10, 0, 10, 10), BBox(0, 10, 10, 10),
+                                    BBox(2, 2, 4, 4), BBox(50, 50, 5, 5), BBox(0, 0, 10, 10)])
+    @example([BBox(0.1, 0.1, 0.2, 0.2)], [BBox(0.1, 0.1, 0.2, 0.2)])  # ratio rounds past 1
+    def test_equals_iou_loop(self, a, b):
+        expected = np.array([[iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+        np.testing.assert_array_equal(pairwise_iou(box_rows(a), box_rows(b)), expected)
 
 
 class TestOcclusionFraction:
