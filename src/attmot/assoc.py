@@ -10,12 +10,14 @@ A ``Tracker`` keeps all live tracks in one struct-of-arrays ``TrackTable``:
 means ``(T, 8)``, covariances ``(T, 8, 8)``, a gallery ring ``(T, B, D)`` of
 unit embeddings with fill counts and write pointers, attribute estimates
 ``(T, 32)``, and status, hit, age, identity and pending-box columns.  Each
-frame predicts, gates and updates all tracks in one batched pass, and each
-cost mode is one array expression over the whole table.  The batched Kalman
-kernels keep the operation order of the one-track filter, so their rows are
-bit-identical to it; ``kalman_init``, ``kalman_predict``, ``kalman_update``
-and ``gating_distance`` are one-row calls into them.  Dead rows are removed
-by boolean compaction, and capacity grows by doubling.
+frame predicts, gates and updates all tracks in one batched pass, the gate
+and the update sharing one Cholesky factorization of the innovation
+covariances, and each cost mode is one array expression over the whole
+table.  The batched Kalman kernels keep the operation order of the
+one-track filter, so their rows are bit-identical to it; ``kalman_init``,
+``kalman_predict``, ``kalman_update`` and ``gating_distance`` are one-row
+calls into them.  Dead rows are removed by boolean compaction, and
+capacity grows by doubling.
 
 Numeric failure stays with its track: a track whose innovation covariance
 is not positive definite is infeasible against every detection of the
@@ -140,11 +142,15 @@ def _cholesky_rows(S: np.ndarray):
     return chol, ok
 
 
-def _gate_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray) -> np.ndarray:
+def _gate_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray,
+               innovation_chol=None) -> np.ndarray:
     """(T, N) squared Mahalanobis distances of the measurements under the
     states; +inf on every row whose innovation covariance is not positive
-    definite."""
-    chol, ok = _cholesky_rows(_innovation_cov(means, covs))
+    definite.  ``innovation_chol`` is the ``_cholesky_rows`` result of the
+    states' innovation covariances when the caller already has it."""
+    if innovation_chol is None:
+        innovation_chol = _cholesky_rows(_innovation_cov(means, covs))
+    chol, ok = innovation_chol
     y = meas[None, :, :] - means[:, None, :4]          # (T, N, 4)
     z = np.linalg.solve(chol, y.transpose(0, 2, 1))    # (T, 4, N)
     d2 = (z * z).sum(axis=1)
@@ -152,11 +158,14 @@ def _gate_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray) -> np.ndar
     return d2
 
 
-def _update_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray):
+def _update_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray, chol=None):
     """Standard correction of each state by its (cx, cy, aspect, h)
-    measurement.  Raises LinAlgError if an innovation covariance is not
-    positive definite; the tracker only updates rows that passed the gate."""
-    chol = np.linalg.cholesky(_innovation_cov(means, covs))
+    measurement.  ``chol`` holds the Cholesky factors of the states'
+    innovation covariances when the caller already has them (the tracker
+    passes the gate's); without it an innovation covariance that is not
+    positive definite raises LinAlgError."""
+    if chol is None:
+        chol = np.linalg.cholesky(_innovation_cov(means, covs))
     y = meas - means[:, :4]
     PHt = covs[:, :, :4]
     # K = P H' S^-1 via two solves; the transposes keep each K in the
@@ -463,12 +472,14 @@ def _minmax(col: np.ndarray) -> np.ndarray:
 
 def build_cost_matrix(tracks: TrackTable, detections: list[Detection],
                       config: AssocConfig, fusion_params=None,
-                      det_attrs: np.ndarray | None = None):
+                      det_attrs: np.ndarray | None = None, innovation_chol=None):
     """Cost matrix plus infeasibility mask (Mahalanobis-gated pairs).
 
     ``tracks`` is a tracker's ``TrackTable``.  ``det_attrs`` lets the caller
     reuse precomputed ``detection_attrs``; otherwise they are derived per
-    ``config.attr_source``.
+    ``config.attr_source``.  Likewise ``innovation_chol`` reuses the
+    factors and positive-definite mask of the tracks' innovation
+    covariances (``_cholesky_rows``).
     """
     n_t, n_d = len(tracks), len(detections)
     cost = np.zeros((n_t, n_d))
@@ -484,7 +495,8 @@ def build_cost_matrix(tracks: TrackTable, detections: list[Detection],
         det_attrs = detection_attrs(detections, config, fusion_params)
 
     det_boxes = box_rows(d.box for d in detections)
-    infeasible = _gate_rows(tracks.mean, tracks.cov, _measurements(det_boxes)) > config.gating_threshold
+    infeasible = _gate_rows(tracks.mean, tracks.cov, _measurements(det_boxes),
+                            innovation_chol) > config.gating_threshold
 
     if mode in ("embed", "embed+attr"):
         embed_mat = _gallery_min_cosine(tracks.gallery, tracks.gallery_filled(),
@@ -634,15 +646,18 @@ class Tracker:
             attrs = np.zeros((len(detections), N_ATTRIBUTES))
             if has_attr.any():
                 attrs[has_attr] = [d.attr_obs for d in detections if d.attr_obs is not None]
+        # factored once per frame: the gate and the update both use it
+        chol, pos_def = _cholesky_rows(_innovation_cov(tab.mean, tab.cov))
         cost, infeasible = build_cost_matrix(tab, detections, cfg, self.fusion_params,
-                                             attrs if need_attr else None)
+                                             attrs if need_attr else None, (chol, pos_def))
         matches, u_tracks, u_dets = solve_assignment(cost, infeasible, cfg.threshold)
         meas = _measurements(box_rows(d.box for d in detections))
 
         outputs: list[TrackOutput] = []
         if matches:
             rows, cols = np.array(matches).T
-            tab.mean[rows], tab.cov[rows] = _update_rows(tab.mean[rows], tab.cov[rows], meas[cols])
+            tab.mean[rows], tab.cov[rows] = _update_rows(tab.mean[rows], tab.cov[rows], meas[cols],
+                                                         chol[rows])
             tab.hits[rows] += 1
             tab.age[rows] = 0
             self._absorb(rows, cols, unit, has_emb, attrs, has_attr)

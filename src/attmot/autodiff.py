@@ -1,10 +1,13 @@
 """Minimal tape-based reverse-mode differentiation over numpy arrays.
 
 Just enough operator coverage for the fusion head: broadcasting add/mul,
-batched matmul, relu/sigmoid/log, row softmax, reductions, reshape/concat
-and a fused softmax cross-entropy.  Ops skip all backward bookkeeping when
-no input requires gradients, so the same graph code doubles as a plain
-evaluator (used heavily by finite-difference checks).
+batched matmul, relu/sigmoid/log, row softmax, reductions, reshape,
+broadcasting concat and a fused softmax cross-entropy.  Ops skip all
+backward bookkeeping when no input requires gradients, so the same graph
+code doubles as a plain evaluator.  The elementwise ops, matmul, softmax
+and concat broadcast leading axes, so the fusion head's finite-difference
+check evaluates all perturbed copies of a parameter tensor as one stacked
+no-grad pass instead of one pass per entry.
 """
 from __future__ import annotations
 
@@ -193,17 +196,24 @@ def reshape(a: Var, shape) -> Var:
 
 
 def concat(vars_: list[Var], axis: int) -> Var:
-    out = np.concatenate([v.value for v in vars_], axis=axis)
+    """Join along ``axis``; the other axes broadcast, so an operand may lack
+    leading axes the others have (``axis`` counts in the result's axes)."""
+    vals = [v.value for v in vars_]
+    nd = max(v.ndim for v in vals)
+    axis = axis % nd
+    shapes = [(1,) * (nd - v.ndim) + v.shape for v in vals]
+    common = np.broadcast_shapes(*(s[:axis] + (1,) + s[axis + 1:] for s in shapes))
+    out = np.concatenate([np.broadcast_to(v, common[:axis] + (s[axis],) + common[axis + 1:])
+                          for v, s in zip(vals, shapes)], axis=axis)
     if not any(v.requires_grad for v in vars_):
         return Var(out)
-    sizes = [v.value.shape[axis] for v in vars_]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [s[axis] for s in shapes])
 
     def make_fn(i):
         def fn(g):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            return g[tuple(idx)]
+            return _unbroadcast(g[tuple(idx)], vars_[i].value.shape)
 
         return fn
 

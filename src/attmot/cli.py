@@ -183,10 +183,6 @@ def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None, jobs: int = 1) -> m
 # ablate
 # ---------------------------------------------------------------------------
 
-def _median(values):
-    return statistics.median(values)
-
-
 def cmd_ablate(spec_path: str, out_dir: str, jobs: int = 1) -> None:
     spec = load_config(spec_path)
     bench_dir = spec.get("benchmark")
@@ -274,7 +270,7 @@ def cmd_ablate(spec_path: str, out_dir: str, jobs: int = 1) -> None:
     lines = ["variant," + ",".join(cols)]
     table = ["variant".ljust(14) + "".join(c.upper().rjust(10) for c in cols)]
     for mode in variants:
-        med = {c: _median([r[c] for r in rows_by_variant[mode]]) for c in cols}
+        med = {c: statistics.median([r[c] for r in rows_by_variant[mode]]) for c in cols}
         lines.append(mode + "," + ",".join(f"{med[c]:.6g}" for c in cols))
         table.append(mode.ljust(14) + "".join(
             (f"{med[c]:.3f}" if c not in ("fn", "fp", "ids") else f"{med[c]:g}").rjust(10)

@@ -214,11 +214,6 @@ class AttributeVector:
     def prob(cls, values) -> "AttributeVector":
         return cls(validate_prob_attributes(values), "prob")
 
-    def as_prob(self) -> "AttributeVector":
-        if self.mode == "prob":
-            return self
-        return AttributeVector(self.values.copy(), "prob")
-
     def __eq__(self, other):
         if not isinstance(other, AttributeVector):
             return NotImplemented

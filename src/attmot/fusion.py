@@ -350,14 +350,16 @@ def bce_weights(pos_freq: np.ndarray, sigma: float, uniform: bool = False):
     return np.exp((1.0 - pos_freq) / s2), np.exp(pos_freq / s2)
 
 
-def _bce_var(probs: ad.Var, targets: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray) -> ad.Var:
+def _bce_var(probs: ad.Var, targets: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray,
+             axis: int | None = None) -> ad.Var:
+    """Weighted BCE, averaged over ``axis`` (all entries when None)."""
     targets = np.asarray(targets, dtype=np.float64)
     cw_pos = w_pos * targets
     cw_neg = w_neg * (1.0 - targets)
     p = ad.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
     one_minus = ad.const(1.0) - p
     ll = (ad.const(cw_pos) * ad.log(p)) + (ad.const(cw_neg) * ad.log(one_minus))
-    return ad.scale(ad.mean(ll), -1.0)
+    return ad.scale(ad.mean(ll, axis=axis), -1.0)
 
 
 def _id_logits(p, e_out: ad.Var) -> ad.Var:
@@ -376,6 +378,26 @@ def _total_loss(p, e1: ad.Var, a1: ad.Var | None, targets: np.ndarray,
         ce = ad.const(0.0)
         total = bce
     return bce, ce, total
+
+
+def _sample_losses(p, e1: ad.Var, a1: ad.Var | None, target: np.ndarray, label: int,
+                   strategy: FusionStrategy, params: FusionParams,
+                   w_pos: np.ndarray, w_neg: np.ndarray, lambda_id: float) -> np.ndarray:
+    """``_total_loss`` of one sample, reduced over trailing axes only.
+
+    Parameters may carry leading axes (a perturbation stack); the result
+    then holds one loss per leading index, each with the operations and
+    rounding of the unstacked ``_total_loss``.
+    """
+    logits, e_out = _strategy_forward(p, e1, a1, strategy, params)
+    total = _bce_var(ad.sigmoid(logits), target, w_pos, w_neg, axis=-1).value
+    if lambda_id > 0:
+        # softmax_cross_entropy's operations for one label, row by row
+        vals = _id_logits(p, e_out).value
+        shifted = vals - vals.max(axis=-1, keepdims=True)
+        logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        total = total + (-(shifted - logz)[..., label]) * lambda_id
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +496,6 @@ def identity_loss(e_out: np.ndarray, label: int, params: FusionParams) -> float:
     return float(ad.softmax_cross_entropy(logits, label).value)
 
 
-def fuse_for_association(e: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Concatenate embedding and attribute vector into one feature."""
-    return np.concatenate([np.asarray(e, dtype=np.float64), np.asarray(a2, dtype=np.float64)])
-
-
 # ---------------------------------------------------------------------------
 # Training and gradient verification
 # ---------------------------------------------------------------------------
@@ -537,6 +554,28 @@ def train(dataset: list[TrainSample], config: TrainConfig = TrainConfig(),
     return params, trace
 
 
+# Perturbation rows per batched forward pass of grad_check: bounds its peak
+# memory whatever the size of the tensor being checked.
+_GRAD_CHECK_ROWS = 128
+
+
+def _perturbation_rows(arr: np.ndarray, eps: float, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the ``(2n, 1) + arr.shape`` stack whose row
+    ``2i`` is ``arr`` with entry ``i`` raised by ``eps`` and row ``2i + 1``
+    is ``arr`` with it lowered by ``eps``.
+
+    The singleton axis keeps a vector-shaped parameter one row per
+    perturbation, so every matrix product sees the operand shapes of the
+    unstacked graph and rounds the same way.
+    """
+    rows = np.arange(start, stop)
+    entry = rows // 2
+    stack = np.repeat(arr.reshape(1, -1), len(rows), axis=0)
+    orig = arr.reshape(-1)[entry]
+    stack[np.arange(len(rows)), entry] = np.where(rows % 2 == 0, orig + eps, orig - eps)
+    return stack.reshape((len(rows), 1) + arr.shape)
+
+
 def grad_check(params: FusionParams, sample: TrainSample,
                strategy: FusionStrategy = PREPROC_ATTR, *,
                pos_freq: np.ndarray | None = None, sigma: float = 1.0,
@@ -550,51 +589,42 @@ def grad_check(params: FusionParams, sample: TrainSample,
     the maximum over tensors is returned.  (Entrywise ratios are
     meaningless in float64 at cancellation-zero partials, where central
     differences bottom out near 1e-11 absolute.)
+
+    The numeric side stacks all 2n perturbed copies of a tensor along a
+    leading axis and evaluates them with no-grad forward passes of
+    ``_GRAD_CHECK_ROWS`` rows each; every row gets the loss that a forward
+    pass with that one entry perturbed would give.
     """
     if pos_freq is None:
         pos_freq = np.full(N_ATTRIBUTES, 0.5)
     w_pos, w_neg = bce_weights(pos_freq, sigma, uniform)
-    params = params.copy()
     emb = np.asarray(sample.embedding, dtype=np.float64)
     gt = np.asarray(sample.gt_attrs, dtype=np.float64)
     label = int(sample.identity)
     obs = np.asarray(sample.attr_obs, dtype=np.float64)
 
     p = _param_vars(params, requires_grad=True)
+    e1 = ad.const(emb)
     a1 = ad.const(obs) if attr_input == "obs" else None
-    _, _, total = _total_loss(p, ad.const(emb), a1, gt, label, strategy, params,
+    _, _, total = _total_loss(p, e1, a1, gt, label, strategy, params,
                               w_pos, w_neg, lambda_id)
     ad.backward(total)
-    analytic = {
-        name: (p[name].grad if p[name].grad is not None else np.zeros_like(getattr(params, name)))
-        for name in PARAM_FIELDS
-    }
 
-    # The evaluation nodes reference the parameter arrays in place, so the
-    # perturbation loop below only rebuilds the downstream graph.
     p_eval = _param_vars(params, requires_grad=False)
-    emb_c = ad.const(emb)
-    obs_c = ad.const(obs) if attr_input == "obs" else None
-
-    def value() -> float:
-        _, _, tot = _total_loss(p_eval, emb_c, obs_c, gt, label, strategy, params,
-                                w_pos, w_neg, lambda_id)
-        return float(tot.value)
-
     worst = 0.0
     for name in PARAM_FIELDS:
         arr = getattr(params, name)
-        flat = arr.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        numeric = np.empty_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = value()
-            flat[i] = orig - eps
-            f_minus = value()
-            flat[i] = orig
-            numeric[i] = (f_plus - f_minus) / (2.0 * eps)
+        losses = np.empty(2 * arr.size)
+        for start in range(0, losses.size, _GRAD_CHECK_ROWS):
+            stop = min(start + _GRAD_CHECK_ROWS, losses.size)
+            stacked = {**p_eval, name: ad.const(_perturbation_rows(arr, eps, start, stop))}
+            out = _sample_losses(stacked, e1, a1, gt, label, strategy, params,
+                                 w_pos, w_neg, lambda_id)
+            # a tensor the loss does not read leaves the output unstacked
+            losses[start:stop] = np.broadcast_to(out, (stop - start, 1))[:, 0]
+        numeric = (losses[0::2] - losses[1::2]) / (2.0 * eps)
+        grad = p[name].grad
+        ana = grad.reshape(-1) if grad is not None else np.zeros(arr.size)
         rel = float(np.linalg.norm(ana - numeric)) / max(1e-8, float(np.linalg.norm(numeric)))
         if rel > worst:
             worst = rel

@@ -11,7 +11,9 @@ from attmot.assoc import (
     AssocConfig,
     KalmanState,
     Tracker,
+    _cholesky_rows,
     _gate_rows,
+    _innovation_cov,
     _predict_rows,
     _update_rows,
     build_cost_matrix,
@@ -253,12 +255,11 @@ class TestBuildCostMatrix:
     def test_concat_mode_matches_direct(self):
         tracks, dets, _ = self._tracks_and_dets()
         cost, _ = build_cost_matrix(tracks, dets, AssocConfig(mode="concat"))
-        from attmot.fusion import fuse_for_association
         for i, trk in enumerate(tracks):
             for j, d in enumerate(dets):
                 expected = min(
-                    cosine_distance(fuse_for_association(g, trk.attr_estimate),
-                                    fuse_for_association(d.embedding, d.attr_obs))
+                    cosine_distance(np.concatenate([g, trk.attr_estimate]),
+                                    np.concatenate([d.embedding, d.attr_obs]))
                     for g in trk.gallery)
                 assert cost[i, j] == pytest.approx(expected, abs=1e-9)
 
@@ -572,12 +573,16 @@ class TestBatchedAgainstOracle:
     def test_update_exact(self, states, data):
         boxes = [data.draw(_boxes) for _ in states]
         meas = np.stack([_oracle_measurement(b) for b in boxes])
-        means, covs = _update_rows(np.stack([m for m, _ in states]),
-                                   np.stack([c for _, c in states]), meas)
-        for (mean, cov), box, m, c in zip(states, boxes, means, covs):
-            om, oc = _oracle_update(mean, cov, box)
-            np.testing.assert_array_equal(m, om)
-            np.testing.assert_array_equal(c, oc)
+        means, covs = np.stack([m for m, _ in states]), np.stack([c for _, c in states])
+        # factored here, as Tracker.step hands the gate's factors to the update
+        chol, ok = _cholesky_rows(_innovation_cov(means, covs))
+        assert ok.all()
+        for upd_means, upd_covs in (_update_rows(means, covs, meas),
+                                    _update_rows(means, covs, meas, chol)):
+            for (mean, cov), box, m, c in zip(states, boxes, upd_means, upd_covs):
+                om, oc = _oracle_update(mean, cov, box)
+                np.testing.assert_array_equal(m, om)
+                np.testing.assert_array_equal(c, oc)
 
     @given(_state_lists, st.lists(_boxes, min_size=1, max_size=8))
     @settings(max_examples=150)

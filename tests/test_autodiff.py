@@ -102,6 +102,49 @@ class TestOps:
         check_op(lambda a: ad.softmax_cross_entropy(a, 1), (4,))
 
 
+class TestConcatBroadcast:
+    """concat with one operand carrying extra leading axes, as the stacked
+    finite-difference check joins batched key tokens with plain queries."""
+
+    def test_no_grad_equals_per_slice(self):
+        rng = np.random.default_rng(30)
+        stacked = rng.normal(size=(5, 1, 3, 4))
+        plain = rng.normal(size=(2, 4))
+        for order in ((0, 1), (1, 0)):
+            pair = [ad.const(stacked), ad.const(plain)]
+            out = ad.concat([pair[k] for k in order], axis=-2)
+            assert out.shape == (5, 1, 5, 4)
+            for i in range(5):
+                per_slice = [ad.const(stacked[i, 0]), ad.const(plain)]
+                np.testing.assert_array_equal(
+                    out.value[i, 0], ad.concat([per_slice[k] for k in order], axis=-2).value)
+
+    def test_positive_axis_counts_in_result(self):
+        a, b = np.ones((3, 2, 4)), np.zeros((1, 4))
+        out = ad.concat([ad.const(a), ad.const(b)], axis=1)
+        assert out.shape == (3, 3, 4)
+        np.testing.assert_array_equal(out.value[:, 2], 0.0)
+
+    def test_grad_unbroadcasts_to_operand_shapes(self):
+        rng = np.random.default_rng(31)
+        stacked = ad.Var(rng.normal(size=(5, 2, 4)), requires_grad=True)
+        plain = ad.Var(rng.normal(size=(3, 4)), requires_grad=True)
+        unit = ad.Var(rng.normal(size=(1, 1, 4)), requires_grad=True)
+        weights = rng.normal(size=(5, 6, 4))
+        out = ad.concat([plain, stacked, unit], axis=-2)
+        ad.backward(ad.sum_(out * ad.const(weights)))
+        assert plain.grad.shape == (3, 4)
+        assert stacked.grad.shape == (5, 2, 4)
+        assert unit.grad.shape == (1, 1, 4)
+        np.testing.assert_array_equal(plain.grad, weights[:, :3].sum(axis=0))
+        np.testing.assert_array_equal(stacked.grad, weights[:, 3:5])
+        np.testing.assert_array_equal(unit.grad, weights[:, 5:].sum(axis=0, keepdims=True))
+
+    def test_grad_against_finite_differences(self):
+        weights = ad.const(np.random.default_rng(32).normal(size=(5, 5, 4)))
+        check_op(lambda a, b: ad.sum_(ad.concat([a, b], axis=-2) * weights), (3, 4), (5, 2, 4))
+
+
 class TestGraph:
     def test_composite_graph(self):
         def build(w, b, x):

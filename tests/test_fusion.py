@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from attmot import autodiff as ad
 from attmot import fusion
 from attmot.fusion import (
     PREPROC_ATTR,
@@ -17,7 +20,6 @@ from attmot.fusion import (
     attribute_accuracy,
     cross_attention_forward,
     cross_attention_weights,
-    fuse_for_association,
     grad_check,
     identity_loss,
     load_fusion_head,
@@ -290,29 +292,6 @@ class TestIdentityLoss:
             identity_loss(np.ones(8), 3, params)
 
 
-class TestFuseForAssociation:
-    def test_default_dims(self):
-        out = fuse_for_association(np.zeros(512), np.zeros(32))
-        assert out.shape == (544,)
-
-    def test_toy_dims(self):
-        assert fuse_for_association(np.zeros(16), np.zeros(32)).shape == (48,)
-
-    def test_zero_attrs_rescale_cosine(self):
-        # with A2 = 0 the concatenated cosine equals the embedding cosine
-        # rescaled by the (unchanged) norms; verify against a direct
-        # computation of the full-vector cosine distance
-        rng = np.random.default_rng(12)
-        from attmot.core import cosine_distance
-        for _ in range(20):
-            e1, e2 = rng.normal(size=16), rng.normal(size=16)
-            f1 = fuse_for_association(e1, np.zeros(32))
-            f2 = fuse_for_association(e2, np.zeros(32))
-            direct = 1.0 - (f1 @ f2) / (np.linalg.norm(f1) * np.linalg.norm(f2))
-            assert cosine_distance(f1, f2) == pytest.approx(direct, abs=1e-12)
-            assert cosine_distance(f1, f2) == pytest.approx(cosine_distance(e1, e2), abs=1e-12)
-
-
 class TestTrain:
     def _dataset(self, n=240, dim=32, k=5, seed=0):
         rng = np.random.default_rng(seed)
@@ -431,6 +410,128 @@ class TestGradCheck:
         params.wq[0, 0] += eps
         bumped = float(loss(False)[1].value)
         assert bumped - base == pytest.approx(g * eps, abs=5 * eps * eps)
+
+
+def _grad_check_loop(params, sample, strategy, *, lambda_id, attr_input, eps=1e-5):
+    """Oracle: ``grad_check`` as it was before the batched numeric side, two
+    full forward passes per parameter entry (default weights and sigma)."""
+    from attmot.fusion import N_ATTRIBUTES, _param_vars, _total_loss, bce_weights
+
+    w_pos, w_neg = bce_weights(np.full(N_ATTRIBUTES, 0.5), 1.0, False)
+    params = params.copy()
+    emb = np.asarray(sample.embedding, dtype=np.float64)
+    gt = np.asarray(sample.gt_attrs, dtype=np.float64)
+    label = int(sample.identity)
+    obs = np.asarray(sample.attr_obs, dtype=np.float64)
+
+    p = _param_vars(params, requires_grad=True)
+    a1 = ad.const(obs) if attr_input == "obs" else None
+    _, _, total = _total_loss(p, ad.const(emb), a1, gt, label, strategy, params,
+                              w_pos, w_neg, lambda_id)
+    ad.backward(total)
+    analytic = {
+        name: (p[name].grad if p[name].grad is not None else np.zeros_like(getattr(params, name)))
+        for name in fusion.PARAM_FIELDS
+    }
+
+    p_eval = _param_vars(params, requires_grad=False)
+    emb_c = ad.const(emb)
+    obs_c = ad.const(obs) if attr_input == "obs" else None
+
+    def value() -> float:
+        _, _, tot = _total_loss(p_eval, emb_c, obs_c, gt, label, strategy, params,
+                                w_pos, w_neg, lambda_id)
+        return float(tot.value)
+
+    worst = 0.0
+    for name in fusion.PARAM_FIELDS:
+        arr = getattr(params, name)
+        flat = arr.reshape(-1)
+        ana = analytic[name].reshape(-1)
+        numeric = np.empty_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = value()
+            flat[i] = orig - eps
+            f_minus = value()
+            flat[i] = orig
+            numeric[i] = (f_plus - f_minus) / (2.0 * eps)
+        rel = float(np.linalg.norm(ana - numeric)) / max(1e-8, float(np.linalg.norm(numeric)))
+        if rel > worst:
+            worst = rel
+    return worst
+
+
+@st.composite
+def _grad_check_cases(draw):
+    n_tokens = draw(st.sampled_from((1, 2, 4)))
+    dim = n_tokens * draw(st.integers(1, 16 // n_tokens))
+    kind = draw(st.sampled_from(fusion.STRATEGY_KINDS))
+    rounds = draw(st.sampled_from((1, 2))) if kind in ("cross-fertilize", "self-enhance") else 1
+    seed = draw(st.integers(0, 2**16))
+    params = FusionParams.random(dim, n_identities=3, n_tokens=n_tokens, seed=seed)
+    sample = rand_sample(np.random.default_rng(seed), dim)
+    return (params, sample, FusionStrategy(kind, rounds),
+            draw(st.sampled_from((0.0, 0.1))), draw(st.sampled_from(("learned", "obs"))))
+
+
+def _wrong_backward(monkeypatch, op: str, wrong):
+    """Replace the backward rule of autodiff op ``op`` by ``wrong(g, rule)``;
+    its forward values stay exact."""
+    real = getattr(ad, op)
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.grad_fns = tuple(lambda g, rule=rule: wrong(g, rule) for rule in out.grad_fns)
+        return out
+
+    monkeypatch.setattr(ad, op, patched)
+
+
+class TestBatchedGradCheck:
+    @given(_grad_check_cases())
+    @settings(max_examples=40)
+    def test_equals_per_entry_loop(self, case):
+        # Seen equal bit for bit; the stated bound leaves room for BLAS
+        # kernels that round a stacked product differently.
+        params, sample, strategy, lambda_id, attr_input = case
+        got = grad_check(params, sample, strategy, lambda_id=lambda_id, attr_input=attr_input)
+        want = _grad_check_loop(params, sample, strategy, lambda_id=lambda_id,
+                                attr_input=attr_input)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_leaves_params_untouched(self):
+        params = FusionParams.random(8, n_identities=3, n_tokens=4, seed=1)
+        before = params.copy()
+        grad_check(params, rand_sample(np.random.default_rng(1), 8), PREPROC_ATTR)
+        for name in fusion.PARAM_FIELDS:
+            np.testing.assert_array_equal(getattr(params, name), getattr(before, name))
+
+
+class TestGradCheckCatchesWrongGradients:
+    """A wrong backward rule must fail the check: the numeric side is not
+    allowed to pass by agreeing with the analytic side vacuously."""
+
+    def _case(self):
+        params = FusionParams.random(8, n_identities=3, n_tokens=4, seed=11)
+        return params, rand_sample(np.random.default_rng(11), 8)
+
+    @pytest.mark.parametrize("strategy", [s for s in all_strategies() if s.kind != "attr-only"],
+                             ids=str)
+    def test_relu_gradient_scaled(self, monkeypatch, strategy):
+        # every strategy but attr-only runs the adaptor, the only relu
+        params, sample = self._case()
+        assert grad_check(params, sample, strategy) <= 1e-4
+        _wrong_backward(monkeypatch, "relu", lambda g, rule: 1.01 * rule(g))
+        assert grad_check(params, sample, strategy) > 1e-4
+
+    @pytest.mark.parametrize("strategy", all_strategies(), ids=str)
+    def test_transpose_gradient_zeroed(self, monkeypatch, strategy):
+        # every strategy attends, and attention transposes the keys
+        params, sample = self._case()
+        _wrong_backward(monkeypatch, "transpose_last", lambda g, rule: np.zeros_like(rule(g)))
+        assert grad_check(params, sample, strategy) > 1e-4
 
 
 class TestSerialization:
