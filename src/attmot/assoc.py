@@ -34,10 +34,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import N_ATTRIBUTES, BBox, Detection, GtEntry, box_rows, pairwise_iou
-from .fusion import predict_attributes_batch
-# Not called here: perfbench/spans.py wraps ``assoc.predict_attributes`` by
-# name, so the name stays importable from this module.
-from .fusion import predict_attributes  # noqa: F401
+from .fusion import predict_attributes
 
 CHI2_95_4DOF = 9.4877
 INF_COST = 1e5
@@ -423,9 +420,9 @@ def detection_attrs(detections: list[Detection], config: AssocConfig,
         vecs = np.empty((len(detections), N_ATTRIBUTES))
         if has_obs.any():
             obs = np.stack([d.attr_obs for d in detections if d.attr_obs is not None])
-            vecs[has_obs] = predict_attributes_batch(emb[has_obs], obs, strategy, params)[0]
+            vecs[has_obs] = predict_attributes(emb[has_obs], obs, strategy, params)[0]
         if not has_obs.all():
-            vecs[~has_obs] = predict_attributes_batch(emb[~has_obs], None, strategy, params)[0]
+            vecs[~has_obs] = predict_attributes(emb[~has_obs], None, strategy, params)[0]
     else:
         if any(d.attr_obs is None for d in detections):
             raise ValueError("detection carries no attribute observation")

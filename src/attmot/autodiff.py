@@ -58,10 +58,6 @@ def const(value) -> Var:
     return Var(value)
 
 
-def param(value) -> Var:
-    return Var(value, requires_grad=True)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
     if grad.shape == shape:

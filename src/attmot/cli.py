@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,13 +24,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +43,15 @@ def _write_sequence(seq_dir: Path, bundle) -> None:
         "\n".join(synthgen.occlusion_metadata_lines(bundle)) + "\n", encoding="ascii")
 
 
-def cmd_generate(config_path: str, out_dir: str, jobs: int = 1) -> None:
+def cmd_generate(config_path: str, out_dir: str) -> None:
     mapping = load_config(config_path)
     config, n_sequences = world_config_from_mapping(mapping)
     bundles = synthgen.generate_benchmark(config, n_sequences)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "world.cfg").write_text(dump_world_config(config, n_sequences), encoding="ascii")
-    _parallel_map(lambda b: _write_sequence(out / b.name, b), bundles, jobs)
+    for b in bundles:
+        _write_sequence(out / b.name, b)
     print(f"wrote {n_sequences} sequence(s) to {out}")
 
 
@@ -140,7 +133,7 @@ def _track_one(seq_dir: Path, config: assoc.AssocConfig, fusion_params, out_dir:
 
 
 def cmd_track(bench_dir: str, config: assoc.AssocConfig, params_path: str | None,
-              out_dir: str, jobs: int = 1) -> None:
+              out_dir: str) -> None:
     bench = Path(bench_dir)
     seq_dirs = _sequence_dirs(bench)
     fusion_params = None
@@ -150,9 +143,8 @@ def cmd_track(bench_dir: str, config: assoc.AssocConfig, params_path: str | None
         fusion_params = fusion.load_fusion_head(params_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = _parallel_map(lambda s: _track_one(s, config, fusion_params, out),
-                            seq_dirs, jobs)
-    for name, n in results:
+    for seq_dir in seq_dirs:
+        name, n = _track_one(seq_dir, config, fusion_params, out)
         print(f"{name}: {n} boxes")
 
 
@@ -160,18 +152,15 @@ def cmd_track(bench_dir: str, config: assoc.AssocConfig, params_path: str | None
 # eval
 # ---------------------------------------------------------------------------
 
-def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None, jobs: int = 1) -> metrics.MetricsReport:
+def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None) -> metrics.MetricsReport:
     bench = Path(gt_dir)
     res = Path(res_dir)
-    seq_dirs = _sequence_dirs(bench)
-
-    def load_pair(seq_dir: Path):
+    pairs = []
+    for seq_dir in _sequence_dirs(bench):
         gt = motio.parse_mot_file(seq_dir / "gt.txt", kind="gt")
         res_file = res / f"{seq_dir.name}.txt"
         pred = motio.parse_mot_file(res_file, kind="gt") if res_file.is_file() else []
-        return seq_dir.name, gt, pred
-
-    pairs = _parallel_map(load_pair, seq_dirs, jobs)
+        pairs.append((seq_dir.name, gt, pred))
     report = metrics.evaluate_sequences(pairs)
     if out_csv:
         Path(out_csv).write_text(report.to_csv(), encoding="ascii")
@@ -183,7 +172,7 @@ def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None, jobs: int = 1) -> m
 # ablate
 # ---------------------------------------------------------------------------
 
-def cmd_ablate(spec_path: str, out_dir: str, jobs: int = 1) -> None:
+def cmd_ablate(spec_path: str, out_dir: str) -> None:
     spec = load_config(spec_path)
     bench_dir = spec.get("benchmark")
     if not bench_dir:
@@ -240,20 +229,17 @@ def cmd_ablate(spec_path: str, out_dir: str, jobs: int = 1) -> None:
     for seed in seeds:
         config = replace(base_config, seed=seed)
         bundles = synthgen.generate_benchmark(config, n_sequences)
-        observations = _parallel_map(canonical, bundles, jobs)
+        observations = [canonical(b) for b in bundles]
         for mode in variants:
             acfg = assoc.AssocConfig(mode=mode, attr_source=attr_source,
                                      lambda_e=lambda_e, lambda_a=lambda_a)
-
-            def run_one(pair):
-                bundle, (frames, gt) = pair
+            triples = []
+            for bundle, (frames, gt) in zip(bundles, observations):
                 outputs = assoc.run_sequence(frames, acfg, fusion_params,
                                              n_frames=bundle.n_frames)
                 entries = assoc.outputs_to_entries(outputs)
                 entries = motio.parse_mot_file(motio.write_mot_file(entries).encode(), "gt")
-                return (bundle.name, gt, entries)
-
-            triples = _parallel_map(run_one, list(zip(bundles, observations)), jobs)
+                triples.append((bundle.name, gt, entries))
             report = metrics.evaluate_sequences(triples)
             (runs_dir / f"{mode.replace('+', 'P')}_seed{seed}.csv").write_text(
                 report.to_csv(), encoding="ascii")
@@ -359,7 +345,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate a synthetic benchmark")
     p.add_argument("-c", "--config", required=True, help="world config file")
     p.add_argument("-o", "--out", required=True, help="output benchmark directory")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("train", help="train the fusion head on benchmark crops")
     p.add_argument("-b", "--benchmark", required=True)
@@ -379,18 +364,15 @@ def build_parser() -> _Parser:
     p.add_argument("--match-threshold", type=float, default=None)
     p.add_argument("--attr-source", default="obs", choices=("obs", "fusion"))
     p.add_argument("--params", default=None, help="trained fusion head file")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", required=True, help="result directory")
 
     p = sub.add_parser("eval", help="evaluate result files against a benchmark")
     p.add_argument("--gt", required=True, help="benchmark directory")
     p.add_argument("--res", required=True, help="result directory")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", default=None, help="metrics CSV to write")
 
     p = sub.add_parser("ablate", help="run an ablation matrix from a spec file")
     p.add_argument("-s", "--spec", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", required=True)
 
     sub.add_parser("verify", help="run fast built-in invariant checks")
@@ -402,18 +384,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "generate":
-            cmd_generate(args.config, args.out, args.jobs)
+            cmd_generate(args.config, args.out)
         elif args.command == "train":
             cmd_train(args.benchmark, args.strategy, args.seed, args.out,
                       n_crops=args.crops, iterations=args.iterations,
                       trace_path=args.trace)
         elif args.command == "track":
-            cmd_track(args.benchmark, _assoc_config_from_args(args), args.params,
-                      args.out, args.jobs)
+            cmd_track(args.benchmark, _assoc_config_from_args(args), args.params, args.out)
         elif args.command == "eval":
-            cmd_eval(args.gt, args.res, args.out, args.jobs)
+            cmd_eval(args.gt, args.res, args.out)
         elif args.command == "ablate":
-            cmd_ablate(args.spec, args.out, args.jobs)
+            cmd_ablate(args.spec, args.out)
         elif args.command == "verify":
             return 2 if cmd_verify() else 0
         return 0

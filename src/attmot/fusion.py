@@ -448,27 +448,20 @@ def raw_attribute_feature(e1: np.ndarray, params: FusionParams) -> np.ndarray:
     return _raw_attr_feature(p, ad.const(np.asarray(e1, dtype=np.float64))).value
 
 
-def attribute_logits(e1: np.ndarray, a1_raw: np.ndarray | None,
-                     strategy: FusionStrategy, params: FusionParams) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (pre-sigmoid) attribute logits plus the adapted embedding."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    p = _param_vars(params, requires_grad=False)
-    a1 = None if a1_raw is None else ad.const(np.asarray(a1_raw, dtype=np.float64))
-    logits, e_out = _strategy_forward(p, ad.const(e1), a1, strategy, params)
-    return logits.value, e_out.value
-
-
 def predict_attributes(e1: np.ndarray, a1_raw: np.ndarray | None,
                        strategy: FusionStrategy, params: FusionParams) -> tuple[np.ndarray, np.ndarray]:
     """Attribute probabilities in (0,1)^32 plus the adapted embedding.
 
-    When ``a1_raw`` is None the raw attribute feature comes from the
-    learned linear head; otherwise the supplied vector is used (e.g. an
-    observed attribute vector).
+    ``e1`` is one embedding or a batch of them along leading axes.  When
+    ``a1_raw`` is None the raw attribute feature comes from the learned
+    linear head; otherwise the supplied vector is used (e.g. an observed
+    attribute vector).
     """
-    logits, e_out = attribute_logits(e1, a1_raw, strategy, params)
-    probs = 1.0 / (1.0 + np.exp(-logits))
-    return probs, e_out
+    p = _param_vars(params, requires_grad=False)
+    a1 = None if a1_raw is None else ad.const(np.asarray(a1_raw, dtype=np.float64))
+    logits, e_out = _strategy_forward(p, ad.const(np.asarray(e1, dtype=np.float64)),
+                                      a1, strategy, params)
+    return 1.0 / (1.0 + np.exp(-logits.value)), e_out.value
 
 
 def weighted_bce_loss(pred: np.ndarray, target: np.ndarray, pos_freq: np.ndarray,
@@ -631,23 +624,12 @@ def grad_check(params: FusionParams, sample: TrainSample,
     return worst
 
 
-def predict_attributes_batch(emb: np.ndarray, a1_raw: np.ndarray | None,
-                             strategy: FusionStrategy, params: FusionParams):
-    """Vectorized predict_attributes over a batch of embeddings."""
-    p = _param_vars(params, requires_grad=False)
-    a1 = None if a1_raw is None else ad.const(np.asarray(a1_raw, dtype=np.float64))
-    logits, e_out = _strategy_forward(p, ad.const(np.asarray(emb, dtype=np.float64)),
-                                      a1, strategy, params)
-    return 1.0 / (1.0 + np.exp(-logits.value)), e_out.value
-
-
 def attribute_accuracy(params: FusionParams, dataset: list[TrainSample],
                        strategy: FusionStrategy = PREPROC_ATTR,
                        attr_input: str = "learned") -> float:
     """Mean per-attribute accuracy of thresholded predictions at 0.5."""
     emb, obs, _, gts = _dataset_arrays(dataset)
-    probs, _ = predict_attributes_batch(emb, obs if attr_input == "obs" else None,
-                                        strategy, params)
+    probs, _ = predict_attributes(emb, obs if attr_input == "obs" else None, strategy, params)
     correct = (probs >= 0.5) == (gts >= 0.5)
     return float(correct.mean(axis=0).mean())
 
@@ -678,22 +660,28 @@ def save_fusion_head(path, params: FusionParams, strategy: FusionStrategy = PREP
 
 
 def load_fusion_head(path) -> tuple[FusionParams, FusionStrategy]:
+    """Read a ``save_fusion_head`` blob; a malformed or truncated file raises
+    ``ValueError`` naming it."""
+    name = os.fspath(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
-            raise ValueError(f"not a fusion-head file: {os.fspath(path)}")
-        header = json.loads(fh.readline().decode("ascii"))
-        arrays = {}
-        for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    params = FusionParams(
-        dim=header["dim"], n_tokens=header["n_tokens"],
-        n_identities=header["n_identities"], scale_scores=header["scale_scores"],
-        **arrays,
-    )
-    strat = FusionStrategy(header["strategy"]["kind"], header["strategy"]["rounds"])
+            raise ValueError(f"not a fusion-head file: {name}")
+        try:
+            header = json.loads(fh.readline().decode("ascii"))
+            arrays = {}
+            for field_name, shape in header["arrays"]:
+                count = int(np.prod(shape)) if shape else 1
+                buf = fh.read(count * 8)
+                arrays[field_name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            params = FusionParams(
+                dim=header["dim"], n_tokens=header["n_tokens"],
+                n_identities=header["n_identities"], scale_scores=header["scale_scores"],
+                **arrays,
+            )
+            strat = FusionStrategy(header["strategy"]["kind"], header["strategy"]["rounds"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"corrupt fusion-head file {name}: {exc!r}") from None
     return params, strat
 
 

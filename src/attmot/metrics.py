@@ -1,6 +1,13 @@
 """Tracking evaluation: CLEAR metrics, identity metrics, the HOTA family
 and verification TPR@FAR.
 
+Every tracking metric reads one per-frame match table (``_frame_table``):
+for each frame, the active ground-truth identities, the prediction
+identities left after ignore-region suppression, and their IoU matrix.
+``evaluate_sequences`` builds it once per sequence and hands it to the
+CLEAR, ID and HOTA scorers; the public ``clear_metrics``, ``id_metrics``
+and ``hota_metrics`` each build it and score it.
+
 CLEAR matching keeps previous-frame correspondences while they still
 overlap (the continuity rule), then matches the remainder with the
 Hungarian algorithm; an identity switch is counted when a ground-truth
@@ -30,22 +37,34 @@ def _by_frame(entries):
     return frames
 
 
-def _pairwise_iou(a_entries, b_entries) -> np.ndarray:
-    """IoU matrix between two per-frame entry lists."""
-    return pairwise_iou(box_rows(e.box for e in a_entries), box_rows(e.box for e in b_entries))
+def _frame_table(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
+                 suppress: bool = True) -> list[tuple[list[int], list[int], np.ndarray]]:
+    """Per frame, in frame order: active gt identities, prediction
+    identities, and their IoU matrix.
 
-
-def _suppress_ignored(gts_f, preds_f, iou_threshold, suppress):
-    """Split gts into active/ignored; optionally drop preds on ignore regions."""
-    active = [g for g in gts_f if g.active]
-    ignored = [g for g in gts_f if not g.active]
-    if not suppress or not ignored or not preds_f:
-        return active, list(preds_f)
-    ov = _pairwise_iou(ignored, preds_f)
-    cost = np.where(ov >= iou_threshold, 1.0 - ov, 1e5)
-    rows, cols = linear_sum_assignment(cost)
-    drop = {int(c) for r, c in zip(rows, cols) if cost[r, c] < 1e5}
-    return active, [p for j, p in enumerate(preds_f) if j not in drop]
+    A prediction matched (Hungarian, IoU >= ``iou_threshold``) to an
+    inactive gt row is dropped when ``suppress`` is set.
+    """
+    gt_frames = _by_frame(gt)
+    pred_frames = _by_frame(pred)
+    table = []
+    for f in sorted(set(gt_frames) | set(pred_frames)):
+        gts_f = gt_frames.get(f, [])
+        preds_f = pred_frames.get(f, [])
+        active = [g for g in gts_f if g.active]
+        ignored = [g for g in gts_f if not g.active]
+        pred_boxes = box_rows(p.box for p in preds_f)
+        if suppress and ignored and preds_f:
+            ov = pairwise_iou(box_rows(g.box for g in ignored), pred_boxes)
+            cost = np.where(ov >= iou_threshold, 1.0 - ov, 1e5)
+            rows, cols = linear_sum_assignment(cost)
+            keep = np.ones(len(preds_f), dtype=bool)
+            keep[cols[cost[rows, cols] < 1e5]] = False
+            preds_f = [p for p, k in zip(preds_f, keep) if k]
+            pred_boxes = pred_boxes[keep]
+        table.append(([g.identity for g in active], [p.identity for p in preds_f],
+                      pairwise_iou(box_rows(g.box for g in active), pred_boxes)))
+    return table
 
 
 @dataclass
@@ -57,33 +76,26 @@ class ClearResult:
     n_gt: int
 
 
-def clear_metrics(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
-                  ignore_fp_suppression: bool = True) -> ClearResult:
-    """CLEAR counts and MOTA = 1 - (FN + FP + IDSW) / total GT boxes."""
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
-    all_frames = sorted(set(gt_frames) | set(pred_frames))
+def _score_clear(table, iou_threshold: float = 0.5) -> ClearResult:
+    """CLEAR counts and MOTA of a frame table."""
     last_match: dict[int, int] = {}
     fp = fn = idsw = n_gt = 0
-    for f in all_frames:
-        gts_f, preds_f = _suppress_ignored(gt_frames.get(f, []), pred_frames.get(f, []),
-                                           iou_threshold, ignore_fp_suppression)
-        n_gt += len(gts_f)
-        sim = _pairwise_iou(gts_f, preds_f)
+    for g_ids, p_ids, sim in table:
+        n_gt += len(g_ids)
         matches: dict[int, int] = {}
         used_pred: set[int] = set()
         # Continuity: keep last frame's correspondence while it still holds.
-        preds_by_id = {p.identity: j for j, p in enumerate(preds_f)}
-        for gi, g in enumerate(gts_f):
-            prev = last_match.get(g.identity)
+        preds_by_id = {pid: j for j, pid in enumerate(p_ids)}
+        for gi, gid in enumerate(g_ids):
+            prev = last_match.get(gid)
             if prev is None or prev not in preds_by_id:
                 continue
             j = preds_by_id[prev]
             if j not in used_pred and sim[gi, j] >= iou_threshold:
                 matches[gi] = j
                 used_pred.add(j)
-        rem_g = [gi for gi in range(len(gts_f)) if gi not in matches]
-        rem_p = [j for j in range(len(preds_f)) if j not in used_pred]
+        rem_g = [gi for gi in range(len(g_ids)) if gi not in matches]
+        rem_p = [j for j in range(len(p_ids)) if j not in used_pred]
         if rem_g and rem_p:
             sub = sim[np.ix_(rem_g, rem_p)]
             cost = np.where(sub >= iou_threshold, 1.0 - sub, 1e5)
@@ -93,17 +105,24 @@ def clear_metrics(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float =
                     matches[rem_g[a]] = rem_p[b]
                     used_pred.add(rem_p[b])
         for gi, j in matches.items():
-            gid = gts_f[gi].identity
-            pid = preds_f[j].identity
+            gid = g_ids[gi]
+            pid = p_ids[j]
             if gid in last_match and last_match[gid] != pid:
                 idsw += 1
             last_match[gid] = pid
-        fn += len(gts_f) - len(matches)
-        fp += len(preds_f) - len(matches)
+        fn += len(g_ids) - len(matches)
+        fp += len(p_ids) - len(matches)
     if n_gt == 0:
         raise ValueError("MOTA undefined: no ground-truth boxes")
     mota = 1.0 - (fn + fp + idsw) / n_gt
     return ClearResult(mota=mota, fp=fp, fn=fn, idsw=idsw, n_gt=n_gt)
+
+
+def clear_metrics(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
+                  ignore_fp_suppression: bool = True) -> ClearResult:
+    """CLEAR counts and MOTA = 1 - (FN + FP + IDSW) / total GT boxes."""
+    return _score_clear(_frame_table(gt, pred, iou_threshold, ignore_fp_suppression),
+                        iou_threshold)
 
 
 @dataclass
@@ -116,30 +135,18 @@ class IdResult:
     idfn: int
 
 
-def id_metrics(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
-               ignore_fp_suppression: bool = True) -> IdResult:
-    """Identity metrics under the optimal trajectory-level bipartite pairing.
-
-    A gt trajectory paired with a predicted trajectory scores one IDTP per
-    frame where both are present and overlap at least ``iou_threshold``.
-    The pairing minimizes IDFP + IDFN over all assignments (dummy rows and
-    columns allow trajectories to stay unpaired).
-    """
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
+def _score_id(table, iou_threshold: float = 0.5) -> IdResult:
+    """Identity metrics of a frame table (see ``id_metrics``)."""
     gt_len: dict[int, int] = {}
     pr_len: dict[int, int] = {}
     overlap: dict[tuple[int, int], int] = {}
-    for f in sorted(set(gt_frames) | set(pred_frames)):
-        gts_f, preds_f = _suppress_ignored(gt_frames.get(f, []), pred_frames.get(f, []),
-                                           iou_threshold, ignore_fp_suppression)
-        for g in gts_f:
-            gt_len[g.identity] = gt_len.get(g.identity, 0) + 1
-        for p in preds_f:
-            pr_len[p.identity] = pr_len.get(p.identity, 0) + 1
-        sim = _pairwise_iou(gts_f, preds_f)
+    for g_ids, p_ids, sim in table:
+        for gid in g_ids:
+            gt_len[gid] = gt_len.get(gid, 0) + 1
+        for pid in p_ids:
+            pr_len[pid] = pr_len.get(pid, 0) + 1
         for gi, pj in zip(*np.nonzero(sim >= iou_threshold)):
-            key = (gts_f[gi].identity, preds_f[pj].identity)
+            key = (g_ids[gi], p_ids[pj])
             overlap[key] = overlap.get(key, 0) + 1
     gids = sorted(gt_len)
     pids = sorted(pr_len)
@@ -171,6 +178,19 @@ def id_metrics(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.
     return IdResult(idf1=idf1, idp=idp, idr=idr, idtp=idtp, idfp=idfp, idfn=idfn)
 
 
+def id_metrics(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
+               ignore_fp_suppression: bool = True) -> IdResult:
+    """Identity metrics under the optimal trajectory-level bipartite pairing.
+
+    A gt trajectory paired with a predicted trajectory scores one IDTP per
+    frame where both are present and overlap at least ``iou_threshold``.
+    The pairing minimizes IDFP + IDFN over all assignments (dummy rows and
+    columns allow trajectories to stay unpaired).
+    """
+    return _score_id(_frame_table(gt, pred, iou_threshold, ignore_fp_suppression),
+                     iou_threshold)
+
+
 @dataclass
 class HotaResult:
     hota: float
@@ -190,40 +210,29 @@ def _hota_from_counts(tp, fn, fp, ass_sum):
     return float(hota_a.mean()), float(det_a.mean()), float(ass_a.mean())
 
 
-def hota_metrics(gt: list[GtEntry], pred: list[GtEntry],
-                 ignore_fp_suppression: bool = True) -> HotaResult:
-    """HOTA averaged over 19 localization thresholds, with DetA and AssA.
-
-    Follows the published two-pass procedure: a global alignment score per
-    (gt id, pred id) guides per-frame Hungarian matching at each threshold;
-    the association score of a matched pair is TPA / (TPA + FNA + FPA).
-    """
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
-    frames = sorted(set(gt_frames) | set(pred_frames))
-    per_frame: list[tuple[list[int], list[int], np.ndarray]] = []
+def _score_hota(table) -> HotaResult:
+    """HOTA family of a frame table (see ``hota_metrics``)."""
     gid_index: dict[int, int] = {}
     pid_index: dict[int, int] = {}
-    for f in frames:
-        gts_f, preds_f = _suppress_ignored(gt_frames.get(f, []), pred_frames.get(f, []),
-                                           0.5, ignore_fp_suppression)
-        g_ids = [gid_index.setdefault(g.identity, len(gid_index)) for g in gts_f]
-        p_ids = [pid_index.setdefault(p.identity, len(pid_index)) for p in preds_f]
-        per_frame.append((g_ids, p_ids, _pairwise_iou(gts_f, preds_f)))
+    frames = [([gid_index.setdefault(g, len(gid_index)) for g in g_ids],
+               [pid_index.setdefault(p, len(pid_index)) for p in p_ids], sim)
+              for g_ids, p_ids, sim in table]
     n_g, n_p = len(gid_index), len(pid_index)
     if n_g == 0:
         raise ValueError("HOTA undefined: no ground-truth boxes")
     n_alpha = len(HOTA_ALPHAS)
+    n_gt_boxes = float(sum(len(g) for g, _, _ in frames))
     if n_p == 0:
         zero = np.zeros(n_alpha)
-        fn_total = np.full(n_alpha, float(sum(len(g) for g, _, _ in per_frame)))
-        return HotaResult(0.0, 0.0, 0.0, tp=zero, fn=fn_total, fp=zero.copy(), ass_sum=zero.copy())
+        return HotaResult(0.0, 0.0, 0.0, tp=zero, fn=np.full(n_alpha, n_gt_boxes),
+                          fp=zero.copy(), ass_sum=zero.copy())
 
-    # Pass 1: global alignment scores.
+    # Pass 1: global alignment scores.  A repeated identity within a frame
+    # adds to its count once (buffered fancy-index update).
     potential = np.zeros((n_g, n_p))
     gt_count = np.zeros(n_g)
     pr_count = np.zeros(n_p)
-    for g_ids, p_ids, sim in per_frame:
+    for g_ids, p_ids, sim in frames:
         if g_ids and p_ids:
             denom = sim.sum(axis=0, keepdims=True) + sim.sum(axis=1, keepdims=True) - sim
             ratio = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
@@ -232,35 +241,38 @@ def hota_metrics(gt: list[GtEntry], pred: list[GtEntry],
         pr_count[p_ids] += 1
     alignment = potential / np.maximum(gt_count[:, None] + pr_count[None, :] - potential, 1e-12)
 
-    # Pass 2: per-threshold matching and association accumulation.
-    tp = np.zeros(n_alpha)
-    fn = np.zeros(n_alpha)
-    fp = np.zeros(n_alpha)
-    match_counts = [np.zeros((n_g, n_p)) for _ in range(n_alpha)]
-    for g_ids, p_ids, sim in per_frame:
-        if not g_ids or not p_ids:
-            fn += len(g_ids)
-            fp += len(p_ids)
-            continue
-        score = alignment[np.ix_(g_ids, p_ids)] * sim
-        rows, cols = linear_sum_assignment(-score)
-        for a, alpha in enumerate(HOTA_ALPHAS):
-            matched = 0
-            for r, c in zip(rows, cols):
-                if sim[r, c] >= alpha - 1e-12:
-                    match_counts[a][g_ids[r], p_ids[c]] += 1
-                    matched += 1
-            tp[a] += matched
-            fn[a] += len(g_ids) - matched
-            fp[a] += len(p_ids) - matched
-    ass_sum = np.zeros(n_alpha)
-    for a in range(n_alpha):
-        mc = match_counts[a]
-        union = gt_count[:, None] + pr_count[None, :] - mc
-        ass = np.divide(mc, np.maximum(union, 1e-12))
-        ass_sum[a] = (mc * ass).sum()
+    # Pass 2: one alignment-weighted Hungarian match per frame; the matched
+    # pairs of all frames are then thresholded at every alpha at once.
+    matched = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    for g_ids, p_ids, sim in frames:
+        if g_ids and p_ids:
+            rows, cols = linear_sum_assignment(-(alignment[np.ix_(g_ids, p_ids)] * sim))
+            matched.append((np.asarray(g_ids)[rows], np.asarray(p_ids)[cols], sim[rows, cols]))
+    match_g, match_p, match_iou = (np.concatenate(c) for c in zip(*matched))
+    hit = match_iou[None, :] >= (HOTA_ALPHAS - 1e-12)[:, None]  # (alpha, match)
+    tp = hit.sum(axis=1).astype(np.float64)
+    fn = n_gt_boxes - tp
+    fp = float(sum(len(p) for _, p, _ in frames)) - tp
+    # Per-alpha association counts; a repeated (gt, pred) pair counts twice.
+    alpha_idx, m_idx = np.nonzero(hit)
+    match_counts = np.zeros((n_alpha, n_g, n_p))
+    np.add.at(match_counts, (alpha_idx, match_g[m_idx], match_p[m_idx]), 1.0)
+    union = gt_count[:, None] + pr_count[None, :] - match_counts
+    ass = np.divide(match_counts, np.maximum(union, 1e-12))
+    ass_sum = (match_counts * ass).reshape(n_alpha, -1).sum(axis=1)
     hota, deta, assa = _hota_from_counts(tp, fn, fp, ass_sum)
     return HotaResult(hota, deta, assa, tp=tp, fn=fn, fp=fp, ass_sum=ass_sum)
+
+
+def hota_metrics(gt: list[GtEntry], pred: list[GtEntry],
+                 ignore_fp_suppression: bool = True) -> HotaResult:
+    """HOTA averaged over 19 localization thresholds, with DetA and AssA.
+
+    Follows the published two-pass procedure: a global alignment score per
+    (gt id, pred id) guides per-frame Hungarian matching at each threshold;
+    the association score of a matched pair is TPA / (TPA + FNA + FPA).
+    """
+    return _score_hota(_frame_table(gt, pred, 0.5, ignore_fp_suppression))
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +414,16 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_sequences(named_pairs: list[tuple[str, list[GtEntry], list[GtEntry]]],
-                       iou_threshold: float = 0.5,
-                       ignore_fp_suppression: bool = True) -> MetricsReport:
-    """Score (name, gt, pred) triples; rows are sorted by sequence name."""
+def evaluate_sequences(named_pairs: list[tuple[str, list[GtEntry], list[GtEntry]]]
+                       ) -> MetricsReport:
+    """Score (name, gt, pred) triples; rows are sorted by sequence name.
+
+    Each sequence's frame table is built once, at IoU 0.5 with ignore-region
+    suppression, and scored by CLEAR, ID and HOTA.
+    """
     rows = []
     for name, gt, pred in sorted(named_pairs, key=lambda x: x[0]):
-        rows.append(SequenceMetrics(
-            name=name,
-            clear=clear_metrics(gt, pred, iou_threshold, ignore_fp_suppression),
-            ids=id_metrics(gt, pred, iou_threshold, ignore_fp_suppression),
-            hota=hota_metrics(gt, pred, ignore_fp_suppression),
-        ))
+        table = _frame_table(gt, pred)
+        rows.append(SequenceMetrics(name=name, clear=_score_clear(table),
+                                    ids=_score_id(table), hota=_score_hota(table)))
     return MetricsReport(rows)

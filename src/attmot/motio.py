@@ -22,6 +22,7 @@ The feature sidecar aligns with the detection file line-for-line:
 from __future__ import annotations
 
 import io
+import math
 import os
 from typing import IO, Iterable
 
@@ -33,7 +34,6 @@ from .core import (
     BBox,
     Detection,
     GtEntry,
-    validate_prob_attributes,
 )
 
 ATTR_HEADER = "# attmot-attrs v1"
@@ -88,29 +88,30 @@ def parse_mot_file(source, kind: str):
             ident = int(fields[1])
             left, top, width, height = (float(x) for x in fields[2:6])
             conf = float(fields[6])
-        except ValueError as exc:
-            raise MotFormatError(f"bad numeric field at line {lineno}: {exc}") from None
-        if width <= 0 or height <= 0:
-            raise MotFormatError(f"non-positive box at line {lineno}")
-        if frame < 1:
-            raise MotFormatError(f"frame index < 1 at line {lineno}")
-        box = BBox(left, top, width, height)
-        if kind == "det":
-            out.append(Detection(frame=frame, box=box, confidence=min(max(conf, 0.0), 1.0)))
-        else:
+            if width <= 0 or height <= 0:
+                raise ValueError("non-positive box")
+            if frame < 1:
+                raise ValueError("frame index < 1")
+            if not math.isfinite(conf):
+                raise ValueError(f"non-finite confidence {conf}")
+            box = BBox(left, top, width, height)
+            if kind == "det":
+                out.append(Detection(frame=frame, box=box, confidence=min(max(conf, 0.0), 1.0)))
+                continue
             if ident < 1:
-                raise MotFormatError(f"non-positive identity at line {lineno}")
+                raise ValueError("non-positive identity")
             # 9-field rows follow the MOT17 gt convention and carry visibility.
             vis = 1.0
             if len(fields) == 9:
-                try:
-                    vis = float(fields[8])
-                except ValueError:
-                    raise MotFormatError(f"bad visibility at line {lineno}") from None
+                vis = float(fields[8])
+                if not math.isfinite(vis):
+                    raise ValueError(f"non-finite visibility {vis}")
                 vis = min(max(vis, 0.0), 1.0)
             out.append(
                 GtEntry(frame=frame, identity=ident, box=box, visibility=vis, active=conf != 0.0)
             )
+        except ValueError as exc:
+            raise MotFormatError(f"{exc} at line {lineno}") from None
     if kind == "det":
         out.sort(key=lambda d: d.frame)
     else:
@@ -225,41 +226,46 @@ def parse_feature_file(source, detections: list[Detection]) -> list[Detection]:
     The sidecar must have exactly one row per detection, in the same order.
     Returns new Detection values carrying embedding and attr_obs.
     """
-    lines = [ln.strip() for ln in _open_lines(source)]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith(FEAT_HEADER_PREFIX):
+    lines = [(n, ln.strip()) for n, ln in enumerate(_open_lines(source), start=1)]
+    lines = [(n, ln) for n, ln in lines if ln]
+    if not lines or not lines[0][1].startswith(FEAT_HEADER_PREFIX):
         raise MotFormatError("feature file missing header")
-    dim = int(lines[0][len(FEAT_HEADER_PREFIX):])
+    header_no, header = lines[0]
+    try:
+        dim = int(header[len(FEAT_HEADER_PREFIX):])
+    except ValueError as exc:
+        raise MotFormatError(f"bad feature header at line {header_no}: {exc}") from None
+    if dim < 0:
+        raise MotFormatError(f"negative embedding dimension at line {header_no}")
     body = lines[1:]
     if len(body) != len(detections):
         raise MotFormatError(
             f"feature file has {len(body)} rows for {len(detections)} detections"
         )
     out = []
-    for lineno, (line, det) in enumerate(zip(body, detections), start=2):
+    for (lineno, line), det in zip(body, detections):
         fields = line.split(",")
         if len(fields) != 1 + dim + N_ATTRIBUTES:
             raise MotFormatError(
                 f"expected {1 + dim + N_ATTRIBUTES} fields at line {lineno}, got {len(fields)}"
             )
-        frame = int(fields[0])
-        if frame != det.frame:
-            raise MotFormatError(
-                f"feature row frame {frame} does not match detection frame {det.frame}"
-                f" at line {lineno}"
+        try:
+            frame = int(fields[0])
+            if frame != det.frame:
+                raise ValueError(f"feature row frame {frame} does not match detection"
+                                 f" frame {det.frame}")
+            vals = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+            out.append(
+                Detection(
+                    frame=det.frame,
+                    box=det.box,
+                    confidence=det.confidence,
+                    embedding=vals[:dim],
+                    attr_obs=np.clip(vals[dim:], 0.0, 1.0),
+                )
             )
-        vals = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-        emb = vals[:dim]
-        attr = validate_prob_attributes(np.clip(vals[dim:], 0.0, 1.0))
-        out.append(
-            Detection(
-                frame=det.frame,
-                box=det.box,
-                confidence=det.confidence,
-                embedding=emb,
-                attr_obs=attr,
-            )
-        )
+        except ValueError as exc:
+            raise MotFormatError(f"{exc} at line {lineno}") from None
     return out
 
 

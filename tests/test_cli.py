@@ -116,13 +116,6 @@ class TestTrackEval:
             assert main(["track", "-b", str(bench), "--mode", "embed", "-o", str(out)]) == 0
         assert tree_digest(a) == tree_digest(b)
 
-    def test_jobs_do_not_change_results(self, bench, tmp_path):
-        a, b = tmp_path / "j1", tmp_path / "j3"
-        assert main(["track", "-b", str(bench), "--mode", "embed", "-o", str(a)]) == 0
-        assert main(["track", "-b", str(bench), "--mode", "embed", "-o", str(b),
-                     "--jobs", "3"]) == 0
-        assert tree_digest(a) == tree_digest(b)
-
     def test_fusion_source_requires_params(self, bench, tmp_path):
         assert main(["track", "-b", str(bench), "--mode", "attr",
                      "--attr-source", "fusion", "-o", str(tmp_path / "x")]) == 1

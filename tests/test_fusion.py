@@ -1,6 +1,7 @@
 """Fusion head: adaptor, cross-attention, losses, strategies, trainer,
 gradient verification and serialization."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -552,6 +553,18 @@ class TestSerialization:
         save_fusion_head(a, params)
         save_fusion_head(b, params)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("cut", ["header", "first-array", "mid-array", "last-byte"])
+    def test_truncated_file_names_path(self, tmp_path, cut):
+        path = tmp_path / "head.bin"
+        save_fusion_head(path, FusionParams.random(8, n_identities=2, n_tokens=2, seed=1))
+        blob = path.read_bytes()
+        header_end = blob.index(b"\n", len(b"attmot-fusion v1\n")) + 1
+        keep = {"header": header_end - 10, "first-array": header_end + 8,
+                "mid-array": (header_end + len(blob)) // 2, "last-byte": len(blob) - 1}[cut]
+        path.write_bytes(blob[:keep])
+        with pytest.raises(ValueError, match=f"corrupt fusion-head file {re.escape(str(path))}"):
+            load_fusion_head(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,12 +1,20 @@
 """Evaluation metrics against hand-derived fixtures and exhaustive oracles."""
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from attmot.core import BBox, GtEntry
+from attmot.core import BBox, GtEntry, box_rows, pairwise_iou
 from attmot.metrics import (
     HOTA_ALPHAS,
+    ClearResult,
+    HotaResult,
+    IdResult,
+    _hota_from_counts,
     VerificationSet,
     build_verification_set,
     clear_metrics,
@@ -329,3 +337,259 @@ class TestReport:
         table = rep.to_table()
         for col in ("MOTA", "FN", "FP", "IDs", "HOTA", "AssA", "IDR", "IDP", "IDF1"):
             assert col in table.splitlines()[0]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: one pass per metric, each regrouping by frame, suppressing
+# ignore-region predictions and computing IoU itself, with HOTA's
+# per-threshold loop in Python (the evaluation before the frame table).
+# ---------------------------------------------------------------------------
+
+
+def _ref_by_frame(entries):
+    frames = {}
+    for e in entries:
+        frames.setdefault(e.frame, []).append(e)
+    return frames
+
+
+def _ref_iou(a_entries, b_entries):
+    return pairwise_iou(box_rows(e.box for e in a_entries), box_rows(e.box for e in b_entries))
+
+
+def _ref_suppress(gts_f, preds_f, iou_threshold, suppress):
+    active = [g for g in gts_f if g.active]
+    ignored = [g for g in gts_f if not g.active]
+    if not suppress or not ignored or not preds_f:
+        return active, list(preds_f)
+    ov = _ref_iou(ignored, preds_f)
+    cost = np.where(ov >= iou_threshold, 1.0 - ov, 1e5)
+    rows, cols = linear_sum_assignment(cost)
+    drop = {int(c) for r, c in zip(rows, cols) if cost[r, c] < 1e5}
+    return active, [p for j, p in enumerate(preds_f) if j not in drop]
+
+
+def _ref_clear(gt, pred, iou_threshold=0.5, ignore_fp_suppression=True):
+    gt_frames = _ref_by_frame(gt)
+    pred_frames = _ref_by_frame(pred)
+    last_match = {}
+    fp = fn = idsw = n_gt = 0
+    for f in sorted(set(gt_frames) | set(pred_frames)):
+        gts_f, preds_f = _ref_suppress(gt_frames.get(f, []), pred_frames.get(f, []),
+                                       iou_threshold, ignore_fp_suppression)
+        n_gt += len(gts_f)
+        sim = _ref_iou(gts_f, preds_f)
+        matches = {}
+        used_pred = set()
+        preds_by_id = {p.identity: j for j, p in enumerate(preds_f)}
+        for gi, g_ in enumerate(gts_f):
+            prev = last_match.get(g_.identity)
+            if prev is None or prev not in preds_by_id:
+                continue
+            j = preds_by_id[prev]
+            if j not in used_pred and sim[gi, j] >= iou_threshold:
+                matches[gi] = j
+                used_pred.add(j)
+        rem_g = [gi for gi in range(len(gts_f)) if gi not in matches]
+        rem_p = [j for j in range(len(preds_f)) if j not in used_pred]
+        if rem_g and rem_p:
+            sub = sim[np.ix_(rem_g, rem_p)]
+            cost = np.where(sub >= iou_threshold, 1.0 - sub, 1e5)
+            rows, cols = linear_sum_assignment(cost)
+            for a, b in zip(rows, cols):
+                if cost[a, b] < 1e5:
+                    matches[rem_g[a]] = rem_p[b]
+                    used_pred.add(rem_p[b])
+        for gi, j in matches.items():
+            gid = gts_f[gi].identity
+            pid = preds_f[j].identity
+            if gid in last_match and last_match[gid] != pid:
+                idsw += 1
+            last_match[gid] = pid
+        fn += len(gts_f) - len(matches)
+        fp += len(preds_f) - len(matches)
+    if n_gt == 0:
+        raise ValueError("MOTA undefined: no ground-truth boxes")
+    return ClearResult(mota=1.0 - (fn + fp + idsw) / n_gt, fp=fp, fn=fn, idsw=idsw, n_gt=n_gt)
+
+
+def _ref_id(gt, pred, iou_threshold=0.5, ignore_fp_suppression=True):
+    gt_frames = _ref_by_frame(gt)
+    pred_frames = _ref_by_frame(pred)
+    gt_len, pr_len, overlap = {}, {}, {}
+    for f in sorted(set(gt_frames) | set(pred_frames)):
+        gts_f, preds_f = _ref_suppress(gt_frames.get(f, []), pred_frames.get(f, []),
+                                       iou_threshold, ignore_fp_suppression)
+        for g_ in gts_f:
+            gt_len[g_.identity] = gt_len.get(g_.identity, 0) + 1
+        for p in preds_f:
+            pr_len[p.identity] = pr_len.get(p.identity, 0) + 1
+        sim = _ref_iou(gts_f, preds_f)
+        for gi, pj in zip(*np.nonzero(sim >= iou_threshold)):
+            key = (gts_f[gi].identity, preds_f[pj].identity)
+            overlap[key] = overlap.get(key, 0) + 1
+    gids = sorted(gt_len)
+    pids = sorted(pr_len)
+    n_g, n_p = len(gids), len(pids)
+    total_gt = sum(gt_len.values())
+    total_pr = sum(pr_len.values())
+    if n_g == 0:
+        raise ValueError("identity metrics undefined: no ground-truth trajectories")
+    size = n_g + n_p
+    cost = np.zeros((size, size))
+    for i, gid in enumerate(gids):
+        cost[i, n_p:] = gt_len[gid]
+        for j, pid in enumerate(pids):
+            cost[i, j] = gt_len[gid] + pr_len[pid] - 2 * overlap.get((gid, pid), 0)
+    for j, pid in enumerate(pids):
+        cost[n_g:, j] = pr_len[pid]
+    rows, cols = linear_sum_assignment(cost)
+    idtp = sum(overlap.get((gids[r], pids[c]), 0)
+               for r, c in zip(rows, cols) if r < n_g and c < n_p)
+    idfn = total_gt - idtp
+    idfp = total_pr - idtp
+    idf1 = 2 * idtp / (2 * idtp + idfp + idfn) if (2 * idtp + idfp + idfn) else 0.0
+    idp = idtp / total_pr if total_pr else 0.0
+    idr = idtp / total_gt if total_gt else 0.0
+    return IdResult(idf1=idf1, idp=idp, idr=idr, idtp=idtp, idfp=idfp, idfn=idfn)
+
+
+def _ref_hota(gt, pred, ignore_fp_suppression=True):
+    gt_frames = _ref_by_frame(gt)
+    pred_frames = _ref_by_frame(pred)
+    per_frame = []
+    gid_index, pid_index = {}, {}
+    for f in sorted(set(gt_frames) | set(pred_frames)):
+        gts_f, preds_f = _ref_suppress(gt_frames.get(f, []), pred_frames.get(f, []),
+                                       0.5, ignore_fp_suppression)
+        g_ids = [gid_index.setdefault(g_.identity, len(gid_index)) for g_ in gts_f]
+        p_ids = [pid_index.setdefault(p.identity, len(pid_index)) for p in preds_f]
+        per_frame.append((g_ids, p_ids, _ref_iou(gts_f, preds_f)))
+    n_g, n_p = len(gid_index), len(pid_index)
+    if n_g == 0:
+        raise ValueError("HOTA undefined: no ground-truth boxes")
+    n_alpha = len(HOTA_ALPHAS)
+    if n_p == 0:
+        zero = np.zeros(n_alpha)
+        fn_total = np.full(n_alpha, float(sum(len(g_) for g_, _, _ in per_frame)))
+        return HotaResult(0.0, 0.0, 0.0, tp=zero, fn=fn_total, fp=zero.copy(), ass_sum=zero.copy())
+    potential = np.zeros((n_g, n_p))
+    gt_count = np.zeros(n_g)
+    pr_count = np.zeros(n_p)
+    for g_ids, p_ids, sim in per_frame:
+        if g_ids and p_ids:
+            denom = sim.sum(axis=0, keepdims=True) + sim.sum(axis=1, keepdims=True) - sim
+            ratio = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
+            potential[np.ix_(g_ids, p_ids)] += ratio
+        gt_count[g_ids] += 1
+        pr_count[p_ids] += 1
+    alignment = potential / np.maximum(gt_count[:, None] + pr_count[None, :] - potential, 1e-12)
+    tp = np.zeros(n_alpha)
+    fn = np.zeros(n_alpha)
+    fp = np.zeros(n_alpha)
+    match_counts = [np.zeros((n_g, n_p)) for _ in range(n_alpha)]
+    for g_ids, p_ids, sim in per_frame:
+        if not g_ids or not p_ids:
+            fn += len(g_ids)
+            fp += len(p_ids)
+            continue
+        score = alignment[np.ix_(g_ids, p_ids)] * sim
+        rows, cols = linear_sum_assignment(-score)
+        for a, alpha in enumerate(HOTA_ALPHAS):
+            matched = 0
+            for r, c in zip(rows, cols):
+                if sim[r, c] >= alpha - 1e-12:
+                    match_counts[a][g_ids[r], p_ids[c]] += 1
+                    matched += 1
+            tp[a] += matched
+            fn[a] += len(g_ids) - matched
+            fp[a] += len(p_ids) - matched
+    ass_sum = np.zeros(n_alpha)
+    for a in range(n_alpha):
+        mc = match_counts[a]
+        union = gt_count[:, None] + pr_count[None, :] - mc
+        ass = np.divide(mc, np.maximum(union, 1e-12))
+        ass_sum[a] = (mc * ass).sum()
+    hota, deta, assa = _hota_from_counts(tp, fn, fp, ass_sum)
+    return HotaResult(hota, deta, assa, tp=tp, fn=fn, fp=fp, ass_sum=ass_sum)
+
+
+# Boxes whose IoUs land exactly on thresholds: the nested ones overlap the
+# first at 0.75, 0.5 and 0.25, the shifted ones partly or not at all.
+_BOXES = [(0, 0, 10, 10), (0, 0, 10, 7.5), (0, 0, 10, 5), (0, 0, 5, 5),
+          (5, 0, 10, 10), (2, 0, 10, 10), (30, 0, 10, 10), (60, 0, 10, 10)]
+
+
+def _entries(rows):
+    return [GtEntry(frame=f, identity=i, box=BBox(*_BOXES[b]), active=active)
+            for f, i, b, active in rows]
+
+
+# Up to 4 frames and 3 identities per side, so a frame may hold gt only,
+# predictions only, an ignore region, or one identity twice.
+_gt_rows = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3),
+                              st.integers(0, len(_BOXES) - 1),
+                              st.sampled_from([True, True, True, False])), max_size=12)
+_pred_rows = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3),
+                                st.integers(0, len(_BOXES) - 1), st.just(True)), max_size=12)
+
+
+def _assert_hota_equal(got, want):
+    assert (got.hota, got.deta, got.assa) == (want.hota, want.deta, want.assa)
+    for name in ("tp", "fn", "fp", "ass_sum"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestFrameTableAgainstOracle:
+    @given(_gt_rows, _pred_rows)
+    def test_evaluate_sequences_equals_oracle(self, gt_rows, pred_rows):
+        gt, pred = _entries(gt_rows), _entries(pred_rows)
+        try:
+            want = (_ref_clear(gt, pred), _ref_id(gt, pred), _ref_hota(gt, pred))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                evaluate_sequences([("s", gt, pred)])
+            return
+        got = evaluate_sequences([("s", gt, pred)]).sequences[0]
+        assert got.clear == want[0]
+        assert got.ids == want[1]
+        _assert_hota_equal(got.hota, want[2])
+
+    @given(_gt_rows, _pred_rows, st.sampled_from([0.25, 0.5, 0.75]), st.booleans())
+    def test_public_metrics_equal_oracle(self, gt_rows, pred_rows, threshold, suppress):
+        gt, pred = _entries(gt_rows), _entries(pred_rows)
+        if not any(e.active for e in gt):
+            return
+        assert clear_metrics(gt, pred, threshold, suppress) == _ref_clear(gt, pred, threshold, suppress)
+        assert id_metrics(gt, pred, threshold, suppress) == _ref_id(gt, pred, threshold, suppress)
+        _assert_hota_equal(hota_metrics(gt, pred, suppress), _ref_hota(gt, pred, suppress))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_sequence_equals_oracle(self, seed):
+        # dozens of identities per side, so HOTA's per-alpha sums run over
+        # hundreds of (gt, pred) cells
+        rng = np.random.default_rng(seed)
+        gt, pred = [], []
+        for f in range(1, 41):
+            for i in range(1, 25):
+                if rng.random() < 0.6:
+                    x = 20.0 * i + rng.normal(0, 2)
+                    gt.append(g(f, i, x, active=bool(rng.random() < 0.9)))
+                    if rng.random() < 0.8:
+                        pred.append(g(f, i + 100 * int(rng.integers(1, 4)), x + rng.normal(0, 3)))
+            pred.append(g(f, 999, float(rng.uniform(0, 500))))
+        got = evaluate_sequences([("s", gt, pred)]).sequences[0]
+        assert got.clear == _ref_clear(gt, pred)
+        assert got.ids == _ref_id(gt, pred)
+        _assert_hota_equal(got.hota, _ref_hota(gt, pred))
+
+    def test_duplicate_identity_matches_count_twice(self):
+        # gt id 1 and pred id 7 appear twice in frame 1 and once in frame 2.
+        # All three matches count (TPA = 3) while each identity's presence
+        # counts once per frame (2 + 2), so the pair scores 3 * 3 / (4 - 3).
+        gt = [g(1, 1, 0), g(1, 1, 100), g(2, 1, 0)]
+        pred = [g(1, 7, 0), g(1, 7, 100), g(2, 7, 0)]
+        r = evaluate_sequences([("s", gt, pred)]).sequences[0].hota
+        assert np.array_equal(r.tp, np.full(len(HOTA_ALPHAS), 3.0))
+        assert np.array_equal(r.ass_sum, np.full(len(HOTA_ALPHAS), 9.0))
+        _assert_hota_equal(r, _ref_hota(gt, pred))

@@ -64,6 +64,20 @@ class TestParseMot:
         p.write_text("1,1,0,0,5,5,1,-1,-1,-1\n")
         assert len(parse_mot_file(p, kind="gt")) == 1
 
+    @pytest.mark.parametrize("text,kind", [
+        pytest.param("1,1,0,0,5,5,1,-1,-1,-1\n1,2,0,0,5,5,nan,-1,-1,-1\n", "gt", id="nan-active"),
+        pytest.param("1,1,0,0,5,5,1,-1,-1,-1\n1,2,0,0,5,5,inf,-1,-1,-1\n", "gt", id="inf-active"),
+        pytest.param("1,-1,0,0,5,5,0.5,-1,-1,-1\n1,-1,0,0,5,5,nan,-1,-1,-1\n", "det", id="nan-conf"),
+        pytest.param("1,1,0,0,5,5,1,-1,-1,-1\n1,2,nan,0,5,5,1,-1,-1,-1\n", "gt", id="nan-box"),
+        pytest.param("1,1,0,0,5,5,1,-1,-1,-1\n1,2,0,0,inf,5,1,-1,-1,-1\n", "gt", id="inf-box"),
+        pytest.param("1,-1,0,0,5,5,0.5,-1,-1,-1\n1,-1,0,-inf,5,5,0.5,-1,-1,-1\n", "det",
+                     id="inf-det-box"),
+        pytest.param("1,1,0,0,5,5,1,1,1\n1,2,0,0,5,5,1,1,nan\n", "gt", id="nan-visibility"),
+    ])
+    def test_non_finite_field_names_line(self, text, kind):
+        with pytest.raises(MotFormatError, match="non-finite .* at line 2"):
+            parse_mot_file(text.encode(), kind=kind)
+
 
 def _bits(*on):
     bits = np.zeros(32)
@@ -186,6 +200,26 @@ class TestFeatureSidecar:
         feat_text = motio.write_feature_file(dets)
         with pytest.raises(MotFormatError, match="rows for"):
             motio.parse_feature_file(feat_text.encode(), dets[:-1])
+
+    @pytest.mark.parametrize("lineno,field,value", [
+        (1, None, "# attmot-feats v1 dim=x"),    # bad dim= header
+        (1, None, "# attmot-feats v1 dim=-2"),
+        (3, 0, "1.5"),                           # non-integer frame
+        (4, 2, "abc"),                           # non-numeric field
+        (5, 1, "nan"),                           # NaN embedding
+        (6, -1, "nan"),                          # NaN attribute
+    ])
+    def test_malformed_row_names_line(self, lineno, field, value):
+        dets = self._dets()
+        lines = motio.write_feature_file(dets).splitlines()
+        if field is None:
+            lines[lineno - 1] = value
+        else:
+            fields = lines[lineno - 1].split(",")
+            fields[field] = value
+            lines[lineno - 1] = ",".join(fields)
+        with pytest.raises(MotFormatError, match=f"at line {lineno}"):
+            motio.parse_feature_file(("\n".join(lines) + "\n").encode(), dets)
 
     def test_missing_header(self):
         with pytest.raises(MotFormatError, match="header"):
