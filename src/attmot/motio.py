@@ -17,10 +17,13 @@ a one-line header ``# attmot-attrs v1``.
 
 The feature sidecar aligns with the detection file line-for-line:
 ``frame,<embedding floats>,<32 attribute floats>`` after a header
-``# attmot-feats v1 dim=<d>``.
+``# attmot-feats v1 dim=<d>``; the floats are written ``%.10g``.
+
+When ``source`` is a path, parse errors name the file as well as the line.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -41,7 +44,8 @@ FEAT_HEADER_PREFIX = "# attmot-feats v1 dim="
 
 
 class MotFormatError(ValueError):
-    """Malformed MOT or sidecar file; message carries the line number."""
+    """Malformed MOT or sidecar file; message carries the line number, and
+    the file name when the parser was given a path."""
 
 
 def _open_lines(source) -> Iterable[str]:
@@ -57,23 +61,41 @@ def _open_lines(source) -> Iterable[str]:
             yield line
 
 
+def _names_file(parse):
+    """Prefix the parser's MotFormatErrors with the file name of a path source."""
+
+    @functools.wraps(parse)
+    def wrapper(source, *args, **kwargs):
+        try:
+            return parse(source, *args, **kwargs)
+        except MotFormatError as exc:
+            if not isinstance(source, (str, os.PathLike)):
+                raise
+            raise MotFormatError(f"{os.fspath(source)}: {exc}") from None
+
+    return wrapper
+
+
 def _fmt_coord(v: float) -> str:
     """Render a coordinate with up to 2 fractional digits, no trailing zeros."""
     s = f"{v:.2f}".rstrip("0").rstrip(".")
     return s if s not in ("-0", "") else "0"
 
 
+@_names_file
 def parse_mot_file(source, kind: str):
     """Parse a MOT-format file.
 
     ``kind`` is ``"det"`` (rows become Detections without features) or
     ``"gt"`` (rows become GtEntries; also used for result files).  Entries
     are returned sorted by frame then id/appearance order.  Any malformed
-    line raises MotFormatError naming the line.
+    line, or a ``"gt"`` identity repeated within one frame, raises
+    MotFormatError naming the line.
     """
     if kind not in ("det", "gt"):
         raise ValueError(f"unknown kind {kind!r}")
     out = []
+    seen = set()
     for lineno, raw in enumerate(_open_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -100,6 +122,9 @@ def parse_mot_file(source, kind: str):
                 continue
             if ident < 1:
                 raise ValueError("non-positive identity")
+            if (frame, ident) in seen:
+                raise ValueError(f"duplicate identity {ident} in frame {frame}")
+            seen.add((frame, ident))
             # 9-field rows follow the MOT17 gt convention and carry visibility.
             vis = 1.0
             if len(fields) == 9:
@@ -119,6 +144,7 @@ def parse_mot_file(source, kind: str):
     return out
 
 
+@_names_file
 def parse_attr_file(source) -> dict[int, AttributeVector]:
     """Parse the attribute sidecar into identity -> binary AttributeVector."""
     result: dict[int, AttributeVector] = {}
@@ -208,10 +234,13 @@ def write_feature_file(
         if dim is None:
             dim = len(d.embedding)
             buf.write(f"{FEAT_HEADER_PREFIX}{dim}\n")
+            row_fmt = ",".join(["%.10g"] * (dim + N_ATTRIBUTES)) + "\n"
         elif len(d.embedding) != dim:
             raise ValueError("inconsistent embedding dimension in feature file")
-        vals = np.concatenate([d.embedding, d.attr_obs])
-        buf.write(str(d.frame) + "," + ",".join(f"{v:.10g}" for v in vals) + "\n")
+        # Row by row: one .tolist() of all rows would hold every value as a
+        # Python float at once.
+        vals = np.concatenate([d.embedding, d.attr_obs]).tolist()
+        buf.write(str(d.frame) + "," + row_fmt % tuple(vals))
     if dim is None:
         buf.write(f"{FEAT_HEADER_PREFIX}0\n")
     text = buf.getvalue()
@@ -220,6 +249,34 @@ def write_feature_file(
     return text
 
 
+def _parse_feature_table(body: list[tuple[int, str]], width: int) -> np.ndarray:
+    """Convert the sidecar rows to one ``(rows, width)`` float64 table.
+
+    ``np.loadtxt`` converts every field like ``float()`` (bit for bit) but
+    rejects ``_`` digit separators.  When it fails, or the width is wrong,
+    one scan over the rows names the first bad line.
+    """
+    if not body:
+        return np.empty((0, width))
+    try:
+        table = np.loadtxt([line for _, line in body], delimiter=",", dtype=np.float64,
+                           ndmin=2, comments=None)
+        if table.shape[1] == width:
+            return table
+    except ValueError:
+        pass
+    for lineno, line in body:
+        n_fields = line.count(",") + 1
+        if n_fields != width:
+            raise MotFormatError(f"expected {width} fields at line {lineno}, got {n_fields}")
+        try:
+            np.loadtxt([line], delimiter=",", dtype=np.float64, comments=None)
+        except ValueError as exc:
+            raise MotFormatError(f"bad numeric field at line {lineno}: {exc}") from None
+    raise MotFormatError("feature rows could not be converted")
+
+
+@_names_file
 def parse_feature_file(source, detections: list[Detection]) -> list[Detection]:
     """Join a feature sidecar onto detections parsed from the det file.
 
@@ -242,26 +299,22 @@ def parse_feature_file(source, detections: list[Detection]) -> list[Detection]:
         raise MotFormatError(
             f"feature file has {len(body)} rows for {len(detections)} detections"
         )
+    table = _parse_feature_table(body, 1 + dim + N_ATTRIBUTES)
     out = []
-    for (lineno, line), det in zip(body, detections):
-        fields = line.split(",")
-        if len(fields) != 1 + dim + N_ATTRIBUTES:
-            raise MotFormatError(
-                f"expected {1 + dim + N_ATTRIBUTES} fields at line {lineno}, got {len(fields)}"
-            )
+    for (lineno, line), det, vals in zip(body, detections, table):
         try:
-            frame = int(fields[0])
+            # int() of the text, not of the float column, so "1.5" or "1.0" fails.
+            frame = int(line[:line.index(",")])
             if frame != det.frame:
                 raise ValueError(f"feature row frame {frame} does not match detection"
                                  f" frame {det.frame}")
-            vals = np.array([float(x) for x in fields[1:]], dtype=np.float64)
             out.append(
                 Detection(
                     frame=det.frame,
                     box=det.box,
                     confidence=det.confidence,
-                    embedding=vals[:dim],
-                    attr_obs=np.clip(vals[dim:], 0.0, 1.0),
+                    embedding=vals[1:1 + dim],
+                    attr_obs=np.clip(vals[1 + dim:], 0.0, 1.0),
                 )
             )
         except ValueError as exc:
