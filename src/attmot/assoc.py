@@ -377,7 +377,6 @@ class AssocConfig:
     attr_binarize: bool = False
     normalize_costs: bool = False
     emit_coasting: bool = False
-    min_confidence: float = 0.0
 
     def __post_init__(self):
         if self.mode not in COST_MODES:
@@ -430,12 +429,6 @@ def detection_attrs(detections: list[Detection], config: AssocConfig,
     if config.attr_binarize:
         vecs = (vecs >= 0.5).astype(np.float64)
     return vecs
-
-
-def detection_attr_vector(det: Detection, config: AssocConfig,
-                          fusion_params=None) -> np.ndarray:
-    """Attribute vector of one detection: a one-row ``detection_attrs``."""
-    return detection_attrs([det], config, fusion_params)[0]
 
 
 def _normalize_rows(feats: np.ndarray) -> np.ndarray:
@@ -629,7 +622,6 @@ class Tracker:
         frames) are emitted retroactively in the same call."""
         cfg = self.config
         tab = self.table
-        detections = [d for d in detections if d.confidence >= cfg.min_confidence]
         unit, has_emb = self._unit_embeddings(detections)
         tab.mean[:], tab.cov[:] = _predict_rows(tab.mean, tab.cov)
         tab.age += 1
@@ -715,14 +707,6 @@ def run_sequence(frames: dict[int, list[Detection]], config: AssocConfig,
         out.extend(tracker.step(f, frames.get(f, [])))
     out.sort(key=lambda o: (o.frame, o.identity))
     return out
-
-
-def run_bundle(bundle, config: AssocConfig, fusion_params=None) -> list[TrackOutput]:
-    """Generate observations from a bundle and track them."""
-    from .synthgen import observe_all_frames
-
-    frames = observe_all_frames(bundle)
-    return run_sequence(frames, config, fusion_params, n_frames=bundle.n_frames)
 
 
 def outputs_to_entries(outputs: list[TrackOutput]) -> list[GtEntry]:

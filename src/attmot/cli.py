@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import assoc, fusion, metrics, motio, synthgen
 from .configfile import ConfigError, dump_world_config, load_config, world_config_from_mapping
+from .core import group_by_frame
 
 
 class CliError(Exception):
@@ -30,28 +32,27 @@ class _Parser(argparse.ArgumentParser):
 # generate
 # ---------------------------------------------------------------------------
 
-def _write_sequence(seq_dir: Path, bundle) -> None:
-    seq_dir.mkdir(parents=True, exist_ok=True)
-    gt = bundle.gt_entries()
-    (seq_dir / "gt.txt").write_text(motio.write_mot_file(gt), encoding="ascii")
-    dets = [d for frame in synthgen.observe_all_frames(bundle).values() for d in frame]
-    (seq_dir / "det.txt").write_text(motio.write_det_file(dets), encoding="ascii")
-    (seq_dir / "feats.csv").write_text(motio.write_feature_file(dets), encoding="ascii")
-    (seq_dir / "attrs.txt").write_text(
-        motio.write_attr_file(bundle.attribute_table()), encoding="ascii")
-    (seq_dir / "meta.jsonl").write_text(
-        "\n".join(synthgen.occlusion_metadata_lines(bundle)) + "\n", encoding="ascii")
+def _write_benchmark(config, n_sequences: int, out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "world.cfg").write_text(dump_world_config(config, n_sequences), encoding="ascii")
+    for bundle in synthgen.generate_benchmark(config, n_sequences):
+        seq_dir = out / bundle.name
+        seq_dir.mkdir(exist_ok=True)
+        (seq_dir / "gt.txt").write_text(motio.write_mot_file(bundle.gt_entries()),
+                                        encoding="ascii")
+        dets = [d for frame in synthgen.observe_all_frames(bundle).values() for d in frame]
+        (seq_dir / "det.txt").write_text(motio.write_det_file(dets), encoding="ascii")
+        (seq_dir / "feats.csv").write_text(motio.write_feature_file(dets), encoding="ascii")
+        (seq_dir / "attrs.txt").write_text(
+            motio.write_attr_file(bundle.attribute_table()), encoding="ascii")
+        (seq_dir / "meta.jsonl").write_text(
+            "\n".join(synthgen.occlusion_metadata_lines(bundle)) + "\n", encoding="ascii")
 
 
 def cmd_generate(config_path: str, out_dir: str) -> None:
-    mapping = load_config(config_path)
-    config, n_sequences = world_config_from_mapping(mapping)
-    bundles = synthgen.generate_benchmark(config, n_sequences)
+    config, n_sequences = world_config_from_mapping(load_config(config_path))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "world.cfg").write_text(dump_world_config(config, n_sequences), encoding="ascii")
-    for b in bundles:
-        _write_sequence(out / b.name, b)
+    _write_benchmark(config, n_sequences, out)
     print(f"wrote {n_sequences} sequence(s) to {out}")
 
 
@@ -78,25 +79,37 @@ def _load_detections(seq_dir: Path):
     feats = seq_dir / "feats.csv"
     if feats.is_file():
         dets = motio.parse_feature_file(feats, dets)
-    return motio.group_by_frame(dets)
+    return group_by_frame(dets)
+
+
+def _load_gt(seq_dir: Path):
+    return motio.parse_mot_file(seq_dir / "gt.txt", kind="gt")
 
 
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
 
-def cmd_train(bench_dir: str, strategy_text: str, seed: int, out_path: str,
-              n_crops: int = 5000, iterations: int | None = None,
-              trace_path: str | None = None) -> None:
-    bench = Path(bench_dir)
-    config, n_sequences = _load_benchmark_config(bench)
-    strategy = fusion.FusionStrategy.parse(strategy_text)
+def _train_head(config, n_sequences: int, strategy, seed: int, n_crops: int,
+                iterations: int | None = None):
+    """Fusion head trained on crops of the benchmark world; returns
+    ``(params, loss trace, crops, train config)``."""
     bundles = synthgen.generate_benchmark(config, n_sequences)
     crops = synthgen.sample_training_crops(bundles, n_crops, seed=seed)
     tc = fusion.TrainConfig(seed=seed)
     if iterations is not None:
         tc = replace(tc, iterations=iterations)
     params, trace = fusion.train(crops, tc, strategy)
+    return params, trace, crops, tc
+
+
+def cmd_train(bench_dir: str, strategy_text: str, seed: int, out_path: str,
+              n_crops: int = 5000, iterations: int | None = None,
+              trace_path: str | None = None) -> None:
+    config, n_sequences = _load_benchmark_config(Path(bench_dir))
+    strategy = fusion.FusionStrategy.parse(strategy_text)
+    params, trace, crops, tc = _train_head(config, n_sequences, strategy, seed, n_crops,
+                                           iterations)
     acc = fusion.attribute_accuracy(params, crops, strategy, attr_input=tc.attr_input)
     fusion.save_fusion_head(out_path, params, strategy)
     if trace_path:
@@ -122,14 +135,10 @@ def _assoc_config_from_args(args) -> assoc.AssocConfig:
         raise CliError(str(exc)) from None
 
 
-def _track_one(seq_dir: Path, config: assoc.AssocConfig, fusion_params, out_dir: Path):
-    frames = _load_detections(seq_dir)
-    n_frames = max(frames) if frames else 0
-    outputs = assoc.run_sequence(frames, config, fusion_params, n_frames=n_frames)
-    entries = assoc.outputs_to_entries(outputs)
-    (out_dir / f"{seq_dir.name}.txt").write_text(motio.write_mot_file(entries),
-                                                 encoding="ascii")
-    return seq_dir.name, len(outputs)
+def _track_sequence(frames, config: assoc.AssocConfig, fusion_params) -> str:
+    """Result-file text of one sequence's per-frame detections."""
+    outputs = assoc.run_sequence(frames, config, fusion_params)
+    return motio.write_mot_file(assoc.outputs_to_entries(outputs))
 
 
 def cmd_track(bench_dir: str, config: assoc.AssocConfig, params_path: str | None,
@@ -144,8 +153,10 @@ def cmd_track(bench_dir: str, config: assoc.AssocConfig, params_path: str | None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seq_dir in seq_dirs:
-        name, n = _track_one(seq_dir, config, fusion_params, out)
-        print(f"{name}: {n} boxes")
+        text = _track_sequence(_load_detections(seq_dir), config, fusion_params)
+        (out / f"{seq_dir.name}.txt").write_text(text, encoding="ascii")
+        n_boxes = text.count("\n")
+        print(f"{seq_dir.name}: {n_boxes} boxes")
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +164,12 @@ def cmd_track(bench_dir: str, config: assoc.AssocConfig, params_path: str | None
 # ---------------------------------------------------------------------------
 
 def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None) -> metrics.MetricsReport:
-    bench = Path(gt_dir)
     res = Path(res_dir)
     pairs = []
-    for seq_dir in _sequence_dirs(bench):
-        gt = motio.parse_mot_file(seq_dir / "gt.txt", kind="gt")
+    for seq_dir in _sequence_dirs(Path(gt_dir)):
         res_file = res / f"{seq_dir.name}.txt"
         pred = motio.parse_mot_file(res_file, kind="gt") if res_file.is_file() else []
-        pairs.append((seq_dir.name, gt, pred))
+        pairs.append((seq_dir.name, _load_gt(seq_dir), pred))
     report = metrics.evaluate_sequences(pairs)
     if out_csv:
         Path(out_csv).write_text(report.to_csv(), encoding="ascii")
@@ -173,6 +182,8 @@ def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None) -> metrics.MetricsR
 # ---------------------------------------------------------------------------
 
 def cmd_ablate(spec_path: str, out_dir: str) -> None:
+    """Median metrics of every variant over the seeds.  Each seed's run is
+    ``generate -> track -> eval`` on a temporary benchmark, loaded once."""
     spec = load_config(spec_path)
     bench_dir = spec.get("benchmark")
     if not bench_dir:
@@ -186,8 +197,6 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
     seeds_raw = spec.get("seeds", 0)
     seeds = [int(s) for s in (seeds_raw if isinstance(seeds_raw, tuple) else (seeds_raw,))]
     attr_source = str(spec.get("attr_source", "obs"))
-    strategy_text = str(spec.get("train_strategy", "preproc-attr"))
-    train_seed = int(spec.get("train_seed", 0))
     lambda_e = float(spec.get("lambda_e", 1.0))
     lambda_a = float(spec.get("lambda_a", 1.0))
 
@@ -200,63 +209,45 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
+    configs = {}
     for mode in variants:
         try:
-            assoc.AssocConfig(mode=mode, attr_source=attr_source)
+            configs[mode] = assoc.AssocConfig(mode=mode, attr_source=attr_source,
+                                              lambda_e=lambda_e, lambda_a=lambda_a)
         except ValueError as exc:
             raise CliError(f"variant {mode!r}: {exc}") from None
 
     fusion_params = None
     if attr_source == "fusion":
-        bundles = synthgen.generate_benchmark(base_config, n_sequences)
-        crops = synthgen.sample_training_crops(bundles, int(spec.get("train_crops", 5000)),
-                                               seed=train_seed)
-        strategy = fusion.FusionStrategy.parse(strategy_text)
-        params, _ = fusion.train(crops, fusion.TrainConfig(seed=train_seed), strategy)
+        strategy = fusion.FusionStrategy.parse(str(spec.get("train_strategy", "preproc-attr")))
+        params, *_ = _train_head(base_config, n_sequences, strategy,
+                                 int(spec.get("train_seed", 0)),
+                                 int(spec.get("train_crops", 5000)))
         fusion_params = (params, strategy)
 
-    def canonical(bundle):
-        # Round-trip everything through the file formats (in memory) so an
-        # ablation run reproduces the generate -> track -> eval pipeline
-        # bit-for-bit, including serialization rounding.
-        dets = [d for frame in synthgen.observe_all_frames(bundle).values() for d in frame]
-        bare = motio.parse_mot_file(motio.write_det_file(dets).encode(), "det")
-        full = motio.parse_feature_file(motio.write_feature_file(dets).encode(), bare)
-        gt = motio.parse_mot_file(motio.write_mot_file(bundle.gt_entries()).encode(), "gt")
-        return motio.group_by_frame(full), gt
-
-    rows_by_variant: dict[str, list[dict]] = {v: [] for v in variants}
+    cols = ("mota", "fn", "fp", "ids", "hota", "assa", "idr", "idp", "idf1", "deta")
+    rows_by_variant: dict[str, list[tuple]] = {v: [] for v in variants}
     for seed in seeds:
-        config = replace(base_config, seed=seed)
-        bundles = synthgen.generate_benchmark(config, n_sequences)
-        observations = [canonical(b) for b in bundles]
-        for mode in variants:
-            acfg = assoc.AssocConfig(mode=mode, attr_source=attr_source,
-                                     lambda_e=lambda_e, lambda_a=lambda_a)
-            triples = []
-            for bundle, (frames, gt) in zip(bundles, observations):
-                outputs = assoc.run_sequence(frames, acfg, fusion_params,
-                                             n_frames=bundle.n_frames)
-                entries = assoc.outputs_to_entries(outputs)
-                entries = motio.parse_mot_file(motio.write_mot_file(entries).encode(), "gt")
-                triples.append((bundle.name, gt, entries))
-            report = metrics.evaluate_sequences(triples)
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_benchmark(replace(base_config, seed=seed), n_sequences, Path(tmp))
+            sequences = [(d.name, _load_detections(d), _load_gt(d))
+                         for d in _sequence_dirs(Path(tmp))]
+        for mode, acfg in configs.items():
+            report = metrics.evaluate_sequences([
+                (name, gt, motio.parse_mot_file(
+                    _track_sequence(frames, acfg, fusion_params).encode("ascii"), kind="gt"))
+                for name, frames, gt in sequences])
             (runs_dir / f"{mode.replace('+', 'P')}_seed{seed}.csv").write_text(
                 report.to_csv(), encoding="ascii")
-            agg = report.aggregate()
-            rows_by_variant[mode].append({
-                "seed": seed,
-                "mota": agg.clear.mota, "fn": agg.clear.fn, "fp": agg.clear.fp,
-                "ids": agg.clear.idsw, "hota": agg.hota.hota, "assa": agg.hota.assa,
-                "idr": agg.ids.idr, "idp": agg.ids.idp, "idf1": agg.ids.idf1,
-                "deta": agg.hota.deta,
-            })
+            a = report.aggregate()
+            rows_by_variant[mode].append((
+                a.clear.mota, a.clear.fn, a.clear.fp, a.clear.idsw, a.hota.hota, a.hota.assa,
+                a.ids.idr, a.ids.idp, a.ids.idf1, a.hota.deta))
 
-    cols = ("mota", "fn", "fp", "ids", "hota", "assa", "idr", "idp", "idf1", "deta")
     lines = ["variant," + ",".join(cols)]
     table = ["variant".ljust(14) + "".join(c.upper().rjust(10) for c in cols)]
     for mode in variants:
-        med = {c: statistics.median([r[c] for r in rows_by_variant[mode]]) for c in cols}
+        med = dict(zip(cols, map(statistics.median, zip(*rows_by_variant[mode]))))
         lines.append(mode + "," + ",".join(f"{med[c]:.6g}" for c in cols))
         table.append(mode.ljust(14) + "".join(
             (f"{med[c]:.3f}" if c not in ("fn", "fp", "ids") else f"{med[c]:g}").rjust(10)

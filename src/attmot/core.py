@@ -83,9 +83,6 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
-    def to_ltwh(self) -> np.ndarray:
-        return np.array([self.left, self.top, self.width, self.height], dtype=np.float64)
-
 
 def intersection_area(a: BBox, b: BBox) -> float:
     """Overlap area of two boxes; 0 when disjoint."""
@@ -262,3 +259,12 @@ class GtEntry:
     def __post_init__(self):
         if self.identity < 1:
             raise ValueError(f"identity must be positive, got {self.identity}")
+
+
+def group_by_frame(entries):
+    """Group detections or gt rows into an ordered {frame: [entries]} dict;
+    entries keep their order within a frame."""
+    frames: dict[int, list] = {}
+    for e in entries:
+        frames.setdefault(e.frame, []).append(e)
+    return dict(sorted(frames.items()))

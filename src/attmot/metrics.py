@@ -25,16 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import GtEntry, box_rows, pairwise_iou
+from .core import GtEntry, box_rows, group_by_frame, pairwise_iou
 
 HOTA_ALPHAS = np.round(np.arange(0.05, 0.96, 0.05), 2)  # 19 thresholds
-
-
-def _by_frame(entries):
-    frames: dict[int, list] = {}
-    for e in entries:
-        frames.setdefault(e.frame, []).append(e)
-    return frames
 
 
 def _frame_table(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
@@ -45,8 +38,8 @@ def _frame_table(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 
     A prediction matched (Hungarian, IoU >= ``iou_threshold``) to an
     inactive gt row is dropped when ``suppress`` is set.
     """
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
+    gt_frames = group_by_frame(gt)
+    pred_frames = group_by_frame(pred)
     table = []
     for f in sorted(set(gt_frames) | set(pred_frames)):
         gts_f = gt_frames.get(f, [])

@@ -27,7 +27,7 @@ import functools
 import io
 import math
 import os
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -49,16 +49,23 @@ class MotFormatError(ValueError):
 
 
 def _open_lines(source) -> Iterable[str]:
+    """Lines of a path, bytes or file-like source; a line with a non-ASCII
+    byte or character raises MotFormatError naming the line."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="ascii") as fh:
-            yield from fh
+        with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
+            yield from _ascii_lines(fh)
     elif isinstance(source, bytes):
-        yield from io.StringIO(source.decode("ascii"))
+        yield from _ascii_lines(io.StringIO(source.decode("ascii", errors="surrogateescape")))
     else:  # file-like
-        for line in source:
-            if isinstance(line, bytes):
-                line = line.decode("ascii")
-            yield line
+        yield from _ascii_lines(line.decode("ascii", errors="surrogateescape")
+                                if isinstance(line, bytes) else line for line in source)
+
+
+def _ascii_lines(lines: Iterable[str]) -> Iterable[str]:
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            raise MotFormatError(f"non-ASCII character at line {lineno}")
+        yield line
 
 
 def _names_file(parse):
@@ -174,10 +181,10 @@ def parse_attr_file(source) -> dict[int, AttributeVector]:
     return result
 
 
-def write_mot_file(entries: Iterable[GtEntry], stream: IO[str] | None = None) -> str:
+def write_mot_file(entries: Iterable[GtEntry]) -> str:
     """Serialize result/gt rows to the 10-field MOT format.
 
-    Rows are written in (frame, id) order; returns the text written.
+    Rows are written in (frame, id) order; returns the text.
     """
     rows = sorted(entries, key=lambda g: (g.frame, g.identity))
     buf = io.StringIO()
@@ -187,13 +194,10 @@ def write_mot_file(entries: Iterable[GtEntry], stream: IO[str] | None = None) ->
             f"{g.frame},{g.identity},{_fmt_coord(g.box.left)},{_fmt_coord(g.box.top)},"
             f"{_fmt_coord(g.box.width)},{_fmt_coord(g.box.height)},{conf},-1,-1,-1\n"
         )
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buf.getvalue()
 
 
-def write_det_file(detections: Iterable[Detection], stream: IO[str] | None = None) -> str:
+def write_det_file(detections: Iterable[Detection]) -> str:
     """Serialize detections (id column is -1) to the 10-field MOT format."""
     rows = sorted(detections, key=lambda d: d.frame)
     buf = io.StringIO()
@@ -202,33 +206,29 @@ def write_det_file(detections: Iterable[Detection], stream: IO[str] | None = Non
             f"{d.frame},-1,{_fmt_coord(d.box.left)},{_fmt_coord(d.box.top)},"
             f"{_fmt_coord(d.box.width)},{_fmt_coord(d.box.height)},{d.confidence:.2f},-1,-1,-1\n"
         )
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buf.getvalue()
 
 
-def write_attr_file(attrs: dict[int, AttributeVector], stream: IO[str] | None = None) -> str:
+def write_attr_file(attrs: dict[int, AttributeVector]) -> str:
     """Serialize the identity -> attributes map as the sidecar format."""
     buf = io.StringIO()
     buf.write(ATTR_HEADER + "\n")
     for ident in sorted(attrs):
         bits = ",".join(str(int(b)) for b in attrs[ident].values)
         buf.write(f"{ident},{bits}\n")
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buf.getvalue()
 
 
-def write_feature_file(
-    detections: Iterable[Detection], stream: IO[str] | None = None
-) -> str:
-    """Serialize per-detection features, aligned with the det file order."""
+def write_feature_file(detections: Iterable[Detection]) -> str:
+    """Serialize per-detection features, aligned with the det file order.
+
+    A value whose ``%.10g`` text reads back as inf raises ValueError naming
+    the row (counted from 1 after the header) and the frame.
+    """
     rows = sorted(detections, key=lambda d: d.frame)
     buf = io.StringIO()
     dim = None
-    for d in rows:
+    for row, d in enumerate(rows, start=1):
         if d.embedding is None or d.attr_obs is None:
             raise ValueError("detection without features cannot be written to a feature file")
         if dim is None:
@@ -239,14 +239,17 @@ def write_feature_file(
             raise ValueError("inconsistent embedding dimension in feature file")
         # Row by row: one .tolist() of all rows would hold every value as a
         # Python float at once.
-        vals = np.concatenate([d.embedding, d.attr_obs]).tolist()
-        buf.write(str(d.frame) + "," + row_fmt % tuple(vals))
+        text = row_fmt % tuple(np.concatenate([d.embedding, d.attr_obs]).tolist())
+        # %.10g rounds values near the float64 maximum up to 1.797693135e+308,
+        # which reads back as inf.  "+" only appears in exponents of 10 and up,
+        # so the precise check runs on rows with huge values only.
+        if "+" in text and math.inf in map(abs, map(float, text.split(","))):
+            raise ValueError(f"feature row {row} (frame {d.frame}) has a value that"
+                             " %.10g writes as inf")
+        buf.write(str(d.frame) + "," + text)
     if dim is None:
         buf.write(f"{FEAT_HEADER_PREFIX}0\n")
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buf.getvalue()
 
 
 def _parse_feature_table(body: list[tuple[int, str]], width: int) -> np.ndarray:
@@ -320,11 +323,3 @@ def parse_feature_file(source, detections: list[Detection]) -> list[Detection]:
         except ValueError as exc:
             raise MotFormatError(f"{exc} at line {lineno}") from None
     return out
-
-
-def group_by_frame(entries):
-    """Group parsed entries into an ordered {frame: [entries]} dict."""
-    frames: dict[int, list] = {}
-    for e in entries:
-        frames.setdefault(e.frame, []).append(e)
-    return dict(sorted(frames.items()))

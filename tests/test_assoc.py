@@ -23,13 +23,12 @@ from attmot.assoc import (
     kalman_predict,
     kalman_update,
     outputs_to_entries,
-    run_bundle,
     run_sequence,
     solve_assignment,
 )
 from attmot.core import BBox, Detection, attribute_distance, cosine_distance, iou
 from attmot.fusion import FusionParams, all_strategies, predict_attributes
-from attmot.synthgen import WorldConfig, simulate_sequence
+from attmot.synthgen import WorldConfig, observe_all_frames, simulate_sequence
 
 
 def det(frame, box, emb=None, attr=None, conf=1.0):
@@ -306,9 +305,8 @@ class TestBuildCostMatrix:
         d = det(2, BBox(0, 0, 10, 20), _unit([1, 0, 0, 0]), soft)
         cfg_soft = AssocConfig(mode="attr")
         cfg_hard = AssocConfig(mode="attr", attr_binarize=True)
-        from attmot.assoc import detection_attr_vector
-        np.testing.assert_array_equal(detection_attr_vector(d, cfg_soft), soft)
-        np.testing.assert_array_equal(detection_attr_vector(d, cfg_hard), hard)
+        np.testing.assert_array_equal(detection_attrs([d], cfg_soft)[0], soft)
+        np.testing.assert_array_equal(detection_attrs([d], cfg_hard)[0], hard)
 
 
 class TestTrackerLifecycle:
@@ -412,8 +410,10 @@ class TestRunSequence:
     def test_deterministic(self):
         cfg = WorldConfig(n_identities=3, n_frames=20, latent_dim=16, seed=8)
         bundle = simulate_sequence(cfg)
-        a = run_bundle(bundle, AssocConfig(mode="embed"))
-        b = run_bundle(bundle, AssocConfig(mode="embed"))
+        a = run_sequence(observe_all_frames(bundle), AssocConfig(mode="embed"),
+                         n_frames=bundle.n_frames)
+        b = run_sequence(observe_all_frames(bundle), AssocConfig(mode="embed"),
+                         n_frames=bundle.n_frames)
         assert a == b
 
     def test_noiseless_single_pedestrian_perfect_mota(self):
@@ -423,7 +423,8 @@ class TestRunSequence:
                           attr_flip_occ_gain=0.0, w_linear=1.0, w_crossing=0.0,
                           w_loiter=0.0)
         bundle = simulate_sequence(cfg)
-        outputs = run_bundle(bundle, AssocConfig(mode="embed"))
+        outputs = run_sequence(observe_all_frames(bundle), AssocConfig(mode="embed"),
+                               n_frames=bundle.n_frames)
         rep = metrics.clear_metrics(bundle.gt_entries(), outputs_to_entries(outputs))
         assert rep.mota == 1.0 and rep.idsw == 0 and rep.fp == 0 and rep.fn == 0
 

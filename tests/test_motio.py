@@ -105,6 +105,11 @@ def _assert_parsers_agree(text, bare):
     _assert_same_features(motio.parse_feature_file(text, bare), want)
 
 
+def _reads_inf(text):
+    """Whether a written sidecar holds a field that reads back as inf."""
+    return any(np.isinf(float(v)) for line in text.splitlines()[1:] for v in line.split(","))
+
+
 def _assert_same_features(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -337,6 +342,26 @@ class TestFeatureSidecar:
         with pytest.raises(MotFormatError, match=f"at line {lineno}"):
             motio.parse_feature_file(("\n".join(lines) + "\n").encode(), dets)
 
+    @pytest.mark.parametrize("value", [1.7976931346e308, -1.7976931348623157e308])
+    def test_value_written_as_inf_names_row(self, value):
+        dets = self._dets()
+        emb = dets[4].embedding.copy()
+        emb[1] = value
+        dets[4] = Detection(frame=dets[4].frame, box=dets[4].box, confidence=0.9,
+                            embedding=emb, attr_obs=dets[4].attr_obs)
+        with pytest.raises(ValueError, match=r"^feature row 5 \(frame 3\) .* inf$"):
+            motio.write_feature_file(dets)
+
+    def test_largest_finite_text_is_written(self):
+        dets = self._dets(1)
+        emb = dets[0].embedding.copy()
+        emb[0] = 1.7976931344e308
+        dets[0] = Detection(frame=1, box=dets[0].box, confidence=0.9, embedding=emb,
+                            attr_obs=dets[0].attr_obs)
+        text = motio.write_feature_file(dets)
+        assert ",1.797693134e+308," in text
+        assert motio.parse_feature_file(text.encode(), dets)[0].embedding[0] == 1.797693134e308
+
     def test_missing_header(self):
         with pytest.raises(MotFormatError, match="header"):
             motio.parse_feature_file(b"1,0.5,0.5\n", self._dets(1))
@@ -399,15 +424,28 @@ class TestBulkSidecarOracle:
     @given(st.one_of(_feature_rows(np.float64), _feature_rows(np.float32)))
     @settings(max_examples=80)
     def test_writer_bytes_equal_loop(self, dets):
-        assert motio.write_feature_file(dets) == _write_feature_loop(dets)
+        # byte-identical to the oracle, or a ValueError exactly where the
+        # oracle's %.10g text reads back as inf
+        want = _write_feature_loop(dets)
+        if _reads_inf(want):
+            with pytest.raises(ValueError, match=r"^feature row \d+ \(frame \d+\) .* inf$"):
+                motio.write_feature_file(dets)
+        else:
+            assert motio.write_feature_file(dets) == want
 
     @given(st.one_of(_feature_rows(np.float64), _feature_rows(np.float32)))
     @settings(max_examples=60)
     def test_parser_equals_loop_on_written_text(self, dets):
-        text = motio.write_feature_file(dets).encode()
+        try:
+            text = motio.write_feature_file(dets).encode()
+        except ValueError:
+            # the writer refuses a row the parsers would reject as inf
+            assert _reads_inf(_write_feature_loop(dets))
+            return
         bare = [Detection(frame=d.frame, box=d.box, confidence=d.confidence)
                 for d in sorted(dets, key=lambda d: d.frame)]
-        _assert_parsers_agree(text, bare)
+        _assert_same_features(motio.parse_feature_file(text, bare),
+                              _parse_feature_loop(text, bare))
 
     @given(st.data(), st.sampled_from([0, 1, 8]), st.integers(1, 4))
     @settings(max_examples=100)
@@ -445,18 +483,37 @@ class TestErrorsNameFile:
         with pytest.raises(MotFormatError, match=re.escape(str(path)) + ": .*at line 2"):
             parse(path)
 
+    @pytest.mark.parametrize("text,parse", [
+        (b"1,1,0,0,5,5,1,-1,-1,-1\n1,2,0,0,5,\xe9,1,-1,-1,-1\n",
+         lambda s: parse_mot_file(s, kind="gt")),
+        (b"1,-1,0,0,5,5,0.5,-1,-1,-1\n# d\xe9tections\n", lambda s: parse_mot_file(s, kind="det")),
+        (b"# attmot-attrs v1\n\xe9\n", parse_attr_file),
+        (motio.write_feature_file(_feature_dets(2)).encode().replace(b"\n", b"\n\xe9", 1),
+         lambda s: motio.parse_feature_file(s, _feature_dets(2))),
+    ], ids=["gt", "det", "attrs", "feats"])
+    def test_non_ascii_byte_names_line(self, tmp_path, text, parse):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text)
+        with pytest.raises(MotFormatError,
+                           match="^" + re.escape(str(path)) + ": non-ASCII character at line 2$"):
+            parse(path)
+        for source in (text, io.BytesIO(text), io.StringIO(text.decode("latin-1"))):
+            with pytest.raises(MotFormatError, match="^non-ASCII character at line 2$"):
+                parse(source)
+
     def test_stream_source_keeps_message(self):
         with pytest.raises(MotFormatError, match="^non-positive box at line 1$"):
             parse_mot_file(b"1,1,0,0,-5,5,1,-1,-1,-1\n", kind="gt")
 
 
-_FUZZ_TOKENS = ["abc", "nan", "1_0", "#"]
+_FUZZ_TOKENS = ["abc", "nan", "1_0", "#", "\xe9", "1\xe9"]
 
 
 @st.composite
 def _mutated(draw, text):
     """``text`` after one to three edits: drop a field, double a comma,
-    swap a field for a bad token, or truncate a row."""
+    swap a field for a bad token (some hold the non-ASCII byte 0xe9), or
+    truncate a row."""
     lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
@@ -472,7 +529,7 @@ def _mutated(draw, text):
         else:
             fields = [lines[i][:draw(st.integers(0, len(lines[i])))]]
         lines[i] = ",".join(fields)
-    return ("\n".join(lines) + "\n").encode()
+    return ("\n".join(lines) + "\n").encode("latin-1")
 
 
 _FUZZ_DETS = _feature_dets(4, 3)
