@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import N_ATTRIBUTES, BBox, Detection, GtEntry, box_rows, pairwise_iou
+from .core import COST_MODES, N_ATTRIBUTES, BBox, Detection, GtEntry, box_rows, pairwise_iou
 from .fusion import predict_attributes
 
 CHI2_95_4DOF = 9.4877
@@ -41,8 +41,6 @@ INF_COST = 1e5
 
 _STD_POS = 1.0 / 20.0
 _STD_VEL = 1.0 / 160.0
-
-COST_MODES = ("iou", "embed", "attr", "embed+attr", "concat")
 
 _DEFAULT_MATCH_THRESHOLD = {
     "iou": 0.7,

@@ -2,6 +2,7 @@
 run trackers, evaluate and run ablation matrices.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
+Each command imports only the modules it runs, so ``generate`` loads no scipy.
 """
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assoc, fusion, metrics, motio, synthgen
+from . import core, motio, synthgen
 from .configfile import ConfigError, dump_world_config, load_config, world_config_from_mapping
-from .core import group_by_frame
 
 
 class CliError(Exception):
@@ -79,7 +79,7 @@ def _load_detections(seq_dir: Path):
     feats = seq_dir / "feats.csv"
     if feats.is_file():
         dets = motio.parse_feature_file(feats, dets)
-    return group_by_frame(dets)
+    return core.group_by_frame(dets)
 
 
 def _load_gt(seq_dir: Path):
@@ -94,6 +94,8 @@ def _train_head(config, n_sequences: int, strategy, seed: int, n_crops: int,
                 iterations: int | None = None):
     """Fusion head trained on crops of the benchmark world; returns
     ``(params, loss trace, crops, train config)``."""
+    from . import fusion
+
     bundles = synthgen.generate_benchmark(config, n_sequences)
     crops = synthgen.sample_training_crops(bundles, n_crops, seed=seed)
     tc = fusion.TrainConfig(seed=seed)
@@ -106,6 +108,8 @@ def _train_head(config, n_sequences: int, strategy, seed: int, n_crops: int,
 def cmd_train(bench_dir: str, strategy_text: str, seed: int, out_path: str,
               n_crops: int = 5000, iterations: int | None = None,
               trace_path: str | None = None) -> None:
+    from . import fusion
+
     config, n_sequences = _load_benchmark_config(Path(bench_dir))
     strategy = fusion.FusionStrategy.parse(strategy_text)
     params, trace, crops, tc = _train_head(config, n_sequences, strategy, seed, n_crops,
@@ -124,7 +128,9 @@ def cmd_train(bench_dir: str, strategy_text: str, seed: int, out_path: str,
 # track
 # ---------------------------------------------------------------------------
 
-def _assoc_config_from_args(args) -> assoc.AssocConfig:
+def _assoc_config_from_args(args):
+    from . import assoc
+
     kwargs = dict(mode=args.mode, lambda_e=args.lambda_e, lambda_a=args.lambda_a,
                   attr_source=args.attr_source)
     if args.match_threshold is not None:
@@ -135,14 +141,17 @@ def _assoc_config_from_args(args) -> assoc.AssocConfig:
         raise CliError(str(exc)) from None
 
 
-def _track_sequence(frames, config: assoc.AssocConfig, fusion_params) -> str:
+def _track_sequence(frames, config, fusion_params) -> str:
     """Result-file text of one sequence's per-frame detections."""
+    from . import assoc
+
     outputs = assoc.run_sequence(frames, config, fusion_params)
     return motio.write_mot_file(assoc.outputs_to_entries(outputs))
 
 
-def cmd_track(bench_dir: str, config: assoc.AssocConfig, params_path: str | None,
-              out_dir: str) -> None:
+def cmd_track(bench_dir: str, config, params_path: str | None, out_dir: str) -> None:
+    from . import fusion
+
     bench = Path(bench_dir)
     seq_dirs = _sequence_dirs(bench)
     fusion_params = None
@@ -163,7 +172,9 @@ def cmd_track(bench_dir: str, config: assoc.AssocConfig, params_path: str | None
 # eval
 # ---------------------------------------------------------------------------
 
-def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None) -> metrics.MetricsReport:
+def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None):
+    from . import metrics
+
     res = Path(res_dir)
     pairs = []
     for seq_dir in _sequence_dirs(Path(gt_dir)):
@@ -181,10 +192,20 @@ def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None) -> metrics.MetricsR
 # ablate
 # ---------------------------------------------------------------------------
 
+ABLATE_KEYS = ("benchmark", "variants", "seeds", "attr_source", "lambda_e", "lambda_a",
+               "train_strategy", "train_seed", "train_crops")
+
+
 def cmd_ablate(spec_path: str, out_dir: str) -> None:
     """Median metrics of every variant over the seeds.  Each seed's run is
     ``generate -> track -> eval`` on a temporary benchmark, loaded once."""
+    from . import assoc, fusion, metrics
+
     spec = load_config(spec_path)
+    unknown = [key for key in spec if key not in ABLATE_KEYS]
+    if unknown:
+        raise CliError(f"{spec_path}: unknown ablate spec key(s) "
+                       + ", ".join(map(repr, unknown)))
     bench_dir = spec.get("benchmark")
     if not bench_dir:
         raise CliError("ablate spec needs 'benchmark = <dir>'")
@@ -266,14 +287,16 @@ def cmd_verify() -> int:
     """Fast self-checks of the core invariants; returns failure count."""
     import itertools
 
-    from .core import BBox
+    from . import assoc, fusion, metrics
+    from .core import (BBox, GtEntry, TrainSample, attribute_distance, cosine_distance, iou,
+                       occlusion_fraction)
+
     checks: list[tuple[str, bool]] = []
 
     def check(name, ok):
         checks.append((name, bool(ok)))
 
     b = BBox(0, 0, 10, 10)
-    from .core import attribute_distance, cosine_distance, iou, occlusion_fraction
     check("iou identity", iou(b, b) == 1.0)
     check("iou hand case", abs(iou(b, BBox(5, 0, 10, 10)) - 1 / 3) < 1e-12)
     check("occlusion bounds", 0.0 <= occlusion_fraction(b, BBox(0, 0, 5, 10)) <= 1.0)
@@ -298,15 +321,14 @@ def cmd_verify() -> int:
     check("kalman zero innovation", np.allclose(s3.mean[:4], s2.mean[:4], atol=1e-9))
 
     params = fusion.FusionParams.random(16, n_identities=3, n_tokens=4, seed=1)
-    sample = fusion.TrainSample(rng.normal(size=16), rng.uniform(0, 1, 32), 1,
-                                (rng.uniform(0, 1, 32) > .5).astype(float))
+    sample = TrainSample(rng.normal(size=16), rng.uniform(0, 1, 32), 1,
+                         (rng.uniform(0, 1, 32) > .5).astype(float))
     check("gradients vs finite differences",
           fusion.grad_check(params, sample, fusion.PREPROC_ATTR) <= 1e-4)
     check("uniform bce anchor",
           abs(fusion.weighted_bce_loss(np.full(32, .5), np.zeros(32),
                                        np.full(32, .5), uniform=True) - np.log(2)) < 1e-9)
 
-    from .core import GtEntry
     gt = [GtEntry(f, i, BBox(60 * i, 10, 40, 80)) for f in range(1, 4) for i in (1, 2)]
     rep = metrics.clear_metrics(gt, gt)
     check("clear perfect", rep.mota == 1.0 and rep.idsw == 0)
@@ -349,7 +371,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("track", help="run the tracker over a benchmark")
     p.add_argument("-b", "--benchmark", required=True)
-    p.add_argument("--mode", default="embed", choices=assoc.COST_MODES)
+    p.add_argument("--mode", default="embed", choices=core.COST_MODES)
     p.add_argument("--lambda-e", type=float, default=1.0)
     p.add_argument("--lambda-a", type=float, default=1.0)
     p.add_argument("--match-threshold", type=float, default=None)

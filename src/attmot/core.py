@@ -43,6 +43,9 @@ ATTRIBUTE_NAMES = (
 
 assert len(ATTRIBUTE_NAMES) == N_ATTRIBUTES
 
+# Association cost modes of the tracker (see ``assoc.build_cost_matrix``).
+COST_MODES = ("iou", "embed", "attr", "embed+attr", "concat")
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -240,6 +243,16 @@ class Detection:
             raise ValueError("embedding contains non-finite values")
         if self.attr_obs is not None:
             validate_prob_attributes(self.attr_obs)
+
+
+@dataclass(frozen=True, eq=False)
+class TrainSample:
+    """One fusion-head training crop: embedding, observed attributes, labels."""
+
+    embedding: np.ndarray
+    attr_obs: np.ndarray
+    identity: int
+    gt_attrs: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import N_ATTRIBUTES
+from .core import N_ATTRIBUTES, TrainSample
 
 STRATEGY_KINDS = (
     "cross-fertilize",
@@ -236,16 +236,6 @@ class TrainConfig:
             raise ValueError("iterations and batch size must be >= 1")
         if self.attr_input not in ("learned", "obs"):
             raise ValueError(f"unknown attr_input {self.attr_input!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class TrainSample:
-    """One training crop: embedding, observed attributes, labels."""
-
-    embedding: np.ndarray
-    attr_obs: np.ndarray
-    identity: int
-    gt_attrs: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,22 @@ from .core import GtEntry, box_rows, group_by_frame, pairwise_iou
 HOTA_ALPHAS = np.round(np.arange(0.05, 0.96, 0.05), 2)  # 19 thresholds
 
 
+def _raise_repeated_identity(frame: int, gts: list[GtEntry], preds: list[GtEntry]) -> None:
+    for side, rows in (("gt", gts), ("prediction", preds)):
+        ids = [e.identity for e in rows]
+        for ident in ids:
+            if ids.count(ident) > 1:
+                raise ValueError(f"frame {frame}: {side} identity {ident} appears twice")
+
+
 def _frame_table(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
                  suppress: bool = True) -> list[tuple[list[int], list[int], np.ndarray]]:
     """Per frame, in frame order: active gt identities, prediction
     identities, and their IoU matrix.
 
     A prediction matched (Hungarian, IoU >= ``iou_threshold``) to an
-    inactive gt row is dropped when ``suppress`` is set.
+    inactive gt row is dropped when ``suppress`` is set.  An identity that
+    appears twice in one frame, on either side, raises ``ValueError``.
     """
     gt_frames = group_by_frame(gt)
     pred_frames = group_by_frame(pred)
@@ -44,6 +53,9 @@ def _frame_table(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 
     for f in sorted(set(gt_frames) | set(pred_frames)):
         gts_f = gt_frames.get(f, [])
         preds_f = pred_frames.get(f, [])
+        if (len({g.identity for g in gts_f}) + len({p.identity for p in preds_f})
+                != len(gts_f) + len(preds_f)):
+            _raise_repeated_identity(f, gts_f, preds_f)
         active = [g for g in gts_f if g.active]
         ignored = [g for g in gts_f if not g.active]
         pred_boxes = box_rows(p.box for p in preds_f)
@@ -220,8 +232,7 @@ def _score_hota(table) -> HotaResult:
         return HotaResult(0.0, 0.0, 0.0, tp=zero, fn=np.full(n_alpha, n_gt_boxes),
                           fp=zero.copy(), ass_sum=zero.copy())
 
-    # Pass 1: global alignment scores.  A repeated identity within a frame
-    # adds to its count once (buffered fancy-index update).
+    # Pass 1: global alignment scores.
     potential = np.zeros((n_g, n_p))
     gt_count = np.zeros(n_g)
     pr_count = np.zeros(n_p)
@@ -246,7 +257,7 @@ def _score_hota(table) -> HotaResult:
     tp = hit.sum(axis=1).astype(np.float64)
     fn = n_gt_boxes - tp
     fp = float(sum(len(p) for _, p, _ in frames)) - tp
-    # Per-alpha association counts; a repeated (gt, pred) pair counts twice.
+    # Per-alpha association counts.
     alpha_idx, m_idx = np.nonzero(hit)
     match_counts = np.zeros((n_alpha, n_g, n_p))
     np.add.at(match_counts, (alpha_idx, match_g[m_idx], match_p[m_idx]), 1.0)

@@ -33,9 +33,8 @@ from .core import (
     BBox,
     Detection,
     GtEntry,
-    occlusion_fraction,
+    TrainSample,
 )
-from .fusion import TrainSample
 
 # SeedSequence stream tags
 _STREAM_CARDS = 0
@@ -330,20 +329,37 @@ def simulate_sequence(config: WorldConfig, name: str = "seq-0000") -> SequenceBu
                             base_latent=base, spread=config.latent_spread)
         )
 
-    # Occlusion: draw order is identity order, lower index in front.
-    occ = np.zeros((n, n_ids))
-    for f in range(n):
-        boxes = [BBox(*c.trajectory[f]) if c.present[f] else None for c in cards]
-        for i in range(n_ids):
-            if boxes[i] is None:
-                continue
-            worst = 0.0
-            for j in range(i):
-                if boxes[j] is None:
-                    continue
-                worst = max(worst, occlusion_fraction(boxes[i], boxes[j]))
-            occ[f, i] = worst
+    occ = _occlusion_matrix(np.stack([c.trajectory for c in cards], axis=1),
+                            np.stack([c.present for c in cards], axis=1))
     return SequenceBundle(name=name, config=config, cards=tuple(cards), occlusion=occ)
+
+
+def _occlusion_matrix(boxes: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """(frames, ids) occlusion fractions of (frames, ids, 4) ltwh boxes.
+
+    Draw order is identity order, lower index in front: entry (f, i) is the
+    largest ``core.occlusion_fraction`` of box i by a present box j < i, and
+    0.0 when there is none or i is absent.  Each fraction takes the same
+    operations in the same order as the scalar function, so the matrix is
+    bit-identical to the per-pair loop.  A present box that is not finite
+    or has a non-positive size raises ``ValueError``, as ``BBox`` does.
+    """
+    boxes = np.where(present[..., None], boxes, 1.0)  # absent rows: any valid box
+    bad = ~(np.isfinite(boxes).all(axis=2) & (boxes[..., 2] > 0) & (boxes[..., 3] > 0))
+    if bad.any():
+        f, i = np.argwhere(bad)[0]
+        raise ValueError(f"frame {f + 1}: box {i} {boxes[f, i].tolist()} is not a finite "
+                         "box of positive size")
+    left, top, width, height = np.moveaxis(boxes, 2, 0)
+    right, bottom = left + width, top + height
+    w = (np.minimum(right[:, :, None], right[:, None, :])
+         - np.maximum(left[:, :, None], left[:, None, :]))
+    h = (np.minimum(bottom[:, :, None], bottom[:, None, :])
+         - np.maximum(top[:, :, None], top[:, None, :]))
+    inter = np.where((w > 0) & (h > 0), w * h, 0.0)
+    frac = np.minimum(1.0, inter / (width * height)[:, :, None])
+    in_front = np.tri(boxes.shape[1], k=-1, dtype=bool) & present[:, :, None] & present[:, None, :]
+    return np.where(in_front, frac, 0.0).max(axis=2, initial=0.0)
 
 
 def _clip_box(l, t, w, h, config) -> BBox | None:

@@ -1,6 +1,9 @@
 """Command-line orchestration: determinism, pipelines, exit codes."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,6 +200,18 @@ class TestAblate:
         ablate_rows = (out / "runs" / "embed_seed9.csv").read_text()
         assert ablate_rows == report.read_text()
 
+    def test_unknown_spec_key_is_usage_error(self, bench, tmp_path, capsys):
+        # misspelt 'seeds' and 'lambda_a' must not silently run seed 0 with
+        # lambda_a = 1.0
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"attmot-config v1\nbenchmark = {bench}\nvariants = embed+attr\n"
+                        "seed = 7\nlambda_attr = 5\n")
+        out = tmp_path / "abl"
+        assert main(["ablate", "-s", str(spec), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown ablate spec key(s) 'seed', 'lambda_attr'" in err
+        assert not out.exists()
+
     def test_idempotent(self, bench, tmp_path):
         spec = self._spec(tmp_path, bench, variants="embed", seeds="2")
         a, b = tmp_path / "o1", tmp_path / "o2"
@@ -225,3 +240,43 @@ class TestExitCodes:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+class TestCommandImports:
+    """Each command runs in a fresh interpreter with only the modules it needs."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def run(self, *args):
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=300)
+
+    def test_generate_loads_no_scipy_and_no_tracking_modules(self, tmp_path):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(WORLD_CFG)
+        code = ("import sys; from attmot.cli import main; "
+                f"rc = main(['generate', '-c', {str(cfg)!r}, '-o', {str(tmp_path / 'b')!r}]); "
+                "print(rc); print(' '.join(sorted(sys.modules)))")
+        proc = self.run("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        rc, modules = proc.stdout.splitlines()[-2:]
+        assert rc == "0"
+        loaded = modules.split()
+        assert "attmot.synthgen" in loaded and "attmot.motio" in loaded
+        unwanted = [m for m in loaded if m == "scipy" or m.startswith("scipy.")
+                    or m in ("attmot.assoc", "attmot.metrics", "attmot.fusion", "attmot.autodiff")]
+        assert unwanted == []
+
+    def test_track_eval_train_run_from_fresh_interpreters(self, bench, tmp_path):
+        runs, head = tmp_path / "runs", tmp_path / "head.bin"
+        for argv in (["track", "-b", bench, "--mode", "embed+attr", "-o", runs],
+                     ["eval", "--gt", bench, "--res", runs, "-o", tmp_path / "report.csv"],
+                     ["train", "-b", bench, "--crops", "200", "--iterations", "5", "-o", head],
+                     ["track", "-b", bench, "--mode", "attr", "--attr-source", "fusion",
+                      "--params", head, "-o", tmp_path / "fused"]):
+            proc = self.run("-m", "attmot", *map(str, argv))
+            assert proc.returncode == 0, (argv, proc.stderr)
+        assert (tmp_path / "report.csv").read_text().startswith("sequence,")
+        assert sorted(p.name for p in (tmp_path / "fused").iterdir()) == [
+            "seq-0000.txt", "seq-0001.txt"]

@@ -526,12 +526,26 @@ def _entries(rows):
 
 
 # Up to 4 frames and 3 identities per side, so a frame may hold gt only,
-# predictions only, an ignore region, or one identity twice.
-_gt_rows = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3),
-                              st.integers(0, len(_BOXES) - 1),
-                              st.sampled_from([True, True, True, False])), max_size=12)
-_pred_rows = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3),
-                                st.integers(0, len(_BOXES) - 1), st.just(True)), max_size=12)
+# predictions only, or an ignore region.  The scored rows hold each
+# identity at most once per frame; the repeated rows may hold one twice.
+_gt_row = st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, len(_BOXES) - 1),
+                    st.sampled_from([True, True, True, False]))
+_pred_row = st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, len(_BOXES) - 1),
+                      st.just(True))
+_gt_rows = st.lists(_gt_row, max_size=12, unique_by=lambda r: r[:2])
+_pred_rows = st.lists(_pred_row, max_size=12, unique_by=lambda r: r[:2])
+
+
+def _first_repeat(gt, pred):
+    """The error ``_frame_table`` must raise for the first identity that
+    appears twice in one frame (frames in order, gt before predictions)."""
+    for f in sorted({e.frame for e in gt + pred}):
+        for side, rows in (("gt", gt), ("prediction", pred)):
+            ids = [e.identity for e in rows if e.frame == f]
+            repeated = [i for i in ids if ids.count(i) > 1]
+            if repeated:
+                return f"frame {f}: {side} identity {repeated[0]} appears twice"
+    return None
 
 
 def _assert_hota_equal(got, want):
@@ -583,13 +597,28 @@ class TestFrameTableAgainstOracle:
         assert got.ids == _ref_id(gt, pred)
         _assert_hota_equal(got.hota, _ref_hota(gt, pred))
 
-    def test_duplicate_identity_matches_count_twice(self):
-        # gt id 1 and pred id 7 appear twice in frame 1 and once in frame 2.
-        # All three matches count (TPA = 3) while each identity's presence
-        # counts once per frame (2 + 2), so the pair scores 3 * 3 / (4 - 3).
-        gt = [g(1, 1, 0), g(1, 1, 100), g(2, 1, 0)]
-        pred = [g(1, 7, 0), g(1, 7, 100), g(2, 7, 0)]
-        r = evaluate_sequences([("s", gt, pred)]).sequences[0].hota
-        assert np.array_equal(r.tp, np.full(len(HOTA_ALPHAS), 3.0))
-        assert np.array_equal(r.ass_sum, np.full(len(HOTA_ALPHAS), 9.0))
-        _assert_hota_equal(r, _ref_hota(gt, pred))
+    def test_duplicate_identity_is_rejected(self):
+        # A repeated identity would be counted once in HOTA's presence
+        # counts but twice in its matches (AssA 2e12); every scorer refuses it.
+        once = [g(1, 1, 0), g(2, 1, 0)]
+        twice = [g(1, 1, 0), g(2, 1, 0), g(2, 1, 100)]
+        for gt, pred, msg in ((twice, once, "frame 2: gt identity 1 appears twice"),
+                              (once, twice, "frame 2: prediction identity 1 appears twice")):
+            for score in (lambda: evaluate_sequences([("s", gt, pred)]),
+                          lambda: clear_metrics(gt, pred), lambda: id_metrics(gt, pred),
+                          lambda: hota_metrics(gt, pred)):
+                with pytest.raises(ValueError, match=re.escape(msg)):
+                    score()
+
+    @given(st.lists(_gt_row, max_size=12), st.lists(_pred_row, max_size=12))
+    def test_repeated_identity_property(self, gt_rows, pred_rows):
+        gt, pred = _entries(gt_rows), _entries(pred_rows)
+        msg = _first_repeat(gt, pred)
+        if msg is None:
+            try:
+                evaluate_sequences([("s", gt, pred)])
+            except ValueError as exc:
+                assert "appears twice" not in str(exc)
+            return
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            evaluate_sequences([("s", gt, pred)])
