@@ -13,11 +13,13 @@ unit embeddings with fill counts and write pointers, attribute estimates
 frame predicts, gates and updates all tracks in one batched pass, the gate
 and the update sharing one Cholesky factorization of the innovation
 covariances, and each cost mode is one array expression over the whole
-table.  The batched Kalman kernels keep the operation order of the
-one-track filter, so their rows are bit-identical to it; ``kalman_init``,
-``kalman_predict``, ``kalman_update`` and ``gating_distance`` are one-row
-calls into them.  Dead rows are removed by boolean compaction, and
-capacity grows by doubling.
+table.  Dead rows are removed by boolean compaction, and capacity grows by
+doubling.
+
+The Kalman filter is ``kalman_init``, ``kalman_predict``, ``kalman_update``
+and ``gating_distance``; each takes stacked rows, one per track, and a
+single track is a one-row call.  They keep the operation order of the
+one-track filter, so every row is bit-identical to it.
 
 Numeric failure stays with its track: a track whose innovation covariance
 is not positive definite is infeasible against every detection of the
@@ -38,6 +40,8 @@ from .fusion import predict_attributes
 
 CHI2_95_4DOF = 9.4877
 INF_COST = 1e5
+GALLERY_BUDGET = 30   # embeddings kept per track
+ATTR_EMA = 0.9        # weight of a track's attribute estimate against a new match
 
 _STD_POS = 1.0 / 20.0
 _STD_VEL = 1.0 / 160.0
@@ -59,7 +63,7 @@ _F.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
-# Batched Kalman kernels: row i of every argument belongs to track i
+# Kalman filter: row i of every argument belongs to track i
 # ---------------------------------------------------------------------------
 
 def _measurements(ltwh: np.ndarray) -> np.ndarray:
@@ -92,8 +96,8 @@ def _height_std(h: np.ndarray, pos: float, vel: float,
     return std
 
 
-def _init_rows(meas: np.ndarray):
-    """Initial states from measurements; zero velocity."""
+def kalman_init(meas: np.ndarray):
+    """Initial states from (N, 4) measurements; zero velocity."""
     means = np.zeros((len(meas), 8))
     means[:, :4] = meas
     std = _height_std(meas[:, 3], 2 * _STD_POS, 10 * _STD_VEL, 1e-2, 1e-5)
@@ -102,7 +106,7 @@ def _init_rows(meas: np.ndarray):
     return means, covs
 
 
-def _predict_rows(means: np.ndarray, covs: np.ndarray):
+def kalman_predict(means: np.ndarray, covs: np.ndarray):
     """Constant-velocity prediction; process noise strictly grows the trace."""
     qstd = _height_std(means[:, 3], _STD_POS, _STD_VEL, 1e-2, 1e-5)
     means = means @ _F.T
@@ -137,8 +141,8 @@ def _cholesky_rows(S: np.ndarray):
     return chol, ok
 
 
-def _gate_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray,
-               innovation_chol=None) -> np.ndarray:
+def gating_distance(means: np.ndarray, covs: np.ndarray, meas: np.ndarray,
+                    innovation_chol=None) -> np.ndarray:
     """(T, N) squared Mahalanobis distances of the measurements under the
     states; +inf on every row whose innovation covariance is not positive
     definite.  ``innovation_chol`` is the ``_cholesky_rows`` result of the
@@ -153,7 +157,7 @@ def _gate_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray,
     return d2
 
 
-def _update_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray, chol=None):
+def kalman_update(means: np.ndarray, covs: np.ndarray, meas: np.ndarray, chol=None):
     """Standard correction of each state by its (cx, cy, aspect, h)
     measurement.  ``chol`` holds the Cholesky factors of the states'
     innovation covariances when the caller already has them (the tracker
@@ -174,59 +178,8 @@ def _update_rows(means: np.ndarray, covs: np.ndarray, meas: np.ndarray, chol=Non
 
 
 # ---------------------------------------------------------------------------
-# One-track interface
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class KalmanState:
-    """Gaussian state: mean (cx, cy, aspect, h, velocities), 8x8 covariance."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def box(self) -> BBox:
-        return BBox(*_box_rows(self.mean[None])[0].tolist())
-
-
-def _measurement_row(box: BBox) -> np.ndarray:
-    return _measurements(box_rows([box]))
-
-
-def kalman_init(box: BBox) -> KalmanState:
-    """Initial state from an unmatched detection; zero velocity."""
-    means, covs = _init_rows(_measurement_row(box))
-    return KalmanState(mean=means[0], covariance=covs[0])
-
-
-def kalman_predict(state: KalmanState) -> KalmanState:
-    """Constant-velocity prediction; process noise strictly grows the trace."""
-    means, covs = _predict_rows(state.mean[None], state.covariance[None])
-    return KalmanState(mean=means[0], covariance=covs[0])
-
-
-def kalman_update(state: KalmanState, box: BBox) -> KalmanState:
-    """Standard correction on the (cx, cy, aspect, h) measurement."""
-    try:
-        means, covs = _update_rows(state.mean[None], state.covariance[None], _measurement_row(box))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("innovation covariance is not positive definite") from exc
-    return KalmanState(mean=means[0], covariance=covs[0])
-
-
-def gating_distance(state: KalmanState, box: BBox) -> float:
-    """Squared Mahalanobis distance of the box under the predicted state."""
-    d2 = float(_gate_rows(state.mean[None], state.covariance[None], _measurement_row(box))[0, 0])
-    if d2 == math.inf:
-        raise ValueError("innovation covariance is not positive definite")
-    return d2
-
-
-# ---------------------------------------------------------------------------
 # Track table
 # ---------------------------------------------------------------------------
-
-TENTATIVE = "tentative"
-CONFIRMED = "confirmed"
 
 # Row shape and dtype of each column; the gallery ring is added once the
 # first embedding fixes its dimension.
@@ -255,8 +208,7 @@ class TrackTable:
     overwriting the oldest slot in place replaces FIFO eviction.
     """
 
-    def __init__(self, gallery_budget: int):
-        self.budget = gallery_budget
+    def __init__(self):
         self.dim: int | None = None       # embedding dimension of the gallery
         self.pending: list[list] = []     # per row: (frame, box) before confirmation
         self._n = 0
@@ -267,21 +219,18 @@ class TrackTable:
     def __len__(self) -> int:
         return self._n
 
-    def __iter__(self):
-        return (TrackView(self, i) for i in range(self._n))
-
     def _views(self) -> None:
         for name, buf in self._buf.items():
             setattr(self, name, buf[:self._n])
 
     def gallery_filled(self) -> np.ndarray:
         """(T, B) mask of the filled gallery slots."""
-        return np.arange(self.budget)[None, :] < self.gal_n[:, None]
+        return np.arange(GALLERY_BUDGET)[None, :] < self.gal_n[:, None]
 
     def set_dim(self, dim: int) -> None:
         self.dim = dim
         cap = len(self._buf["mean"])
-        self._buf["gallery"] = np.zeros((cap, self.budget, dim))
+        self._buf["gallery"] = np.zeros((cap, GALLERY_BUDGET, dim))
         self._views()
 
     def add_rows(self, k: int) -> slice:
@@ -315,47 +264,8 @@ class TrackTable:
     def push_embeddings(self, rows: np.ndarray, unit: np.ndarray) -> None:
         """Write one unit embedding per row into its gallery ring."""
         self.gallery[rows, self.gal_ptr[rows]] = unit
-        self.gal_ptr[rows] = (self.gal_ptr[rows] + 1) % self.budget
-        self.gal_n[rows] = np.minimum(self.gal_n[rows] + 1, self.budget)
-
-
-class TrackView:
-    """One row of a ``TrackTable``, read through the attributes a per-track
-    object would have.  Valid until the table's rows change (the next
-    ``Tracker.step``); ``state`` arrays are writable views of the row."""
-
-    __slots__ = ("_table", "_row")
-
-    def __init__(self, table: TrackTable, row: int):
-        self._table = table
-        self._row = row
-
-    @property
-    def identity(self) -> int:
-        return int(self._table.identity[self._row])
-
-    @property
-    def status(self) -> str:
-        return CONFIRMED if self._table.confirmed[self._row] else TENTATIVE
-
-    @property
-    def time_since_update(self) -> int:
-        return int(self._table.age[self._row])
-
-    @property
-    def state(self) -> KalmanState:
-        return KalmanState(mean=self._table.mean[self._row],
-                           covariance=self._table.cov[self._row])
-
-    @property
-    def gallery(self) -> list:
-        t, i = self._table, self._row
-        return [t.gallery[i, k] for k in range(t.gal_n[i])]
-
-    @property
-    def attr_estimate(self) -> np.ndarray | None:
-        t, i = self._table, self._row
-        return t.attr[i] if t.has_attr[i] else None
+        self.gal_ptr[rows] = (self.gal_ptr[rows] + 1) % GALLERY_BUDGET
+        self.gal_n[rows] = np.minimum(self.gal_n[rows] + 1, GALLERY_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -365,16 +275,10 @@ class AssocConfig:
     mode: str = "embed"
     lambda_e: float = 1.0
     lambda_a: float = 1.0
-    gating_threshold: float = CHI2_95_4DOF
     match_threshold: float | None = None   # None = per-mode default
     n_init: int = 3
     max_age: int = 30
-    gallery_budget: int = 30
-    attr_ema: float = 0.9
     attr_source: str = "obs"               # "obs" | "fusion"
-    attr_binarize: bool = False
-    normalize_costs: bool = False
-    emit_coasting: bool = False
 
     def __post_init__(self):
         if self.mode not in COST_MODES:
@@ -383,14 +287,10 @@ class AssocConfig:
             raise ValueError("lambda_e + lambda_a must be positive for embed+attr")
         if self.lambda_e < 0 or self.lambda_a < 0:
             raise ValueError("lambda weights must be non-negative")
-        if self.gating_threshold <= 0:
-            raise ValueError("gating threshold must be positive")
         if self.match_threshold is not None and self.match_threshold <= 0:
             raise ValueError("match threshold must be positive")
-        if self.n_init < 1 or self.max_age < 1 or self.gallery_budget < 1:
-            raise ValueError("n_init, max_age and gallery budget must be >= 1")
-        if not 0.0 <= self.attr_ema < 1.0:
-            raise ValueError("attr EMA factor must lie in [0, 1)")
+        if self.n_init < 1 or self.max_age < 1:
+            raise ValueError("n_init and max_age must be >= 1")
         if self.attr_source not in ("obs", "fusion"):
             raise ValueError(f"unknown attr source {self.attr_source!r}")
 
@@ -424,8 +324,6 @@ def detection_attrs(detections: list[Detection], config: AssocConfig,
         if any(d.attr_obs is None for d in detections):
             raise ValueError("detection carries no attribute observation")
         vecs = np.array([d.attr_obs for d in detections], dtype=np.float64).reshape(-1, N_ATTRIBUTES)
-    if config.attr_binarize:
-        vecs = (vecs >= 0.5).astype(np.float64)
     return vecs
 
 
@@ -444,18 +342,6 @@ def _gallery_min_cosine(gallery: np.ndarray, filled: np.ndarray,
     dist = np.clip(1.0 - sim, 0.0, 2.0)
     dist[~filled] = np.inf
     return dist.min(axis=1)
-
-
-def _minmax(col: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(col)
-    if not finite.any():
-        return col
-    lo, hi = col[finite].min(), col[finite].max()
-    if hi - lo <= 0:
-        return np.where(finite, 0.0, col)
-    out = col.copy()
-    out[finite] = (col[finite] - lo) / (hi - lo)
-    return out
 
 
 def build_cost_matrix(tracks: TrackTable, detections: list[Detection],
@@ -483,8 +369,8 @@ def build_cost_matrix(tracks: TrackTable, detections: list[Detection],
         det_attrs = detection_attrs(detections, config, fusion_params)
 
     det_boxes = box_rows(d.box for d in detections)
-    infeasible = _gate_rows(tracks.mean, tracks.cov, _measurements(det_boxes),
-                            innovation_chol) > config.gating_threshold
+    infeasible = gating_distance(tracks.mean, tracks.cov, _measurements(det_boxes),
+                                 innovation_chol) > CHI2_95_4DOF
 
     if mode in ("embed", "embed+attr"):
         embed_mat = _gallery_min_cosine(tracks.gallery, tracks.gallery_filled(),
@@ -499,9 +385,6 @@ def build_cost_matrix(tracks: TrackTable, detections: list[Detection],
     elif mode == "attr":
         cost = attr_mat
     elif mode == "embed+attr":
-        if config.normalize_costs:
-            embed_mat = _minmax(embed_mat)
-            attr_mat = _minmax(attr_mat)
         cost = config.lambda_e * embed_mat + config.lambda_a * attr_mat
     elif mode == "concat":
         det_feats = _normalize_rows(np.concatenate([det_emb, det_attrs], axis=1))
@@ -564,13 +447,8 @@ class Tracker:
             raise ValueError("fusion_params required for attr_source='fusion'")
         self.config = config
         self.fusion_params = fusion_params
-        self.table = TrackTable(config.gallery_budget)
+        self.table = TrackTable()
         self._next_id = 1
-
-    @property
-    def tracks(self) -> list[TrackView]:
-        """Views of the live tracks, valid until the next ``step``."""
-        return list(self.table)
 
     def _unit_embeddings(self, detections: list[Detection]):
         """Unit-norm embedding rows and a has-embedding mask per detection.
@@ -609,9 +487,8 @@ class Tracker:
         a = has_attr[cols]
         if a.any():
             r, new = rows[a], attrs[cols[a]]
-            ema = self.config.attr_ema
             tab.attr[r] = np.where(tab.has_attr[r][:, None],
-                                   ema * tab.attr[r] + (1 - ema) * new, new)
+                                   ATTR_EMA * tab.attr[r] + (1 - ATTR_EMA) * new, new)
             tab.has_attr[r] = True
 
     def step(self, frame: int, detections: list[Detection]) -> list[TrackOutput]:
@@ -621,7 +498,7 @@ class Tracker:
         cfg = self.config
         tab = self.table
         unit, has_emb = self._unit_embeddings(detections)
-        tab.mean[:], tab.cov[:] = _predict_rows(tab.mean, tab.cov)
+        tab.mean[:], tab.cov[:] = kalman_predict(tab.mean, tab.cov)
         tab.age += 1
 
         need_attr = cfg.mode in ("attr", "embed+attr", "concat")
@@ -643,8 +520,8 @@ class Tracker:
         outputs: list[TrackOutput] = []
         if matches:
             rows, cols = np.array(matches).T
-            tab.mean[rows], tab.cov[rows] = _update_rows(tab.mean[rows], tab.cov[rows], meas[cols],
-                                                         chol[rows])
+            tab.mean[rows], tab.cov[rows] = kalman_update(tab.mean[rows], tab.cov[rows], meas[cols],
+                                                          chol[rows])
             tab.hits[rows] += 1
             tab.age[rows] = 0
             self._absorb(rows, cols, unit, has_emb, attrs, has_attr)
@@ -668,10 +545,6 @@ class Tracker:
             kept = tab.confirmed[u] & (tab.age[u] <= cfg.max_age)
             # a tentative track needs consecutive hits; a confirmed one is
             # lost after max_age frames without a match
-            if cfg.emit_coasting:
-                coast = u[kept]
-                outputs.extend(TrackOutput(frame, ident, BBox(*box)) for ident, box in zip(
-                    tab.identity[coast].tolist(), _box_rows(tab.mean[coast]).tolist()))
             if not kept.all():
                 keep = np.ones(len(tab), dtype=bool)
                 keep[u[~kept]] = False
@@ -681,7 +554,7 @@ class Tracker:
             cols = np.array(u_dets)
             new = tab.add_rows(len(cols))
             rows = np.arange(new.start, new.stop)
-            tab.mean[new], tab.cov[new] = _init_rows(meas[cols])
+            tab.mean[new], tab.cov[new] = kalman_init(meas[cols])
             tab.hits[new] = 1
             tab.identity[new] = np.arange(self._next_id, self._next_id + len(cols))
             self._next_id += len(cols)

@@ -314,11 +314,11 @@ def cmd_verify() -> int:
         ok &= abs(total - brute) < 1e-9
     check("assignment optimal (n<=5)", ok)
 
-    s = assoc.kalman_init(BBox(100, 100, 50, 100))
-    s2 = assoc.kalman_predict(s)
-    check("kalman trace grows", np.trace(s2.covariance) > np.trace(s.covariance))
-    s3 = assoc.kalman_update(s2, s2.box())
-    check("kalman zero innovation", np.allclose(s3.mean[:4], s2.mean[:4], atol=1e-9))
+    means, covs = assoc.kalman_init(np.array([[125.0, 150.0, 0.5, 100.0]]))
+    means2, covs2 = assoc.kalman_predict(means, covs)
+    check("kalman trace grows", np.trace(covs2[0]) > np.trace(covs[0]))
+    means3, _ = assoc.kalman_update(means2, covs2, means2[:, :4])
+    check("kalman zero innovation", np.allclose(means3[:, :4], means2[:, :4], atol=1e-9))
 
     params = fusion.FusionParams.random(16, n_identities=3, n_tokens=4, seed=1)
     sample = TrainSample(rng.normal(size=16), rng.uniform(0, 1, 32), 1,

@@ -217,8 +217,6 @@ class TrainConfig:
     sigma: float = 1.0
     lambda_id: float = 0.1
     seed: int = 0
-    freeze_embedding: bool = True
-    uniform_weights: bool = False
     n_tokens: int = 8
     # Query source during training: "obs" feeds the observed attribute
     # vector (the simulated extractor's attribute branch); "learned" feeds
@@ -512,7 +510,7 @@ def train(dataset: list[TrainSample], config: TrainConfig = TrainConfig(),
     else:
         params = params.copy()
     pos_freq = gts.mean(axis=0)
-    w_pos, w_neg = bce_weights(pos_freq, config.sigma, config.uniform_weights)
+    w_pos, w_neg = bce_weights(pos_freq, config.sigma)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
     batch = min(config.batch_size, n)
     trace: list[TraceRow] = []
