@@ -9,12 +9,15 @@ quantile for 4 degrees of freedom.
 A ``Tracker`` keeps all live tracks in one struct-of-arrays ``TrackTable``:
 means ``(T, 8)``, covariances ``(T, 8, 8)``, a gallery ring ``(T, B, D)`` of
 unit embeddings with fill counts and write pointers, attribute estimates
-``(T, 32)``, and status, hit, age, identity and pending-box columns.  Each
-frame predicts, gates and updates all tracks in one batched pass, the gate
-and the update sharing one Cholesky factorization of the innovation
-covariances, and each cost mode is one array expression over the whole
-table.  Dead rows are removed by boolean compaction, and capacity grows by
-doubling.
+``(T, 32)``, and status, hit, age, identity and pending-box columns.  The
+gallery is filled only in the modes whose cost reads embeddings, and the
+attribute estimates only in those that read attributes.  Each frame's
+detections are stacked once, by ``stack_frame``, into a ``FrameBatch`` for
+the gate, the costs, the update and the births; all tracks are predicted,
+gated and updated in one batched pass, the gate and the update sharing one
+Cholesky factorization of the innovation covariances, and each cost mode is
+one array expression over the whole table.  Dead rows are removed by
+boolean compaction, and capacity grows by doubling.
 
 The Kalman filter is ``kalman_init``, ``kalman_predict``, ``kalman_update``
 and ``gating_distance``; each takes stacked rows, one per track, and a
@@ -24,8 +27,9 @@ one-track filter, so every row is bit-identical to it.
 Numeric failure stays with its track: a track whose innovation covariance
 is not positive definite is infeasible against every detection of the
 frame, so it is never updated and coasts until ``max_age`` ends it, while
-the other tracks go on.  A detection embedding whose dimension differs from
-the gallery's is rejected with a ``ValueError`` before any state changes.
+the other tracks go on.  In a mode that reads embeddings, a detection
+without one or whose dimension differs from the gallery's is rejected with a
+``ValueError`` before any state changes.
 """
 from __future__ import annotations
 
@@ -187,7 +191,6 @@ _COLUMNS = {
     "mean": ((8,), np.float64),
     "cov": ((8, 8), np.float64),
     "attr": ((N_ATTRIBUTES,), np.float64),   # attribute estimate (EMA)
-    "has_attr": ((), bool),
     "confirmed": ((), bool),
     "hits": ((), np.int64),
     "age": ((), np.int64),                   # frames since the last match
@@ -301,37 +304,76 @@ class AssocConfig:
         return _DEFAULT_MATCH_THRESHOLD[self.mode]
 
 
-def detection_attrs(detections: list[Detection], config: AssocConfig,
-                    fusion_params=None) -> np.ndarray:
-    """(N, 32) attribute vectors used for costs/EMA: observed or predicted by
-    the fusion head, all detections in one batch."""
-    if config.attr_source == "fusion":
-        if fusion_params is None:
-            raise ValueError("fusion_params required for attr_source='fusion'")
-        params, strategy = fusion_params
-        # The observed attribute vector (when present) is the query source,
-        # mirroring training; embeddings-only input falls back to the
-        # learned linear attribute head.
-        emb = np.array([d.embedding for d in detections], dtype=np.float64)
-        has_obs = np.array([d.attr_obs is not None for d in detections], dtype=bool)
-        vecs = np.empty((len(detections), N_ATTRIBUTES))
-        if has_obs.any():
-            obs = np.stack([d.attr_obs for d in detections if d.attr_obs is not None])
-            vecs[has_obs] = predict_attributes(emb[has_obs], obs, strategy, params)[0]
-        if not has_obs.all():
-            vecs[~has_obs] = predict_attributes(emb[~has_obs], None, strategy, params)[0]
-    else:
+@dataclass(frozen=True)
+class FrameBatch:
+    """One frame's detections as arrays, built once by ``stack_frame``:
+    (N, 4) boxes and (cx, cy, aspect, h) measurements, plus the unit
+    embeddings and attribute rows, each only in the cost modes that read
+    it (else None)."""
+
+    boxes: np.ndarray
+    meas: np.ndarray
+    unit: np.ndarray | None
+    attrs: np.ndarray | None
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    # row-by-row dot products, as the norm of one embedding computes them
+    norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    if (norms == 0).any():
+        raise ValueError("degenerate embedding")
+    return x / norms[:, None]
+
+
+def _stack_attrs(detections: list[Detection], config: AssocConfig,
+                 fusion_params) -> np.ndarray:
+    """(N, 32) attribute vectors: observed, or predicted by the fusion head
+    for all detections in one batch."""
+    if config.attr_source == "obs":
         if any(d.attr_obs is None for d in detections):
             raise ValueError("detection carries no attribute observation")
-        vecs = np.array([d.attr_obs for d in detections], dtype=np.float64).reshape(-1, N_ATTRIBUTES)
+        return np.array([d.attr_obs for d in detections],
+                        dtype=np.float64).reshape(-1, N_ATTRIBUTES)
+    if fusion_params is None:
+        raise ValueError("fusion_params required for attr_source='fusion'")
+    params, strategy = fusion_params
+    # The observed attribute vector (when present) is the query source,
+    # mirroring training; embeddings-only input falls back to the learned
+    # linear attribute head.
+    emb = np.array([d.embedding for d in detections], dtype=np.float64)
+    has_obs = np.array([d.attr_obs is not None for d in detections], dtype=bool)
+    vecs = np.empty((len(detections), N_ATTRIBUTES))
+    if has_obs.any():
+        obs = np.stack([d.attr_obs for d in detections if d.attr_obs is not None])
+        vecs[has_obs] = predict_attributes(emb[has_obs], obs, strategy, params)[0]
+    if not has_obs.all():
+        vecs[~has_obs] = predict_attributes(emb[~has_obs], None, strategy, params)[0]
     return vecs
 
 
-def _normalize_rows(feats: np.ndarray) -> np.ndarray:
-    fn = np.linalg.norm(feats, axis=1, keepdims=True)
-    if (fn == 0).any():
-        raise ValueError("degenerate embedding")
-    return feats / fn
+def stack_frame(detections: list[Detection], config: AssocConfig,
+                fusion_params=None, dim: int | None = None) -> FrameBatch:
+    """Stack one frame's detections for ``config.mode``.
+
+    Every embedding must have dimension ``dim``, the gallery's (or, before
+    the first one, the dimension of the frame's first embedding).
+    """
+    boxes = box_rows(d.box for d in detections)
+    unit = attrs = None
+    if config.mode in ("embed", "embed+attr", "concat"):
+        if any(d.embedding is None for d in detections):
+            raise ValueError("detection carries no embedding for this cost mode")
+        if dim is None:
+            dim = detections[0].embedding.shape[0] if detections else 0
+        for d in detections:
+            if d.embedding.shape != (dim,):
+                raise ValueError(f"detection embedding has shape {d.embedding.shape}; "
+                                 f"the gallery holds dimension {dim}")
+        unit = _unit_rows(np.array([d.embedding for d in detections],
+                                   dtype=np.float64).reshape(len(detections), dim))
+    if config.mode in ("attr", "embed+attr", "concat"):
+        attrs = _stack_attrs(detections, config, fusion_params)
+    return FrameBatch(boxes, _measurements(boxes), unit, attrs)
 
 
 def _gallery_min_cosine(gallery: np.ndarray, filled: np.ndarray,
@@ -344,42 +386,28 @@ def _gallery_min_cosine(gallery: np.ndarray, filled: np.ndarray,
     return dist.min(axis=1)
 
 
-def build_cost_matrix(tracks: TrackTable, detections: list[Detection],
-                      config: AssocConfig, fusion_params=None,
-                      det_attrs: np.ndarray | None = None, innovation_chol=None):
+def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig,
+                      innovation_chol=None):
     """Cost matrix plus infeasibility mask (Mahalanobis-gated pairs).
 
-    ``tracks`` is a tracker's ``TrackTable``.  ``det_attrs`` lets the caller
-    reuse precomputed ``detection_attrs``; otherwise they are derived per
-    ``config.attr_source``.  Likewise ``innovation_chol`` reuses the
-    factors and positive-definite mask of the tracks' innovation
-    covariances (``_cholesky_rows``).
+    ``tracks`` is a tracker's ``TrackTable`` and ``frame`` the
+    ``stack_frame`` batch of the detections under the same ``config``.
+    ``innovation_chol`` reuses the factors and positive-definite mask of the
+    tracks' innovation covariances (``_cholesky_rows``).
     """
-    n_t, n_d = len(tracks), len(detections)
-    cost = np.zeros((n_t, n_d))
-    infeasible = np.zeros((n_t, n_d), dtype=bool)
+    n_t, n_d = len(tracks), len(frame.boxes)
     if n_t == 0 or n_d == 0:
-        return cost, infeasible
-    mode = config.mode
-    if mode in ("embed", "embed+attr", "concat"):
-        if any(d.embedding is None for d in detections):
-            raise ValueError("detection carries no embedding for this cost mode")
-        det_emb = np.stack([d.embedding for d in detections])
-    if det_attrs is None and mode in ("attr", "embed+attr", "concat"):
-        det_attrs = detection_attrs(detections, config, fusion_params)
-
-    det_boxes = box_rows(d.box for d in detections)
-    infeasible = gating_distance(tracks.mean, tracks.cov, _measurements(det_boxes),
+        return np.zeros((n_t, n_d)), np.zeros((n_t, n_d), dtype=bool)
+    infeasible = gating_distance(tracks.mean, tracks.cov, frame.meas,
                                  innovation_chol) > CHI2_95_4DOF
-
+    mode = config.mode
     if mode in ("embed", "embed+attr"):
-        embed_mat = _gallery_min_cosine(tracks.gallery, tracks.gallery_filled(),
-                                        _normalize_rows(det_emb))
+        embed_mat = _gallery_min_cosine(tracks.gallery, tracks.gallery_filled(), frame.unit)
     if mode in ("attr", "embed+attr"):
-        attr_mat = np.abs(tracks.attr[:, None, :] - det_attrs[None, :, :]).mean(axis=2)
+        attr_mat = np.abs(tracks.attr[:, None, :] - frame.attrs[None, :, :]).mean(axis=2)
 
     if mode == "iou":
-        cost = 1.0 - pairwise_iou(_box_rows(tracks.mean), det_boxes)
+        cost = 1.0 - pairwise_iou(_box_rows(tracks.mean), frame.boxes)
     elif mode == "embed":
         cost = embed_mat
     elif mode == "attr":
@@ -387,7 +415,7 @@ def build_cost_matrix(tracks: TrackTable, detections: list[Detection],
     elif mode == "embed+attr":
         cost = config.lambda_e * embed_mat + config.lambda_a * attr_mat
     elif mode == "concat":
-        det_feats = _normalize_rows(np.concatenate([det_emb, det_attrs], axis=1))
+        det_feats = _unit_rows(np.concatenate([frame.unit, frame.attrs], axis=1))
         gal = tracks.gallery
         filled = tracks.gallery_filled()
         attr = np.broadcast_to(tracks.attr[:, None, :], gal.shape[:2] + (N_ATTRIBUTES,))
@@ -450,46 +478,19 @@ class Tracker:
         self.table = TrackTable()
         self._next_id = 1
 
-    def _unit_embeddings(self, detections: list[Detection]):
-        """Unit-norm embedding rows and a has-embedding mask per detection.
-
-        Every embedding must have the gallery's dimension (or, before the
-        first one, the same dimension as the others in the frame).
-        """
-        has = np.array([d.embedding is not None for d in detections], dtype=bool)
-        embs = [d.embedding for d in detections if d.embedding is not None]
-        if not embs:
-            return np.zeros((len(detections), 0)), has
-        expected = self.table.dim if self.table.dim is not None else embs[0].shape[0]
-        for e in embs:
-            if e.shape != (expected,):
-                raise ValueError(f"detection embedding has shape {e.shape}; "
-                                 f"the gallery holds dimension {expected}")
-        unit = np.zeros((len(detections), expected))
-        stacked = np.stack(embs)
-        # row-by-row dot products, as the norm of one embedding computes them
-        norms = np.sqrt((stacked[:, None, :] @ stacked[:, :, None])[:, 0, 0])
-        if (norms == 0).any():
-            raise ValueError("degenerate embedding")
-        unit[has] = stacked / norms[:, None]
-        return unit, has
-
-    def _absorb(self, rows: np.ndarray, cols: np.ndarray, unit, has_emb,
-                attrs, has_attr) -> None:
-        """Fold detection ``cols`` into track ``rows``: gallery push and the
-        attribute EMA (a row without an estimate takes the vector as is)."""
+    def _absorb(self, rows: np.ndarray, cols: np.ndarray, batch: FrameBatch,
+                born: bool) -> None:
+        """Fold detection ``cols`` into track ``rows``: the gallery push and
+        the attribute EMA, each where the cost mode reads it; a newborn row
+        takes the attribute vector as is."""
         tab = self.table
-        e = has_emb[cols]
-        if e.any():
+        if batch.unit is not None:
             if tab.dim is None:
-                tab.set_dim(unit.shape[1])
-            tab.push_embeddings(rows[e], unit[cols[e]])
-        a = has_attr[cols]
-        if a.any():
-            r, new = rows[a], attrs[cols[a]]
-            tab.attr[r] = np.where(tab.has_attr[r][:, None],
-                                   ATTR_EMA * tab.attr[r] + (1 - ATTR_EMA) * new, new)
-            tab.has_attr[r] = True
+                tab.set_dim(batch.unit.shape[1])
+            tab.push_embeddings(rows, batch.unit[cols])
+        if batch.attrs is not None:
+            new = batch.attrs[cols]
+            tab.attr[rows] = new if born else ATTR_EMA * tab.attr[rows] + (1 - ATTR_EMA) * new
 
     def step(self, frame: int, detections: list[Detection]) -> list[TrackOutput]:
         """Advance one frame.  Returns this frame's confirmed boxes; when a
@@ -497,34 +498,23 @@ class Tracker:
         frames) are emitted retroactively in the same call."""
         cfg = self.config
         tab = self.table
-        unit, has_emb = self._unit_embeddings(detections)
+        batch = stack_frame(detections, cfg, self.fusion_params, tab.dim)
         tab.mean[:], tab.cov[:] = kalman_predict(tab.mean, tab.cov)
         tab.age += 1
 
-        need_attr = cfg.mode in ("attr", "embed+attr", "concat")
-        if need_attr:
-            attrs = detection_attrs(detections, cfg, self.fusion_params)
-            has_attr = np.ones(len(detections), dtype=bool)
-        else:
-            has_attr = np.array([d.attr_obs is not None for d in detections], dtype=bool)
-            attrs = np.zeros((len(detections), N_ATTRIBUTES))
-            if has_attr.any():
-                attrs[has_attr] = [d.attr_obs for d in detections if d.attr_obs is not None]
         # factored once per frame: the gate and the update both use it
         chol, pos_def = _cholesky_rows(_innovation_cov(tab.mean, tab.cov))
-        cost, infeasible = build_cost_matrix(tab, detections, cfg, self.fusion_params,
-                                             attrs if need_attr else None, (chol, pos_def))
+        cost, infeasible = build_cost_matrix(tab, batch, cfg, (chol, pos_def))
         matches, u_tracks, u_dets = solve_assignment(cost, infeasible, cfg.threshold)
-        meas = _measurements(box_rows(d.box for d in detections))
 
         outputs: list[TrackOutput] = []
         if matches:
             rows, cols = np.array(matches).T
-            tab.mean[rows], tab.cov[rows] = kalman_update(tab.mean[rows], tab.cov[rows], meas[cols],
-                                                          chol[rows])
+            tab.mean[rows], tab.cov[rows] = kalman_update(tab.mean[rows], tab.cov[rows],
+                                                          batch.meas[cols], chol[rows])
             tab.hits[rows] += 1
             tab.age[rows] = 0
-            self._absorb(rows, cols, unit, has_emb, attrs, has_attr)
+            self._absorb(rows, cols, batch, born=False)
             confirm = ~tab.confirmed[rows] & (tab.hits[rows] >= cfg.n_init)
             for r, ident, was_confirmed, now, box in zip(
                     rows.tolist(), tab.identity[rows].tolist(), tab.confirmed[rows].tolist(),
@@ -554,11 +544,11 @@ class Tracker:
             cols = np.array(u_dets)
             new = tab.add_rows(len(cols))
             rows = np.arange(new.start, new.stop)
-            tab.mean[new], tab.cov[new] = kalman_init(meas[cols])
+            tab.mean[new], tab.cov[new] = kalman_init(batch.meas[cols])
             tab.hits[new] = 1
             tab.identity[new] = np.arange(self._next_id, self._next_id + len(cols))
             self._next_id += len(cols)
-            self._absorb(rows, cols, unit, has_emb, attrs, has_attr)
+            self._absorb(rows, cols, batch, born=True)
             tab.confirmed[new] = cfg.n_init <= 1
             for r, c, ident in zip(rows.tolist(), u_dets, tab.identity[new].tolist()):
                 if cfg.n_init <= 1:

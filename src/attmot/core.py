@@ -111,6 +111,18 @@ def box_rows(boxes) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
+def pairwise_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., N, M) intersection areas between (..., N, 4) and (..., M, 4)
+    arrays of (left, top, width, height) rows; leading axes broadcast.
+
+    Entry (i, j) is exactly ``intersection_area`` of the two boxes.
+    """
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    w = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    h = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    return np.where((w > 0) & (h > 0), w * h, 0.0)
+
+
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(N, M) IoU matrix between (N, 4) and (M, 4) arrays of
     (left, top, width, height) rows.
@@ -118,11 +130,7 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Entry (i, j) is exactly ``iou`` of the two boxes: the same operations
     in the same order, the clamp to 1 included.
     """
-    right_a, right_b = a[:, 0] + a[:, 2], b[:, 0] + b[:, 2]
-    bottom_a, bottom_b = a[:, 1] + a[:, 3], b[:, 1] + b[:, 3]
-    w = np.minimum(right_a[:, None], right_b[None, :]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    h = np.minimum(bottom_a[:, None], bottom_b[None, :]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.where((w > 0) & (h > 0), w * h, 0.0)
+    inter = pairwise_intersection(a, b)
     union = (a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter
     return np.where(inter > 0.0, np.minimum(inter / union, 1.0), 0.0)
 

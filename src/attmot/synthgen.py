@@ -34,6 +34,7 @@ from .core import (
     Detection,
     GtEntry,
     TrainSample,
+    pairwise_intersection,
 )
 
 # SeedSequence stream tags
@@ -139,15 +140,10 @@ class IdentityCard:
     attributes: AttributeVector
     latent: np.ndarray                 # unit norm
     trajectory: np.ndarray             # (n_frames, 4) ltwh
-    present: np.ndarray                # (n_frames,) bool
 
-    def box_at(self, frame: int) -> BBox | None:
-        """Box for a 1-based frame index, or None when off-screen."""
-        i = frame - 1
-        if not self.present[i]:
-            return None
-        l, t, w, h = self.trajectory[i]
-        return BBox(l, t, w, h)
+    def box_at(self, frame: int) -> BBox:
+        """Box for a 1-based frame index."""
+        return BBox(*self.trajectory[frame - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +163,7 @@ class SequenceBundle:
         out = []
         for f in range(1, self.config.n_frames + 1):
             for i, card in enumerate(self.cards):
-                box = card.box_at(f)
-                if box is None:
-                    continue
-                out.append(GtEntry(frame=f, identity=card.identity, box=box,
+                out.append(GtEntry(frame=f, identity=card.identity, box=card.box_at(f),
                                    visibility=1.0 - float(self.occlusion[f - 1, i])))
         return out
 
@@ -201,7 +194,6 @@ def sample_attribute_bits(rng: np.random.Generator, prior: AttributePrior) -> np
 def sample_identity(rng: np.random.Generator, prior: AttributePrior,
                     latent_dim: int, identity: int = 1,
                     trajectory: np.ndarray | None = None,
-                    present: np.ndarray | None = None,
                     base_latent: np.ndarray | None = None,
                     spread: float = 1.0) -> IdentityCard:
     """Draw one identity card (attributes + unit-norm appearance latent).
@@ -216,11 +208,9 @@ def sample_identity(rng: np.random.Generator, prior: AttributePrior,
         latent = base_latent + spread * latent
         latent /= np.linalg.norm(latent)
     if trajectory is None:
-        trajectory = np.zeros((1, 4))
-        trajectory[0] = (0.0, 0.0, 10.0, 10.0)
-        present = np.ones(1, dtype=bool)
+        trajectory = np.array([[0.0, 0.0, 10.0, 10.0]])
     return IdentityCard(identity=identity, attributes=AttributeVector.binary(bits),
-                        latent=latent, trajectory=trajectory, present=present)
+                        latent=latent, trajectory=trajectory)
 
 
 def _body_size(rng: np.random.Generator, config: WorldConfig) -> tuple[float, float]:
@@ -297,7 +287,7 @@ def simulate_sequence(config: WorldConfig, name: str = "seq-0000") -> SequenceBu
     config.validate()
     card_rng = _rng(config, _STREAM_CARDS)
     path_rng = _rng(config, _STREAM_PATHS)
-    n_ids, n = config.n_identities, config.n_frames
+    n_ids = config.n_identities
 
     # Assign trajectory kinds; a crossing consumes the next identity as partner.
     weights = np.array([config.w_linear, config.w_crossing, config.w_loiter], dtype=float)
@@ -322,43 +312,34 @@ def simulate_sequence(config: WorldConfig, name: str = "seq-0000") -> SequenceBu
     base /= np.linalg.norm(base)
     cards = []
     for idx in range(n_ids):
-        present = np.ones(n, dtype=bool)
         cards.append(
             sample_identity(card_rng, config.prior, config.latent_dim,
-                            identity=idx + 1, trajectory=paths[idx], present=present,
+                            identity=idx + 1, trajectory=paths[idx],
                             base_latent=base, spread=config.latent_spread)
         )
 
-    occ = _occlusion_matrix(np.stack([c.trajectory for c in cards], axis=1),
-                            np.stack([c.present for c in cards], axis=1))
+    occ = _occlusion_matrix(np.stack([c.trajectory for c in cards], axis=1))
     return SequenceBundle(name=name, config=config, cards=tuple(cards), occlusion=occ)
 
 
-def _occlusion_matrix(boxes: np.ndarray, present: np.ndarray) -> np.ndarray:
+def _occlusion_matrix(boxes: np.ndarray) -> np.ndarray:
     """(frames, ids) occlusion fractions of (frames, ids, 4) ltwh boxes.
 
     Draw order is identity order, lower index in front: entry (f, i) is the
-    largest ``core.occlusion_fraction`` of box i by a present box j < i, and
-    0.0 when there is none or i is absent.  Each fraction takes the same
-    operations in the same order as the scalar function, so the matrix is
-    bit-identical to the per-pair loop.  A present box that is not finite
-    or has a non-positive size raises ``ValueError``, as ``BBox`` does.
+    largest ``core.occlusion_fraction`` of box i by a box j < i, and 0.0
+    when there is none.  Each fraction takes the same operations in the
+    same order as the scalar function, so the matrix is bit-identical to
+    the per-pair loop.  A box that is not finite or has a non-positive size
+    raises ``ValueError``, as ``BBox`` does.
     """
-    boxes = np.where(present[..., None], boxes, 1.0)  # absent rows: any valid box
     bad = ~(np.isfinite(boxes).all(axis=2) & (boxes[..., 2] > 0) & (boxes[..., 3] > 0))
     if bad.any():
         f, i = np.argwhere(bad)[0]
         raise ValueError(f"frame {f + 1}: box {i} {boxes[f, i].tolist()} is not a finite "
                          "box of positive size")
-    left, top, width, height = np.moveaxis(boxes, 2, 0)
-    right, bottom = left + width, top + height
-    w = (np.minimum(right[:, :, None], right[:, None, :])
-         - np.maximum(left[:, :, None], left[:, None, :]))
-    h = (np.minimum(bottom[:, :, None], bottom[:, None, :])
-         - np.maximum(top[:, :, None], top[:, None, :]))
-    inter = np.where((w > 0) & (h > 0), w * h, 0.0)
-    frac = np.minimum(1.0, inter / (width * height)[:, :, None])
-    in_front = np.tri(boxes.shape[1], k=-1, dtype=bool) & present[:, :, None] & present[:, None, :]
+    inter = pairwise_intersection(boxes, boxes)
+    frac = np.minimum(1.0, inter / (boxes[..., 2] * boxes[..., 3])[:, :, None])
+    in_front = np.tri(boxes.shape[1], k=-1, dtype=bool)
     return np.where(in_front, frac, 0.0).max(axis=2, initial=0.0)
 
 
@@ -400,7 +381,7 @@ def flip_attributes(bits: np.ndarray, occ: float, config: WorldConfig,
 
 def _emit_observation(card: IdentityCard, occ: float, frame: int,
                       config: WorldConfig, rng: np.random.Generator) -> Detection | None:
-    """One noisy detection for a present identity; None when clipped away."""
+    """One noisy detection of an identity; None when clipped away."""
     l, t, w, h = card.trajectory[frame - 1]
     if config.jitter_sigma > 0:
         l, t, w, h = np.array([l, t, w, h]) + rng.normal(0.0, config.jitter_sigma, 4)
@@ -422,8 +403,6 @@ def observe_frame(bundle: SequenceBundle, frame: int,
     rng = _rng(config, _STREAM_OBSERVE, frame)
     out: list[Detection] = []
     for i, card in enumerate(bundle.cards):
-        if not card.present[frame - 1]:
-            continue
         occ = float(bundle.occlusion[frame - 1, i])
         miss_p = min(1.0, config.miss_base + config.miss_occ_gain * occ)
         if rng.random() < miss_p:
@@ -477,7 +456,6 @@ def occlusion_metadata_lines(bundle: SequenceBundle) -> list[str]:
             "occlusion": {
                 str(c.identity): round(float(bundle.occlusion[f - 1, i]), 6)
                 for i, c in enumerate(bundle.cards)
-                if c.present[f - 1]
             },
         }
         lines.append(json.dumps(row, sort_keys=True))
@@ -505,8 +483,6 @@ def sample_training_crops(bundles: list[SequenceBundle], n_samples: int,
         frame = int(rng.integers(1, cfg.n_frames + 1))
         i = int(rng.integers(cfg.n_identities))
         card = bundle.cards[i]
-        if not card.present[frame - 1]:
-            continue
         det = _emit_observation(card, float(bundle.occlusion[frame - 1, i]),
                                 frame, cfg, rng)
         if det is None:

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from attmot import assoc, metrics
 from attmot.assoc import (
+    GALLERY_BUDGET,
     AssocConfig,
     Tracker,
+    TrackTable,
     _box_rows,
     _cholesky_rows,
     _innovation_cov,
     _measurements,
     build_cost_matrix,
-    detection_attrs,
     gating_distance,
     kalman_init,
     kalman_predict,
@@ -23,8 +24,17 @@ from attmot.assoc import (
     outputs_to_entries,
     run_sequence,
     solve_assignment,
+    stack_frame,
 )
-from attmot.core import BBox, Detection, attribute_distance, box_rows, cosine_distance, iou
+from attmot.core import (
+    COST_MODES,
+    BBox,
+    Detection,
+    attribute_distance,
+    box_rows,
+    cosine_distance,
+    iou,
+)
 from attmot.fusion import FusionParams, all_strategies, predict_attributes
 from attmot.synthgen import WorldConfig, observe_all_frames, simulate_sequence
 
@@ -229,21 +239,22 @@ class TestBuildCostMatrix:
 
     def test_additivity_and_degenerate_weights(self):
         tracks, dets, _ = self._tracks_and_dets()
-        embed, _ = build_cost_matrix(tracks, dets, AssocConfig(mode="embed"))
-        attr, _ = build_cost_matrix(tracks, dets, AssocConfig(mode="attr"))
-        both, _ = build_cost_matrix(tracks, dets, AssocConfig(mode="embed+attr"))
+
+        def costs(cfg):
+            return build_cost_matrix(tracks, stack_frame(dets, cfg), cfg)[0]
+
+        embed = costs(AssocConfig(mode="embed"))
+        attr = costs(AssocConfig(mode="attr"))
+        both = costs(AssocConfig(mode="embed+attr"))
         np.testing.assert_array_equal(both, embed + attr)
-        lam, _ = build_cost_matrix(tracks, dets,
-                                   AssocConfig(mode="embed+attr", lambda_e=2.0, lambda_a=0.5))
+        lam = costs(AssocConfig(mode="embed+attr", lambda_e=2.0, lambda_a=0.5))
         np.testing.assert_allclose(lam, 2.0 * embed + 0.5 * attr)
-        only_e, _ = build_cost_matrix(tracks, dets,
-                                      AssocConfig(mode="embed+attr", lambda_a=0.0))
+        only_e = costs(AssocConfig(mode="embed+attr", lambda_a=0.0))
         np.testing.assert_array_equal(only_e, embed)
 
     def test_hand_case(self):
-        tab, dets, _ = self._tracks_and_dets()
-        cost, infeasible = build_cost_matrix(tab, dets, AssocConfig(mode="embed+attr"))
-        assert tab.has_attr.all()
+        tab, dets, cfg = self._tracks_and_dets()
+        cost, infeasible = build_cost_matrix(tab, stack_frame(dets, cfg), cfg)
         expected = np.zeros((2, 2))
         for i in range(len(tab)):
             for j, d in enumerate(dets):
@@ -257,15 +268,16 @@ class TestBuildCostMatrix:
 
     def test_iou_mode(self):
         tab, dets, _ = self._tracks_and_dets()
-        cost, _ = build_cost_matrix(tab, dets, AssocConfig(mode="iou"))
+        cfg = AssocConfig(mode="iou")
+        cost, _ = build_cost_matrix(tab, stack_frame(dets, cfg), cfg)
         for i, box in enumerate(_box_rows(tab.mean).tolist()):
             for j, d in enumerate(dets):
                 assert cost[i, j] == pytest.approx(1.0 - iou(BBox(*box), d.box))
 
     def test_concat_mode_matches_direct(self):
         tab, dets, _ = self._tracks_and_dets()
-        cost, _ = build_cost_matrix(tab, dets, AssocConfig(mode="concat"))
-        assert tab.has_attr.all()
+        cfg = AssocConfig(mode="concat")
+        cost, _ = build_cost_matrix(tab, stack_frame(dets, cfg), cfg)
         for i in range(len(tab)):
             for j, d in enumerate(dets):
                 expected = min(
@@ -275,19 +287,18 @@ class TestBuildCostMatrix:
                 assert cost[i, j] == pytest.approx(expected, abs=1e-9)
 
     def test_fusion_source_requires_params(self):
-        tracks, dets, _ = self._tracks_and_dets()
+        _, dets, _ = self._tracks_and_dets()
         with pytest.raises(ValueError, match="fusion_params"):
-            build_cost_matrix(tracks, dets,
-                              AssocConfig(mode="attr", attr_source="fusion"))
+            stack_frame(dets, AssocConfig(mode="attr", attr_source="fusion"))
 
     def test_missing_embedding_rejected(self):
-        tracks, _, _ = self._tracks_and_dets()
         bare = [det(2, BBox(0, 0, 10, 20))]
         with pytest.raises(ValueError, match="no embedding"):
-            build_cost_matrix(tracks, bare, AssocConfig(mode="embed"))
+            stack_frame(bare, AssocConfig(mode="embed"))
 
     def test_empty_inputs(self):
-        cost, mask = build_cost_matrix([], [], AssocConfig(mode="embed"))
+        cfg = AssocConfig(mode="embed")
+        cost, mask = build_cost_matrix([], stack_frame([], cfg), cfg)
         assert cost.shape == (0, 0) and mask.shape == (0, 0)
 
     def test_config_validation(self):
@@ -354,6 +365,16 @@ class TestTrackerLifecycle:
                                     det(f, BBox(300, 0, 20, 40))])
             ids = [o.identity for o in outs if o.frame == f]
             assert len(ids) == len(set(ids))
+
+    def test_iou_tracker_keeps_no_appearance_state(self):
+        # no iou cost reads embeddings or attributes, so none are kept
+        tracker = Tracker(AssocConfig(mode="iou", n_init=1))
+        for f in range(1, 4):
+            tracker.step(f, [det(f, BBox(10 + f, 10, 20, 40), _unit([1, 0, 0, 0]),
+                                 np.full(32, 0.5))])
+        assert len(tracker.table) == 1
+        assert tracker.table.dim is None
+        assert not tracker.table.attr.any()
 
     def test_crossing_with_attributes_keeps_identities(self):
         # two noiseless targets with distinct attributes cross paths over
@@ -429,6 +450,34 @@ class TestRunSequence:
         assert calls == [2, 2, 2, 2]
 
 
+    def test_step_costs_through_module_build_cost_matrix(self, monkeypatch):
+        # The benchmark's layer timer replaces assoc.build_cost_matrix by
+        # name and reads the mode from its third argument; the tracker must
+        # call it there once per frame, empty frames included.
+        calls = []
+        real = assoc.build_cost_matrix
+
+        def counting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((len(args[0]), len(args[1].boxes), args[2], result))
+            return result
+
+        monkeypatch.setattr(assoc, "build_cost_matrix", counting)
+        a1 = np.zeros(32); a1[:4] = 1.0
+        a2 = np.zeros(32); a2[4:8] = 1.0
+        frames = {f: [det(f, BBox(10 + f, 10, 20, 40), _unit([1, 0, 0, 0]), a1),
+                      det(f, BBox(300 - f, 10, 20, 40), _unit([0, 1, 0, 0]), a2)]
+                  for f in (1, 2, 3, 5, 6)}
+        cfg = AssocConfig(mode="embed+attr")
+        outputs = run_sequence(frames, cfg, n_frames=6)
+        assert {o.identity for o in outputs} == {1, 2}
+        assert [(n_t, n_d) for n_t, n_d, _, _ in calls] == [(0, 2), (2, 2), (2, 2), (2, 0),
+                                                            (2, 2), (2, 2)]
+        for n_t, n_d, config, (cost, infeasible) in calls:
+            assert isinstance(config, AssocConfig)
+            assert cost.shape == infeasible.shape == (n_t, n_d)
+
+
 class TestFailureContainment:
     def test_non_pd_innovation_marks_only_its_row(self):
         cfg = AssocConfig(mode="iou", n_init=1, max_age=2)
@@ -443,7 +492,8 @@ class TestFailureContainment:
         with pytest.raises(np.linalg.LinAlgError):
             kalman_update(tab.mean[:1], tab.cov[:1], _meas(boxes[0]))
 
-        _, infeasible = build_cost_matrix(tracker.table, [det(2, b) for b in boxes], cfg)
+        frame = stack_frame([det(2, b) for b in boxes], cfg)
+        _, infeasible = build_cost_matrix(tracker.table, frame, cfg)
         assert infeasible[0].all() and not infeasible[1, 1]
         out = tracker.step(2, [det(2, b) for b in boxes])
         # the healthy track keeps its identity; the broken one is not
@@ -463,7 +513,7 @@ class TestFailureContainment:
             tracker.step(2, [det(2, BBox(0, 0, 20, 40), _unit([1, 0, 0]))])
         # the rejected frame changed no state
         assert tracker.table.age.tolist() == [0]
-        fresh = Tracker(AssocConfig(mode="iou"))
+        fresh = Tracker(AssocConfig(mode="embed"))
         with pytest.raises(ValueError, match=r"shape \(2,\); the gallery holds dimension 3"):
             fresh.step(1, [det(1, BBox(0, 0, 20, 40), _unit([1, 0, 0])),
                            det(1, BBox(90, 0, 20, 40), _unit([1, 0]))])
@@ -556,9 +606,77 @@ GATE_MAX_ULP = 16
 # The fusion head runs one (N, D) matrix product per layer in place of N
 # vector products, which rounds each logit differently.
 ATTR_MAX_ULP = 16
+# Cost entries against the per-pair loop: the worst gap seen over 20,000
+# random examples was 32 ulp (embed), and the bound allows four times that.
+# The batched costs take one matrix product per track and numpy's norms and
+# means where the loop takes BLAS dots, and ``1 - cos`` magnifies the
+# difference as the cosine nears 1.  The iou and attr costs matched exactly.
+COST_MAX_ULP = 128
+
+
+_near_boxes = st.builds(BBox, st.floats(0.0, 100.0), st.floats(0.0, 100.0),
+                        st.floats(2.0, 100.0), st.floats(2.0, 100.0))
+
+
+@st.composite
+def _cost_worlds(draw):
+    """A config, a track table and a frame of detections of that config.
+
+    Embeddings have at least 8 dimensions, so random gallery and detection
+    directions stay far from parallel and no cost entry is a near-cancelling
+    ``1 - cos``, where an ulp bound would say nothing."""
+    mode = draw(st.sampled_from(COST_MODES))
+    cfg = AssocConfig(mode=mode, lambda_e=draw(st.floats(0.1, 3.0)),
+                      lambda_a=draw(st.floats(0.0, 3.0)))
+    n_t = draw(st.integers(1, 5))
+    dim = draw(st.integers(8, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tab = TrackTable()
+    tab.add_rows(n_t)
+    tab.mean[:], tab.cov[:] = kalman_init(_meas(*[draw(_near_boxes) for _ in range(n_t)]))
+    tab.set_dim(dim)
+    tab.gal_n[:] = [draw(st.sampled_from([1, 2, 5, GALLERY_BUDGET])) for _ in range(n_t)]
+    gallery = rng.normal(size=(n_t, GALLERY_BUDGET, dim))
+    tab.gallery[:] = gallery / np.linalg.norm(gallery, axis=2, keepdims=True)
+    tab.gallery[~tab.gallery_filled()] = 0.0
+    tab.attr[:] = rng.uniform(0.0, 1.0, (n_t, 32))
+    dets = [det(1, draw(_near_boxes), rng.normal(size=dim), rng.uniform(0.0, 1.0, 32))
+            for _ in range(draw(st.integers(1, 6)))]
+    return cfg, tab, dets
+
+
+def _oracle_cost(tab, dets, cfg):
+    """The cost matrix as a per-pair loop over the scalar distances."""
+    cost = np.empty((len(tab), len(dets)))
+    for i, box in enumerate(_box_rows(tab.mean).tolist()):
+        gallery = tab.gallery[i, :tab.gal_n[i]]
+        for j, d in enumerate(dets):
+            if cfg.mode == "iou":
+                cost[i, j] = 1.0 - iou(BBox(*box), d.box)
+                continue
+            if cfg.mode == "concat":
+                unit = d.embedding / np.linalg.norm(d.embedding)
+                cost[i, j] = min(cosine_distance(np.concatenate([g, tab.attr[i]]),
+                                                 np.concatenate([unit, d.attr_obs]))
+                                 for g in gallery)
+                continue
+            e = min(cosine_distance(g, d.embedding) for g in gallery)
+            a = attribute_distance(tab.attr[i], d.attr_obs)
+            cost[i, j] = {"embed": e, "attr": a,
+                          "embed+attr": cfg.lambda_e * e + cfg.lambda_a * a}[cfg.mode]
+    return cost
 
 
 class TestBatchedAgainstOracle:
+    @given(_cost_worlds())
+    @settings(max_examples=150)
+    def test_cost_matrix_within_ulp_bound(self, world):
+        cfg, tab, dets = world
+        cost, infeasible = build_cost_matrix(tab, stack_frame(dets, cfg, dim=tab.dim), cfg)
+        assert infeasible.shape == cost.shape == (len(tab), len(dets))
+        np.testing.assert_array_max_ulp(cost, _oracle_cost(tab, dets, cfg),
+                                        maxulp=0 if cfg.mode == "iou" else COST_MAX_ULP)
+
     @given(_state_lists)
     @settings(max_examples=150)
     def test_predict_exact(self, states):
@@ -606,7 +724,8 @@ class TestBatchedAgainstOracle:
         tab.mean[:] = [m for m, _ in states]
         tab.cov[:] = [c for _, c in states]
         dets = [det(1, b) for b in boxes]
-        cost, _ = build_cost_matrix(tab, dets, AssocConfig(mode="iou"))
+        cfg = AssocConfig(mode="iou")
+        cost, _ = build_cost_matrix(tab, stack_frame(dets, cfg), cfg)
         expected = [[1.0 - iou(BBox(*box), d.box) for d in dets]
                     for box in _box_rows(tab.mean).tolist()]
         np.testing.assert_array_equal(cost, expected)
@@ -621,7 +740,7 @@ class TestBatchedAgainstOracle:
                     rng.uniform(0, 1, 32) if has_obs else None)
                 for has_obs in observed]
         cfg = AssocConfig(mode="embed+attr", attr_source="fusion")
-        batched = detection_attrs(dets, cfg, (params, strategy))
+        batched = stack_frame(dets, cfg, (params, strategy)).attrs
         single = np.stack([predict_attributes(d.embedding, d.attr_obs, strategy, params)[0]
                            for d in dets])
         np.testing.assert_array_max_ulp(batched, single, maxulp=ATTR_MAX_ULP)

@@ -134,19 +134,15 @@ class TestSimulateSequence:
             assert g.visibility == pytest.approx(1.0 - bundle.occlusion[g.frame - 1, i])
 
 
-def _occlusion_loop(boxes, present):
+def _occlusion_loop(boxes):
     """The per-frame, per-pair loop that ``_occlusion_matrix`` replaces."""
-    n_frames, n_ids = present.shape
+    n_frames, n_ids = boxes.shape[:2]
     occ = np.zeros((n_frames, n_ids))
     for f in range(n_frames):
-        row = [BBox(*boxes[f, i]) if present[f, i] else None for i in range(n_ids)]
+        row = [BBox(*boxes[f, i]) for i in range(n_ids)]
         for i in range(n_ids):
-            if row[i] is None:
-                continue
             worst = 0.0
             for j in range(i):
-                if row[j] is None:
-                    continue
                 worst = max(worst, occlusion_fraction(row[i], row[j]))
             occ[f, i] = worst
     return occ
@@ -161,41 +157,33 @@ _size = st.one_of(st.integers(1, 8).map(float), st.floats(0.01, 8.0))
 @st.composite
 def _occlusion_world(draw):
     n_frames, n_ids = draw(st.integers(1, 3)), draw(st.integers(1, 6))
-    boxes = np.array([[draw(st.tuples(_coord, _coord, _size, _size)) for _ in range(n_ids)]
-                      for _ in range(n_frames)]).reshape(n_frames, n_ids, 4)
-    present = np.array([[draw(st.sampled_from([True, True, True, False]))
-                         for _ in range(n_ids)] for _ in range(n_frames)])
-    # an absent identity's box need not be a box at all
-    boxes[~present] = draw(st.sampled_from([np.nan, 0.0, -1.0]))
-    return boxes, present
+    return np.array([[draw(st.tuples(_coord, _coord, _size, _size)) for _ in range(n_ids)]
+                     for _ in range(n_frames)]).reshape(n_frames, n_ids, 4)
 
 
-# front box, a box touching its right edge, one inside it, one disjoint,
-# an absent one (NaN box) and one containing the front box
+# front box, a box touching its right edge, one inside it, one disjoint
+# and one containing the front box
 _HAND_BOXES = np.array([[[0, 0, 10, 10], [10, 0, 5, 5], [2, 2, 3, 3], [50, 50, 5, 5],
-                         [np.nan] * 4, [-1, -1, 20, 20]]], dtype=float)
-_HAND_PRESENT = np.array([[True, True, True, True, False, True]])
+                         [-1, -1, 20, 20]]], dtype=float)
 
 
 class TestOcclusionMatrix:
     def test_hand_cases(self):
-        occ = _occlusion_matrix(_HAND_BOXES, _HAND_PRESENT)
-        assert occ.tolist() == [[0.0, 0.0, 1.0, 0.0, 0.0, 100 / 400]]
+        occ = _occlusion_matrix(_HAND_BOXES)
+        assert occ.tolist() == [[0.0, 0.0, 1.0, 0.0, 100 / 400]]
 
     @given(_occlusion_world())
-    @example((_HAND_BOXES, _HAND_PRESENT))
-    def test_equals_pairwise_loop(self, world):
-        boxes, present = world
-        got = _occlusion_matrix(boxes, present)
-        assert got.tobytes() == _occlusion_loop(boxes, present).tobytes()
+    @example(_HAND_BOXES)
+    def test_equals_pairwise_loop(self, boxes):
+        got = _occlusion_matrix(boxes)
+        assert got.tobytes() == _occlusion_loop(boxes).tobytes()
 
     @pytest.mark.parametrize("bad", [[np.nan, 0, 1, 1], [0, np.inf, 1, 1], [0, 0, 0, 1],
                                      [0, 0, 1, -2]])
     def test_invalid_present_box_raises(self, bad):
         boxes = np.array([[[0, 0, 4, 4], bad]], dtype=float)
         with pytest.raises(ValueError, match="frame 1: box 1"):
-            _occlusion_matrix(boxes, np.array([[True, True]]))
-        assert _occlusion_matrix(boxes, np.array([[True, False]])).tolist() == [[0.0, 0.0]]
+            _occlusion_matrix(boxes)
 
 
 class TestObserveFrame:
