@@ -246,7 +246,7 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
                                  int(spec.get("train_crops", 5000)))
         fusion_params = (params, strategy)
 
-    cols = ("mota", "fn", "fp", "ids", "hota", "assa", "idr", "idp", "idf1", "deta")
+    cols = (*(c.lower() for c in metrics.REPORT_COLUMNS), "deta")
     rows_by_variant: dict[str, list[tuple]] = {v: [] for v in variants}
     for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
@@ -261,9 +261,7 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
             (runs_dir / f"{mode.replace('+', 'P')}_seed{seed}.csv").write_text(
                 report.to_csv(), encoding="ascii")
             a = report.aggregate()
-            rows_by_variant[mode].append((
-                a.clear.mota, a.clear.fn, a.clear.fp, a.clear.idsw, a.hota.hota, a.hota.assa,
-                a.ids.idr, a.ids.idp, a.ids.idf1, a.hota.deta))
+            rows_by_variant[mode].append((*a.row(), a.hota.deta))
 
     lines = ["variant," + ",".join(cols)]
     table = ["variant".ljust(14) + "".join(c.upper().rjust(10) for c in cols)]

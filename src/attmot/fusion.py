@@ -138,7 +138,7 @@ class FusionParams:
 
     @classmethod
     def init(cls, dim: int, n_identities: int, n_tokens: int = 8, seed: int = 0,
-             adaptor_scale: float = 0.3, scale_scores: bool = False) -> "FusionParams":
+             scale_scores: bool = False) -> "FusionParams":
         """Fresh parameters scaled for a unit-norm embedding input.
 
         Key/value projections are scaled against the typical token norm
@@ -155,9 +155,9 @@ class FusionParams:
         tok_norm = math.sqrt(dt / dim)
         return cls(
             dim=dim, n_tokens=n_tokens, n_identities=n_identities,
-            w1=rng.normal(0.0, adaptor_scale / math.sqrt(dim), (dim, dim)) if adaptor_scale else np.zeros((dim, dim)),
+            w1=rng.normal(0.0, 0.3 / math.sqrt(dim), (dim, dim)),
             b1=np.zeros(dim),
-            w2=rng.normal(0.0, adaptor_scale / math.sqrt(dim), (dim, dim)) if adaptor_scale else np.zeros((dim, dim)),
+            w2=rng.normal(0.0, 0.3 / math.sqrt(dim), (dim, dim)),
             b2=np.zeros(dim),
             wq=rng.normal(0.0, 1.5 * sq, (dt, dt)),
             wk=rng.normal(0.0, 1.5 * sq / tok_norm, (dt, dt)),
@@ -174,7 +174,7 @@ class FusionParams:
 
     @classmethod
     def random(cls, dim: int, n_identities: int, n_tokens: int = 8, seed: int = 0,
-               scale: float = 0.5, scale_scores: bool = False) -> "FusionParams":
+               scale_scores: bool = False) -> "FusionParams":
         """Fully random parameters (used by gradient checks)."""
         if dim % n_tokens != 0:
             raise ValueError(f"embedding dim {dim} not divisible by token count {n_tokens}")
@@ -182,7 +182,7 @@ class FusionParams:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
 
         def mat(*shape, fan):
-            return rng.normal(0.0, scale / math.sqrt(fan), shape)
+            return rng.normal(0.0, 0.5 / math.sqrt(fan), shape)
 
         return cls(
             dim=dim, n_tokens=n_tokens, n_identities=n_identities,
@@ -538,6 +538,8 @@ def train(dataset: list[TrainSample], config: TrainConfig = TrainConfig(),
 # Perturbation rows per batched forward pass of grad_check: bounds its peak
 # memory whatever the size of the tensor being checked.
 _GRAD_CHECK_ROWS = 128
+# Central-difference step of grad_check.
+GRAD_CHECK_EPS = 1e-5
 
 
 def _perturbation_rows(arr: np.ndarray, eps: float, start: int, stop: int) -> np.ndarray:
@@ -558,14 +560,13 @@ def _perturbation_rows(arr: np.ndarray, eps: float, start: int, stop: int) -> np
 
 
 def grad_check(params: FusionParams, sample: TrainSample,
-               strategy: FusionStrategy = PREPROC_ATTR, *,
-               pos_freq: np.ndarray | None = None, sigma: float = 1.0,
-               uniform: bool = False, lambda_id: float = 0.1,
-               attr_input: str = "learned", eps: float = 1e-5) -> float:
+               strategy: FusionStrategy = PREPROC_ATTR, *, lambda_id: float = 0.1,
+               attr_input: str = "learned") -> float:
     """Max relative error of analytic partials vs central finite differences.
 
-    Every parameter entry is perturbed by +/- eps to build the numeric
-    gradient.  Per parameter tensor the error is
+    The loss uses the attribute weights of positive frequency 0.5.  Every
+    parameter entry is perturbed by +/- ``GRAD_CHECK_EPS`` to build the
+    numeric gradient.  Per parameter tensor the error is
     ``|analytic - numeric| / max(1e-8, |numeric|)`` in the Euclidean norm;
     the maximum over tensors is returned.  (Entrywise ratios are
     meaningless in float64 at cancellation-zero partials, where central
@@ -576,9 +577,7 @@ def grad_check(params: FusionParams, sample: TrainSample,
     ``_GRAD_CHECK_ROWS`` rows each; every row gets the loss that a forward
     pass with that one entry perturbed would give.
     """
-    if pos_freq is None:
-        pos_freq = np.full(N_ATTRIBUTES, 0.5)
-    w_pos, w_neg = bce_weights(pos_freq, sigma, uniform)
+    w_pos, w_neg = bce_weights(np.full(N_ATTRIBUTES, .5), 1.0)
     emb = np.asarray(sample.embedding, dtype=np.float64)
     gt = np.asarray(sample.gt_attrs, dtype=np.float64)
     label = int(sample.identity)
@@ -598,12 +597,12 @@ def grad_check(params: FusionParams, sample: TrainSample,
         losses = np.empty(2 * arr.size)
         for start in range(0, losses.size, _GRAD_CHECK_ROWS):
             stop = min(start + _GRAD_CHECK_ROWS, losses.size)
-            stacked = {**p_eval, name: ad.const(_perturbation_rows(arr, eps, start, stop))}
+            stacked = {**p_eval, name: ad.const(_perturbation_rows(arr, GRAD_CHECK_EPS, start, stop))}
             out = _sample_losses(stacked, e1, a1, gt, label, strategy, params,
                                  w_pos, w_neg, lambda_id)
             # a tensor the loss does not read leaves the output unstacked
             losses[start:stop] = np.broadcast_to(out, (stop - start, 1))[:, 0]
-        numeric = (losses[0::2] - losses[1::2]) / (2.0 * eps)
+        numeric = (losses[0::2] - losses[1::2]) / (2.0 * GRAD_CHECK_EPS)
         grad = p[name].grad
         ana = grad.reshape(-1) if grad is not None else np.zeros(arr.size)
         rel = float(np.linalg.norm(ana - numeric)) / max(1e-8, float(np.linalg.norm(numeric)))

@@ -2,20 +2,22 @@
 and verification TPR@FAR.
 
 Every tracking metric reads one per-frame match table (``_frame_table``):
-for each frame, the active ground-truth identities, the prediction
-identities left after ignore-region suppression, and their IoU matrix.
+identities are numbered once per sequence, in order of first appearance,
+and each frame holds the index arrays of its active ground-truth and
+surviving prediction identities and their IoU matrix.
 ``evaluate_sequences`` builds it once per sequence and hands it to the
 CLEAR, ID and HOTA scorers; the public ``clear_metrics``, ``id_metrics``
 and ``hota_metrics`` each build it and score it.
 
+The protocol is fixed: a match needs IoU >= ``IOU_THRESHOLD`` (0.5).
 CLEAR matching keeps previous-frame correspondences while they still
 overlap (the continuity rule), then matches the remainder with the
 Hungarian algorithm; an identity switch is counted when a ground-truth
 trajectory's matched id differs from its most recent earlier match.
 
 Ground-truth rows with the active flag 0 are ignore regions: they are
-excluded from FN counting and, by default, predictions matched to them are
-suppressed before scoring (``ignore_fp_suppression``).
+excluded from FN counting, and predictions matched to them are suppressed
+before scoring.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import GtEntry, box_rows, group_by_frame, pairwise_iou
 
+IOU_THRESHOLD = 0.5
 HOTA_ALPHAS = np.round(np.arange(0.05, 0.96, 0.05), 2)  # 19 thresholds
 
 
@@ -38,18 +41,35 @@ def _raise_repeated_identity(frame: int, gts: list[GtEntry], preds: list[GtEntry
                 raise ValueError(f"frame {frame}: {side} identity {ident} appears twice")
 
 
-def _frame_table(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
-                 suppress: bool = True) -> list[tuple[list[int], list[int], np.ndarray]]:
-    """Per frame, in frame order: active gt identities, prediction
-    identities, and their IoU matrix.
+@dataclass(frozen=True)
+class FrameTable:
+    """Per frame, in frame order: ``(gt index array, prediction index
+    array, IoU matrix)``; identity indices run over ``0..n_gt-1`` and
+    ``0..n_pred-1``."""
 
-    A prediction matched (Hungarian, IoU >= ``iou_threshold``) to an
-    inactive gt row is dropped when ``suppress`` is set.  An identity that
-    appears twice in one frame, on either side, raises ``ValueError``.
+    frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    n_gt: int
+    n_pred: int
+
+
+def _number(numbers: dict[int, int], entries: list[GtEntry]) -> np.ndarray:
+    """Index of each entry's identity; a new identity takes the next index."""
+    return np.array([numbers.setdefault(e.identity, len(numbers)) for e in entries],
+                    dtype=np.intp)
+
+
+def _frame_table(gt: list[GtEntry], pred: list[GtEntry]) -> FrameTable:
+    """The frame table of one sequence.
+
+    A prediction matched (Hungarian, IoU >= ``IOU_THRESHOLD``) to an
+    inactive gt row is dropped.  An identity that appears twice in one
+    frame, on either side, raises ``ValueError``.
     """
     gt_frames = group_by_frame(gt)
     pred_frames = group_by_frame(pred)
-    table = []
+    gt_number: dict[int, int] = {}
+    pred_number: dict[int, int] = {}
+    frames = []
     for f in sorted(set(gt_frames) | set(pred_frames)):
         gts_f = gt_frames.get(f, [])
         preds_f = pred_frames.get(f, [])
@@ -59,17 +79,17 @@ def _frame_table(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 
         active = [g for g in gts_f if g.active]
         ignored = [g for g in gts_f if not g.active]
         pred_boxes = box_rows(p.box for p in preds_f)
-        if suppress and ignored and preds_f:
+        if ignored and preds_f:
             ov = pairwise_iou(box_rows(g.box for g in ignored), pred_boxes)
-            cost = np.where(ov >= iou_threshold, 1.0 - ov, 1e5)
+            cost = np.where(ov >= IOU_THRESHOLD, 1.0 - ov, 1e5)
             rows, cols = linear_sum_assignment(cost)
             keep = np.ones(len(preds_f), dtype=bool)
             keep[cols[cost[rows, cols] < 1e5]] = False
             preds_f = [p for p, k in zip(preds_f, keep) if k]
             pred_boxes = pred_boxes[keep]
-        table.append(([g.identity for g in active], [p.identity for p in preds_f],
-                      pairwise_iou(box_rows(g.box for g in active), pred_boxes)))
-    return table
+        frames.append((_number(gt_number, active), _number(pred_number, preds_f),
+                       pairwise_iou(box_rows(g.box for g in active), pred_boxes)))
+    return FrameTable(frames, len(gt_number), len(pred_number))
 
 
 @dataclass
@@ -80,54 +100,52 @@ class ClearResult:
     idsw: int
     n_gt: int
 
+    @classmethod
+    def of(cls, fp: int, fn: int, idsw: int, n_gt: int) -> "ClearResult":
+        """MOTA = 1 - (FN + FP + IDSW) / total GT boxes."""
+        if n_gt == 0:
+            raise ValueError("MOTA undefined: no ground-truth boxes")
+        return cls(mota=1.0 - (fn + fp + idsw) / n_gt, fp=fp, fn=fn, idsw=idsw, n_gt=n_gt)
 
-def _score_clear(table, iou_threshold: float = 0.5) -> ClearResult:
+
+def _score_clear(table: FrameTable) -> ClearResult:
     """CLEAR counts and MOTA of a frame table."""
-    last_match: dict[int, int] = {}
+    last_match = [-1] * table.n_gt  # pred index of each gt index's latest match
     fp = fn = idsw = n_gt = 0
-    for g_ids, p_ids, sim in table:
+    for g_idx, p_idx, sim in table.frames:
+        g_ids, p_ids = g_idx.tolist(), p_idx.tolist()
         n_gt += len(g_ids)
-        matches: dict[int, int] = {}
+        matches: dict[int, int] = {}  # gt row -> prediction column
         used_pred: set[int] = set()
         # Continuity: keep last frame's correspondence while it still holds.
-        preds_by_id = {pid: j for j, pid in enumerate(p_ids)}
+        column = {pid: j for j, pid in enumerate(p_ids)}
         for gi, gid in enumerate(g_ids):
-            prev = last_match.get(gid)
-            if prev is None or prev not in preds_by_id:
-                continue
-            j = preds_by_id[prev]
-            if j not in used_pred and sim[gi, j] >= iou_threshold:
+            j = column.get(last_match[gid])
+            if j is not None and j not in used_pred and sim[gi, j] >= IOU_THRESHOLD:
                 matches[gi] = j
                 used_pred.add(j)
         rem_g = [gi for gi in range(len(g_ids)) if gi not in matches]
         rem_p = [j for j in range(len(p_ids)) if j not in used_pred]
         if rem_g and rem_p:
             sub = sim[np.ix_(rem_g, rem_p)]
-            cost = np.where(sub >= iou_threshold, 1.0 - sub, 1e5)
+            cost = np.where(sub >= IOU_THRESHOLD, 1.0 - sub, 1e5)
             rows, cols = linear_sum_assignment(cost)
             for a, b in zip(rows, cols):
                 if cost[a, b] < 1e5:
                     matches[rem_g[a]] = rem_p[b]
-                    used_pred.add(rem_p[b])
         for gi, j in matches.items():
-            gid = g_ids[gi]
-            pid = p_ids[j]
-            if gid in last_match and last_match[gid] != pid:
+            gid, pid = g_ids[gi], p_ids[j]
+            if last_match[gid] not in (-1, pid):
                 idsw += 1
             last_match[gid] = pid
         fn += len(g_ids) - len(matches)
         fp += len(p_ids) - len(matches)
-    if n_gt == 0:
-        raise ValueError("MOTA undefined: no ground-truth boxes")
-    mota = 1.0 - (fn + fp + idsw) / n_gt
-    return ClearResult(mota=mota, fp=fp, fn=fn, idsw=idsw, n_gt=n_gt)
+    return ClearResult.of(fp, fn, idsw, n_gt)
 
 
-def clear_metrics(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
-                  ignore_fp_suppression: bool = True) -> ClearResult:
+def clear_metrics(gt: list[GtEntry], pred: list[GtEntry]) -> ClearResult:
     """CLEAR counts and MOTA = 1 - (FN + FP + IDSW) / total GT boxes."""
-    return _score_clear(_frame_table(gt, pred, iou_threshold, ignore_fp_suppression),
-                        iou_threshold)
+    return _score_clear(_frame_table(gt, pred))
 
 
 @dataclass
@@ -139,61 +157,49 @@ class IdResult:
     idfp: int
     idfn: int
 
+    @classmethod
+    def of(cls, idtp: int, idfp: int, idfn: int) -> "IdResult":
+        """IDF1, IDP and IDR of the identity counts (0 where undefined)."""
+        denom = 2 * idtp + idfp + idfn
+        return cls(idf1=2 * idtp / denom if denom else 0.0,
+                   idp=idtp / (idtp + idfp) if idtp + idfp else 0.0,
+                   idr=idtp / (idtp + idfn) if idtp + idfn else 0.0,
+                   idtp=idtp, idfp=idfp, idfn=idfn)
 
-def _score_id(table, iou_threshold: float = 0.5) -> IdResult:
+
+def _score_id(table: FrameTable) -> IdResult:
     """Identity metrics of a frame table (see ``id_metrics``)."""
-    gt_len: dict[int, int] = {}
-    pr_len: dict[int, int] = {}
-    overlap: dict[tuple[int, int], int] = {}
-    for g_ids, p_ids, sim in table:
-        for gid in g_ids:
-            gt_len[gid] = gt_len.get(gid, 0) + 1
-        for pid in p_ids:
-            pr_len[pid] = pr_len.get(pid, 0) + 1
-        for gi, pj in zip(*np.nonzero(sim >= iou_threshold)):
-            key = (g_ids[gi], p_ids[pj])
-            overlap[key] = overlap.get(key, 0) + 1
-    gids = sorted(gt_len)
-    pids = sorted(pr_len)
-    n_g, n_p = len(gids), len(pids)
-    total_gt = sum(gt_len.values())
-    total_pr = sum(pr_len.values())
+    n_g, n_p = table.n_gt, table.n_pred
     if n_g == 0:
         raise ValueError("identity metrics undefined: no ground-truth trajectories")
+    gt_len = np.zeros(n_g, dtype=np.int64)
+    pr_len = np.zeros(n_p, dtype=np.int64)
+    overlap = np.zeros((n_g, n_p), dtype=np.int64)
+    for g_idx, p_idx, sim in table.frames:
+        gt_len[g_idx] += 1
+        pr_len[p_idx] += 1
+        gi, pj = np.nonzero(sim >= IOU_THRESHOLD)
+        overlap[g_idx[gi], p_idx[pj]] += 1  # each (gt, pred) pair once per frame
     # Square cost matrix with dummy rows/cols: pairing costs IDFP + IDFN.
-    size = n_g + n_p
-    cost = np.zeros((size, size))
-    for i, gid in enumerate(gids):
-        cost[i, n_p:] = gt_len[gid]
-        for j, pid in enumerate(pids):
-            m = overlap.get((gid, pid), 0)
-            cost[i, j] = gt_len[gid] + pr_len[pid] - 2 * m
-    for j, pid in enumerate(pids):
-        cost[n_g:, j] = pr_len[pid]
+    cost = np.zeros((n_g + n_p, n_g + n_p))
+    cost[:n_g, :n_p] = gt_len[:, None] + pr_len[None, :] - 2 * overlap
+    cost[:n_g, n_p:] = gt_len[:, None]
+    cost[n_g:, :n_p] = pr_len[None, :]
     rows, cols = linear_sum_assignment(cost)
-    idtp = 0
-    for r, c in zip(rows, cols):
-        if r < n_g and c < n_p:
-            idtp += overlap.get((gids[r], pids[c]), 0)
-    idfn = total_gt - idtp
-    idfp = total_pr - idtp
-    idf1 = 2 * idtp / (2 * idtp + idfp + idfn) if (2 * idtp + idfp + idfn) else 0.0
-    idp = idtp / total_pr if total_pr else 0.0
-    idr = idtp / total_gt if total_gt else 0.0
-    return IdResult(idf1=idf1, idp=idp, idr=idr, idtp=idtp, idfp=idfp, idfn=idfn)
+    paired = (rows < n_g) & (cols < n_p)
+    idtp = int(overlap[rows[paired], cols[paired]].sum())
+    return IdResult.of(idtp, int(pr_len.sum()) - idtp, int(gt_len.sum()) - idtp)
 
 
-def id_metrics(gt: list[GtEntry], pred: list[GtEntry], iou_threshold: float = 0.5,
-               ignore_fp_suppression: bool = True) -> IdResult:
+def id_metrics(gt: list[GtEntry], pred: list[GtEntry]) -> IdResult:
     """Identity metrics under the optimal trajectory-level bipartite pairing.
 
     A gt trajectory paired with a predicted trajectory scores one IDTP per
-    frame where both are present and overlap at least ``iou_threshold``.
+    frame where both are present and overlap at least ``IOU_THRESHOLD``.
     The pairing minimizes IDFP + IDFN over all assignments (dummy rows and
     columns allow trajectories to stay unpaired).
     """
-    return _score_id(_frame_table(gt, pred, iou_threshold, ignore_fp_suppression),
-                     iou_threshold)
+    return _score_id(_frame_table(gt, pred))
 
 
 @dataclass
@@ -215,14 +221,9 @@ def _hota_from_counts(tp, fn, fp, ass_sum):
     return float(hota_a.mean()), float(det_a.mean()), float(ass_a.mean())
 
 
-def _score_hota(table) -> HotaResult:
+def _score_hota(table: FrameTable) -> HotaResult:
     """HOTA family of a frame table (see ``hota_metrics``)."""
-    gid_index: dict[int, int] = {}
-    pid_index: dict[int, int] = {}
-    frames = [([gid_index.setdefault(g, len(gid_index)) for g in g_ids],
-               [pid_index.setdefault(p, len(pid_index)) for p in p_ids], sim)
-              for g_ids, p_ids, sim in table]
-    n_g, n_p = len(gid_index), len(pid_index)
+    frames, n_g, n_p = table.frames, table.n_gt, table.n_pred
     if n_g == 0:
         raise ValueError("HOTA undefined: no ground-truth boxes")
     n_alpha = len(HOTA_ALPHAS)
@@ -236,22 +237,22 @@ def _score_hota(table) -> HotaResult:
     potential = np.zeros((n_g, n_p))
     gt_count = np.zeros(n_g)
     pr_count = np.zeros(n_p)
-    for g_ids, p_ids, sim in frames:
-        if g_ids and p_ids:
+    for g_idx, p_idx, sim in frames:
+        if sim.size:
             denom = sim.sum(axis=0, keepdims=True) + sim.sum(axis=1, keepdims=True) - sim
             ratio = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
-            potential[np.ix_(g_ids, p_ids)] += ratio
-        gt_count[g_ids] += 1
-        pr_count[p_ids] += 1
+            potential[np.ix_(g_idx, p_idx)] += ratio
+        gt_count[g_idx] += 1
+        pr_count[p_idx] += 1
     alignment = potential / np.maximum(gt_count[:, None] + pr_count[None, :] - potential, 1e-12)
 
     # Pass 2: one alignment-weighted Hungarian match per frame; the matched
     # pairs of all frames are then thresholded at every alpha at once.
     matched = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
-    for g_ids, p_ids, sim in frames:
-        if g_ids and p_ids:
-            rows, cols = linear_sum_assignment(-(alignment[np.ix_(g_ids, p_ids)] * sim))
-            matched.append((np.asarray(g_ids)[rows], np.asarray(p_ids)[cols], sim[rows, cols]))
+    for g_idx, p_idx, sim in frames:
+        if sim.size:
+            rows, cols = linear_sum_assignment(-(alignment[np.ix_(g_idx, p_idx)] * sim))
+            matched.append((g_idx[rows], p_idx[cols], sim[rows, cols]))
     match_g, match_p, match_iou = (np.concatenate(c) for c in zip(*matched))
     hit = match_iou[None, :] >= (HOTA_ALPHAS - 1e-12)[:, None]  # (alpha, match)
     tp = hit.sum(axis=1).astype(np.float64)
@@ -268,15 +269,14 @@ def _score_hota(table) -> HotaResult:
     return HotaResult(hota, deta, assa, tp=tp, fn=fn, fp=fp, ass_sum=ass_sum)
 
 
-def hota_metrics(gt: list[GtEntry], pred: list[GtEntry],
-                 ignore_fp_suppression: bool = True) -> HotaResult:
+def hota_metrics(gt: list[GtEntry], pred: list[GtEntry]) -> HotaResult:
     """HOTA averaged over 19 localization thresholds, with DetA and AssA.
 
     Follows the published two-pass procedure: a global alignment score per
     (gt id, pred id) guides per-frame Hungarian matching at each threshold;
     the association score of a matched pair is TPA / (TPA + FNA + FPA).
     """
-    return _score_hota(_frame_table(gt, pred, 0.5, ignore_fp_suppression))
+    return _score_hota(_frame_table(gt, pred))
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +318,6 @@ def tpr_at_far(vset: VerificationSet, far_levels=(0.1, 0.01, 0.001)) -> dict[flo
     return out
 
 
-def build_verification_set(features_by_identity: dict[int, list[np.ndarray]],
-                           n_pairs: int = 10000, seed: int = 0) -> VerificationSet:
-    """Sample same/different-identity pairs scored by cosine similarity."""
-    rng = np.random.default_rng(seed)
-    idents = sorted(k for k, v in features_by_identity.items() if len(v) >= 1)
-    multi = [k for k in idents if len(features_by_identity[k]) >= 2]
-    if len(multi) == 0 or len(idents) < 2:
-        raise ValueError("need at least one identity with 2+ features and 2 identities")
-    pos, neg = [], []
-    for _ in range(n_pairs):
-        k = multi[rng.integers(len(multi))]
-        feats = features_by_identity[k]
-        i, j = rng.choice(len(feats), size=2, replace=False)
-        pos.append(float(np.dot(feats[i], feats[j]) /
-                         (np.linalg.norm(feats[i]) * np.linalg.norm(feats[j]))))
-        a, b = rng.choice(len(idents), size=2, replace=False)
-        fa = features_by_identity[idents[a]]
-        fb = features_by_identity[idents[b]]
-        u = fa[rng.integers(len(fa))]
-        v = fb[rng.integers(len(fb))]
-        neg.append(float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))))
-    return VerificationSet(np.array(pos), np.array(neg))
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -356,6 +332,11 @@ class SequenceMetrics:
     ids: IdResult
     hota: HotaResult
 
+    def row(self) -> tuple:
+        """The values of ``REPORT_COLUMNS``, in order."""
+        return (self.clear.mota, self.clear.fn, self.clear.fp, self.clear.idsw,
+                self.hota.hota, self.hota.assa, self.ids.idr, self.ids.idp, self.ids.idf1)
+
 
 @dataclass
 class MetricsReport:
@@ -365,39 +346,22 @@ class MetricsReport:
         """Pool raw counts across sequences and recompute every rate."""
         if not self.sequences:
             raise ValueError("empty report")
-        fp = sum(s.clear.fp for s in self.sequences)
-        fn = sum(s.clear.fn for s in self.sequences)
-        idsw = sum(s.clear.idsw for s in self.sequences)
-        n_gt = sum(s.clear.n_gt for s in self.sequences)
-        clear = ClearResult(mota=1.0 - (fn + fp + idsw) / n_gt, fp=fp, fn=fn,
-                            idsw=idsw, n_gt=n_gt)
-        idtp = sum(s.ids.idtp for s in self.sequences)
-        idfp = sum(s.ids.idfp for s in self.sequences)
-        idfn = sum(s.ids.idfn for s in self.sequences)
-        denom = 2 * idtp + idfp + idfn
-        ids = IdResult(
-            idf1=2 * idtp / denom if denom else 0.0,
-            idp=idtp / (idtp + idfp) if idtp + idfp else 0.0,
-            idr=idtp / (idtp + idfn) if idtp + idfn else 0.0,
-            idtp=idtp, idfp=idfp, idfn=idfn,
-        )
-        tp = sum(s.hota.tp for s in self.sequences)
-        fn_a = sum(s.hota.fn for s in self.sequences)
-        fp_a = sum(s.hota.fp for s in self.sequences)
-        ass = sum(s.hota.ass_sum for s in self.sequences)
-        hota, deta, assa = _hota_from_counts(tp, fn_a, fp_a, ass)
-        return SequenceMetrics(name="AGGREGATE", clear=clear, ids=ids,
-                               hota=HotaResult(hota, deta, assa, tp, fn_a, fp_a, ass))
 
-    def _row_values(self, s: SequenceMetrics):
-        return (s.clear.mota, s.clear.fn, s.clear.fp, s.clear.idsw,
-                s.hota.hota, s.hota.assa, s.ids.idr, s.ids.idp, s.ids.idf1)
+
+        def totals(part, names):
+            return [sum(getattr(getattr(s, part), k) for s in self.sequences) for k in names]
+
+        clear = ClearResult.of(*totals("clear", ("fp", "fn", "idsw", "n_gt")))
+        ids = IdResult.of(*totals("ids", ("idtp", "idfp", "idfn")))
+        counts = totals("hota", ("tp", "fn", "fp", "ass_sum"))
+        return SequenceMetrics(name="AGGREGATE", clear=clear, ids=ids,
+                               hota=HotaResult(*_hota_from_counts(*counts), *counts))
 
     def to_csv(self) -> str:
         header = "sequence," + ",".join(c.lower() for c in REPORT_COLUMNS) + ",deta,gt"
         lines = [header]
         for s in [*self.sequences, self.aggregate()]:
-            mota, fn, fp, idsw, hota, assa, idr, idp, idf1 = self._row_values(s)
+            mota, fn, fp, idsw, hota, assa, idr, idp, idf1 = s.row()
             lines.append(
                 f"{s.name},{mota:.6f},{fn},{fp},{idsw},{hota:.6f},{assa:.6f},"
                 f"{idr:.6f},{idp:.6f},{idf1:.6f},{s.hota.deta:.6f},{s.clear.n_gt}"
@@ -410,9 +374,8 @@ class MetricsReport:
         head = "sequence".ljust(name_w) + "".join(c.rjust(w) for c, w in zip(REPORT_COLUMNS, widths))
         lines = [head, "-" * len(head)]
         for s in [*self.sequences, self.aggregate()]:
-            vals = self._row_values(s)
             cells = []
-            for v, w in zip(vals, widths):
+            for v, w in zip(s.row(), widths):
                 cells.append((f"{v:.3f}" if isinstance(v, float) else str(v)).rjust(w))
             lines.append(s.name.ljust(name_w) + "".join(cells))
         return "\n".join(lines) + "\n"
@@ -422,8 +385,8 @@ def evaluate_sequences(named_pairs: list[tuple[str, list[GtEntry], list[GtEntry]
                        ) -> MetricsReport:
     """Score (name, gt, pred) triples; rows are sorted by sequence name.
 
-    Each sequence's frame table is built once, at IoU 0.5 with ignore-region
-    suppression, and scored by CLEAR, ID and HOTA.
+    Each sequence's frame table is built once and scored by CLEAR, ID and
+    HOTA.
     """
     rows = []
     for name, gt, pred in sorted(named_pairs, key=lambda x: x[0]):

@@ -394,10 +394,9 @@ def _emit_observation(card: IdentityCard, occ: float, frame: int,
     return Detection(frame=frame, box=box, confidence=conf, embedding=emb, attr_obs=attr)
 
 
-def observe_frame(bundle: SequenceBundle, frame: int,
-                  config: WorldConfig | None = None) -> list[Detection]:
+def observe_frame(bundle: SequenceBundle, frame: int) -> list[Detection]:
     """Noisy detections for one 1-based frame, deterministic per (seed, frame)."""
-    config = config or bundle.config
+    config = bundle.config
     if not 1 <= frame <= config.n_frames:
         raise ValueError(f"frame {frame} out of range 1..{config.n_frames}")
     rng = _rng(config, _STREAM_OBSERVE, frame)
@@ -427,10 +426,8 @@ def observe_frame(bundle: SequenceBundle, frame: int,
     return out
 
 
-def observe_all_frames(bundle: SequenceBundle,
-                       config: WorldConfig | None = None) -> dict[int, list[Detection]]:
-    config = config or bundle.config
-    return {f: observe_frame(bundle, f, config) for f in range(1, config.n_frames + 1)}
+def observe_all_frames(bundle: SequenceBundle) -> dict[int, list[Detection]]:
+    return {f: observe_frame(bundle, f) for f in range(1, bundle.config.n_frames + 1)}
 
 
 def generate_benchmark(config: WorldConfig, n_sequences: int) -> list[SequenceBundle]:

@@ -273,7 +273,7 @@ class TestIdentityLoss:
         assert identity_loss(e, 2, params) == pytest.approx(math.log(4), abs=1e-9)
 
     def test_monotone_in_margin(self):
-        params = FusionParams.init(4, n_identities=2, n_tokens=4, adaptor_scale=0.0)
+        params = zero_adaptor(FusionParams.init(4, n_identities=2, n_tokens=4))
         e = np.array([1.0, 0.0, 0.0, 0.0])
         losses = []
         for margin in (1.0, 2.0, 4.0):
