@@ -37,10 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-
-from .core import COST_MODES, N_ATTRIBUTES, BBox, Detection, GtEntry, box_rows, pairwise_iou
-from .fusion import predict_attributes
+from .core import (COST_MODES, N_ATTRIBUTES, BBox, Detection, GtEntry, box_rows,
+                   linear_sum_assignment, pairwise_iou)
 
 CHI2_95_4DOF = 9.4877
 INF_COST = 1e5
@@ -325,6 +323,14 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / norms[:, None]
 
 
+def predict_attributes(e1, a1_raw, strategy, params):
+    """``fusion.predict_attributes``, imported on first use: a tracker that
+    reads observed attributes never loads the fusion head."""
+    from .fusion import predict_attributes as predict
+
+    return predict(e1, a1_raw, strategy, params)
+
+
 def _stack_attrs(detections: list[Detection], config: AssocConfig,
                  fusion_params) -> np.ndarray:
     """(N, 32) attribute vectors: observed, or predicted by the fusion head
@@ -439,20 +445,13 @@ def solve_assignment(cost: np.ndarray, infeasible: np.ndarray | None = None,
     n_r, n_c = cost.shape
     if n_r == 0 or n_c == 0:
         return [], list(range(n_r)), list(range(n_c))
-    work = cost.copy()
-    if infeasible is not None:
-        work[infeasible] = INF_COST
+    work = cost if infeasible is None else np.where(infeasible, INF_COST, cost)
     rows, cols = linear_sum_assignment(work)
-    matches = []
-    unmatched_rows = set(range(n_r))
-    unmatched_cols = set(range(n_c))
-    for r, c in zip(rows, cols):
-        if work[r, c] >= INF_COST or cost[r, c] > threshold:
-            continue
-        matches.append((int(r), int(c)))
-        unmatched_rows.discard(int(r))
-        unmatched_cols.discard(int(c))
-    return matches, sorted(unmatched_rows), sorted(unmatched_cols)
+    keep = (work[rows, cols] < INF_COST) & ~(cost[rows, cols] > threshold)
+    rows, cols = rows[keep].tolist(), cols[keep].tolist()
+    matched_rows, matched_cols = set(rows), set(cols)
+    return (list(zip(rows, cols)), [r for r in range(n_r) if r not in matched_rows],
+            [c for c in range(n_c) if c not in matched_cols])
 
 
 # ---------------------------------------------------------------------------

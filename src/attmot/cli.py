@@ -2,7 +2,10 @@
 run trackers, evaluate and run ablation matrices.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
-Each command imports only the modules it runs, so ``generate`` loads no scipy.
+Each command imports only the modules it runs.  The assignment solver is
+attmot's own (``core.linear_sum_assignment``), so ``generate``, ``eval`` and
+``track`` load no scipy; only the fusion head's tape does (``train``,
+``ablate``, ``verify`` and ``track --attr-source fusion``).
 """
 from __future__ import annotations
 
@@ -149,16 +152,26 @@ def _track_sequence(frames, config, fusion_params) -> str:
     return motio.write_mot_file(assoc.outputs_to_entries(outputs))
 
 
-def cmd_track(bench_dir: str, config, params_path: str | None, out_dir: str) -> None:
-    from . import fusion
+def _check_head_dim(params_path: str, dim: int, seq_dirs: list[Path]) -> None:
+    """Every sequence's feature sidecar must hold the head's dimension."""
+    for seq_dir in seq_dirs:
+        feats = seq_dir / "feats.csv"
+        if feats.is_file() and (feat_dim := motio.parse_feature_dim(feats)) != dim:
+            raise CliError(f"fusion head {params_path} has dimension {dim}, but {feats} "
+                           f"holds embeddings of dimension {feat_dim}")
 
+
+def cmd_track(bench_dir: str, config, params_path: str | None, out_dir: str) -> None:
     bench = Path(bench_dir)
     seq_dirs = _sequence_dirs(bench)
     fusion_params = None
     if config.attr_source == "fusion":
+        from . import fusion
+
         if not params_path:
             raise CliError("--params is required with --attr-source fusion")
         fusion_params = fusion.load_fusion_head(params_path)
+        _check_head_dim(params_path, fusion_params[0].dim, seq_dirs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seq_dir in seq_dirs:
@@ -175,13 +188,14 @@ def cmd_track(bench_dir: str, config, params_path: str | None, out_dir: str) -> 
 def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None):
     from . import metrics
 
-    res = Path(res_dir)
-    pairs = []
-    for seq_dir in _sequence_dirs(Path(gt_dir)):
-        res_file = res / f"{seq_dir.name}.txt"
-        pred = motio.parse_mot_file(res_file, kind="gt") if res_file.is_file() else []
-        pairs.append((seq_dir.name, _load_gt(seq_dir), pred))
-    report = metrics.evaluate_sequences(pairs)
+    seq_dirs = _sequence_dirs(Path(gt_dir))
+    res_files = [Path(res_dir) / f"{seq_dir.name}.txt" for seq_dir in seq_dirs]
+    missing = [str(f) for f in res_files if not f.is_file()]
+    if missing:
+        raise CliError("missing result file(s): " + ", ".join(missing))
+    report = metrics.evaluate_sequences([
+        (seq_dir.name, _load_gt(seq_dir), motio.parse_mot_file(res_file, kind="gt"))
+        for seq_dir, res_file in zip(seq_dirs, res_files)])
     if out_csv:
         Path(out_csv).write_text(report.to_csv(), encoding="ascii")
     print(report.to_table(), end="")

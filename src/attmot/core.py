@@ -111,28 +111,144 @@ def box_rows(boxes) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
+def _intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    w = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    h = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    return np.where((w > 0) & (h > 0), w * h, 0.0)
+
+
 def pairwise_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., N, M) intersection areas between (..., N, 4) and (..., M, 4)
     arrays of (left, top, width, height) rows; leading axes broadcast.
 
     Entry (i, j) is exactly ``intersection_area`` of the two boxes.
     """
-    a, b = a[..., :, None, :], b[..., None, :, :]
-    w = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    h = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    return np.where((w > 0) & (h > 0), w * h, 0.0)
+    return _intersection(a[..., :, None, :], b[..., None, :, :])
+
+
+def row_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each pair of (left, top, width, height) rows of two arrays
+    that broadcast against each other.
+
+    Each entry is exactly ``iou`` of its two boxes: the same operations in
+    the same order, the clamp to 1 included.
+    """
+    inter = _intersection(a, b)
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    return np.where(inter > 0.0, np.minimum(inter / union, 1.0), 0.0)
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(N, M) IoU matrix between (N, 4) and (M, 4) arrays of
-    (left, top, width, height) rows.
+    (left, top, width, height) rows; entry (i, j) is ``row_iou`` of row i
+    of ``a`` and row j of ``b``."""
+    return row_iou(a[:, None, :], b[None, :, :])
 
-    Entry (i, j) is exactly ``iou`` of the two boxes: the same operations
-    in the same order, the clamp to 1 included.
+
+def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of a rectangular cost matrix.
+
+    A port of the shortest-augmenting-path method of
+    ``scipy.optimize.linear_sum_assignment`` (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016) that returns the
+    same ``(rows, cols)``, ties included: each search scans the remaining
+    columns in scipy's order and prefers a free column among equal minima.
+    A tall matrix is solved transposed, and the pairs are sorted by row.
+    ``+inf`` marks a forbidden pair; a matrix with no complete assignment
+    of finite cost, or with a NaN or ``-inf`` entry, raises ``ValueError``.
     """
-    inter = pairwise_intersection(a, b)
-    union = (a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter
-    return np.where(inter > 0.0, np.minimum(inter / union, 1.0), 0.0)
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"expected a matrix (2-D array), got a {cost.ndim}-D array")
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    n_r, n_c = cost.shape
+    if n_r == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    lows = cost.min(axis=1)                    # NaN where a row holds one
+    if not (lows > -math.inf).all():
+        raise ValueError("matrix contains invalid numeric entries")
+    first, lows = cost.argmin(axis=1).tolist(), lows.tolist()
+    rows = None                                # cost as lists, once a row needs them
+    inf = math.inf
+    u = [0.0] * n_r
+    v = [0.0] * n_c
+    col4row = [-1] * n_r
+    row4col = [-1] * n_c
+    path = [-1] * n_c
+    v_zero = True
+    for cur in range(n_r):
+        # The search's first step prices every column at row - v (u[cur] is
+        # still 0) and, among equal minima, takes the smallest free column,
+        # else the largest.  A free pick ends the path at length one.
+        j = first[cur]
+        if v_zero and row4col[j] < 0:
+            low = lows[cur]
+        else:
+            if rows is None:
+                rows = cost.tolist()
+            reduced = rows[cur] if v_zero else [c - vj for c, vj in zip(rows[cur], v)]
+            low = min(reduced)
+            j = reduced.index(low)
+            if row4col[j] >= 0:
+                j = next((k for k in range(j + 1, n_c)
+                          if reduced[k] == low and row4col[k] < 0), -1)
+        if low == inf:
+            raise ValueError("cost matrix is infeasible")
+        if j >= 0:
+            u[cur] = low
+            row4col[j] = cur
+            col4row[cur] = j
+            continue
+
+        # The general shortest augmenting path from row cur.
+        v_zero = False
+        spc = [inf] * n_c                      # shortest path cost to each column
+        remaining = list(range(n_c - 1, -1, -1))
+        visited_rows, visited_cols = [], []
+        min_val = 0.0
+        i = cur
+        while True:
+            row, ui = rows[i], u[i]
+            lowest, index = inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            visited_cols.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            visited_rows.append(i)
+
+        u[cur] += min_val
+        for i in visited_rows:
+            u[i] += min_val - spc[col4row[i]]
+        for k in visited_cols:
+            v[k] -= min_val - spc[k]
+        while True:                            # augment along the path to j
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+
+    cols = np.array(col4row, dtype=np.int64)
+    if transpose:
+        order = np.argsort(cols)
+        return cols[order], order
+    return np.arange(n_r, dtype=np.int64), cols
 
 
 def occlusion_fraction(target: BBox, occluder: BBox) -> float:

@@ -21,21 +21,20 @@ before scoring.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-
-from .core import GtEntry, box_rows, group_by_frame, pairwise_iou
+from .core import GtEntry, linear_sum_assignment, pairwise_iou, row_iou
 
 IOU_THRESHOLD = 0.5
 HOTA_ALPHAS = np.round(np.arange(0.05, 0.96, 0.05), 2)  # 19 thresholds
 
 
-def _raise_repeated_identity(frame: int, gts: list[GtEntry], preds: list[GtEntry]) -> None:
-    for side, rows in (("gt", gts), ("prediction", preds)):
-        ids = [e.identity for e in rows]
+def _raise_repeated_identity(frame: int, gt: list[GtEntry], pred: list[GtEntry]) -> None:
+    for side, entries in (("gt", gt), ("prediction", pred)):
+        ids = [e.identity for e in entries if e.frame == frame]
         for ident in ids:
             if ids.count(ident) > 1:
                 raise ValueError(f"frame {frame}: {side} identity {ident} appears twice")
@@ -52,44 +51,80 @@ class FrameTable:
     n_pred: int
 
 
-def _number(numbers: dict[int, int], entries: list[GtEntry]) -> np.ndarray:
-    """Index of each entry's identity; a new identity takes the next index."""
-    return np.array([numbers.setdefault(e.identity, len(numbers)) for e in entries],
-                    dtype=np.intp)
+def _rows(entries: list[GtEntry]):
+    """Frame, identity and active-flag columns and (left, top, width,
+    height) rows of the entries, stably sorted by frame."""
+    frame = np.array([e.frame for e in entries], dtype=np.int64)
+    order = np.argsort(frame, kind="stable")
+    entries = [entries[k] for k in order.tolist()]
+    boxes = np.fromiter(itertools.chain.from_iterable(
+        (b.left, b.top, b.width, b.height) for b in (e.box for e in entries)),
+        dtype=np.float64, count=4 * len(entries)).reshape(-1, 4)
+    return (frame[order], np.array([e.identity for e in entries], dtype=np.int64),
+            np.array([e.active for e in entries], dtype=bool), boxes)
+
+
+def _repeat_frame(frames: np.ndarray, ids: np.ndarray) -> float:
+    """The first frame in which an identity repeats (inf if none)."""
+    order = np.lexsort((ids, frames))
+    f, i = frames[order], ids[order]
+    repeat = (f[1:] == f[:-1]) & (i[1:] == i[:-1])
+    return f[1:][repeat].min() if repeat.any() else math.inf
+
+
+def _number(ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Index of each identity, numbered in order of first appearance."""
+    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(len(uniq), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(uniq))
+    return rank[inverse], len(uniq)
 
 
 def _frame_table(gt: list[GtEntry], pred: list[GtEntry]) -> FrameTable:
     """The frame table of one sequence.
 
-    A prediction matched (Hungarian, IoU >= ``IOU_THRESHOLD``) to an
-    inactive gt row is dropped.  An identity that appears twice in one
-    frame, on either side, raises ``ValueError``.
+    Each side's columns are built once; the IoU of every same-frame
+    (active gt, prediction) pair is one elementwise pass, and each frame
+    holds views of it.  A prediction matched (Hungarian, IoU >=
+    ``IOU_THRESHOLD``) to an inactive gt row is dropped.  An identity that
+    appears twice in one frame, on either side, raises ``ValueError``.
     """
-    gt_frames = group_by_frame(gt)
-    pred_frames = group_by_frame(pred)
-    gt_number: dict[int, int] = {}
-    pred_number: dict[int, int] = {}
-    frames = []
-    for f in sorted(set(gt_frames) | set(pred_frames)):
-        gts_f = gt_frames.get(f, [])
-        preds_f = pred_frames.get(f, [])
-        if (len({g.identity for g in gts_f}) + len({p.identity for p in preds_f})
-                != len(gts_f) + len(preds_f)):
-            _raise_repeated_identity(f, gts_f, preds_f)
-        active = [g for g in gts_f if g.active]
-        ignored = [g for g in gts_f if not g.active]
-        pred_boxes = box_rows(p.box for p in preds_f)
-        if ignored and preds_f:
-            ov = pairwise_iou(box_rows(g.box for g in ignored), pred_boxes)
-            cost = np.where(ov >= IOU_THRESHOLD, 1.0 - ov, 1e5)
-            rows, cols = linear_sum_assignment(cost)
-            keep = np.ones(len(preds_f), dtype=bool)
-            keep[cols[cost[rows, cols] < 1e5]] = False
-            preds_f = [p for p, k in zip(preds_f, keep) if k]
-            pred_boxes = pred_boxes[keep]
-        frames.append((_number(gt_number, active), _number(pred_number, preds_f),
-                       pairwise_iou(box_rows(g.box for g in active), pred_boxes)))
-    return FrameTable(frames, len(gt_number), len(pred_number))
+    g_frame, g_id, g_active, g_box = _rows(gt)
+    p_frame, p_id, _, p_box = _rows(pred)
+    repeat = min(_repeat_frame(g_frame, g_id), _repeat_frame(p_frame, p_id))
+    if repeat < math.inf:
+        _raise_repeated_identity(int(repeat), gt, pred)
+    frames = np.union1d(g_frame, p_frame)
+
+    keep = np.ones(len(p_frame), dtype=bool)
+    ignored = ~g_active
+    for f in np.intersect1d(g_frame[ignored], p_frame).tolist():
+        ig = g_box[ignored & (g_frame == f)]
+        in_f = np.flatnonzero(p_frame == f)
+        ov = pairwise_iou(ig, p_box[in_f])
+        cost = np.where(ov >= IOU_THRESHOLD, 1.0 - ov, 1e5)
+        rows, cols = linear_sum_assignment(cost)
+        keep[in_f[cols[cost[rows, cols] < 1e5]]] = False
+    g_frame, g_box = g_frame[g_active], g_box[g_active]
+    p_frame, p_box = p_frame[keep], p_box[keep]
+    g_num, n_gt = _number(g_id[g_active])
+    p_num, n_pred = _number(p_id[keep])
+
+    # Segment k of a side holds its rows of frames[k]; the pairs of frame k
+    # are its gt rows times its prediction rows, row-major.
+    g_lo, g_hi = np.searchsorted(g_frame, frames), np.searchsorted(g_frame, frames, "right")
+    p_lo, p_hi = np.searchsorted(p_frame, frames), np.searchsorted(p_frame, frames, "right")
+    n_g, n_p = g_hi - g_lo, p_hi - p_lo
+    sizes = n_g * n_p
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(len(frames)), sizes)
+    pos = np.arange(sizes.sum()) - starts[seg]
+    sim = row_iou(g_box[g_lo[seg] + pos // n_p[seg]], p_box[p_lo[seg] + pos % n_p[seg]])
+    table = [(g_num[gl:gh], p_num[pl:ph], sim[s:s + a * b].reshape(a, b))
+             for gl, gh, pl, ph, a, b, s in zip(g_lo.tolist(), g_hi.tolist(), p_lo.tolist(),
+                                                p_hi.tolist(), n_g.tolist(), n_p.tolist(),
+                                                starts.tolist())]
+    return FrameTable(table, n_gt, n_pred)
 
 
 @dataclass
@@ -180,14 +215,10 @@ def _score_id(table: FrameTable) -> IdResult:
         pr_len[p_idx] += 1
         gi, pj = np.nonzero(sim >= IOU_THRESHOLD)
         overlap[g_idx[gi], p_idx[pj]] += 1  # each (gt, pred) pair once per frame
-    # Square cost matrix with dummy rows/cols: pairing costs IDFP + IDFN.
-    cost = np.zeros((n_g + n_p, n_g + n_p))
-    cost[:n_g, :n_p] = gt_len[:, None] + pr_len[None, :] - 2 * overlap
-    cost[:n_g, n_p:] = gt_len[:, None]
-    cost[n_g:, :n_p] = pr_len[None, :]
-    rows, cols = linear_sum_assignment(cost)
-    paired = (rows < n_g) & (cols < n_p)
-    idtp = int(overlap[rows[paired], cols[paired]].sum())
+    # Pairing gt i with prediction j saves 2 * overlap[i, j] of IDFP + IDFN,
+    # so the maximum-overlap pairing minimizes IDFP + IDFN.
+    rows, cols = linear_sum_assignment(-overlap)
+    idtp = int(overlap[rows, cols].sum())
     return IdResult.of(idtp, int(pr_len.sum()) - idtp, int(gt_len.sum()) - idtp)
 
 
@@ -196,8 +227,9 @@ def id_metrics(gt: list[GtEntry], pred: list[GtEntry]) -> IdResult:
 
     A gt trajectory paired with a predicted trajectory scores one IDTP per
     frame where both are present and overlap at least ``IOU_THRESHOLD``.
-    The pairing minimizes IDFP + IDFN over all assignments (dummy rows and
-    columns allow trajectories to stay unpaired).
+    The pairing minimizes IDFP + IDFN: pairing gt ``i`` with prediction
+    ``j`` saves twice their overlap, so it is the ``n_gt x n_pred``
+    maximum-overlap assignment.
     """
     return _score_id(_frame_table(gt, pred))
 
@@ -241,7 +273,7 @@ def _score_hota(table: FrameTable) -> HotaResult:
         if sim.size:
             denom = sim.sum(axis=0, keepdims=True) + sim.sum(axis=1, keepdims=True) - sim
             ratio = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
-            potential[np.ix_(g_idx, p_idx)] += ratio
+            potential[g_idx[:, None], p_idx] += ratio
         gt_count[g_idx] += 1
         pr_count[p_idx] += 1
     alignment = potential / np.maximum(gt_count[:, None] + pr_count[None, :] - potential, 1e-12)
@@ -251,7 +283,7 @@ def _score_hota(table: FrameTable) -> HotaResult:
     matched = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
     for g_idx, p_idx, sim in frames:
         if sim.size:
-            rows, cols = linear_sum_assignment(-(alignment[np.ix_(g_idx, p_idx)] * sim))
+            rows, cols = linear_sum_assignment(-(alignment[g_idx[:, None], p_idx] * sim))
             matched.append((g_idx[rows], p_idx[cols], sim[rows, cols]))
     match_g, match_p, match_iou = (np.concatenate(c) for c in zip(*matched))
     hit = match_iou[None, :] >= (HOTA_ALPHAS - 1e-12)[:, None]  # (alpha, match)

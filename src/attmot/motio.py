@@ -279,15 +279,9 @@ def _parse_feature_table(body: list[tuple[int, str]], width: int) -> np.ndarray:
     raise MotFormatError("feature rows could not be converted")
 
 
-@_names_file
-def parse_feature_file(source, detections: list[Detection]) -> list[Detection]:
-    """Join a feature sidecar onto detections parsed from the det file.
-
-    The sidecar must have exactly one row per detection, in the same order.
-    Returns new Detection values carrying embedding and attr_obs.
-    """
-    lines = [(n, ln.strip()) for n, ln in enumerate(_open_lines(source), start=1)]
-    lines = [(n, ln) for n, ln in lines if ln]
+def _header_dim(lines: list[tuple[int, str]]) -> int:
+    """Embedding dimension of a feature sidecar from its first non-blank
+    ``(line number, text)``, if any."""
     if not lines or not lines[0][1].startswith(FEAT_HEADER_PREFIX):
         raise MotFormatError("feature file missing header")
     header_no, header = lines[0]
@@ -297,6 +291,28 @@ def parse_feature_file(source, detections: list[Detection]) -> list[Detection]:
         raise MotFormatError(f"bad feature header at line {header_no}: {exc}") from None
     if dim < 0:
         raise MotFormatError(f"negative embedding dimension at line {header_no}")
+    return dim
+
+
+@_names_file
+def parse_feature_dim(source) -> int:
+    """Embedding dimension of a feature sidecar, read from its header alone."""
+    for lineno, line in enumerate(_open_lines(source), start=1):
+        if line.strip():
+            return _header_dim([(lineno, line.strip())])
+    return _header_dim([])
+
+
+@_names_file
+def parse_feature_file(source, detections: list[Detection]) -> list[Detection]:
+    """Join a feature sidecar onto detections parsed from the det file.
+
+    The sidecar must have exactly one row per detection, in the same order.
+    Returns new Detection values carrying embedding and attr_obs.
+    """
+    lines = [(n, ln.strip()) for n, ln in enumerate(_open_lines(source), start=1)]
+    lines = [(n, ln) for n, ln in lines if ln]
+    dim = _header_dim(lines[:1])
     body = lines[1:]
     if len(body) != len(detections):
         raise MotFormatError(

@@ -123,6 +123,33 @@ class TestTrackEval:
         assert main(["track", "-b", str(bench), "--mode", "attr",
                      "--attr-source", "fusion", "-o", str(tmp_path / "x")]) == 1
 
+    def test_fusion_head_dimension_must_match_sidecar(self, bench, tmp_path, capsys):
+        from attmot import fusion
+
+        head = tmp_path / "h16.bin"
+        fusion.save_fusion_head(head, fusion.FusionParams.random(16, n_identities=3,
+                                                                 n_tokens=4, seed=1))
+        out = tmp_path / "x"
+        assert main(["track", "-b", str(bench), "--mode", "attr", "--attr-source", "fusion",
+                     "--params", str(head), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dimension 16" in err and "dimension 32" in err
+        assert not out.exists()
+
+    def test_eval_refuses_missing_result_files(self, bench, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["track", "-b", str(bench), "--mode", "iou", "-o", str(runs)]) == 0
+        (runs / "seq-0001.txt").unlink()
+        report = tmp_path / "report.csv"
+        assert main(["eval", "--gt", str(bench), "--res", str(runs), "-o", str(report)]) == 1
+        assert str(runs / "seq-0001.txt") in capsys.readouterr().err
+        assert not report.exists()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["eval", "--gt", str(bench), "--res", str(empty)]) == 1
+        err = capsys.readouterr().err
+        assert str(empty / "seq-0000.txt") in err and str(empty / "seq-0001.txt") in err
+
 
 class TestTrain:
     def test_train_writes_deterministic_artifacts(self, bench, tmp_path):
@@ -252,21 +279,40 @@ class TestCommandImports:
         return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                               text=True, timeout=300)
 
-    def test_generate_loads_no_scipy_and_no_tracking_modules(self, tmp_path):
-        cfg = tmp_path / "world.cfg"
-        cfg.write_text(WORLD_CFG)
+    def loaded(self, *argv) -> list[str]:
+        """Modules loaded by one command in a fresh interpreter."""
         code = ("import sys; from attmot.cli import main; "
-                f"rc = main(['generate', '-c', {str(cfg)!r}, '-o', {str(tmp_path / 'b')!r}]); "
+                f"rc = main({list(map(str, argv))!r}); "
                 "print(rc); print(' '.join(sorted(sys.modules)))")
         proc = self.run("-c", code)
         assert proc.returncode == 0, proc.stderr
         rc, modules = proc.stdout.splitlines()[-2:]
         assert rc == "0"
-        loaded = modules.split()
+        return modules.split()
+
+    @staticmethod
+    def scipy_modules(loaded: list[str]) -> list[str]:
+        return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+    def test_generate_loads_no_scipy_and_no_tracking_modules(self, tmp_path):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(WORLD_CFG)
+        loaded = self.loaded("generate", "-c", cfg, "-o", tmp_path / "b")
         assert "attmot.synthgen" in loaded and "attmot.motio" in loaded
-        unwanted = [m for m in loaded if m == "scipy" or m.startswith("scipy.")
-                    or m in ("attmot.assoc", "attmot.metrics", "attmot.fusion", "attmot.autodiff")]
+        unwanted = self.scipy_modules(loaded) + [
+            m for m in loaded
+            if m in ("attmot.assoc", "attmot.metrics", "attmot.fusion", "attmot.autodiff")]
         assert unwanted == []
+
+    def test_track_and_eval_load_no_scipy(self, bench, tmp_path):
+        runs = tmp_path / "runs"
+        loaded = self.loaded("track", "-b", bench, "--mode", "embed+attr", "-o", runs)
+        assert "attmot.assoc" in loaded
+        assert self.scipy_modules(loaded) == []
+        assert "attmot.fusion" not in loaded
+        loaded = self.loaded("eval", "--gt", bench, "--res", runs)
+        assert "attmot.metrics" in loaded
+        assert self.scipy_modules(loaded) == []
 
     def test_track_eval_train_run_from_fresh_interpreters(self, bench, tmp_path):
         runs, head = tmp_path / "runs", tmp_path / "head.bin"

@@ -1,8 +1,11 @@
-"""Value types and distance primitives."""
+"""Value types, distance primitives and the assignment solver."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_assignment  # the oracle
 
 from attmot.core import (
     AttributeVector,
@@ -13,6 +16,7 @@ from attmot.core import (
     cosine_distance,
     box_rows,
     iou,
+    linear_sum_assignment,
     occlusion_fraction,
     pairwise_iou,
     validate_binary_attributes,
@@ -77,6 +81,56 @@ class TestPairwiseIou:
     def test_equals_iou_loop(self, a, b):
         expected = np.array([[iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
         np.testing.assert_array_equal(pairwise_iou(box_rows(a), box_rows(b)), expected)
+
+
+def _assignment(solve, cost):
+    """``(rows, cols)`` of a solver as lists, or the type of its error."""
+    try:
+        rows, cols = solve(cost)
+    except ValueError as exc:
+        return type(exc)
+    return rows.tolist(), cols.tolist()
+
+
+# Small integer costs tie often; +inf forbids a pair and can leave no
+# feasible assignment.
+_cost_cell = st.integers(-3, 4).map(lambda k: math.inf if k == 4 else float(k))
+
+
+@st.composite
+def _cost_matrices(draw):
+    n_r, n_c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    cells = draw(st.lists(_cost_cell, min_size=n_r * n_c, max_size=n_r * n_c))
+    return np.array(cells, dtype=np.float64).reshape(n_r, n_c)
+
+
+class TestLinearSumAssignment:
+    @given(_cost_matrices())
+    @settings(max_examples=500)
+    def test_equals_scipy(self, cost):
+        assert _assignment(linear_sum_assignment, cost) == _assignment(scipy_assignment, cost)
+
+    @given(_cost_matrices(), st.integers(0, 63), st.sampled_from([math.nan, -math.inf]))
+    @settings(max_examples=200)
+    def test_invalid_entries_fail_like_scipy(self, cost, at, value):
+        if cost.size:
+            cost.flat[at % cost.size] = value
+        assert _assignment(linear_sum_assignment, cost) == _assignment(scipy_assignment, cost)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_tied_matrices_equal_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        for shape in ((40, 60), (60, 40)):
+            cost = rng.integers(0, 5, shape).astype(np.float64)
+            cost[rng.random(shape) < 0.2] = math.inf
+            assert _assignment(linear_sum_assignment, cost) == _assignment(scipy_assignment, cost)
+
+    def test_output_types(self):
+        rows, cols = linear_sum_assignment(np.array([[3, 1], [2, 9], [0, 0]]))
+        assert rows.dtype == cols.dtype == np.int64
+        assert (rows.tolist(), cols.tolist()) == ([0, 2], [1, 0])
+        with pytest.raises(ValueError, match="2-D"):
+            linear_sum_assignment(np.zeros(3))
 
 
 class TestOcclusionFraction:

@@ -390,6 +390,16 @@ class TestFeatureSidecar:
         assert text == _write_feature_loop([])
         assert motio.parse_feature_file(text.encode(), []) == []
 
+    def test_header_dimension_read_alone(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        path.write_text("\n" + motio.write_feature_file(self._dets(dim=8)))
+        assert motio.parse_feature_dim(path) == 8
+        path.write_text("# attmot-feats v1 dim=x\n")
+        with pytest.raises(MotFormatError, match=re.escape(str(path)) + ": bad feature header"):
+            motio.parse_feature_dim(path)
+        with pytest.raises(MotFormatError, match="missing header"):
+            motio.parse_feature_dim(b"\n")
+
 
 _SPECIAL_64 = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, -3.5e-300,
                1e300, -1.7976931348623157e308, 0.1, 1 / 3]
