@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from .core import (COST_MODES, N_ATTRIBUTES, BBox, Detection, GtEntry, box_rows,
-                   linear_sum_assignment, pairwise_iou)
+                   check_feature_rows, linear_sum_assignment, pairwise_iou,
+                   stack_attribute_rows, unit_rows)
 
 CHI2_95_4DOF = 9.4877
 INF_COST = 1e5
@@ -315,14 +316,6 @@ class FrameBatch:
     attrs: np.ndarray | None
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    # row-by-row dot products, as the norm of one embedding computes them
-    norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-    if (norms == 0).any():
-        raise ValueError("degenerate embedding")
-    return x / norms[:, None]
-
-
 def predict_attributes(e1, a1_raw, strategy, params):
     """``fusion.predict_attributes``, imported on first use: a tracker that
     reads observed attributes never loads the fusion head."""
@@ -331,26 +324,39 @@ def predict_attributes(e1, a1_raw, strategy, params):
     return predict(e1, a1_raw, strategy, params)
 
 
-def _stack_attrs(detections: list[Detection], config: AssocConfig,
+def _detection_name(detections: list[Detection], r: int) -> str:
+    return f"frame {detections[r].frame}, detection {r}"
+
+
+def _stack_attr_obs(detections: list[Detection], rows) -> np.ndarray:
+    """(len(rows), 32) observed attribute rows of ``detections[rows]``,
+    checked: 32 values in [0, 1] each."""
+    def name(i):
+        return _detection_name(detections, rows[i])
+
+    obs = stack_attribute_rows([detections[r].attr_obs for r in rows], name)
+    check_feature_rows(None, obs, name)
+    return obs
+
+
+def _stack_attrs(detections: list[Detection], emb: np.ndarray | None, config: AssocConfig,
                  fusion_params) -> np.ndarray:
     """(N, 32) attribute vectors: observed, or predicted by the fusion head
-    for all detections in one batch."""
+    from the stacked embeddings ``emb`` for all detections in one batch."""
     if config.attr_source == "obs":
         if any(d.attr_obs is None for d in detections):
             raise ValueError("detection carries no attribute observation")
-        return np.array([d.attr_obs for d in detections],
-                        dtype=np.float64).reshape(-1, N_ATTRIBUTES)
+        return _stack_attr_obs(detections, range(len(detections)))
     if fusion_params is None:
         raise ValueError("fusion_params required for attr_source='fusion'")
     params, strategy = fusion_params
     # The observed attribute vector (when present) is the query source,
     # mirroring training; embeddings-only input falls back to the learned
     # linear attribute head.
-    emb = np.array([d.embedding for d in detections], dtype=np.float64)
     has_obs = np.array([d.attr_obs is not None for d in detections], dtype=bool)
     vecs = np.empty((len(detections), N_ATTRIBUTES))
     if has_obs.any():
-        obs = np.stack([d.attr_obs for d in detections if d.attr_obs is not None])
+        obs = _stack_attr_obs(detections, np.flatnonzero(has_obs))
         vecs[has_obs] = predict_attributes(emb[has_obs], obs, strategy, params)[0]
     if not has_obs.all():
         vecs[~has_obs] = predict_attributes(emb[~has_obs], None, strategy, params)[0]
@@ -362,11 +368,17 @@ def stack_frame(detections: list[Detection], config: AssocConfig,
     """Stack one frame's detections for ``config.mode``.
 
     Every embedding must have dimension ``dim``, the gallery's (or, before
-    the first one, the dimension of the frame's first embedding).
+    the first one, the dimension of the frame's first embedding).  The
+    embeddings and attribute observations that the mode reads are checked
+    as stacked arrays (``core.check_feature_rows``): a non-finite
+    embedding, or attributes that are not 32 values in [0, 1], raise
+    ``FeatureError`` naming the frame and the detection's index in it.
     """
     boxes = box_rows(d.box for d in detections)
-    unit = attrs = None
-    if config.mode in ("embed", "embed+attr", "concat"):
+    reads_emb = config.mode in ("embed", "embed+attr", "concat")
+    reads_attrs = config.mode in ("attr", "embed+attr", "concat")
+    emb = unit = attrs = None
+    if reads_emb or (reads_attrs and config.attr_source == "fusion"):
         if any(d.embedding is None for d in detections):
             raise ValueError("detection carries no embedding for this cost mode")
         if dim is None:
@@ -375,10 +387,13 @@ def stack_frame(detections: list[Detection], config: AssocConfig,
             if d.embedding.shape != (dim,):
                 raise ValueError(f"detection embedding has shape {d.embedding.shape}; "
                                  f"the gallery holds dimension {dim}")
-        unit = _unit_rows(np.array([d.embedding for d in detections],
-                                   dtype=np.float64).reshape(len(detections), dim))
-    if config.mode in ("attr", "embed+attr", "concat"):
-        attrs = _stack_attrs(detections, config, fusion_params)
+        emb = np.array([d.embedding for d in detections],
+                       dtype=np.float64).reshape(len(detections), dim)
+        check_feature_rows(emb, None, lambda r: _detection_name(detections, r))
+    if reads_emb:
+        unit = unit_rows(emb)
+    if reads_attrs:
+        attrs = _stack_attrs(detections, emb, config, fusion_params)
     return FrameBatch(boxes, _measurements(boxes), unit, attrs)
 
 
@@ -421,7 +436,7 @@ def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig
     elif mode == "embed+attr":
         cost = config.lambda_e * embed_mat + config.lambda_a * attr_mat
     elif mode == "concat":
-        det_feats = _unit_rows(np.concatenate([frame.unit, frame.attrs], axis=1))
+        det_feats = unit_rows(np.concatenate([frame.unit, frame.attrs], axis=1))
         gal = tracks.gallery
         filled = tracks.gallery_filled()
         attr = np.broadcast_to(tracks.attr[:, None, :], gal.shape[:2] + (N_ATTRIBUTES,))

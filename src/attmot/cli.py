@@ -36,9 +36,20 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _write_benchmark(config, n_sequences: int, out: Path) -> None:
+    """Write a benchmark of ``n_sequences`` sequences to ``out``.  A
+    directory that already holds a sequence this benchmark would not write
+    is refused, since ``track`` and ``eval`` would read it as part of it."""
+    bundles = synthgen.generate_benchmark(config, n_sequences)
+    if out.is_dir():
+        names = {bundle.name for bundle in bundles}
+        stale = [p.name for p in _sequence_dirs(out, require=False) if p.name not in names]
+        if stale:
+            raise CliError(f"{out} holds sequence directories ({', '.join(stale)}) that a "
+                           f"{n_sequences}-sequence benchmark does not write; remove them "
+                           "or choose another directory")
     out.mkdir(parents=True, exist_ok=True)
     (out / "world.cfg").write_text(dump_world_config(config, n_sequences), encoding="ascii")
-    for bundle in synthgen.generate_benchmark(config, n_sequences):
+    for bundle in bundles:
         seq_dir = out / bundle.name
         seq_dir.mkdir(exist_ok=True)
         (seq_dir / "gt.txt").write_text(motio.write_mot_file(bundle.gt_entries()),
@@ -70,9 +81,11 @@ def _load_benchmark_config(bench: Path):
     return world_config_from_mapping(load_config(cfg_path))
 
 
-def _sequence_dirs(bench: Path) -> list[Path]:
+def _sequence_dirs(bench: Path, require: bool = True) -> list[Path]:
+    """The sequence directories (those holding a ``det.txt``) of a
+    benchmark; ``require`` makes none a usage error."""
     dirs = sorted(p for p in bench.iterdir() if p.is_dir() and (p / "det.txt").is_file())
-    if not dirs:
+    if require and not dirs:
         raise CliError(f"no sequence directories under {bench}")
     return dirs
 

@@ -289,6 +289,82 @@ def as_attribute_values(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def unit_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of a 2-D array scaled to unit norm, written to ``out`` (which
+    may be ``x``) when given.
+
+    Each row's norm is the square root of its own dot product, as
+    ``np.linalg.norm`` computes the norm of one vector, so every row is
+    bit-identical to ``row / np.linalg.norm(row)``.  A zero row raises
+    ``ValueError``.
+    """
+    norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    if (norms == 0).any():
+        raise ValueError("degenerate embedding")
+    return np.divide(x, norms[:, None], out=out)
+
+
+class FeatureError(ValueError):
+    """A detection's embedding or attribute row is not valid; the message
+    names the row."""
+
+
+def feature_row_error(embeddings: np.ndarray | None,
+                      attrs: np.ndarray | None) -> tuple[int, str] | None:
+    """First invalid row of stacked detection features, as ``(row, reason)``.
+
+    ``embeddings`` is ``(N, D)`` and ``attrs`` ``(N, 32)``; either may be
+    None.  A row is invalid when its embedding holds a non-finite value or
+    its attributes are not finite values in [0, 1]; within one row the
+    embedding is checked first.  Returns None when every row is valid.
+    """
+    # NaN fails every comparison, so the attribute range test also finds
+    # non-finite values
+    if ((embeddings is None or np.isfinite(embeddings).all())
+            and (attrs is None or (attrs.min(initial=0.0) >= 0.0
+                                   and attrs.max(initial=1.0) <= 1.0))):
+        return None
+    ok = True
+    if embeddings is not None:
+        ok = np.isfinite(embeddings).all(axis=1)
+    if attrs is not None:
+        ok = ok & ((attrs >= 0.0) & (attrs <= 1.0)).all(axis=1)
+    row = int(np.argmin(ok))
+    if embeddings is not None and not np.isfinite(embeddings[row]).all():
+        return row, "embedding contains non-finite values"
+    if not np.isfinite(attrs[row]).all():
+        return row, "attribute vector contains non-finite values"
+    return row, "attribute probabilities must lie in [0, 1]"
+
+
+def _attribute_width_error(shape) -> str:
+    return f"expected {N_ATTRIBUTES} attribute values, got shape {tuple(shape)}"
+
+
+def stack_attribute_rows(rows, name_row) -> np.ndarray:
+    """``(N, 32)`` float array of N attribute vectors; a vector of another
+    shape raises ``FeatureError`` naming it by ``name_row(index)``."""
+    try:
+        table = np.array(rows, dtype=np.float64)
+        if table.shape == (len(rows), N_ATTRIBUTES):
+            return table
+    except ValueError:      # vectors of different lengths, among others
+        pass
+    for i, values in enumerate(rows):
+        if np.shape(values) != (N_ATTRIBUTES,):
+            raise FeatureError(f"{name_row(i)}: {_attribute_width_error(np.shape(values))}")
+    return np.array(rows, dtype=np.float64).reshape(-1, N_ATTRIBUTES)
+
+
+def check_feature_rows(embeddings: np.ndarray | None, attrs: np.ndarray | None,
+                       name_row) -> None:
+    """Raise ``FeatureError`` for the first invalid row (``feature_row_error``);
+    ``name_row(row)`` names it in the message."""
+    bad = feature_row_error(embeddings, attrs)
+    if bad is not None:
+        raise FeatureError(f"{name_row(bad[0])}: {bad[1]}")
+
+
 def validate_binary_attributes(bits) -> np.ndarray:
     """Validate a binary attribute vector against the group constraints.
 
@@ -315,7 +391,7 @@ def validate_prob_attributes(values) -> np.ndarray:
     """Validate a probabilistic attribute vector (each entry in [0, 1])."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (N_ATTRIBUTES,):
-        raise ValueError(f"expected {N_ATTRIBUTES} attribute values, got shape {values.shape}")
+        raise ValueError(_attribute_width_error(values.shape))
     if not np.all(np.isfinite(values)):
         raise ValueError("attribute vector contains non-finite values")
     if values.min() < 0.0 or values.max() > 1.0:
@@ -349,7 +425,12 @@ class Detection:
     """One per-frame observation: box, confidence and appearance features.
 
     ``embedding`` and ``attr_obs`` may be None for detections parsed from a
-    bare MOT file before the feature sidecar is joined.
+    bare MOT file before the feature sidecar is joined.  Construction checks
+    the frame and the confidence; the arrays are checked a frame or a table
+    at a time (``check_feature_rows``) where they are made or enter numeric
+    code or a file: ``synthgen.observe_frame`` and
+    ``synthgen.sample_training_crops``, ``motio.parse_feature_file``,
+    ``assoc.stack_frame`` and ``motio.write_feature_file``.
     """
 
     frame: int
@@ -363,10 +444,6 @@ class Detection:
             raise ValueError(f"frame index must be >= 1, got {self.frame}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-        if self.embedding is not None and not np.all(np.isfinite(self.embedding)):
-            raise ValueError("embedding contains non-finite values")
-        if self.attr_obs is not None:
-            validate_prob_attributes(self.attr_obs)
 
 
 @dataclass(frozen=True, eq=False)

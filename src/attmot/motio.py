@@ -20,6 +20,12 @@ The feature sidecar aligns with the detection file line-for-line:
 ``# attmot-feats v1 dim=<d>``; the floats are written ``%.10g``.
 
 When ``source`` is a path, parse errors name the file as well as the line.
+
+Detection arrays are checked as whole tables (``core.check_feature_rows``):
+``parse_feature_file`` checks the sidecar's embedding and attribute columns
+once and names the first bad line, and ``write_feature_file`` checks the
+rows it writes and names the first bad row.  A non-finite embedding value,
+or attributes that are not 32 values in [0, 1], are rejected.
 """
 from __future__ import annotations
 
@@ -37,10 +43,14 @@ from .core import (
     BBox,
     Detection,
     GtEntry,
+    check_feature_rows,
+    feature_row_error,
+    stack_attribute_rows,
 )
 
 ATTR_HEADER = "# attmot-attrs v1"
 FEAT_HEADER_PREFIX = "# attmot-feats v1 dim="
+_WRITE_BLOCK = 256  # feature rows stacked and checked at once
 
 
 class MotFormatError(ValueError):
@@ -222,33 +232,46 @@ def write_attr_file(attrs: dict[int, AttributeVector]) -> str:
 def write_feature_file(detections: Iterable[Detection]) -> str:
     """Serialize per-detection features, aligned with the det file order.
 
-    A value whose ``%.10g`` text reads back as inf raises ValueError naming
-    the row (counted from 1 after the header) and the frame.
+    Rows are counted from 1 after the header.  A row whose attributes are
+    not 32 values in [0, 1], or whose embedding holds a non-finite value,
+    raises ``FeatureError`` naming the row and its frame; a value whose
+    ``%.10g`` text reads back as inf raises ValueError naming the same.
     """
     rows = sorted(detections, key=lambda d: d.frame)
+    if any(d.embedding is None or d.attr_obs is None for d in rows):
+        raise ValueError("detection without features cannot be written to a feature file")
+    if not rows:
+        return f"{FEAT_HEADER_PREFIX}0\n"
+    dim = len(rows[0].embedding)
+    if any(len(d.embedding) != dim for d in rows):
+        raise ValueError("inconsistent embedding dimension in feature file")
+
     buf = io.StringIO()
-    dim = None
-    for row, d in enumerate(rows, start=1):
-        if d.embedding is None or d.attr_obs is None:
-            raise ValueError("detection without features cannot be written to a feature file")
-        if dim is None:
-            dim = len(d.embedding)
-            buf.write(f"{FEAT_HEADER_PREFIX}{dim}\n")
-            row_fmt = ",".join(["%.10g"] * (dim + N_ATTRIBUTES)) + "\n"
-        elif len(d.embedding) != dim:
-            raise ValueError("inconsistent embedding dimension in feature file")
-        # Row by row: one .tolist() of all rows would hold every value as a
-        # Python float at once.
-        text = row_fmt % tuple(np.concatenate([d.embedding, d.attr_obs]).tolist())
-        # %.10g rounds values near the float64 maximum up to 1.797693135e+308,
-        # which reads back as inf.  "+" only appears in exponents of 10 and up,
-        # so the precise check runs on rows with huge values only.
-        if "+" in text and math.inf in map(abs, map(float, text.split(","))):
-            raise ValueError(f"feature row {row} (frame {d.frame}) has a value that"
-                             " %.10g writes as inf")
-        buf.write(str(d.frame) + "," + text)
-    if dim is None:
-        buf.write(f"{FEAT_HEADER_PREFIX}0\n")
+    buf.write(f"{FEAT_HEADER_PREFIX}{dim}\n")
+    row_fmt = ",".join(["%.10g"] * (dim + N_ATTRIBUTES)) + "\n"
+    # A block of rows at a time is stacked and checked, which bounds the
+    # table's memory; each row is formatted alone, since one .tolist() of
+    # many rows would hold every value as a Python float at once.
+    for lo in range(0, len(rows), _WRITE_BLOCK):
+        block = rows[lo:lo + _WRITE_BLOCK]
+
+        def name(i):
+            return f"feature row {lo + i + 1} (frame {block[i].frame})"
+
+        table = np.empty((len(block), dim + N_ATTRIBUTES))
+        table[:, :dim] = [d.embedding for d in block]
+        table[:, dim:] = stack_attribute_rows([d.attr_obs for d in block], name)
+        check_feature_rows(table[:, :dim], table[:, dim:], name)
+        for row, (d, values) in enumerate(zip(block, table), start=lo + 1):
+            text = row_fmt % tuple(values.tolist())
+            # %.10g rounds values near the float64 maximum up to
+            # 1.797693135e+308, which reads back as inf.  "+" only appears in
+            # exponents of 10 and up, so the precise check runs on rows with
+            # huge values only.
+            if "+" in text and math.inf in map(abs, map(float, text.split(","))):
+                raise ValueError(f"feature row {row} (frame {d.frame}) has a value that"
+                                 " %.10g writes as inf")
+            buf.write(str(d.frame) + "," + text)
     return buf.getvalue()
 
 
@@ -319,23 +342,22 @@ def parse_feature_file(source, detections: list[Detection]) -> list[Detection]:
             f"feature file has {len(body)} rows for {len(detections)} detections"
         )
     table = _parse_feature_table(body, 1 + dim + N_ATTRIBUTES)
+    emb = table[:, 1:1 + dim]
+    attrs = np.clip(table[:, 1 + dim:], 0.0, 1.0)
+    # A row's frame is checked before its arrays, so the first bad line wins.
+    bad_row, reason = feature_row_error(emb, attrs) or (len(body), None)
     out = []
-    for (lineno, line), det, vals in zip(body, detections, table):
+    for i, ((lineno, line), det) in enumerate(zip(body, detections)):
         try:
             # int() of the text, not of the float column, so "1.5" or "1.0" fails.
             frame = int(line[:line.index(",")])
             if frame != det.frame:
                 raise ValueError(f"feature row frame {frame} does not match detection"
                                  f" frame {det.frame}")
-            out.append(
-                Detection(
-                    frame=det.frame,
-                    box=det.box,
-                    confidence=det.confidence,
-                    embedding=vals[1:1 + dim],
-                    attr_obs=np.clip(vals[1 + dim:], 0.0, 1.0),
-                )
-            )
+            if i == bad_row:
+                raise ValueError(reason)
+            out.append(Detection(frame=det.frame, box=det.box, confidence=det.confidence,
+                                 embedding=emb[i], attr_obs=attrs[i]))
         except ValueError as exc:
             raise MotFormatError(f"{exc} at line {lineno}") from None
     return out

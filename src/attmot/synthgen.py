@@ -34,7 +34,9 @@ from .core import (
     Detection,
     GtEntry,
     TrainSample,
+    check_feature_rows,
     pairwise_intersection,
+    unit_rows,
 )
 
 # SeedSequence stream tags
@@ -45,6 +47,7 @@ _STREAM_SEQUENCE = 4
 _STREAM_CROPS = 5
 
 _MIN_BOX = 2.0  # boxes thinner than this after clipping are dropped
+_LATENT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -355,43 +358,97 @@ def _clip_box(l, t, w, h, config) -> BBox | None:
     return BBox(l, t, right - l, bottom - t)
 
 
-def perturb_embedding(latent: np.ndarray, occ: float, config: WorldConfig,
-                      rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Occlusion-scaled embedding noise: per-component sigma grows as
-    ``sigma * (1 + embed_occ_gain * occ)``.
+class _Emissions:
+    """Noisy detections of a batch of identity cards, drawn one card at a
+    time in stream order and finished as arrays.
 
-    Returns the unit-normalized noisy embedding and the pre-normalization
-    perturbation norm (which concentrates around sqrt(dim) * sigma_eff).
+    The buffers hold ``capacity`` rows; ``reserve`` adds more.  ``draw``
+    takes one card's randomness in the order of the observation
+    model: the box jitter, the embedding normals (none when the card's
+    noise sigma is zero), the attribute uniforms and the confidence normal;
+    a box clipped away takes no draw after the jitter.  ``false_positive``
+    takes a clutter detection's embedding normals and attribute uniforms.
+    The normals and uniforms go straight into row buffers, and ``finish``
+    applies the model to all rows at once with the per-card formulas'
+    operations in their order, so each value equals the one-card result
+    bit for bit.
     """
-    sigma_eff = config.embed_noise_sigma * (1.0 + config.embed_occ_gain * occ)
-    if sigma_eff == 0.0:
-        return latent.copy(), 0.0
-    noise = sigma_eff * rng.standard_normal(latent.shape[0])
-    emb = latent + noise
-    return emb / np.linalg.norm(emb), float(np.linalg.norm(noise))
 
+    def __init__(self, capacity: int, dim: int):
+        self.normals = np.zeros((capacity, dim))   # rows of zero-noise cards stay 0
+        self.uniforms = np.empty((capacity, N_ATTRIBUTES))
+        self.conf = np.empty(capacity)             # normals of cards, values of clutter
+        self.boxes: list[BBox] = []
+        self.cards: list[IdentityCard] = []        # card rows come first
+        self.occ: list[float] = []
+        self.sigma: list[float] = []
+        self.p_flip: list[float] = []
 
-def flip_attributes(bits: np.ndarray, occ: float, config: WorldConfig,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Independent bit flips with ``min(0.5, base + gain * occ)``."""
-    p_eff = min(0.5, config.attr_flip_base + config.attr_flip_occ_gain * occ)
-    flips = rng.random(N_ATTRIBUTES) < p_eff
-    return np.abs(bits - flips.astype(np.float64))
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more rows."""
+        short = len(self.boxes) + rows - len(self.conf)
+        if short > 0:
+            self.normals = np.concatenate([self.normals, np.zeros((short, self.normals.shape[1]))])
+            self.uniforms = np.concatenate([self.uniforms, np.empty((short, N_ATTRIBUTES))])
+            self.conf = np.concatenate([self.conf, np.empty(short)])
 
+    def draw(self, rng: np.random.Generator, card: IdentityCard, occ: float, frame: int,
+             config: WorldConfig) -> BBox | None:
+        """Draw one observation of ``card`` in a 1-based frame; the box, or
+        None when it is clipped away."""
+        l, t, w, h = card.trajectory[frame - 1].tolist()
+        if config.jitter_sigma > 0:
+            jl, jt, jw, jh = rng.normal(0.0, config.jitter_sigma, 4).tolist()
+            l, t, w, h = l + jl, t + jt, w + jw, h + jh
+        box = _clip_box(l, t, max(w, _MIN_BOX), max(h, _MIN_BOX), config)
+        if box is None:
+            return None
+        k = len(self.boxes)
+        # per-component embedding noise sigma * (1 + embed_occ_gain * occ)
+        sigma = config.embed_noise_sigma * (1.0 + config.embed_occ_gain * occ)
+        if sigma != 0.0:
+            rng.standard_normal(out=self.normals[k])
+        rng.random(out=self.uniforms[k])
+        self.conf[k] = rng.standard_normal()
+        self.boxes.append(box)
+        self.cards.append(card)
+        self.occ.append(occ)
+        self.sigma.append(sigma)
+        # independent bit flips with min(0.5, base + gain * occ)
+        self.p_flip.append(min(0.5, config.attr_flip_base + config.attr_flip_occ_gain * occ))
+        return box
 
-def _emit_observation(card: IdentityCard, occ: float, frame: int,
-                      config: WorldConfig, rng: np.random.Generator) -> Detection | None:
-    """One noisy detection of an identity; None when clipped away."""
-    l, t, w, h = card.trajectory[frame - 1]
-    if config.jitter_sigma > 0:
-        l, t, w, h = np.array([l, t, w, h]) + rng.normal(0.0, config.jitter_sigma, 4)
-    box = _clip_box(l, t, max(w, _MIN_BOX), max(h, _MIN_BOX), config)
-    if box is None:
-        return None
-    emb, _ = perturb_embedding(card.latent, occ, config, rng)
-    attr = flip_attributes(card.attributes.values, occ, config, rng)
-    conf = float(np.clip(1.0 - 0.5 * occ + 0.05 * rng.standard_normal(), 0.05, 1.0))
-    return Detection(frame=frame, box=box, confidence=conf, embedding=emb, attr_obs=attr)
+    def false_positive(self, rng: np.random.Generator, box: BBox) -> None:
+        """Draw a clutter detection: unit-normal embedding, uniform attributes."""
+        k = len(self.boxes)
+        rng.standard_normal(out=self.normals[k])
+        rng.random(out=self.uniforms[k])
+        self.conf[k] = rng.uniform(0.1, 0.6)
+        self.boxes.append(box)
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(n, D)`` unit embeddings, ``(n, 32)`` attributes and ``(n,)``
+        confidences of the drawn rows."""
+        n, k = len(self.boxes), len(self.cards)
+        raw = self.normals[:n]
+        sigma = np.array(self.sigma)
+        # latents are stacked a block of rows at a time to bound their memory
+        for lo in range(0, k, _LATENT_BLOCK):
+            hi = min(lo + _LATENT_BLOCK, k)
+            raw[lo:hi] *= sigma[lo:hi, None]
+            raw[lo:hi] += [c.latent for c in self.cards[lo:hi]]
+        # in place when every buffer row is used (crops); else a new array,
+        # so the detections keep no unused rows alive
+        emb = unit_rows(raw, out=raw if n == len(self.conf) else None)
+        for i in np.flatnonzero(sigma == 0.0).tolist():
+            emb[i] = self.cards[i].latent    # a card without noise keeps its latent as is
+        attrs = self.uniforms[:n]
+        flips = attrs[:k] < np.array(self.p_flip)[:, None]
+        bits = np.array([c.attributes.values for c in self.cards]).reshape(k, N_ATTRIBUTES)
+        attrs[:k] = np.abs(bits - flips.astype(np.float64))
+        conf = self.conf[:n]
+        conf[:k] = np.clip(1.0 - 0.5 * np.array(self.occ) + 0.05 * conf[:k], 0.05, 1.0)
+        return emb, attrs, conf
 
 
 def observe_frame(bundle: SequenceBundle, frame: int) -> list[Detection]:
@@ -400,30 +457,26 @@ def observe_frame(bundle: SequenceBundle, frame: int) -> list[Detection]:
     if not 1 <= frame <= config.n_frames:
         raise ValueError(f"frame {frame} out of range 1..{config.n_frames}")
     rng = _rng(config, _STREAM_OBSERVE, frame)
-    out: list[Detection] = []
-    for i, card in enumerate(bundle.cards):
-        occ = float(bundle.occlusion[frame - 1, i])
-        miss_p = min(1.0, config.miss_base + config.miss_occ_gain * occ)
-        if rng.random() < miss_p:
-            continue
-        det = _emit_observation(card, occ, frame, config, rng)
-        if det is not None:
-            out.append(det)
-    for _ in range(rng.poisson(config.fp_rate)):
+    occ = bundle.occlusion[frame - 1].tolist()
+    miss = np.minimum(1.0, config.miss_base + config.miss_occ_gain * bundle.occlusion[frame - 1])
+    em = _Emissions(len(bundle.cards), config.latent_dim)
+    for card, occ_i, miss_p in zip(bundle.cards, occ, miss.tolist()):
+        if rng.random() >= miss_p:
+            em.draw(rng, card, occ_i, frame, config)
+    n_fp = rng.poisson(config.fp_rate)
+    em.reserve(n_fp)
+    for _ in range(n_fp):
         h = rng.uniform(40.0, 160.0)
         w = h * rng.uniform(0.35, 0.55)
         l = rng.uniform(0.0, max(1.0, config.image_width - w))
         t = rng.uniform(0.0, max(1.0, config.image_height - h))
         box = _clip_box(l, t, w, h, config)
-        if box is None:
-            continue
-        emb = rng.standard_normal(config.latent_dim)
-        emb /= np.linalg.norm(emb)
-        attr = rng.uniform(0.0, 1.0, N_ATTRIBUTES)
-        conf = float(rng.uniform(0.1, 0.6))
-        out.append(Detection(frame=frame, box=box, confidence=conf,
-                             embedding=emb, attr_obs=attr))
-    return out
+        if box is not None:
+            em.false_positive(rng, box)
+    emb, attrs, conf = em.finish()
+    check_feature_rows(emb, attrs, lambda row: f"frame {frame}, detection {row}")
+    return [Detection(frame=frame, box=box, confidence=c, embedding=e, attr_obs=a)
+            for box, c, e, a in zip(em.boxes, conf.tolist(), emb, attrs)]
 
 
 def observe_all_frames(bundle: SequenceBundle) -> dict[int, list[Detection]]:
@@ -467,27 +520,27 @@ def sample_training_crops(bundles: list[SequenceBundle], n_samples: int,
     """
     if not bundles:
         raise ValueError("no bundles to sample from")
+    dims = sorted({b.config.latent_dim for b in bundles})
+    if len(dims) > 1:
+        raise ValueError(f"bundles mix latent dimensions {dims}")
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFF, _STREAM_CROPS]))
     label_of = {}
     for b_idx, bundle in enumerate(bundles):
         for card in bundle.cards:
             label_of[(b_idx, card.identity)] = len(label_of)
-    samples: list[TrainSample] = []
-    while len(samples) < n_samples:
+    em = _Emissions(max(n_samples, 0), dims[0])
+    labels = []
+    while len(labels) < n_samples:
         b_idx = int(rng.integers(len(bundles)))
         bundle = bundles[b_idx]
         cfg = bundle.config
         frame = int(rng.integers(1, cfg.n_frames + 1))
         i = int(rng.integers(cfg.n_identities))
         card = bundle.cards[i]
-        det = _emit_observation(card, float(bundle.occlusion[frame - 1, i]),
-                                frame, cfg, rng)
-        if det is None:
-            continue
-        samples.append(TrainSample(
-            embedding=det.embedding,
-            attr_obs=det.attr_obs,
-            identity=label_of[(b_idx, card.identity)],
-            gt_attrs=card.attributes.values.copy(),
-        ))
-    return samples
+        if em.draw(rng, card, float(bundle.occlusion[frame - 1, i]), frame, cfg) is not None:
+            labels.append(label_of[(b_idx, card.identity)])
+    emb, attrs, _ = em.finish()
+    check_feature_rows(emb, attrs, lambda row: f"crop {row}")
+    gt = np.array([c.attributes.values for c in em.cards]).reshape(-1, N_ATTRIBUTES)
+    return [TrainSample(embedding=e, attr_obs=a, identity=label, gt_attrs=g)
+            for e, a, label, g in zip(emb, attrs, labels, gt)]

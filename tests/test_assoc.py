@@ -30,6 +30,7 @@ from attmot.core import (
     COST_MODES,
     BBox,
     Detection,
+    FeatureError,
     attribute_distance,
     box_rows,
     cosine_distance,
@@ -517,6 +518,66 @@ class TestFailureContainment:
         with pytest.raises(ValueError, match=r"shape \(2,\); the gallery holds dimension 3"):
             fresh.step(1, [det(1, BBox(0, 0, 20, 40), _unit([1, 0, 0])),
                            det(1, BBox(90, 0, 20, 40), _unit([1, 0]))])
+
+
+def _bad_nan_embedding(d):
+    emb = d.embedding.copy()
+    emb[1] = np.nan
+    return det(d.frame, d.box, emb, d.attr_obs)
+
+
+def _bad_attr_value(d):
+    attr = d.attr_obs.copy()
+    attr[7] = 1.25
+    return det(d.frame, d.box, d.embedding, attr)
+
+
+def _bad_attr_width(d):
+    return det(d.frame, d.box, d.embedding, d.attr_obs[:31])
+
+
+# one bad detection, each rejected by the frame's array check
+_BAD_DETECTIONS = [
+    pytest.param(_bad_nan_embedding, "embedding contains non-finite values", id="nan-embedding"),
+    pytest.param(_bad_attr_value, r"attribute probabilities must lie in \[0, 1\]",
+                 id="attribute-above-1"),
+    pytest.param(_bad_attr_width, r"expected 32 attribute values, got shape \(31,\)",
+                 id="attribute-width"),
+]
+
+
+class TestFeatureBoundary:
+    def _frames(self):
+        rng = np.random.default_rng(4)
+        return {f: [det(f, BBox(40.0 * i, 10, 20, 40), _unit(rng.standard_normal(6)),
+                        rng.uniform(0, 1, 32)) for i in range(3)] for f in (1, 2, 3)}
+
+    @pytest.mark.parametrize("spoil,reason", _BAD_DETECTIONS)
+    def test_run_sequence_names_frame_and_detection(self, spoil, reason):
+        frames = self._frames()
+        frames[2][1] = spoil(frames[2][1])
+        with pytest.raises(FeatureError, match=f"^frame 2, detection 1: {reason}"):
+            run_sequence(frames, AssocConfig(mode="embed+attr"))
+
+    @pytest.mark.parametrize("spoil,reason", _BAD_DETECTIONS)
+    def test_fusion_source_checks_observations_it_feeds_the_head(self, spoil, reason):
+        params = FusionParams.random(6, n_identities=3, n_tokens=2, seed=0)
+        dets = self._frames()[1]
+        # the first detection has no observation, so the check's rows are a
+        # subset of the frame's; the message names the frame's index
+        dets[0] = det(1, dets[0].box, dets[0].embedding)
+        dets[2] = spoil(dets[2])
+        cfg = AssocConfig(mode="attr", attr_source="fusion")
+        with pytest.raises(FeatureError, match=f"^frame 1, detection 2: {reason}"):
+            stack_frame(dets, cfg, (params, all_strategies()[0]))
+
+    def test_mode_checks_only_what_it_reads(self):
+        # the iou mode reads no features; the embed mode reads no attributes
+        dets = [_bad_attr_width(d) for d in self._frames()[1]]
+        stack_frame(dets, AssocConfig(mode="iou"))
+        stack_frame(dets, AssocConfig(mode="embed"))
+        with pytest.raises(FeatureError, match="^frame 1, detection 0: expected 32"):
+            stack_frame(dets, AssocConfig(mode="attr"))
 
 
 # ---------------------------------------------------------------------------

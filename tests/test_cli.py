@@ -91,6 +91,24 @@ class TestGenerate:
         assert main(["generate", "-c", str(cfg), "-o", str(out)]) == 1
         assert not out.exists()
 
+    def test_refuses_directory_with_stale_sequences(self, tmp_path, capsys):
+        # a 2-sequence benchmark written over a 3-sequence one would leave
+        # seq-0002 behind, and track and eval would read it as a third
+        three, two = tmp_path / "three.cfg", tmp_path / "two.cfg"
+        three.write_text(WORLD_CFG.replace("n_sequences = 2", "n_sequences = 3"))
+        two.write_text(WORLD_CFG)
+        out = tmp_path / "bench"
+        assert main(["generate", "-c", str(three), "-o", str(out)]) == 0
+        before = tree_digest(out)
+        capsys.readouterr()
+        assert main(["generate", "-c", str(two), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{out} holds sequence directories (seq-0002)" in err
+        assert tree_digest(out) == before
+        # a benchmark of the same sequences may be written over it
+        assert main(["generate", "-c", str(three), "-o", str(out)]) == 0
+        assert tree_digest(out) == before
+
     def test_metadata_is_valid_jsonl(self, bench):
         lines = (bench / "seq-0000" / "meta.jsonl").read_text().strip().splitlines()
         assert len(lines) == 24

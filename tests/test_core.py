@@ -11,14 +11,18 @@ from attmot.core import (
     AttributeVector,
     BBox,
     Detection,
+    FeatureError,
     GtEntry,
     attribute_distance,
     cosine_distance,
     box_rows,
+    feature_row_error,
     iou,
     linear_sum_assignment,
     occlusion_fraction,
     pairwise_iou,
+    stack_attribute_rows,
+    unit_rows,
     validate_binary_attributes,
 )
 
@@ -273,6 +277,12 @@ class TestAttributeVectorValidation:
 
 
 class TestCarrierTypes:
+    def test_detection_construction_leaves_arrays_to_the_frame_check(self):
+        # array fields are checked a frame or a table at a time, not per object
+        d = Detection(frame=1, box=BBox(0, 0, 5, 5), confidence=0.5,
+                      embedding=np.array([math.nan]), attr_obs=np.full(31, 2.0))
+        assert d.attr_obs.shape == (31,)
+
     def test_detection_validates_confidence(self):
         with pytest.raises(ValueError):
             Detection(frame=1, box=BBox(0, 0, 5, 5), confidence=1.5)
@@ -284,3 +294,58 @@ class TestCarrierTypes:
     def test_gt_entry_requires_positive_identity(self):
         with pytest.raises(ValueError):
             GtEntry(frame=1, identity=0, box=BBox(0, 0, 5, 5))
+
+
+class TestUnitRows:
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 3, 8, 31, 64, 257, 512, 1000]),
+           st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3))
+    def test_equals_linalg_norm_per_row(self, n, dim, seed, scale):
+        x = scale * np.random.default_rng(seed).standard_normal((n, dim))
+        want = np.array([row / np.linalg.norm(row) for row in x])
+        assert unit_rows(x).tobytes() == want.tobytes()
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(ValueError, match="degenerate embedding"):
+            unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+class TestFeatureRowError:
+    def _rows(self, n=4, dim=3):
+        return np.zeros((n, dim)), np.full((n, 32), 0.5)
+
+    def test_valid_rows(self):
+        assert feature_row_error(*self._rows()) is None
+        assert feature_row_error(None, None) is None
+        assert feature_row_error(np.zeros((0, 5)), np.zeros((0, 7))) is None
+
+    @pytest.mark.parametrize("row,col,value,reason", [
+        (2, None, math.nan, "embedding contains non-finite values"),
+        (1, None, -math.inf, "embedding contains non-finite values"),
+        (3, 31, math.nan, "attribute vector contains non-finite values"),
+        (0, 4, math.inf, "attribute vector contains non-finite values"),
+        (1, 0, 1.0 + 2 ** -52, "attribute probabilities must lie in [0, 1]"),
+        (2, 9, -0.5, "attribute probabilities must lie in [0, 1]"),
+    ])
+    def test_first_bad_row_and_reason(self, row, col, value, reason):
+        emb, attrs = self._rows()
+        if col is None:
+            emb[row, 1] = value
+        else:
+            attrs[row, col] = value
+        assert feature_row_error(emb, attrs) == (row, reason)
+
+    def test_earliest_row_wins_then_embedding_first(self):
+        emb, attrs = self._rows()
+        attrs[1, 0] = 2.0
+        emb[2, 0] = math.nan
+        assert feature_row_error(emb, attrs) == (1, "attribute probabilities must lie in [0, 1]")
+        emb[1, 0] = math.nan
+        assert feature_row_error(emb, attrs) == (1, "embedding contains non-finite values")
+
+    def test_stacking_rejects_wrong_attribute_width(self):
+        rows = [np.full(32, 0.5), np.full(32, 0.5), np.full(33, 0.5)]
+        assert stack_attribute_rows(rows[:2], str).shape == (2, 32)
+        assert stack_attribute_rows([], str).shape == (0, 32)
+        with pytest.raises(FeatureError,
+                           match=r"^row 2: expected 32 attribute values, got shape \(33,\)$"):
+            stack_attribute_rows(rows, lambda i: f"row {i}")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from attmot import motio
-from attmot.core import N_ATTRIBUTES, AttributeVector, BBox, Detection, GtEntry
+from attmot.core import (N_ATTRIBUTES, AttributeVector, BBox, Detection, FeatureError, GtEntry,
+                         validate_prob_attributes)
 from attmot.motio import MotFormatError, parse_attr_file, parse_mot_file, write_mot_file
 
 
@@ -64,13 +65,18 @@ def _parse_feature_loop(source, detections):
                 raise ValueError(f"feature row frame {frame} does not match detection"
                                  f" frame {det.frame}")
             vals = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+            emb, attr = vals[:dim], np.clip(vals[dim:], 0.0, 1.0)
+            # the array checks that Detection construction ran
+            if not np.all(np.isfinite(emb)):
+                raise ValueError("embedding contains non-finite values")
+            validate_prob_attributes(attr)
             out.append(
                 Detection(
                     frame=det.frame,
                     box=det.box,
                     confidence=det.confidence,
-                    embedding=vals[:dim],
-                    attr_obs=np.clip(vals[dim:], 0.0, 1.0),
+                    embedding=emb,
+                    attr_obs=attr,
                 )
             )
         except ValueError as exc:
@@ -350,6 +356,37 @@ class TestFeatureSidecar:
         dets[4] = Detection(frame=dets[4].frame, box=dets[4].box, confidence=0.9,
                             embedding=emb, attr_obs=dets[4].attr_obs)
         with pytest.raises(ValueError, match=r"^feature row 5 \(frame 3\) .* inf$"):
+            motio.write_feature_file(dets)
+
+    @pytest.mark.parametrize("field,index,value,reason", [
+        ("embedding", 1, np.nan, "embedding contains non-finite values"),
+        ("embedding", 0, -np.inf, "embedding contains non-finite values"),
+        ("attr_obs", 3, -0.25, r"attribute probabilities must lie in \[0, 1\]"),
+        ("attr_obs", 3, np.nan, "attribute vector contains non-finite values"),
+        ("attr_obs", slice(0, 31), None, r"expected 32 attribute values, got shape \(31,\)"),
+    ])
+    def test_writer_rejects_bad_row_by_number(self, field, index, value, reason):
+        dets = self._dets()
+        arrays = {"embedding": dets[4].embedding.copy(), "attr_obs": dets[4].attr_obs.copy()}
+        if value is None:
+            arrays[field] = arrays[field][index]
+        else:
+            arrays[field][index] = value
+        dets[4] = Detection(frame=dets[4].frame, box=dets[4].box, confidence=0.9, **arrays)
+        with pytest.raises(FeatureError, match=rf"^feature row 5 \(frame 3\): {reason}"):
+            motio.write_feature_file(dets)
+
+    def test_writer_names_rows_past_the_first_block(self):
+        dets = _feature_dets(600, 4)
+        emb = dets[400].embedding.copy()
+        emb[2] = np.inf
+        dets[400] = Detection(frame=dets[400].frame, box=dets[400].box, confidence=0.9,
+                              embedding=emb, attr_obs=dets[400].attr_obs)
+        with pytest.raises(FeatureError, match=r"^feature row 401 \(frame 201\): embedding"):
+            motio.write_feature_file(dets)
+        dets[400] = Detection(frame=dets[400].frame, box=dets[400].box, confidence=0.9,
+                              embedding=dets[401].embedding, attr_obs=dets[400].attr_obs[:5])
+        with pytest.raises(FeatureError, match=r"^feature row 401 \(frame 201\): expected 32"):
             motio.write_feature_file(dets)
 
     def test_largest_finite_text_is_written(self):

@@ -1,23 +1,124 @@
 """Synthetic world generation: priors, trajectories, occlusion, observation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from attmot.core import BBox, attribute_distance, cosine_distance, occlusion_fraction
+from attmot import synthgen
+from attmot.core import (
+    N_ATTRIBUTES,
+    BBox,
+    Detection,
+    FeatureError,
+    TrainSample,
+    attribute_distance,
+    cosine_distance,
+    occlusion_fraction,
+)
 from attmot.synthgen import (
     _occlusion_matrix,
     AttributePrior,
     WorldConfig,
-    flip_attributes,
     generate_benchmark,
     observe_frame,
     occlusion_metadata_lines,
-    perturb_embedding,
     sample_identity,
     sample_training_crops,
     simulate_sequence,
 )
+
+
+# The per-card observation model that the frame-at-a-time emission
+# replaced, kept verbatim as its oracle.
+def perturb_embedding(latent, occ, config, rng):
+    """Occlusion-scaled embedding noise: per-component sigma grows as
+    ``sigma * (1 + embed_occ_gain * occ)``.
+
+    Returns the unit-normalized noisy embedding and the pre-normalization
+    perturbation norm (which concentrates around sqrt(dim) * sigma_eff).
+    """
+    sigma_eff = config.embed_noise_sigma * (1.0 + config.embed_occ_gain * occ)
+    if sigma_eff == 0.0:
+        return latent.copy(), 0.0
+    noise = sigma_eff * rng.standard_normal(latent.shape[0])
+    emb = latent + noise
+    return emb / np.linalg.norm(emb), float(np.linalg.norm(noise))
+
+
+def flip_attributes(bits, occ, config, rng):
+    """Independent bit flips with ``min(0.5, base + gain * occ)``."""
+    p_eff = min(0.5, config.attr_flip_base + config.attr_flip_occ_gain * occ)
+    flips = rng.random(N_ATTRIBUTES) < p_eff
+    return np.abs(bits - flips.astype(np.float64))
+
+
+def _emit_observation(card, occ, frame, config, rng):
+    l, t, w, h = card.trajectory[frame - 1]
+    if config.jitter_sigma > 0:
+        l, t, w, h = np.array([l, t, w, h]) + rng.normal(0.0, config.jitter_sigma, 4)
+    box = synthgen._clip_box(l, t, max(w, synthgen._MIN_BOX), max(h, synthgen._MIN_BOX),
+                             config)
+    if box is None:
+        return None
+    emb, _ = perturb_embedding(card.latent, occ, config, rng)
+    attr = flip_attributes(card.attributes.values, occ, config, rng)
+    conf = float(np.clip(1.0 - 0.5 * occ + 0.05 * rng.standard_normal(), 0.05, 1.0))
+    return Detection(frame=frame, box=box, confidence=conf, embedding=emb, attr_obs=attr)
+
+
+def _observe_frame_loop(bundle, frame):
+    config = bundle.config
+    rng = synthgen._rng(config, synthgen._STREAM_OBSERVE, frame)
+    out = []
+    for i, card in enumerate(bundle.cards):
+        occ = float(bundle.occlusion[frame - 1, i])
+        miss_p = min(1.0, config.miss_base + config.miss_occ_gain * occ)
+        if rng.random() < miss_p:
+            continue
+        det = _emit_observation(card, occ, frame, config, rng)
+        if det is not None:
+            out.append(det)
+    for _ in range(rng.poisson(config.fp_rate)):
+        h = rng.uniform(40.0, 160.0)
+        w = h * rng.uniform(0.35, 0.55)
+        l = rng.uniform(0.0, max(1.0, config.image_width - w))
+        t = rng.uniform(0.0, max(1.0, config.image_height - h))
+        box = synthgen._clip_box(l, t, w, h, config)
+        if box is None:
+            continue
+        emb = rng.standard_normal(config.latent_dim)
+        emb /= np.linalg.norm(emb)
+        attr = rng.uniform(0.0, 1.0, N_ATTRIBUTES)
+        conf = float(rng.uniform(0.1, 0.6))
+        out.append(Detection(frame=frame, box=box, confidence=conf,
+                             embedding=emb, attr_obs=attr))
+    return out
+
+
+def _crops_loop(bundles, n_samples, seed=0):
+    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFF,
+                                                        synthgen._STREAM_CROPS]))
+    label_of = {}
+    for b_idx, bundle in enumerate(bundles):
+        for card in bundle.cards:
+            label_of[(b_idx, card.identity)] = len(label_of)
+    samples = []
+    while len(samples) < n_samples:
+        b_idx = int(rng.integers(len(bundles)))
+        bundle = bundles[b_idx]
+        cfg = bundle.config
+        frame = int(rng.integers(1, cfg.n_frames + 1))
+        i = int(rng.integers(cfg.n_identities))
+        card = bundle.cards[i]
+        det = _emit_observation(card, float(bundle.occlusion[frame - 1, i]), frame, cfg, rng)
+        if det is None:
+            continue
+        samples.append(TrainSample(embedding=det.embedding, attr_obs=det.attr_obs,
+                                   identity=label_of[(b_idx, card.identity)],
+                                   gt_attrs=card.attributes.values.copy()))
+    return samples
 
 
 def small_config(**kw):
@@ -289,3 +390,102 @@ class TestBenchmarkAndCrops:
     def test_crop_sampling_empty(self):
         with pytest.raises(ValueError):
             sample_training_crops([], 10)
+
+
+# Worlds small enough to draw many of: a 160x140 image puts 60-px bodies
+# near its edges, and a large jitter clips boxes there or drops them.
+@st.composite
+def _observation_world(draw):
+    return WorldConfig(
+        n_identities=draw(st.integers(1, 6)), n_frames=draw(st.integers(1, 4)),
+        image_width=draw(st.sampled_from([160, 1280])),
+        image_height=draw(st.sampled_from([140, 720])),
+        w_linear=draw(st.sampled_from([0.0, 1.0])), w_crossing=1.0,
+        miss_base=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        miss_occ_gain=draw(st.sampled_from([0.0, 0.5])),
+        jitter_sigma=draw(st.sampled_from([0.0, 1.0, 40.0])),
+        fp_rate=draw(st.sampled_from([0.0, 0.5, 3.0])),
+        latent_dim=draw(st.sampled_from([2, 3, 8, 64, 512])),
+        embed_noise_sigma=draw(st.sampled_from([0.0, 0.012, 0.5])),
+        embed_occ_gain=draw(st.sampled_from([0.0, 25.0])),
+        attr_flip_base=draw(st.sampled_from([0.0, 0.02, 0.5])),
+        attr_flip_occ_gain=draw(st.sampled_from([0.0, 0.1])),
+        seed=draw(st.integers(0, 2 ** 32)))
+
+
+# every card drawn (no misses) in a small image with a large jitter
+_EDGE_WORLD = WorldConfig(n_identities=6, n_frames=4, image_width=160, image_height=140,
+                          miss_base=0.0, miss_occ_gain=0.0, jitter_sigma=40.0,
+                          fp_rate=3.0, latent_dim=8, embed_noise_sigma=0.0, seed=5)
+
+
+def _features_bytes(items):
+    return (np.array([x.embedding for x in items]).tobytes(),
+            np.array([x.attr_obs for x in items]).tobytes())
+
+
+class TestEmissionOracle:
+    """The frame-at-a-time emission equals the per-card loop bit for bit."""
+
+    @given(_observation_world())
+    @example(_EDGE_WORLD)
+    def test_observe_frame_equals_card_loop(self, config):
+        bundle = simulate_sequence(config)
+        for f in range(1, config.n_frames + 1):
+            got, want = observe_frame(bundle, f), _observe_frame_loop(bundle, f)
+            assert len(got) == len(want)
+            if not want:
+                continue
+            assert _features_bytes(got) == _features_bytes(want)
+            for g, w in zip(got, want):
+                assert g.frame == w.frame
+                assert (np.array([g.confidence]).tobytes()
+                        == np.array([w.confidence]).tobytes())
+                assert (np.array(list(vars(g.box).values())).tobytes()
+                        == np.array(list(vars(w.box).values())).tobytes())
+
+    @given(_observation_world(), st.integers(0, 40), st.integers(1, 2), st.integers(0, 99))
+    @example(_EDGE_WORLD, 40, 2, 0)
+    def test_crops_equal_card_loop(self, config, n, n_bundles, seed):
+        bundles = generate_benchmark(config, n_bundles)
+        got, want = sample_training_crops(bundles, n, seed), _crops_loop(bundles, n, seed)
+        assert [c.identity for c in got] == [c.identity for c in want]
+        if want:
+            assert _features_bytes(got) == _features_bytes(want)
+            assert (np.array([c.gt_attrs for c in got]).tobytes()
+                    == np.array([c.gt_attrs for c in want]).tobytes())
+
+    def test_edge_world_clips_and_drops_boxes(self):
+        # the oracle's explicit example covers both outcomes at the image edge
+        bundle = simulate_sequence(_EDGE_WORLD)
+        clipped = dropped = 0
+        for f in range(1, _EDGE_WORLD.n_frames + 1):
+            rng = synthgen._rng(_EDGE_WORLD, synthgen._STREAM_OBSERVE, f)
+            for i, card in enumerate(bundle.cards):
+                rng.random()   # the miss draw, never a miss here
+                det = _emit_observation(card, float(bundle.occlusion[f - 1, i]), f,
+                                        _EDGE_WORLD, rng)
+                if det is None:
+                    dropped += 1
+                elif (min(det.box.left, det.box.top) == 0.0 or det.box.right > 160.0 - 1e-9
+                      or det.box.bottom > 140.0 - 1e-9):
+                    clipped += 1
+        assert clipped > 0 and dropped > 0
+
+    def test_mixed_latent_dimensions_rejected(self):
+        bundles = [simulate_sequence(small_config(latent_dim=d)) for d in (8, 16)]
+        with pytest.raises(ValueError, match=r"mix latent dimensions \[8, 16\]"):
+            sample_training_crops(bundles, 4)
+
+    def test_non_finite_embedding_rejected_with_frame(self):
+        # infinite embedding noise makes NaN rows, rejected by the one array
+        # check of the frame (or of the crops)
+        cfg = small_config(embed_noise_sigma=math.inf, embed_occ_gain=0.0, miss_base=0.0,
+                           miss_occ_gain=0.0)
+        bundle = simulate_sequence(cfg)
+        with np.errstate(all="ignore"), pytest.raises(
+                FeatureError, match=r"^frame 1, detection 0: embedding contains non-finite"):
+            observe_frame(bundle, 1)
+        with np.errstate(all="ignore"), pytest.raises(
+                FeatureError, match=r"^crop 0: embedding contains non-finite"):
+            sample_training_crops([bundle], 3)
