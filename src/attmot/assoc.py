@@ -54,7 +54,6 @@ _DEFAULT_MATCH_THRESHOLD = {
     "embed": 1.0,
     "attr": 0.5,
     "embed+attr": 1.4,
-    "concat": 1.0,
 }
 
 _I4 = np.arange(4)
@@ -375,8 +374,8 @@ def stack_frame(detections: list[Detection], config: AssocConfig,
     ``FeatureError`` naming the frame and the detection's index in it.
     """
     boxes = box_rows(d.box for d in detections)
-    reads_emb = config.mode in ("embed", "embed+attr", "concat")
-    reads_attrs = config.mode in ("attr", "embed+attr", "concat")
+    reads_emb = config.mode in ("embed", "embed+attr")
+    reads_attrs = config.mode in ("attr", "embed+attr")
     emb = unit = attrs = None
     if reads_emb or (reads_attrs and config.attr_source == "fusion"):
         if any(d.embedding is None for d in detections):
@@ -435,15 +434,6 @@ def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig
         cost = attr_mat
     elif mode == "embed+attr":
         cost = config.lambda_e * embed_mat + config.lambda_a * attr_mat
-    elif mode == "concat":
-        det_feats = unit_rows(np.concatenate([frame.unit, frame.attrs], axis=1))
-        gal = tracks.gallery
-        filled = tracks.gallery_filled()
-        attr = np.broadcast_to(tracks.attr[:, None, :], gal.shape[:2] + (N_ATTRIBUTES,))
-        fused = np.concatenate([gal, attr], axis=2)
-        norms = np.linalg.norm(fused, axis=2, keepdims=True)
-        fused = fused / np.where(filled[:, :, None], norms, 1.0)
-        cost = _gallery_min_cosine(fused, filled, det_feats)
     return cost, infeasible
 
 

@@ -4,8 +4,9 @@ run trackers, evaluate and run ablation matrices.
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 Each command imports only the modules it runs.  The assignment solver is
 attmot's own (``core.linear_sum_assignment``), so ``generate``, ``eval`` and
-``track`` load no scipy; only the fusion head's tape does (``train``,
-``ablate``, ``verify`` and ``track --attr-source fusion``).
+``track`` load no scipy; only the fusion head's tape does (``train``, an
+``ablate`` whose ``attr_source`` is ``fusion`` and ``track --attr-source
+fusion``).
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import core, motio, synthgen
 from .configfile import ConfigError, dump_world_config, load_config, world_config_from_mapping
@@ -226,7 +225,7 @@ ABLATE_KEYS = ("benchmark", "variants", "seeds", "attr_source", "lambda_e", "lam
 def cmd_ablate(spec_path: str, out_dir: str) -> None:
     """Median metrics of every variant over the seeds.  Each seed's run is
     ``generate -> track -> eval`` on a temporary benchmark, loaded once."""
-    from . import assoc, fusion, metrics
+    from . import assoc, metrics
 
     spec = load_config(spec_path)
     unknown = [key for key in spec if key not in ABLATE_KEYS]
@@ -253,10 +252,6 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
         bench = Path(spec_path).parent / bench
     base_config, n_sequences = _load_benchmark_config(bench)
 
-    out = Path(out_dir)
-    runs_dir = out / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-
     configs = {}
     for mode in variants:
         try:
@@ -265,8 +260,14 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
         except ValueError as exc:
             raise CliError(f"variant {mode!r}: {exc}") from None
 
+    out = Path(out_dir)
+    runs_dir = out / "runs"
+    runs_dir.mkdir(parents=True, exist_ok=True)
+
     fusion_params = None
     if attr_source == "fusion":
+        from . import fusion
+
         strategy = fusion.FusionStrategy.parse(str(spec.get("train_strategy", "preproc-attr")))
         params, *_ = _train_head(base_config, n_sequences, strategy,
                                  int(spec.get("train_seed", 0)),
@@ -302,73 +303,6 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
     report_txt = "\n".join(table) + "\n"
     (out / "report.txt").write_text(report_txt, encoding="ascii")
     print(report_txt, end="")
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-def cmd_verify() -> int:
-    """Fast self-checks of the core invariants; returns failure count."""
-    import itertools
-
-    from . import assoc, fusion, metrics
-    from .core import (BBox, GtEntry, TrainSample, attribute_distance, cosine_distance, iou,
-                       occlusion_fraction)
-
-    checks: list[tuple[str, bool]] = []
-
-    def check(name, ok):
-        checks.append((name, bool(ok)))
-
-    b = BBox(0, 0, 10, 10)
-    check("iou identity", iou(b, b) == 1.0)
-    check("iou hand case", abs(iou(b, BBox(5, 0, 10, 10)) - 1 / 3) < 1e-12)
-    check("occlusion bounds", 0.0 <= occlusion_fraction(b, BBox(0, 0, 5, 10)) <= 1.0)
-    check("cosine orthogonal", abs(cosine_distance([1, 0], [0, 1]) - 1.0) < 1e-12)
-    check("attr distance", abs(attribute_distance(np.full(32, .5), np.zeros(32)) - .5) < 1e-12)
-
-    rng = np.random.default_rng(0)
-    ok = True
-    for n in range(1, 6):
-        c = rng.uniform(0, 5, (n, n))
-        m, _, _ = assoc.solve_assignment(c)
-        total = sum(c[r, col] for r, col in m)
-        brute = min(sum(c[i, p[i]] for i in range(n))
-                    for p in itertools.permutations(range(n)))
-        ok &= abs(total - brute) < 1e-9
-    check("assignment optimal (n<=5)", ok)
-
-    means, covs = assoc.kalman_init(np.array([[125.0, 150.0, 0.5, 100.0]]))
-    means2, covs2 = assoc.kalman_predict(means, covs)
-    check("kalman trace grows", np.trace(covs2[0]) > np.trace(covs[0]))
-    means3, _ = assoc.kalman_update(means2, covs2, means2[:, :4])
-    check("kalman zero innovation", np.allclose(means3[:, :4], means2[:, :4], atol=1e-9))
-
-    params = fusion.FusionParams.random(16, n_identities=3, n_tokens=4, seed=1)
-    sample = TrainSample(rng.normal(size=16), rng.uniform(0, 1, 32), 1,
-                         (rng.uniform(0, 1, 32) > .5).astype(float))
-    check("gradients vs finite differences",
-          fusion.grad_check(params, sample, fusion.PREPROC_ATTR) <= 1e-4)
-    check("uniform bce anchor",
-          abs(fusion.weighted_bce_loss(np.full(32, .5), np.zeros(32),
-                                       np.full(32, .5), uniform=True) - np.log(2)) < 1e-9)
-
-    gt = [GtEntry(f, i, BBox(60 * i, 10, 40, 80)) for f in range(1, 4) for i in (1, 2)]
-    rep = metrics.clear_metrics(gt, gt)
-    check("clear perfect", rep.mota == 1.0 and rep.idsw == 0)
-    check("idf1 perfect", metrics.id_metrics(gt, gt).idf1 == 1.0)
-    check("hota perfect", metrics.hota_metrics(gt, gt).hota == 1.0)
-
-    text = motio.write_mot_file(gt)
-    check("mot round-trip", motio.write_mot_file(motio.parse_mot_file(text.encode(), "gt")) == text)
-
-    failures = 0
-    for name, passed in checks:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
-        failures += 0 if passed else 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +346,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="run an ablation matrix from a spec file")
     p.add_argument("-s", "--spec", required=True)
     p.add_argument("-o", "--out", required=True)
-
-    sub.add_parser("verify", help="run fast built-in invariant checks")
     return parser
 
 
@@ -433,8 +365,6 @@ def main(argv=None) -> int:
             cmd_eval(args.gt, args.res, args.out)
         elif args.command == "ablate":
             cmd_ablate(args.spec, args.out)
-        elif args.command == "verify":
-            return 2 if cmd_verify() else 0
         return 0
     except (CliError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

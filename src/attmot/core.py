@@ -44,7 +44,7 @@ ATTRIBUTE_NAMES = (
 assert len(ATTRIBUTE_NAMES) == N_ATTRIBUTES
 
 # Association cost modes of the tracker (see ``assoc.build_cost_matrix``).
-COST_MODES = ("iou", "embed", "attr", "embed+attr", "concat")
+COST_MODES = ("iou", "embed", "attr", "embed+attr")
 
 
 @dataclass(frozen=True)

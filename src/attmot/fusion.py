@@ -270,12 +270,16 @@ def _queries(p, a1: ad.Var) -> ad.Var:
     return weights * p["attr_embed"]
 
 
-def _attend(p, q: ad.Var, kv: ad.Var, scale_scores: bool, token_dim: int) -> ad.Var:
+def _attention(p, q: ad.Var, kv: ad.Var, scale_scores: bool, token_dim: int) -> ad.Var:
+    """Row-stochastic weights of the ``q`` tokens over the ``kv`` tokens."""
     scores = (q @ p["wq"]) @ ad.transpose_last(kv @ p["wk"])
     if scale_scores:
         scores = ad.scale(scores, 1.0 / math.sqrt(token_dim))
-    attn = ad.softmax(scores, axis=-1)
-    return attn @ (kv @ p["wv"])
+    return ad.softmax(scores, axis=-1)
+
+
+def _attend(p, q: ad.Var, kv: ad.Var, scale_scores: bool, token_dim: int) -> ad.Var:
+    return _attention(p, q, kv, scale_scores, token_dim) @ (kv @ p["wv"])
 
 
 def _attr_head(p, tokens: ad.Var) -> ad.Var:
@@ -424,10 +428,7 @@ def cross_attention_weights(e2: np.ndarray, a1: np.ndarray, params: FusionParams
     p = _param_vars(params, requires_grad=False)
     kv = _tokens(ad.const(e2), params.n_tokens, params.token_dim)
     q = _queries(p, ad.const(a1))
-    scores = (q @ p["wq"]) @ ad.transpose_last(kv @ p["wk"])
-    if params.scale_scores:
-        scores = ad.scale(scores, 1.0 / math.sqrt(params.token_dim))
-    return ad.softmax(scores, axis=-1).value
+    return _attention(p, q, kv, params.scale_scores, params.token_dim).value
 
 
 def raw_attribute_feature(e1: np.ndarray, params: FusionParams) -> np.ndarray:

@@ -275,18 +275,6 @@ class TestBuildCostMatrix:
             for j, d in enumerate(dets):
                 assert cost[i, j] == pytest.approx(1.0 - iou(BBox(*box), d.box))
 
-    def test_concat_mode_matches_direct(self):
-        tab, dets, _ = self._tracks_and_dets()
-        cfg = AssocConfig(mode="concat")
-        cost, _ = build_cost_matrix(tab, stack_frame(dets, cfg), cfg)
-        for i in range(len(tab)):
-            for j, d in enumerate(dets):
-                expected = min(
-                    cosine_distance(np.concatenate([g, tab.attr[i]]),
-                                    np.concatenate([d.embedding, d.attr_obs]))
-                    for g in tab.gallery[i, :tab.gal_n[i]])
-                assert cost[i, j] == pytest.approx(expected, abs=1e-9)
-
     def test_fusion_source_requires_params(self):
         _, dets, _ = self._tracks_and_dets()
         with pytest.raises(ValueError, match="fusion_params"):
@@ -714,12 +702,6 @@ def _oracle_cost(tab, dets, cfg):
         for j, d in enumerate(dets):
             if cfg.mode == "iou":
                 cost[i, j] = 1.0 - iou(BBox(*box), d.box)
-                continue
-            if cfg.mode == "concat":
-                unit = d.embedding / np.linalg.norm(d.embedding)
-                cost[i, j] = min(cosine_distance(np.concatenate([g, tab.attr[i]]),
-                                                 np.concatenate([unit, d.attr_obs]))
-                                 for g in gallery)
                 continue
             e = min(cosine_distance(g, d.embedding) for g in gallery)
             a = attribute_distance(tab.attr[i], d.attr_obs)

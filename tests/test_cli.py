@@ -281,10 +281,16 @@ class TestExitCodes:
         assert main(["track", "-b", str(bench), "--mode", "iou",
                      "-o", str(tmp_path / "x")]) == 2
 
-    def test_verify_passes(self, capsys):
-        assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
+    def test_unknown_cost_mode_is_usage_error(self, bench, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["track", "-b", str(bench), "--mode", "concat", "-o", str(out)]) == 1
+        assert "'concat'" in capsys.readouterr().err
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"attmot-config v1\nbenchmark = {bench}\nvariants = embed,concat\n"
+                        "seeds = 3\n")
+        assert main(["ablate", "-s", str(spec), "-o", str(out)]) == 1
+        assert "variant 'concat': unknown cost mode 'concat'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCommandImports:
@@ -331,6 +337,16 @@ class TestCommandImports:
         loaded = self.loaded("eval", "--gt", bench, "--res", runs)
         assert "attmot.metrics" in loaded
         assert self.scipy_modules(loaded) == []
+
+    def test_obs_ablate_loads_no_scipy_and_no_fusion_head(self, bench, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"attmot-config v1\nbenchmark = {bench}\nvariants = embed+attr\n"
+                        "seeds = 3\nattr_source = obs\n")
+        loaded = self.loaded("ablate", "-s", spec, "-o", tmp_path / "abl")
+        assert "attmot.assoc" in loaded and "attmot.metrics" in loaded
+        unwanted = self.scipy_modules(loaded) + [
+            m for m in loaded if m in ("attmot.fusion", "attmot.autodiff")]
+        assert unwanted == []
 
     def test_track_eval_train_run_from_fresh_interpreters(self, bench, tmp_path):
         runs, head = tmp_path / "runs", tmp_path / "head.bin"

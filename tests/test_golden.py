@@ -1,14 +1,14 @@
 """Golden SHA-256 digests of every CLI output on a tiny world.
 
 One module-scoped run drives ``attmot generate``, ``train``, ``track`` (all
-five cost modes plus ``--attr-source fusion``), ``eval`` and ``ablate``
+four cost modes plus ``--attr-source fusion``), ``eval`` and ``ablate``
 (one ``attr_source = obs`` spec and one ``attr_source = fusion`` spec), and
 each stage's files must hash to the digests in ``golden_digests.json``.  A
 refactor that claims to keep outputs byte-identical keeps this file as it
 is.  When outputs change on purpose, print the new digests with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
 
-The world has enough crossings that the five modes' result files differ.
+The world has enough crossings that the four modes' result files differ.
 """
 import hashlib
 import json
@@ -34,7 +34,7 @@ seed = 6
 """
 
 ABLATE_SPECS = {
-    "ablate-obs": "variants = iou,embed,attr,embed+attr,concat\nseeds = 3,4\n",
+    "ablate-obs": "variants = iou,embed,attr,embed+attr\nseeds = 3,4\n",
     "ablate-fusion": ("variants = embed,embed+attr\nseeds = 5\nattr_source = fusion\n"
                       "train_crops = 400\ntrain_seed = 2\n"),
 }
