@@ -55,7 +55,14 @@ def _write_benchmark(config, n_sequences: int, out: Path) -> None:
                                         encoding="ascii")
         dets = [d for frame in synthgen.observe_all_frames(bundle).values() for d in frame]
         (seq_dir / "det.txt").write_text(motio.write_det_file(dets), encoding="ascii")
-        (seq_dir / "feats.csv").write_text(motio.write_feature_file(dets), encoding="ascii")
+        feats = seq_dir / "feats.csv"
+        try:
+            with feats.open("w", encoding="ascii") as fh:
+                motio.write_feature_file(dets, fh)
+        except BaseException:
+            # the writer streams a block at a time; leave no partial sidecar
+            feats.unlink(missing_ok=True)
+            raise
         (seq_dir / "attrs.txt").write_text(
             motio.write_attr_file(bundle.attribute_table()), encoding="ascii")
         (seq_dir / "meta.jsonl").write_text(

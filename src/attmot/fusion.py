@@ -483,10 +483,10 @@ def identity_loss(e_out: np.ndarray, label: int, params: FusionParams) -> float:
 # ---------------------------------------------------------------------------
 
 def _dataset_arrays(dataset: list[TrainSample]):
-    emb = np.stack([s.embedding for s in dataset]).astype(np.float64)
-    obs = np.stack([s.attr_obs for s in dataset]).astype(np.float64)
+    emb = np.stack([s.embedding for s in dataset], dtype=np.float64)
+    obs = np.stack([s.attr_obs for s in dataset], dtype=np.float64)
     labels = np.array([s.identity for s in dataset], dtype=np.int64)
-    gts = np.stack([s.gt_attrs for s in dataset]).astype(np.float64)
+    gts = np.stack([s.gt_attrs for s in dataset], dtype=np.float64)
     return emb, obs, labels, gts
 
 
@@ -612,14 +612,41 @@ def grad_check(params: FusionParams, sample: TrainSample,
     return worst
 
 
+# Most rows attribute_accuracy stacks and scores at once, which bounds its
+# peak memory whatever the size of the dataset.
+_ACCURACY_ROWS = 256
+
+
+def _row_chunks(n: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of ceil(n / _ACCURACY_ROWS) chunks of nearly equal
+    size covering ``range(n)``.  Balanced, because a small remainder chunk
+    can take another BLAS path than one batch and round its probabilities
+    differently; chunks of over half ``_ACCURACY_ROWS`` rows have matched
+    one batch bit for bit in every case tried."""
+    k = -(-n // _ACCURACY_ROWS)
+    edges = [i * n // k for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def attribute_accuracy(params: FusionParams, dataset: list[TrainSample],
                        strategy: FusionStrategy = PREPROC_ATTR,
                        attr_input: str = "learned") -> float:
-    """Mean per-attribute accuracy of thresholded predictions at 0.5."""
-    emb, obs, _, gts = _dataset_arrays(dataset)
-    probs, _ = predict_attributes(emb, obs if attr_input == "obs" else None, strategy, params)
-    correct = (probs >= 0.5) == (gts >= 0.5)
-    return float(correct.mean(axis=0).mean())
+    """Mean per-attribute accuracy of thresholded predictions at 0.5.
+
+    The dataset is stacked and scored ``_row_chunks`` at a time; the
+    per-attribute correct counts are summed as integers, so the result
+    equals the one-batch ``correct.mean(axis=0).mean()`` bit for bit.
+    Raises ValueError on an empty dataset.
+    """
+    n = len(dataset)
+    if not n:
+        raise ValueError("empty dataset")
+    counts = np.zeros(N_ATTRIBUTES, dtype=np.int64)
+    for lo, hi in _row_chunks(n):
+        emb, obs, _, gts = _dataset_arrays(dataset[lo:hi])
+        probs, _ = predict_attributes(emb, obs if attr_input == "obs" else None, strategy, params)
+        counts += ((probs >= 0.5) == (gts >= 0.5)).sum(axis=0)
+    return float((counts / n).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,14 @@ def _repeat_frame(frames: np.ndarray, ids: np.ndarray) -> float:
     return f[1:][repeat].min() if repeat.any() else math.inf
 
 
+def _distinct(sorted_values: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array.  (``np.union1d`` and
+    ``np.intersect1d`` would import ``numpy.ma`` on first use.)"""
+    keep = np.ones(len(sorted_values), dtype=bool)
+    keep[1:] = sorted_values[1:] != sorted_values[:-1]
+    return sorted_values[keep]
+
+
 def _number(ids: np.ndarray) -> tuple[np.ndarray, int]:
     """Index of each identity, numbered in order of first appearance."""
     uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
@@ -94,11 +102,13 @@ def _frame_table(gt: list[GtEntry], pred: list[GtEntry]) -> FrameTable:
     repeat = min(_repeat_frame(g_frame, g_id), _repeat_frame(p_frame, p_id))
     if repeat < math.inf:
         _raise_repeated_identity(int(repeat), gt, pred)
-    frames = np.union1d(g_frame, p_frame)
+    frames = _distinct(np.sort(np.concatenate((g_frame, p_frame))))
 
     keep = np.ones(len(p_frame), dtype=bool)
     ignored = ~g_active
-    for f in np.intersect1d(g_frame[ignored], p_frame).tolist():
+    ig_frames = _distinct(g_frame[ignored])
+    shared = np.searchsorted(p_frame, ig_frames, "right") > np.searchsorted(p_frame, ig_frames)
+    for f in ig_frames[shared].tolist():
         ig = g_box[ignored & (g_frame == f)]
         in_f = np.flatnonzero(p_frame == f)
         ov = pairwise_iou(ig, p_box[in_f])

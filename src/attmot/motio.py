@@ -18,6 +18,8 @@ a one-line header ``# attmot-attrs v1``.
 The feature sidecar aligns with the detection file line-for-line:
 ``frame,<embedding floats>,<32 attribute floats>`` after a header
 ``# attmot-feats v1 dim=<d>``; the floats are written ``%.10g``.
+``write_feature_file`` streams it to an open text stream a block of rows
+at a time, so writing a sidecar holds one block, never the whole text.
 
 When ``source`` is a path, parse errors name the file as well as the line.
 
@@ -33,7 +35,7 @@ import functools
 import io
 import math
 import os
-from typing import Iterable
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .core import (
 
 ATTR_HEADER = "# attmot-attrs v1"
 FEAT_HEADER_PREFIX = "# attmot-feats v1 dim="
-_WRITE_BLOCK = 256  # feature rows stacked and checked at once
+_WRITE_BLOCK = 256  # feature rows stacked, checked and written at once
 
 
 class MotFormatError(ValueError):
@@ -229,29 +231,30 @@ def write_attr_file(attrs: dict[int, AttributeVector]) -> str:
     return buf.getvalue()
 
 
-def write_feature_file(detections: Iterable[Detection]) -> str:
-    """Serialize per-detection features, aligned with the det file order.
+def write_feature_file(detections: Iterable[Detection], out: TextIO) -> None:
+    """Write per-detection features, aligned with the det file order, to the
+    text stream ``out``.
 
+    The header goes out first, then each block of ``_WRITE_BLOCK`` rows once
+    it is checked, so memory stays bounded whatever the number of rows.
     Rows are counted from 1 after the header.  A row whose attributes are
     not 32 values in [0, 1], or whose embedding holds a non-finite value,
     raises ``FeatureError`` naming the row and its frame; a value whose
     ``%.10g`` text reads back as inf raises ValueError naming the same.
+    The blocks before the bad one have been written by then, so a caller
+    writing a file removes it on error.
     """
     rows = sorted(detections, key=lambda d: d.frame)
     if any(d.embedding is None or d.attr_obs is None for d in rows):
         raise ValueError("detection without features cannot be written to a feature file")
-    if not rows:
-        return f"{FEAT_HEADER_PREFIX}0\n"
-    dim = len(rows[0].embedding)
+    dim = len(rows[0].embedding) if rows else 0
     if any(len(d.embedding) != dim for d in rows):
         raise ValueError("inconsistent embedding dimension in feature file")
 
-    buf = io.StringIO()
-    buf.write(f"{FEAT_HEADER_PREFIX}{dim}\n")
+    out.write(f"{FEAT_HEADER_PREFIX}{dim}\n")
     row_fmt = ",".join(["%.10g"] * (dim + N_ATTRIBUTES)) + "\n"
-    # A block of rows at a time is stacked and checked, which bounds the
-    # table's memory; each row is formatted alone, since one .tolist() of
-    # many rows would hold every value as a Python float at once.
+    # Each row is formatted alone, since one .tolist() of many rows would
+    # hold every value as a Python float at once.
     for lo in range(0, len(rows), _WRITE_BLOCK):
         block = rows[lo:lo + _WRITE_BLOCK]
 
@@ -262,6 +265,7 @@ def write_feature_file(detections: Iterable[Detection]) -> str:
         table[:, :dim] = [d.embedding for d in block]
         table[:, dim:] = stack_attribute_rows([d.attr_obs for d in block], name)
         check_feature_rows(table[:, :dim], table[:, dim:], name)
+        lines = []
         for row, (d, values) in enumerate(zip(block, table), start=lo + 1):
             text = row_fmt % tuple(values.tolist())
             # %.10g rounds values near the float64 maximum up to
@@ -271,8 +275,8 @@ def write_feature_file(detections: Iterable[Detection]) -> str:
             if "+" in text and math.inf in map(abs, map(float, text.split(","))):
                 raise ValueError(f"feature row {row} (frame {d.frame}) has a value that"
                                  " %.10g writes as inf")
-            buf.write(str(d.frame) + "," + text)
-    return buf.getvalue()
+            lines.append(str(d.frame) + "," + text)
+        out.write("".join(lines))
 
 
 def _parse_feature_table(body: list[tuple[int, str]], width: int) -> np.ndarray:

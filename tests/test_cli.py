@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from attmot import synthgen
 from attmot.cli import main
 from attmot.configfile import (
     ConfigError,
@@ -108,6 +111,28 @@ class TestGenerate:
         # a benchmark of the same sequences may be written over it
         assert main(["generate", "-c", str(three), "-o", str(out)]) == 0
         assert tree_digest(out) == before
+
+    def test_bad_feature_row_leaves_no_sidecar(self, tmp_path, monkeypatch, capsys):
+        # the sidecar is streamed a block of 256 rows at a time, so a bad
+        # row past the first block fails after a block has been written
+        real = synthgen.observe_all_frames
+
+        def poisoned(bundle):
+            frames = real(bundle)
+            rows = [(f, i) for f, frame in frames.items() for i in range(len(frame))]
+            f, i = rows[300]
+            det = frames[f][i]
+            frames[f][i] = replace(det, embedding=np.full_like(det.embedding, np.nan))
+            return frames
+
+        monkeypatch.setattr(synthgen, "observe_all_frames", poisoned)
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(WORLD_CFG.replace("n_sequences = 2", "n_sequences = 1")
+                       .replace("n_frames = 24", "n_frames = 80"))
+        out = tmp_path / "bench"
+        assert main(["generate", "-c", str(cfg), "-o", str(out)]) == 2
+        assert "feature row 301 " in capsys.readouterr().err
+        assert sorted(p.name for p in (out / "seq-0000").iterdir()) == ["det.txt", "gt.txt"]
 
     def test_metadata_is_valid_jsonl(self, bench):
         lines = (bench / "seq-0000" / "meta.jsonl").read_text().strip().splitlines()
@@ -337,6 +362,7 @@ class TestCommandImports:
         loaded = self.loaded("eval", "--gt", bench, "--res", runs)
         assert "attmot.metrics" in loaded
         assert self.scipy_modules(loaded) == []
+        assert "numpy.ma" not in loaded
 
     def test_obs_ablate_loads_no_scipy_and_no_fusion_head(self, bench, tmp_path):
         spec = tmp_path / "spec.cfg"

@@ -2,10 +2,11 @@
 gradient verification and serialization."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attmot import autodiff as ad
@@ -364,6 +365,62 @@ class TestTrain:
             TrainConfig(lambda_id=-0.5)
         with pytest.raises(ValueError):
             TrainConfig(attr_input="nope")
+
+
+def _accuracy_one_batch(params, dataset, strategy, attr_input):
+    """The one-batch ``attribute_accuracy`` that the chunked one replaced,
+    kept as its oracle; returns the accuracy and every row's probabilities."""
+    emb, obs, _, gts = fusion._dataset_arrays(dataset)
+    probs, _ = predict_attributes(emb, obs if attr_input == "obs" else None, strategy, params)
+    correct = (probs >= 0.5) == (gts >= 0.5)
+    return float(correct.mean(axis=0).mean()), probs
+
+
+def _random_crops(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    return [rand_sample(rng, dim) for _ in range(n)]
+
+
+class TestChunkedAccuracy:
+    @given(n=st.integers(1, 1300), dim=st.sampled_from([16, 64]),
+           strategy=st.sampled_from(all_strategies()),
+           attr_input=st.sampled_from(["learned", "obs"]), seed=st.integers(0, 2**16))
+    @example(n=256, dim=64, strategy=PREPROC_ATTR, attr_input="obs", seed=0)
+    @example(n=257, dim=64, strategy=FusionStrategy("concat-self"), attr_input="learned", seed=1)
+    @example(n=512, dim=16, strategy=FusionStrategy("cross-fertilize"), attr_input="obs", seed=2)
+    @example(n=513, dim=16, strategy=FusionStrategy("attr-only"), attr_input="learned", seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_batch(self, n, dim, strategy, attr_input, seed):
+        params = FusionParams.random(dim, n_identities=3, n_tokens=4, seed=seed)
+        data = _random_crops(n, dim, seed)
+        want, want_probs = _accuracy_one_batch(params, data, strategy, attr_input)
+        assert attribute_accuracy(params, data, strategy, attr_input) == want
+        chunks = fusion._row_chunks(n)
+        sizes = [hi - lo for lo, hi in chunks]
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
+        assert len(chunks) == -(-n // 256) and max(sizes) - min(sizes) <= 1
+        probs = np.concatenate([_accuracy_one_batch(params, data[lo:hi], strategy, attr_input)[1]
+                                for lo, hi in chunks])
+        np.testing.assert_array_equal(probs, want_probs)
+
+    def test_empty_dataset(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            attribute_accuracy(FusionParams.random(16, n_identities=3, n_tokens=4), [])
+
+    def test_memory_does_not_grow_with_crops(self):
+        params = FusionParams.random(64, n_identities=3, n_tokens=4, seed=1)
+
+        def peak(data):
+            tracemalloc.start()
+            try:
+                attribute_accuracy(params, data)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = _random_crops(512, 64, 1), _random_crops(2048, 64, 2)
+        assert peak(large) < 1.5 * peak(small)
 
 
 class TestGradCheck:

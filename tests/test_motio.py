@@ -1,6 +1,7 @@
 """MOT file and sidecar parsing/writing, round-trip safety."""
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,13 @@ from attmot import motio
 from attmot.core import (N_ATTRIBUTES, AttributeVector, BBox, Detection, FeatureError, GtEntry,
                          validate_prob_attributes)
 from attmot.motio import MotFormatError, parse_attr_file, parse_mot_file, write_mot_file
+
+
+def _feature_text(detections):
+    """The sidecar text ``write_feature_file`` streams for ``detections``."""
+    buf = io.StringIO()
+    motio.write_feature_file(detections, buf)
+    return buf.getvalue()
 
 
 # The row-at-a-time sidecar writer and parser that the bulk versions
@@ -306,7 +314,7 @@ class TestFeatureSidecar:
     def test_round_trip(self):
         dets = self._dets()
         det_text = motio.write_det_file(dets)
-        feat_text = motio.write_feature_file(dets)
+        feat_text = _feature_text(dets)
         bare = parse_mot_file(det_text.encode(), kind="det")
         joined = motio.parse_feature_file(feat_text.encode(), bare)
         for a, b in zip(dets, joined):
@@ -316,7 +324,7 @@ class TestFeatureSidecar:
 
     def test_row_count_mismatch(self):
         dets = self._dets()
-        feat_text = motio.write_feature_file(dets)
+        feat_text = _feature_text(dets)
         with pytest.raises(MotFormatError, match="rows for"):
             motio.parse_feature_file(feat_text.encode(), dets[:-1])
 
@@ -335,7 +343,7 @@ class TestFeatureSidecar:
     ])
     def test_malformed_row_names_line(self, lineno, field, value):
         dets = self._dets()
-        lines = motio.write_feature_file(dets).splitlines()
+        lines = _feature_text(dets).splitlines()
         if field is None:
             lines[lineno - 1] = value
         else:
@@ -356,7 +364,7 @@ class TestFeatureSidecar:
         dets[4] = Detection(frame=dets[4].frame, box=dets[4].box, confidence=0.9,
                             embedding=emb, attr_obs=dets[4].attr_obs)
         with pytest.raises(ValueError, match=r"^feature row 5 \(frame 3\) .* inf$"):
-            motio.write_feature_file(dets)
+            _feature_text(dets)
 
     @pytest.mark.parametrize("field,index,value,reason", [
         ("embedding", 1, np.nan, "embedding contains non-finite values"),
@@ -374,7 +382,7 @@ class TestFeatureSidecar:
             arrays[field][index] = value
         dets[4] = Detection(frame=dets[4].frame, box=dets[4].box, confidence=0.9, **arrays)
         with pytest.raises(FeatureError, match=rf"^feature row 5 \(frame 3\): {reason}"):
-            motio.write_feature_file(dets)
+            _feature_text(dets)
 
     def test_writer_names_rows_past_the_first_block(self):
         dets = _feature_dets(600, 4)
@@ -383,11 +391,27 @@ class TestFeatureSidecar:
         dets[400] = Detection(frame=dets[400].frame, box=dets[400].box, confidence=0.9,
                               embedding=emb, attr_obs=dets[400].attr_obs)
         with pytest.raises(FeatureError, match=r"^feature row 401 \(frame 201\): embedding"):
-            motio.write_feature_file(dets)
+            _feature_text(dets)
         dets[400] = Detection(frame=dets[400].frame, box=dets[400].box, confidence=0.9,
                               embedding=dets[401].embedding, attr_obs=dets[400].attr_obs[:5])
         with pytest.raises(FeatureError, match=r"^feature row 401 \(frame 201\): expected 32"):
-            motio.write_feature_file(dets)
+            _feature_text(dets)
+
+    def test_writer_memory_does_not_grow_with_rows(self):
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        def peak(dets):
+            tracemalloc.start()
+            try:
+                motio.write_feature_file(dets, Discard())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = _feature_dets(1024, 16), _feature_dets(4096, 16)
+        assert peak(large) < 1.5 * peak(small)
 
     def test_largest_finite_text_is_written(self):
         dets = self._dets(1)
@@ -395,7 +419,7 @@ class TestFeatureSidecar:
         emb[0] = 1.7976931344e308
         dets[0] = Detection(frame=1, box=dets[0].box, confidence=0.9, embedding=emb,
                             attr_obs=dets[0].attr_obs)
-        text = motio.write_feature_file(dets)
+        text = _feature_text(dets)
         assert ",1.797693134e+308," in text
         assert motio.parse_feature_file(text.encode(), dets)[0].embedding[0] == 1.797693134e308
 
@@ -406,7 +430,7 @@ class TestFeatureSidecar:
     def test_uniform_wrong_width_names_first_row(self):
         # Every row converts, but the header promises one column fewer.
         dets = self._dets()
-        text = motio.write_feature_file(dets).replace("dim=8", "dim=7", 1)
+        text = _feature_text(dets).replace("dim=8", "dim=7", 1)
         with pytest.raises(MotFormatError, match="expected 40 fields at line 2, got 41"):
             motio.parse_feature_file(text.encode(), dets)
 
@@ -414,7 +438,7 @@ class TestFeatureSidecar:
         # float("1_0") is 10.0, so the row-at-a-time parser took this row;
         # the bulk conversion rejects it.
         dets = self._dets(1)
-        lines = motio.write_feature_file(dets).splitlines()
+        lines = _feature_text(dets).splitlines()
         fields = lines[1].split(",")
         fields[1] = "1_0"
         text = ("\n".join([lines[0], ",".join(fields)]) + "\n").encode()
@@ -423,13 +447,13 @@ class TestFeatureSidecar:
             motio.parse_feature_file(text, dets)
 
     def test_empty_sidecar(self):
-        text = motio.write_feature_file([])
+        text = _feature_text([])
         assert text == _write_feature_loop([])
         assert motio.parse_feature_file(text.encode(), []) == []
 
     def test_header_dimension_read_alone(self, tmp_path):
         path = tmp_path / "feats.csv"
-        path.write_text("\n" + motio.write_feature_file(self._dets(dim=8)))
+        path.write_text("\n" + _feature_text(self._dets(dim=8)))
         assert motio.parse_feature_dim(path) == 8
         path.write_text("# attmot-feats v1 dim=x\n")
         with pytest.raises(MotFormatError, match=re.escape(str(path)) + ": bad feature header"):
@@ -476,15 +500,15 @@ class TestBulkSidecarOracle:
         want = _write_feature_loop(dets)
         if _reads_inf(want):
             with pytest.raises(ValueError, match=r"^feature row \d+ \(frame \d+\) .* inf$"):
-                motio.write_feature_file(dets)
+                _feature_text(dets)
         else:
-            assert motio.write_feature_file(dets) == want
+            assert _feature_text(dets) == want
 
     @given(st.one_of(_feature_rows(np.float64), _feature_rows(np.float32)))
     @settings(max_examples=60)
     def test_parser_equals_loop_on_written_text(self, dets):
         try:
-            text = motio.write_feature_file(dets).encode()
+            text = _feature_text(dets).encode()
         except ValueError:
             # the writer refuses a row the parsers would reject as inf
             assert _reads_inf(_write_feature_loop(dets))
@@ -521,7 +545,7 @@ class TestErrorsNameFile:
         ("det.txt", "1,-1,0,0,5,5,0.5,-1,-1,-1\n1,-1,0,0,-5,5,0.5,-1,-1,-1\n",
          lambda p: parse_mot_file(str(p), kind="det")),
         ("attrs.txt", "# attmot-attrs v1\n7," + ",".join("0" * 31) + "\n", parse_attr_file),
-        ("feats.csv", motio.write_feature_file(_feature_dets(2)).replace(",", ",,", 1),
+        ("feats.csv", _feature_text(_feature_dets(2)).replace(",", ",,", 1),
          lambda p: motio.parse_feature_file(p, _feature_dets(2))),
     ])
     def test_path_source_names_file_and_line(self, tmp_path, name, text, parse):
@@ -535,7 +559,7 @@ class TestErrorsNameFile:
          lambda s: parse_mot_file(s, kind="gt")),
         (b"1,-1,0,0,5,5,0.5,-1,-1,-1\n# d\xe9tections\n", lambda s: parse_mot_file(s, kind="det")),
         (b"# attmot-attrs v1\n\xe9\n", parse_attr_file),
-        (motio.write_feature_file(_feature_dets(2)).encode().replace(b"\n", b"\n\xe9", 1),
+        (_feature_text(_feature_dets(2)).encode().replace(b"\n", b"\n\xe9", 1),
          lambda s: motio.parse_feature_file(s, _feature_dets(2))),
     ], ids=["gt", "det", "attrs", "feats"])
     def test_non_ascii_byte_names_line(self, tmp_path, text, parse):
@@ -585,7 +609,7 @@ _FUZZ_CASES = {
     "det": (motio.write_det_file(_FUZZ_DETS), lambda b: parse_mot_file(b, kind="det")),
     "gt": (write_mot_file(_gt_entries()), lambda b: parse_mot_file(b, kind="gt")),
     "attrs": (motio.write_attr_file(_FUZZ_ATTRS), parse_attr_file),
-    "feats": (motio.write_feature_file(_FUZZ_DETS),
+    "feats": (_feature_text(_FUZZ_DETS),
               lambda b: motio.parse_feature_file(b, _FUZZ_DETS)),
 }
 
