@@ -11,13 +11,14 @@ means ``(T, 8)``, covariances ``(T, 8, 8)``, a gallery ring ``(T, B, D)`` of
 unit embeddings with fill counts and write pointers, attribute estimates
 ``(T, 32)``, and status, hit, age, identity and pending-box columns.  The
 gallery is filled only in the modes whose cost reads embeddings, and the
-attribute estimates only in those that read attributes.  Each frame's
-detections are stacked once, by ``stack_frame``, into a ``FrameBatch`` for
-the gate, the costs, the update and the births; all tracks are predicted,
-gated and updated in one batched pass, the gate and the update sharing one
-Cholesky factorization of the innovation covariances, and each cost mode is
-one array expression over the whole table.  Dead rows are removed by
-boolean compaction, and capacity grows by doubling.
+attribute estimates only in those that read attributes.  A frame arrives
+as one checked ``core.Detections`` table; ``stack_frame`` derives the views
+its cost mode reads once, as a ``FrameBatch`` for the gate, the costs, the
+update and the births.  All tracks are predicted, gated and updated in one
+batched pass, the gate and the update sharing one Cholesky factorization
+of the innovation covariances, and each cost mode is one array expression
+over the whole table.  Dead rows are removed by boolean compaction, and
+capacity grows by doubling.
 
 The Kalman filter is ``kalman_init``, ``kalman_predict``, ``kalman_update``
 and ``gating_distance``; each takes stacked rows, one per track, and a
@@ -27,8 +28,8 @@ one-track filter, so every row is bit-identical to it.
 Numeric failure stays with its track: a track whose innovation covariance
 is not positive definite is infeasible against every detection of the
 frame, so it is never updated and coasts until ``max_age`` ends it, while
-the other tracks go on.  In a mode that reads embeddings, a detection
-without one or whose dimension differs from the gallery's is rejected with a
+the other tracks go on.  In a mode that reads embeddings, a frame without
+them or whose dimension differs from the gallery's is rejected with a
 ``ValueError`` before any state changes.
 """
 from __future__ import annotations
@@ -37,9 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .core import (COST_MODES, N_ATTRIBUTES, BBox, Detection, GtEntry, box_rows,
-                   check_feature_rows, linear_sum_assignment, pairwise_iou,
-                   stack_attribute_rows, unit_rows)
+from .core import (COST_MODES, N_ATTRIBUTES, BBox, Detections, GtEntry, linear_sum_assignment,
+                   pairwise_iou, unit_rows)
 
 CHI2_95_4DOF = 9.4877
 INF_COST = 1e5
@@ -304,10 +304,11 @@ class AssocConfig:
 
 @dataclass(frozen=True)
 class FrameBatch:
-    """One frame's detections as arrays, built once by ``stack_frame``:
-    (N, 4) boxes and (cx, cy, aspect, h) measurements, plus the unit
-    embeddings and attribute rows, each only in the cost modes that read
-    it (else None)."""
+    """The views of one frame's ``Detections`` that a cost mode reads,
+    derived once by ``stack_frame``: (N, 4) boxes and (cx, cy, aspect, h)
+    measurements, plus the unit embeddings and attribute rows, each only in
+    the cost modes that read it and for a frame with detections (else
+    None)."""
 
     boxes: np.ndarray
     meas: np.ndarray
@@ -323,77 +324,44 @@ def predict_attributes(e1, a1_raw, strategy, params):
     return predict(e1, a1_raw, strategy, params)
 
 
-def _detection_name(detections: list[Detection], r: int) -> str:
-    return f"frame {detections[r].frame}, detection {r}"
-
-
-def _stack_attr_obs(detections: list[Detection], rows) -> np.ndarray:
-    """(len(rows), 32) observed attribute rows of ``detections[rows]``,
-    checked: 32 values in [0, 1] each."""
-    def name(i):
-        return _detection_name(detections, rows[i])
-
-    obs = stack_attribute_rows([detections[r].attr_obs for r in rows], name)
-    check_feature_rows(None, obs, name)
-    return obs
-
-
-def _stack_attrs(detections: list[Detection], emb: np.ndarray | None, config: AssocConfig,
-                 fusion_params) -> np.ndarray:
-    """(N, 32) attribute vectors: observed, or predicted by the fusion head
-    from the stacked embeddings ``emb`` for all detections in one batch."""
-    if config.attr_source == "obs":
-        if any(d.attr_obs is None for d in detections):
-            raise ValueError("detection carries no attribute observation")
-        return _stack_attr_obs(detections, range(len(detections)))
-    if fusion_params is None:
-        raise ValueError("fusion_params required for attr_source='fusion'")
-    params, strategy = fusion_params
-    # The observed attribute vector (when present) is the query source,
-    # mirroring training; embeddings-only input falls back to the learned
-    # linear attribute head.
-    has_obs = np.array([d.attr_obs is not None for d in detections], dtype=bool)
-    vecs = np.empty((len(detections), N_ATTRIBUTES))
-    if has_obs.any():
-        obs = _stack_attr_obs(detections, np.flatnonzero(has_obs))
-        vecs[has_obs] = predict_attributes(emb[has_obs], obs, strategy, params)[0]
-    if not has_obs.all():
-        vecs[~has_obs] = predict_attributes(emb[~has_obs], None, strategy, params)[0]
-    return vecs
-
-
-def stack_frame(detections: list[Detection], config: AssocConfig,
+def stack_frame(detections: Detections, config: AssocConfig,
                 fusion_params=None, dim: int | None = None) -> FrameBatch:
-    """Stack one frame's detections for ``config.mode``.
+    """The views of one frame's checked detections that ``config.mode``
+    reads; an empty frame has none.
 
-    Every embedding must have dimension ``dim``, the gallery's (or, before
-    the first one, the dimension of the frame's first embedding).  The
-    embeddings and attribute observations that the mode reads are checked
-    as stacked arrays (``core.check_feature_rows``): a non-finite
-    embedding, or attributes that are not 32 values in [0, 1], raise
-    ``FeatureError`` naming the frame and the detection's index in it.
+    The embeddings must have dimension ``dim``, the gallery's, when given.
+    The attributes are the observed ones, or with ``attr_source="fusion"``
+    the fusion head's prediction from the embeddings, queried by the
+    observed attributes when the frame has them (as in training) and else
+    by the head's learned linear attribute feature.  Every view is
+    C-contiguous, so the matrix products that read it round alike.
     """
-    boxes = box_rows(d.box for d in detections)
+    fusion = config.attr_source == "fusion"
     reads_emb = config.mode in ("embed", "embed+attr")
     reads_attrs = config.mode in ("attr", "embed+attr")
-    emb = unit = attrs = None
-    if reads_emb or (reads_attrs and config.attr_source == "fusion"):
-        if any(d.embedding is None for d in detections):
+    emb, unit, attrs = detections.embeddings, None, detections.attrs
+    if len(detections) and (reads_emb or (reads_attrs and fusion)):
+        if emb is None:
             raise ValueError("detection carries no embedding for this cost mode")
-        if dim is None:
-            dim = detections[0].embedding.shape[0] if detections else 0
-        for d in detections:
-            if d.embedding.shape != (dim,):
-                raise ValueError(f"detection embedding has shape {d.embedding.shape}; "
-                                 f"the gallery holds dimension {dim}")
-        emb = np.array([d.embedding for d in detections],
-                       dtype=np.float64).reshape(len(detections), dim)
-        check_feature_rows(emb, None, lambda r: _detection_name(detections, r))
-    if reads_emb:
-        unit = unit_rows(emb)
-    if reads_attrs:
-        attrs = _stack_attrs(detections, emb, config, fusion_params)
-    return FrameBatch(boxes, _measurements(boxes), unit, attrs)
+        if dim is not None and emb.shape[1] != dim:
+            raise ValueError(f"detection embeddings have shape {emb.shape[1:]}; "
+                             f"the gallery holds dimension {dim}")
+        emb = np.ascontiguousarray(emb)
+        if reads_emb:
+            unit = unit_rows(emb)
+    if not (len(detections) and reads_attrs):
+        attrs = None
+    elif fusion:
+        if fusion_params is None:
+            raise ValueError("fusion_params required for attr_source='fusion'")
+        params, strategy = fusion_params
+        obs = None if attrs is None else np.ascontiguousarray(attrs)
+        attrs = np.ascontiguousarray(predict_attributes(emb, obs, strategy, params)[0])
+    elif attrs is None:
+        raise ValueError("detection carries no attribute observation")
+    else:
+        attrs = np.ascontiguousarray(attrs)
+    return FrameBatch(detections.boxes, _measurements(detections.boxes), unit, attrs)
 
 
 def _gallery_min_cosine(gallery: np.ndarray, filled: np.ndarray,
@@ -496,7 +464,7 @@ class Tracker:
             new = batch.attrs[cols]
             tab.attr[rows] = new if born else ATTR_EMA * tab.attr[rows] + (1 - ATTR_EMA) * new
 
-    def step(self, frame: int, detections: list[Detection]) -> list[TrackOutput]:
+    def step(self, frame: int, detections: Detections) -> list[TrackOutput]:
         """Advance one frame.  Returns this frame's confirmed boxes; when a
         track reaches confirmation its buffered tentative boxes (earlier
         frames) are emitted retroactively in the same call."""
@@ -554,22 +522,27 @@ class Tracker:
             self._next_id += len(cols)
             self._absorb(rows, cols, batch, born=True)
             tab.confirmed[new] = cfg.n_init <= 1
-            for r, c, ident in zip(rows.tolist(), u_dets, tab.identity[new].tolist()):
+            for r, box, ident in zip(rows.tolist(), batch.boxes[cols].tolist(),
+                                     tab.identity[new].tolist()):
                 if cfg.n_init <= 1:
-                    outputs.append(TrackOutput(frame, ident, detections[c].box))
+                    outputs.append(TrackOutput(frame, ident, BBox(*box)))
                 else:
-                    tab.pending[r].append((frame, detections[c].box))
+                    tab.pending[r].append((frame, BBox(*box)))
         return outputs
 
 
-def run_sequence(frames: dict[int, list[Detection]], config: AssocConfig,
+def run_sequence(frames: dict[int, Detections], config: AssocConfig,
                  fusion_params=None, n_frames: int | None = None) -> list[TrackOutput]:
-    """Track a whole sequence of per-frame detections; deterministic."""
+    """Track a whole sequence of per-frame detections; deterministic.  A
+    frame missing from ``frames`` has no detections."""
     tracker = Tracker(config, fusion_params)
     out: list[TrackOutput] = []
     last = n_frames if n_frames is not None else (max(frames) if frames else 0)
     for f in range(1, last + 1):
-        out.extend(tracker.step(f, frames.get(f, [])))
+        dets = frames.get(f)
+        if dets is None:
+            dets = Detections(f, np.empty((0, 4)), np.empty(0))
+        out.extend(tracker.step(f, dets))
     out.sort(key=lambda o: (o.frame, o.identity))
     return out
 

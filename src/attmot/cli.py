@@ -53,12 +53,12 @@ def _write_benchmark(config, n_sequences: int, out: Path) -> None:
         seq_dir.mkdir(exist_ok=True)
         (seq_dir / "gt.txt").write_text(motio.write_mot_file(bundle.gt_entries()),
                                         encoding="ascii")
-        dets = [d for frame in synthgen.observe_all_frames(bundle).values() for d in frame]
-        (seq_dir / "det.txt").write_text(motio.write_det_file(dets), encoding="ascii")
+        frames = synthgen.observe_all_frames(bundle)
+        (seq_dir / "det.txt").write_text(motio.write_det_file(frames), encoding="ascii")
         feats = seq_dir / "feats.csv"
         try:
             with feats.open("w", encoding="ascii") as fh:
-                motio.write_feature_file(dets, fh)
+                motio.write_feature_file(frames, fh)
         except BaseException:
             # the writer streams a block at a time; leave no partial sidecar
             feats.unlink(missing_ok=True)
@@ -97,15 +97,31 @@ def _sequence_dirs(bench: Path, require: bool = True) -> list[Path]:
 
 
 def _load_detections(seq_dir: Path):
+    """The sequence's ``{frame: Detections}``, with features when it has a sidecar."""
     dets = motio.parse_mot_file(seq_dir / "det.txt", kind="det")
     feats = seq_dir / "feats.csv"
     if feats.is_file():
         dets = motio.parse_feature_file(feats, dets)
-    return core.group_by_frame(dets)
+    return dets
 
 
 def _load_gt(seq_dir: Path):
     return motio.parse_mot_file(seq_dir / "gt.txt", kind="gt")
+
+
+def _checked(name: str, convert, value):
+    """``convert(value)``; a value it refuses is a usage error naming ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise CliError(f"{name} {value!r}: {exc}") from None
+
+
+def positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +148,8 @@ def cmd_train(bench_dir: str, strategy_text: str, seed: int, out_path: str,
               trace_path: str | None = None) -> None:
     from . import fusion
 
+    strategy = _checked("--strategy", fusion.FusionStrategy.parse, strategy_text)
     config, n_sequences = _load_benchmark_config(Path(bench_dir))
-    strategy = fusion.FusionStrategy.parse(strategy_text)
     params, trace, crops, tc = _train_head(config, n_sequences, strategy, seed, n_crops,
                                            iterations)
     acc = fusion.attribute_accuracy(params, crops, strategy, attr_input=tc.attr_input)
@@ -189,6 +205,8 @@ def cmd_track(bench_dir: str, config, params_path: str | None, out_dir: str) -> 
 
         if not params_path:
             raise CliError("--params is required with --attr-source fusion")
+        if not Path(params_path).is_file():
+            raise CliError(f"no fusion head file {params_path}")
         fusion_params = fusion.load_fusion_head(params_path)
         _check_head_dim(params_path, fusion_params[0].dim, seq_dirs)
     out = Path(out_dir)
@@ -248,11 +266,24 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
     variants = [str(v).strip() for v in variants_raw if str(v).strip()]
     if not variants:
         raise CliError("no variants")
-    seeds_raw = spec.get("seeds", 0)
-    seeds = [int(s) for s in (seeds_raw if isinstance(seeds_raw, tuple) else (seeds_raw,))]
+    repeated = sorted({v for v in variants if variants.count(v) > 1})
+    if repeated:
+        raise CliError("repeated ablate variant(s) " + ", ".join(map(repr, repeated)))
+
+    def value(key, default, convert):
+        return _checked(f"ablate spec key {key}", convert, spec.get(key, default))
+
+    seeds = value("seeds", 0, lambda v: [int(s) for s in (v if isinstance(v, tuple) else (v,))])
     attr_source = str(spec.get("attr_source", "obs"))
-    lambda_e = float(spec.get("lambda_e", 1.0))
-    lambda_a = float(spec.get("lambda_a", 1.0))
+    lambda_e = value("lambda_e", 1.0, float)
+    lambda_a = value("lambda_a", 1.0, float)
+    if attr_source == "fusion":
+        from . import fusion
+
+        strategy = value("train_strategy", "preproc-attr",
+                         lambda v: fusion.FusionStrategy.parse(str(v)))
+        train_seed = value("train_seed", 0, int)
+        train_crops = value("train_crops", 5000, positive_int)
 
     bench = Path(bench_dir)
     if not bench.is_absolute():
@@ -273,12 +304,7 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
 
     fusion_params = None
     if attr_source == "fusion":
-        from . import fusion
-
-        strategy = fusion.FusionStrategy.parse(str(spec.get("train_strategy", "preproc-attr")))
-        params, *_ = _train_head(base_config, n_sequences, strategy,
-                                 int(spec.get("train_seed", 0)),
-                                 int(spec.get("train_crops", 5000)))
+        params, *_ = _train_head(base_config, n_sequences, strategy, train_seed, train_crops)
         fusion_params = (params, strategy)
 
     cols = (*(c.lower() for c in metrics.REPORT_COLUMNS), "deta")
@@ -330,8 +356,8 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", default="preproc-attr",
                    help="fusion strategy (default preproc-attr; e.g. cross-fertilize:2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--crops", type=int, default=5000)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--crops", type=positive_int, default=5000)
+    p.add_argument("--iterations", type=positive_int, default=None)
     p.add_argument("--trace", default=None, help="write the loss trace CSV here")
     p.add_argument("-o", "--out", required=True, help="parameter file to write")
 

@@ -1,7 +1,9 @@
 """Shared value types and pure geometric/feature distance functions.
 
 Everything here is an immutable value or a pure function; the rest of the
-package builds on these primitives.
+package builds on these primitives.  A frame's detections travel through
+the whole pipeline as one ``Detections`` table, checked once when it is
+built, and a sequence's as a ``{frame: Detections}`` mapping.
 """
 from __future__ import annotations
 
@@ -103,12 +105,6 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     # clamp: coordinate roundoff can push the ratio a few ulp past 1
     return min(1.0, inter / (a.area + b.area - inter))
-
-
-def box_rows(boxes) -> np.ndarray:
-    """(N, 4) float array of (left, top, width, height) rows of the boxes."""
-    return np.array([(b.left, b.top, b.width, b.height) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
 
 
 def _intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -341,21 +337,6 @@ def _attribute_width_error(shape) -> str:
     return f"expected {N_ATTRIBUTES} attribute values, got shape {tuple(shape)}"
 
 
-def stack_attribute_rows(rows, name_row) -> np.ndarray:
-    """``(N, 32)`` float array of N attribute vectors; a vector of another
-    shape raises ``FeatureError`` naming it by ``name_row(index)``."""
-    try:
-        table = np.array(rows, dtype=np.float64)
-        if table.shape == (len(rows), N_ATTRIBUTES):
-            return table
-    except ValueError:      # vectors of different lengths, among others
-        pass
-    for i, values in enumerate(rows):
-        if np.shape(values) != (N_ATTRIBUTES,):
-            raise FeatureError(f"{name_row(i)}: {_attribute_width_error(np.shape(values))}")
-    return np.array(rows, dtype=np.float64).reshape(-1, N_ATTRIBUTES)
-
-
 def check_feature_rows(embeddings: np.ndarray | None, attrs: np.ndarray | None,
                        name_row) -> None:
     """Raise ``FeatureError`` for the first invalid row (``feature_row_error``);
@@ -421,29 +402,58 @@ class AttributeVector:
 
 
 @dataclass(frozen=True, eq=False)
-class Detection:
-    """One per-frame observation: box, confidence and appearance features.
+class Detections:
+    """One frame's detections as a checked table.
 
-    ``embedding`` and ``attr_obs`` may be None for detections parsed from a
-    bare MOT file before the feature sidecar is joined.  Construction checks
-    the frame and the confidence; the arrays are checked a frame or a table
-    at a time (``check_feature_rows``) where they are made or enter numeric
-    code or a file: ``synthgen.observe_frame`` and
-    ``synthgen.sample_training_crops``, ``motio.parse_feature_file``,
-    ``assoc.stack_frame`` and ``motio.write_feature_file``.
+    ``boxes`` is ``(n, 4)`` (left, top, width, height) and ``confidences``
+    ``(n,)``; ``embeddings`` ``(n, D)`` and ``attrs`` ``(n, 32)`` are the
+    appearance features, or None for detections parsed from a bare MOT file
+    before the feature sidecar is joined.  Construction is the one place a
+    frame's rows are checked: the frame is >= 1, every box is finite with a
+    positive size, every confidence lies in [0, 1], and the features pass
+    ``check_feature_rows`` (finite embeddings, exactly 32 attribute values
+    in [0, 1]), whose ``FeatureError`` names ``frame F, detection R``.
+    Each array is kept as a read-only view of the one given, never a copy,
+    so a batch may view a row range of a whole sequence's table.
     """
 
     frame: int
-    box: BBox
-    confidence: float
-    embedding: np.ndarray | None = None
-    attr_obs: np.ndarray | None = None
+    boxes: np.ndarray
+    confidences: np.ndarray
+    embeddings: np.ndarray | None = None
+    attrs: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame index must be >= 1, got {self.frame}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        frame = self.frame
+        if frame < 1:
+            raise ValueError(f"frame index must be >= 1, got {frame}")
+        for name in ("boxes", "confidences", "embeddings", "attrs"):
+            if getattr(self, name) is not None:
+                view = np.asarray(getattr(self, name), dtype=np.float64).view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
+        boxes, conf, emb, attrs = self.boxes, self.confidences, self.embeddings, self.attrs
+        n = len(boxes)
+        if boxes.shape != (n, 4) or conf.shape != (n,):
+            raise ValueError(f"frame {frame}: expected (n, 4) boxes and (n,) confidences, "
+                             f"got shapes {boxes.shape} and {conf.shape}")
+        for name, table in (("embeddings", emb), ("attrs", attrs)):
+            if table is not None and (table.ndim != 2 or len(table) != n):
+                raise ValueError(f"frame {frame}: expected {n} rows of {name}, "
+                                 f"got shape {table.shape}")
+        if attrs is not None and attrs.shape[1] != N_ATTRIBUTES:
+            raise FeatureError(f"frame {frame}, detection 0: "
+                               + _attribute_width_error(attrs.shape[1:]))
+        ok = (np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
+              & (conf >= 0.0) & (conf <= 1.0))
+        if not ok.all():
+            r = int(np.argmin(ok))
+            raise ValueError(f"frame {frame}, detection {r}: box {boxes[r].tolist()} must be "
+                             f"finite with a positive size and confidence {conf[r]} in [0, 1]")
+        check_feature_rows(emb, attrs, lambda r: f"frame {frame}, detection {r}")
+
+    def __len__(self) -> int:
+        return len(self.boxes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,12 +483,3 @@ class GtEntry:
     def __post_init__(self):
         if self.identity < 1:
             raise ValueError(f"identity must be positive, got {self.identity}")
-
-
-def group_by_frame(entries):
-    """Group detections or gt rows into an ordered {frame: [entries]} dict;
-    entries keep their order within a frame."""
-    frames: dict[int, list] = {}
-    for e in entries:
-        frames.setdefault(e.frame, []).append(e)
-    return dict(sorted(frames.items()))

@@ -15,19 +15,20 @@ defaults to 1.0.
 The attribute sidecar holds one line per identity, ``id,b0,...,b31``, after
 a one-line header ``# attmot-attrs v1``.
 
-The feature sidecar aligns with the detection file line-for-line:
-``frame,<embedding floats>,<32 attribute floats>`` after a header
-``# attmot-feats v1 dim=<d>``; the floats are written ``%.10g``.
-``write_feature_file`` streams it to an open text stream a block of rows
-at a time, so writing a sidecar holds one block, never the whole text.
+The feature sidecar aligns with the detection file line-for-line (in
+frame order): ``frame,<embedding floats>,<32 attribute floats>`` after a
+header ``# attmot-feats v1 dim=<d>``; the floats are written ``%.10g``.
+``write_feature_file`` streams it to an open text stream a block of whole
+frames at a time, so writing a sidecar holds one block, never the whole
+text.
 
 When ``source`` is a path, parse errors name the file as well as the line.
 
-Detection arrays are checked as whole tables (``core.check_feature_rows``):
-``parse_feature_file`` checks the sidecar's embedding and attribute columns
-once and names the first bad line, and ``write_feature_file`` checks the
-rows it writes and names the first bad row.  A non-finite embedding value,
-or attributes that are not 32 values in [0, 1], are rejected.
+Detections are read and written as ``{frame: core.Detections}`` mappings.
+The writers take only checked batches.  ``parse_feature_file`` checks the
+sidecar's embedding and attribute columns once, as one table, and names
+the first bad line: a non-finite embedding value, or attributes that are
+not 32 values in [0, 1], are rejected.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ import functools
 import io
 import math
 import os
+from dataclasses import replace
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -43,16 +45,14 @@ from .core import (
     N_ATTRIBUTES,
     AttributeVector,
     BBox,
-    Detection,
+    Detections,
     GtEntry,
-    check_feature_rows,
     feature_row_error,
-    stack_attribute_rows,
 )
 
 ATTR_HEADER = "# attmot-attrs v1"
 FEAT_HEADER_PREFIX = "# attmot-feats v1 dim="
-_WRITE_BLOCK = 256  # feature rows stacked, checked and written at once
+_WRITE_BLOCK = 256  # feature rows, in whole frames, formatted and written at once
 
 
 class MotFormatError(ValueError):
@@ -105,15 +105,16 @@ def _fmt_coord(v: float) -> str:
 def parse_mot_file(source, kind: str):
     """Parse a MOT-format file.
 
-    ``kind`` is ``"det"`` (rows become Detections without features) or
-    ``"gt"`` (rows become GtEntries; also used for result files).  Entries
-    are returned sorted by frame then id/appearance order.  Any malformed
-    line, or a ``"gt"`` identity repeated within one frame, raises
-    MotFormatError naming the line.
+    ``kind`` is ``"det"`` (rows become a ``{frame: Detections}`` mapping
+    in frame order, without features, each frame's rows in file order) or
+    ``"gt"`` (rows become GtEntries sorted by frame then identity; also
+    used for result files).  Any malformed line, or a ``"gt"`` identity
+    repeated within one frame, raises MotFormatError naming the line.
     """
     if kind not in ("det", "gt"):
         raise ValueError(f"unknown kind {kind!r}")
     out = []
+    dets: dict[int, list] = {}
     seen = set()
     for lineno, raw in enumerate(_open_lines(source), start=1):
         line = raw.strip()
@@ -137,7 +138,8 @@ def parse_mot_file(source, kind: str):
                 raise ValueError(f"non-finite confidence {conf}")
             box = BBox(left, top, width, height)
             if kind == "det":
-                out.append(Detection(frame=frame, box=box, confidence=min(max(conf, 0.0), 1.0)))
+                dets.setdefault(frame, []).append((left, top, width, height,
+                                                   min(max(conf, 0.0), 1.0)))
                 continue
             if ident < 1:
                 raise ValueError("non-positive identity")
@@ -157,9 +159,9 @@ def parse_mot_file(source, kind: str):
         except ValueError as exc:
             raise MotFormatError(f"{exc} at line {lineno}") from None
     if kind == "det":
-        out.sort(key=lambda d: d.frame)
-    else:
-        out.sort(key=lambda g: (g.frame, g.identity))
+        tables = {frame: np.array(rows) for frame, rows in sorted(dets.items())}
+        return {frame: Detections(frame, t[:, :4], t[:, 4]) for frame, t in tables.items()}
+    out.sort(key=lambda g: (g.frame, g.identity))
     return out
 
 
@@ -209,15 +211,17 @@ def write_mot_file(entries: Iterable[GtEntry]) -> str:
     return buf.getvalue()
 
 
-def write_det_file(detections: Iterable[Detection]) -> str:
-    """Serialize detections (id column is -1) to the 10-field MOT format."""
-    rows = sorted(detections, key=lambda d: d.frame)
+def write_det_file(frames: dict[int, Detections]) -> str:
+    """Serialize a ``{frame: Detections}`` mapping (id column -1) to the
+    10-field MOT format, in frame order."""
     buf = io.StringIO()
-    for d in rows:
-        buf.write(
-            f"{d.frame},-1,{_fmt_coord(d.box.left)},{_fmt_coord(d.box.top)},"
-            f"{_fmt_coord(d.box.width)},{_fmt_coord(d.box.height)},{d.confidence:.2f},-1,-1,-1\n"
-        )
+    for dets in (frames[frame] for frame in sorted(frames)):
+        for (left, top, width, height), conf in zip(dets.boxes.tolist(),
+                                                    dets.confidences.tolist()):
+            buf.write(
+                f"{dets.frame},-1,{_fmt_coord(left)},{_fmt_coord(top)},"
+                f"{_fmt_coord(width)},{_fmt_coord(height)},{conf:.2f},-1,-1,-1\n"
+            )
     return buf.getvalue()
 
 
@@ -231,52 +235,45 @@ def write_attr_file(attrs: dict[int, AttributeVector]) -> str:
     return buf.getvalue()
 
 
-def write_feature_file(detections: Iterable[Detection], out: TextIO) -> None:
-    """Write per-detection features, aligned with the det file order, to the
-    text stream ``out``.
+def write_feature_file(frames: dict[int, Detections], out: TextIO) -> None:
+    """Write the features of a ``{frame: Detections}`` mapping, aligned with
+    the det file order, to the text stream ``out``.
 
-    The header goes out first, then each block of ``_WRITE_BLOCK`` rows once
-    it is checked, so memory stays bounded whatever the number of rows.
-    Rows are counted from 1 after the header.  A row whose attributes are
-    not 32 values in [0, 1], or whose embedding holds a non-finite value,
-    raises ``FeatureError`` naming the row and its frame; a value whose
-    ``%.10g`` text reads back as inf raises ValueError naming the same.
-    The blocks before the bad one have been written by then, so a caller
-    writing a file removes it on error.
+    The header goes out first, then the rows in blocks of whole frames of
+    at least ``_WRITE_BLOCK`` rows, so memory stays at one block's text
+    whatever the number of rows.  Rows are counted from 1 after the
+    header.  A value whose ``%.10g`` text reads back as inf raises
+    ValueError naming its row and frame; the blocks before it have been
+    written by then, so a caller writing a file removes it on error.
     """
-    rows = sorted(detections, key=lambda d: d.frame)
-    if any(d.embedding is None or d.attr_obs is None for d in rows):
+    if any(len(d) and (d.embeddings is None or d.attrs is None) for d in frames.values()):
         raise ValueError("detection without features cannot be written to a feature file")
-    dim = len(rows[0].embedding) if rows else 0
-    if any(len(d.embedding) != dim for d in rows):
+    dims = {d.embeddings.shape[1] for d in frames.values() if len(d)}
+    if len(dims) > 1:
         raise ValueError("inconsistent embedding dimension in feature file")
+    dim = dims.pop() if dims else 0
 
     out.write(f"{FEAT_HEADER_PREFIX}{dim}\n")
     row_fmt = ",".join(["%.10g"] * (dim + N_ATTRIBUTES)) + "\n"
-    # Each row is formatted alone, since one .tolist() of many rows would
-    # hold every value as a Python float at once.
-    for lo in range(0, len(rows), _WRITE_BLOCK):
-        block = rows[lo:lo + _WRITE_BLOCK]
-
-        def name(i):
-            return f"feature row {lo + i + 1} (frame {block[i].frame})"
-
-        table = np.empty((len(block), dim + N_ATTRIBUTES))
-        table[:, :dim] = [d.embedding for d in block]
-        table[:, dim:] = stack_attribute_rows([d.attr_obs for d in block], name)
-        check_feature_rows(table[:, :dim], table[:, dim:], name)
-        lines = []
-        for row, (d, values) in enumerate(zip(block, table), start=lo + 1):
+    lines, row = [], 0
+    for dets in (frames[frame] for frame in sorted(frames) if len(frames[frame])):
+        # Each row is formatted alone, since one .tolist() of many rows would
+        # hold every value as a Python float at once.
+        for values in np.hstack((dets.embeddings, dets.attrs)):
+            row += 1
             text = row_fmt % tuple(values.tolist())
             # %.10g rounds values near the float64 maximum up to
             # 1.797693135e+308, which reads back as inf.  "+" only appears in
             # exponents of 10 and up, so the precise check runs on rows with
             # huge values only.
             if "+" in text and math.inf in map(abs, map(float, text.split(","))):
-                raise ValueError(f"feature row {row} (frame {d.frame}) has a value that"
+                raise ValueError(f"feature row {row} (frame {dets.frame}) has a value that"
                                  " %.10g writes as inf")
-            lines.append(str(d.frame) + "," + text)
-        out.write("".join(lines))
+            lines.append(f"{dets.frame},{text}")
+        if len(lines) >= _WRITE_BLOCK:
+            out.write("".join(lines))
+            lines.clear()
+    out.write("".join(lines))
 
 
 def _parse_feature_table(body: list[tuple[int, str]], width: int) -> np.ndarray:
@@ -331,37 +328,38 @@ def parse_feature_dim(source) -> int:
 
 
 @_names_file
-def parse_feature_file(source, detections: list[Detection]) -> list[Detection]:
-    """Join a feature sidecar onto detections parsed from the det file.
+def parse_feature_file(source, detections: dict[int, Detections]) -> dict[int, Detections]:
+    """Join a feature sidecar onto the ``{frame: Detections}`` mapping
+    parsed from the det file.
 
-    The sidecar must have exactly one row per detection, in the same order.
-    Returns new Detection values carrying embedding and attr_obs.
+    The sidecar must have exactly one row per detection, in frame order.
+    Returns new batches whose features view the sidecar's one table.
     """
+    batches = [detections[frame] for frame in sorted(detections)]
+    n_rows = sum(map(len, batches))
     lines = [(n, ln.strip()) for n, ln in enumerate(_open_lines(source), start=1)]
     lines = [(n, ln) for n, ln in lines if ln]
     dim = _header_dim(lines[:1])
     body = lines[1:]
-    if len(body) != len(detections):
-        raise MotFormatError(
-            f"feature file has {len(body)} rows for {len(detections)} detections"
-        )
+    if len(body) != n_rows:
+        raise MotFormatError(f"feature file has {len(body)} rows for {n_rows} detections")
     table = _parse_feature_table(body, 1 + dim + N_ATTRIBUTES)
     emb = table[:, 1:1 + dim]
     attrs = np.clip(table[:, 1 + dim:], 0.0, 1.0)
     # A row's frame is checked before its arrays, so the first bad line wins.
-    bad_row, reason = feature_row_error(emb, attrs) or (len(body), None)
-    out = []
-    for i, ((lineno, line), det) in enumerate(zip(body, detections)):
+    bad_row, reason = feature_row_error(emb, attrs) or (n_rows, None)
+    want = (d.frame for d in batches for _ in range(len(d)))
+    for i, ((lineno, line), expected) in enumerate(zip(body, want)):
         try:
             # int() of the text, not of the float column, so "1.5" or "1.0" fails.
             frame = int(line[:line.index(",")])
-            if frame != det.frame:
+            if frame != expected:
                 raise ValueError(f"feature row frame {frame} does not match detection"
-                                 f" frame {det.frame}")
+                                 f" frame {expected}")
             if i == bad_row:
                 raise ValueError(reason)
-            out.append(Detection(frame=det.frame, box=det.box, confidence=det.confidence,
-                                 embedding=emb[i], attr_obs=attrs[i]))
         except ValueError as exc:
             raise MotFormatError(f"{exc} at line {lineno}") from None
-    return out
+    ends = np.cumsum([len(d) for d in batches]).tolist()
+    return {d.frame: replace(d, embeddings=emb[hi - len(d):hi], attrs=attrs[hi - len(d):hi])
+            for d, hi in zip(batches, ends)}

@@ -31,7 +31,7 @@ from .core import (
     UPPER_COLOR_SLICE,
     AttributeVector,
     BBox,
-    Detection,
+    Detections,
     GtEntry,
     TrainSample,
     check_feature_rows,
@@ -346,16 +346,18 @@ def _occlusion_matrix(boxes: np.ndarray) -> np.ndarray:
     return np.where(in_front, frac, 0.0).max(axis=2, initial=0.0)
 
 
-def _clip_box(l, t, w, h, config) -> BBox | None:
+def _clip_box(l, t, w, h, config) -> tuple[float, float, float, float] | None:
+    """The (left, top, width, height) box clipped to the image, or None
+    when less than ``_MIN_BOX`` of a side is left."""
     if l >= 0.0 and t >= 0.0 and l + w <= config.image_width and t + h <= config.image_height:
-        return BBox(l, t, w, h)
+        return l, t, w, h
     right = min(l + w, float(config.image_width))
     bottom = min(t + h, float(config.image_height))
     l = max(l, 0.0)
     t = max(t, 0.0)
     if right - l < _MIN_BOX or bottom - t < _MIN_BOX:
         return None
-    return BBox(l, t, right - l, bottom - t)
+    return l, t, right - l, bottom - t
 
 
 class _Emissions:
@@ -378,7 +380,7 @@ class _Emissions:
         self.normals = np.zeros((capacity, dim))   # rows of zero-noise cards stay 0
         self.uniforms = np.empty((capacity, N_ATTRIBUTES))
         self.conf = np.empty(capacity)             # normals of cards, values of clutter
-        self.boxes: list[BBox] = []
+        self.boxes: list[tuple] = []               # (left, top, width, height)
         self.cards: list[IdentityCard] = []        # card rows come first
         self.occ: list[float] = []
         self.sigma: list[float] = []
@@ -393,7 +395,7 @@ class _Emissions:
             self.conf = np.concatenate([self.conf, np.empty(short)])
 
     def draw(self, rng: np.random.Generator, card: IdentityCard, occ: float, frame: int,
-             config: WorldConfig) -> BBox | None:
+             config: WorldConfig) -> tuple | None:
         """Draw one observation of ``card`` in a 1-based frame; the box, or
         None when it is clipped away."""
         l, t, w, h = card.trajectory[frame - 1].tolist()
@@ -418,7 +420,7 @@ class _Emissions:
         self.p_flip.append(min(0.5, config.attr_flip_base + config.attr_flip_occ_gain * occ))
         return box
 
-    def false_positive(self, rng: np.random.Generator, box: BBox) -> None:
+    def false_positive(self, rng: np.random.Generator, box: tuple) -> None:
         """Draw a clutter detection: unit-normal embedding, uniform attributes."""
         k = len(self.boxes)
         rng.standard_normal(out=self.normals[k])
@@ -451,7 +453,7 @@ class _Emissions:
         return emb, attrs, conf
 
 
-def observe_frame(bundle: SequenceBundle, frame: int) -> list[Detection]:
+def observe_frame(bundle: SequenceBundle, frame: int) -> Detections:
     """Noisy detections for one 1-based frame, deterministic per (seed, frame)."""
     config = bundle.config
     if not 1 <= frame <= config.n_frames:
@@ -474,12 +476,10 @@ def observe_frame(bundle: SequenceBundle, frame: int) -> list[Detection]:
         if box is not None:
             em.false_positive(rng, box)
     emb, attrs, conf = em.finish()
-    check_feature_rows(emb, attrs, lambda row: f"frame {frame}, detection {row}")
-    return [Detection(frame=frame, box=box, confidence=c, embedding=e, attr_obs=a)
-            for box, c, e, a in zip(em.boxes, conf.tolist(), emb, attrs)]
+    return Detections(frame, np.array(em.boxes).reshape(-1, 4), conf, emb, attrs)
 
 
-def observe_all_frames(bundle: SequenceBundle) -> dict[int, list[Detection]]:
+def observe_all_frames(bundle: SequenceBundle) -> dict[int, Detections]:
     return {f: observe_frame(bundle, f) for f in range(1, bundle.config.n_frames + 1)}
 
 

@@ -315,7 +315,7 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
     assert rep1.read_text() == rep2.read_text()
 
     def det_key(d):
-        return (d.frame, d.box, d.confidence)
+        return (d.frame, d.boxes.tolist(), d.confidences.tolist())
 
     for seq in ("seq-0000", "seq-0001"):
         for name, kind in (("gt.txt", "gt"), ("det.txt", "det")):
@@ -327,7 +327,9 @@ def test_criterion_9_determinism_and_round_trip(tmp_path):
             if kind == "gt":
                 assert reparsed == parsed
             else:
-                assert list(map(det_key, reparsed)) == list(map(det_key, parsed))
+                assert list(reparsed) == list(parsed)
+                assert (list(map(det_key, reparsed.values()))
+                        == list(map(det_key, parsed.values())))
         res_text = (r1 / f"{seq}.txt").read_text()
         parsed = motio.parse_mot_file(res_text.encode(), "gt")
         assert motio.write_mot_file(parsed) == res_text

@@ -1,5 +1,6 @@
 """Kalman filtering, cost matrices, assignment and track lifecycle."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,10 +30,9 @@ from attmot.assoc import (
 from attmot.core import (
     COST_MODES,
     BBox,
-    Detection,
+    Detections,
     FeatureError,
     attribute_distance,
-    box_rows,
     cosine_distance,
     iou,
 )
@@ -40,14 +40,24 @@ from attmot.fusion import FusionParams, all_strategies, predict_attributes
 from attmot.synthgen import WorldConfig, observe_all_frames, simulate_sequence
 
 
-def det(frame, box, emb=None, attr=None, conf=1.0):
-    return Detection(frame=frame, box=box, confidence=conf,
-                     embedding=emb, attr_obs=attr)
+def box_table(boxes):
+    """(N, 4) (left, top, width, height) rows of the boxes."""
+    rows = [(b.left, b.top, b.width, b.height) for b in boxes]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def dets(frame, boxes, embs=None, attrs=None):
+    """One frame's detections of the boxes at confidence 1, with the
+    embedding and attribute rows when given."""
+    n = len(boxes)
+    return Detections(frame, box_table(boxes), np.ones(n),
+                      None if embs is None else np.array(embs, dtype=float).reshape(n, -1),
+                      None if attrs is None else np.array(attrs, dtype=float).reshape(n, -1))
 
 
 def _meas(*boxes):
     """(N, 4) measurement rows of the boxes."""
-    return _measurements(box_rows(boxes))
+    return _measurements(box_table(boxes))
 
 
 def _state_meas(means):
@@ -232,17 +242,16 @@ class TestBuildCostMatrix:
         a2 = np.zeros(32); a2[4:8] = 1.0
         cfg = AssocConfig(mode="embed+attr")
         tracker = Tracker(cfg)
-        tracker.step(1, [det(1, BBox(0, 0, 10, 20), e1, a1),
-                         det(1, BBox(200, 0, 10, 20), e2, a2)])
-        dets = [det(2, BBox(1, 0, 10, 20), _unit([1, 0.1, 0, 0]), a1),
-                det(2, BBox(201, 0, 10, 20), _unit([0.1, 1, 0, 0]), a2)]
-        return tracker.table, dets, cfg
+        tracker.step(1, dets(1, [BBox(0, 0, 10, 20), BBox(200, 0, 10, 20)], [e1, e2], [a1, a2]))
+        frame = dets(2, [BBox(1, 0, 10, 20), BBox(201, 0, 10, 20)],
+                     [_unit([1, 0.1, 0, 0]), _unit([0.1, 1, 0, 0])], [a1, a2])
+        return tracker.table, frame, cfg
 
     def test_additivity_and_degenerate_weights(self):
-        tracks, dets, _ = self._tracks_and_dets()
+        tracks, frame, _ = self._tracks_and_dets()
 
         def costs(cfg):
-            return build_cost_matrix(tracks, stack_frame(dets, cfg), cfg)[0]
+            return build_cost_matrix(tracks, stack_frame(frame, cfg), cfg)[0]
 
         embed = costs(AssocConfig(mode="embed"))
         attr = costs(AssocConfig(mode="attr"))
@@ -254,13 +263,13 @@ class TestBuildCostMatrix:
         np.testing.assert_array_equal(only_e, embed)
 
     def test_hand_case(self):
-        tab, dets, cfg = self._tracks_and_dets()
-        cost, infeasible = build_cost_matrix(tab, stack_frame(dets, cfg), cfg)
+        tab, frame, cfg = self._tracks_and_dets()
+        cost, infeasible = build_cost_matrix(tab, stack_frame(frame, cfg), cfg)
         expected = np.zeros((2, 2))
         for i in range(len(tab)):
-            for j, d in enumerate(dets):
-                e_cost = min(cosine_distance(g, d.embedding) for g in tab.gallery[i, :tab.gal_n[i]])
-                a_cost = attribute_distance(tab.attr[i], d.attr_obs)
+            for j, (emb, attr) in enumerate(zip(frame.embeddings, frame.attrs)):
+                e_cost = min(cosine_distance(g, emb) for g in tab.gallery[i, :tab.gal_n[i]])
+                a_cost = attribute_distance(tab.attr[i], attr)
                 expected[i, j] = e_cost + a_cost
         np.testing.assert_allclose(cost, expected, atol=1e-9)
         # far-apart pairs fail the Mahalanobis gate
@@ -268,26 +277,26 @@ class TestBuildCostMatrix:
         assert not infeasible[0, 0] and not infeasible[1, 1]
 
     def test_iou_mode(self):
-        tab, dets, _ = self._tracks_and_dets()
+        tab, frame, _ = self._tracks_and_dets()
         cfg = AssocConfig(mode="iou")
-        cost, _ = build_cost_matrix(tab, stack_frame(dets, cfg), cfg)
+        cost, _ = build_cost_matrix(tab, stack_frame(frame, cfg), cfg)
         for i, box in enumerate(_box_rows(tab.mean).tolist()):
-            for j, d in enumerate(dets):
-                assert cost[i, j] == pytest.approx(1.0 - iou(BBox(*box), d.box))
+            for j, d_box in enumerate(frame.boxes.tolist()):
+                assert cost[i, j] == pytest.approx(1.0 - iou(BBox(*box), BBox(*d_box)))
 
     def test_fusion_source_requires_params(self):
-        _, dets, _ = self._tracks_and_dets()
+        _, frame, _ = self._tracks_and_dets()
         with pytest.raises(ValueError, match="fusion_params"):
-            stack_frame(dets, AssocConfig(mode="attr", attr_source="fusion"))
+            stack_frame(frame, AssocConfig(mode="attr", attr_source="fusion"))
 
     def test_missing_embedding_rejected(self):
-        bare = [det(2, BBox(0, 0, 10, 20))]
+        bare = dets(2, [BBox(0, 0, 10, 20)])
         with pytest.raises(ValueError, match="no embedding"):
             stack_frame(bare, AssocConfig(mode="embed"))
 
     def test_empty_inputs(self):
         cfg = AssocConfig(mode="embed")
-        cost, mask = build_cost_matrix([], stack_frame([], cfg), cfg)
+        cost, mask = build_cost_matrix([], stack_frame(dets(1, []), cfg), cfg)
         assert cost.shape == (0, 0) and mask.shape == (0, 0)
 
     def test_config_validation(self):
@@ -303,7 +312,7 @@ class TestTrackerLifecycle:
         tracker = Tracker(cfg)
         outputs = []
         for f in range(1, 6):
-            outputs += tracker.step(f, [det(f, BBox(10 + f, 10, 20, 40))])
+            outputs += tracker.step(f, dets(f, [BBox(10 + f, 10, 20, 40)]))
         confirmed = tracker.table.identity[tracker.table.confirmed].tolist()
         assert len(confirmed) == 1
         ids = {o.identity for o in outputs}
@@ -314,35 +323,35 @@ class TestTrackerLifecycle:
     def test_empty_frame_ages_tracks(self):
         cfg = AssocConfig(mode="iou", n_init=1)
         tracker = Tracker(cfg)
-        tracker.step(1, [det(1, BBox(0, 0, 20, 40))])
-        out = tracker.step(2, [])
+        tracker.step(1, dets(1, [BBox(0, 0, 20, 40)]))
+        out = tracker.step(2, dets(2, []))
         assert out == []  # coasting tracks are not emitted
         assert tracker.table.age.tolist() == [1]
 
     def test_lost_after_max_age(self):
         cfg = AssocConfig(mode="iou", n_init=1, max_age=3)
         tracker = Tracker(cfg)
-        tracker.step(1, [det(1, BBox(0, 0, 20, 40))])
+        tracker.step(1, dets(1, [BBox(0, 0, 20, 40)]))
         for f in range(2, 7):
-            tracker.step(f, [])
+            tracker.step(f, dets(f, []))
         assert len(tracker.table) == 0
 
     def test_tentative_dies_on_miss(self):
         cfg = AssocConfig(mode="iou", n_init=3)
         tracker = Tracker(cfg)
-        tracker.step(1, [det(1, BBox(0, 0, 20, 40))])
-        tracker.step(2, [])
+        tracker.step(1, dets(1, [BBox(0, 0, 20, 40)]))
+        tracker.step(2, dets(2, []))
         assert len(tracker.table) == 0
 
     def test_identities_never_reused(self):
         cfg = AssocConfig(mode="iou", n_init=1, max_age=1)
         tracker = Tracker(cfg)
-        first = tracker.step(1, [det(1, BBox(0, 0, 20, 40))])
+        first = tracker.step(1, dets(1, [BBox(0, 0, 20, 40)]))
         assert [o.identity for o in first] == [1]
-        tracker.step(2, [])
-        tracker.step(3, [])  # exceeds max_age: the track is dropped
+        tracker.step(2, dets(2, []))
+        tracker.step(3, dets(3, []))  # exceeds max_age: the track is dropped
         assert len(tracker.table) == 0
-        again = tracker.step(4, [det(4, BBox(0, 0, 20, 40))])
+        again = tracker.step(4, dets(4, [BBox(0, 0, 20, 40)]))
         # the re-appearing target gets a fresh identity, never a recycled one
         assert [o.identity for o in again] == [2]
 
@@ -350,8 +359,7 @@ class TestTrackerLifecycle:
         cfg = AssocConfig(mode="iou", n_init=1)
         tracker = Tracker(cfg)
         for f in range(1, 5):
-            outs = tracker.step(f, [det(f, BBox(0, 0, 20, 40)),
-                                    det(f, BBox(300, 0, 20, 40))])
+            outs = tracker.step(f, dets(f, [BBox(0, 0, 20, 40), BBox(300, 0, 20, 40)]))
             ids = [o.identity for o in outs if o.frame == f]
             assert len(ids) == len(set(ids))
 
@@ -359,8 +367,8 @@ class TestTrackerLifecycle:
         # no iou cost reads embeddings or attributes, so none are kept
         tracker = Tracker(AssocConfig(mode="iou", n_init=1))
         for f in range(1, 4):
-            tracker.step(f, [det(f, BBox(10 + f, 10, 20, 40), _unit([1, 0, 0, 0]),
-                                 np.full(32, 0.5))])
+            tracker.step(f, dets(f, [BBox(10 + f, 10, 20, 40)], [_unit([1, 0, 0, 0])],
+                                 [np.full(32, 0.5)]))
         assert len(tracker.table) == 1
         assert tracker.table.dim is None
         assert not tracker.table.attr.any()
@@ -374,16 +382,16 @@ class TestTrackerLifecycle:
         tracker = Tracker(cfg)
         # 100px-tall boxes at 12px/frame keep the motion inside the gate
         speed, y, w, h = 12.0, 100.0, 40.0, 100.0
-        first = tracker.step(1, [det(1, BBox(0, y, w, h), attr=a_attr),
-                                 det(1, BBox(240, y, w, h), attr=b_attr)])
+        first = tracker.step(1, dets(1, [BBox(0, y, w, h), BBox(240, y, w, h)],
+                                     attrs=[a_attr, b_attr]))
         id_a = next(o.identity for o in first if o.box.left == 0)
         id_b = next(o.identity for o in first if o.box.left == 240)
         pairs = []
         for f in range(2, 22):
             ax = speed * (f - 1)
             bx = 240.0 - speed * (f - 1)
-            outs = tracker.step(f, [det(f, BBox(ax, y, w, h), attr=a_attr),
-                                    det(f, BBox(bx, y, w, h), attr=b_attr)])
+            outs = tracker.step(f, dets(f, [BBox(ax, y, w, h), BBox(bx, y, w, h)],
+                                        attrs=[a_attr, b_attr]))
             assert len(outs) == 2
             assert len(tracker.table) == 2  # no spurious births
             if abs(ax - bx) > 2 * speed:     # skip the coincident frames
@@ -432,7 +440,7 @@ class TestRunSequence:
         monkeypatch.setattr(assoc, "kalman_update", counting)
         # two targets 1 px/frame apart from frame 1 to 6, none in frame 4:
         # frame 1 gives births, frames 2, 3, 5 and 6 match both tracks
-        frames = {f: [det(f, BBox(10 + f, 10, 20, 40)), det(f, BBox(300 - f, 10, 20, 40))]
+        frames = {f: dets(f, [BBox(10 + f, 10, 20, 40), BBox(300 - f, 10, 20, 40)])
                   for f in (1, 2, 3, 5, 6)}
         outputs = run_sequence(frames, AssocConfig(mode="iou"), n_frames=6)
         assert {o.identity for o in outputs} == {1, 2}
@@ -454,8 +462,8 @@ class TestRunSequence:
         monkeypatch.setattr(assoc, "build_cost_matrix", counting)
         a1 = np.zeros(32); a1[:4] = 1.0
         a2 = np.zeros(32); a2[4:8] = 1.0
-        frames = {f: [det(f, BBox(10 + f, 10, 20, 40), _unit([1, 0, 0, 0]), a1),
-                      det(f, BBox(300 - f, 10, 20, 40), _unit([0, 1, 0, 0]), a2)]
+        frames = {f: dets(f, [BBox(10 + f, 10, 20, 40), BBox(300 - f, 10, 20, 40)],
+                          [_unit([1, 0, 0, 0]), _unit([0, 1, 0, 0])], [a1, a2])
                   for f in (1, 2, 3, 5, 6)}
         cfg = AssocConfig(mode="embed+attr")
         outputs = run_sequence(frames, cfg, n_frames=6)
@@ -472,7 +480,7 @@ class TestFailureContainment:
         cfg = AssocConfig(mode="iou", n_init=1, max_age=2)
         tracker = Tracker(cfg)
         boxes = [BBox(0, 0, 20, 40), BBox(300, 0, 20, 40)]
-        tracker.step(1, [det(1, b) for b in boxes])
+        tracker.step(1, dets(1, boxes))
         tab = tracker.table
         healthy_id = int(tab.identity[1])
         tab.cov[0, :4, :4] = -1e6 * np.eye(4)   # row 0 is the broken track
@@ -481,55 +489,57 @@ class TestFailureContainment:
         with pytest.raises(np.linalg.LinAlgError):
             kalman_update(tab.mean[:1], tab.cov[:1], _meas(boxes[0]))
 
-        frame = stack_frame([det(2, b) for b in boxes], cfg)
+        frame = stack_frame(dets(2, boxes), cfg)
         _, infeasible = build_cost_matrix(tracker.table, frame, cfg)
         assert infeasible[0].all() and not infeasible[1, 1]
-        out = tracker.step(2, [det(2, b) for b in boxes])
+        out = tracker.step(2, dets(2, boxes))
         # the healthy track keeps its identity; the broken one is not
         # updated, so its detection starts a new track
         assert sorted(o.identity for o in out) == [healthy_id, 3]
         assert tab.age.tolist() == [1, 0, 0]
         for f in range(3, 6):
-            out = tracker.step(f, [det(f, b) for b in boxes])
+            out = tracker.step(f, dets(f, boxes))
             assert len(out) == 2
         # max_age ends the broken track; the others carry on
         assert tab.identity.tolist() == [healthy_id, 3]
 
     def test_embedding_dimension_change_rejected(self):
         tracker = Tracker(AssocConfig(mode="embed", n_init=1))
-        tracker.step(1, [det(1, BBox(0, 0, 20, 40), _unit([1, 0, 0, 0]))])
+        tracker.step(1, dets(1, [BBox(0, 0, 20, 40)], [_unit([1, 0, 0, 0])]))
         with pytest.raises(ValueError, match=r"shape \(3,\); the gallery holds dimension 4"):
-            tracker.step(2, [det(2, BBox(0, 0, 20, 40), _unit([1, 0, 0]))])
+            tracker.step(2, dets(2, [BBox(0, 0, 20, 40)], [_unit([1, 0, 0])]))
         # the rejected frame changed no state
         assert tracker.table.age.tolist() == [0]
-        fresh = Tracker(AssocConfig(mode="embed"))
-        with pytest.raises(ValueError, match=r"shape \(2,\); the gallery holds dimension 3"):
-            fresh.step(1, [det(1, BBox(0, 0, 20, 40), _unit([1, 0, 0])),
-                           det(1, BBox(90, 0, 20, 40), _unit([1, 0]))])
+        # one frame's embeddings are one table, so their dimensions cannot differ
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            Detections(1, box_table([BBox(0, 0, 20, 40), BBox(90, 0, 20, 40)]), np.ones(2),
+                       [_unit([1, 0, 0]), _unit([1, 0])])
 
 
-def _bad_nan_embedding(d):
-    emb = d.embedding.copy()
-    emb[1] = np.nan
-    return det(d.frame, d.box, emb, d.attr_obs)
+def _bad_nan_embedding(frame, r):
+    emb = frame.embeddings.copy()
+    emb[r, 1] = np.nan
+    return replace(frame, embeddings=emb)
 
 
-def _bad_attr_value(d):
-    attr = d.attr_obs.copy()
-    attr[7] = 1.25
-    return det(d.frame, d.box, d.embedding, attr)
+def _bad_attr_value(frame, r):
+    attrs = frame.attrs.copy()
+    attrs[r, 7] = 1.25
+    return replace(frame, attrs=attrs)
 
 
-def _bad_attr_width(d):
-    return det(d.frame, d.box, d.embedding, d.attr_obs[:31])
+def _bad_attr_width(frame, r):
+    return replace(frame, attrs=frame.attrs[:, :31])
 
 
-# one bad detection, each rejected by the frame's array check
+# one bad detection, each rejected when its frame's table is built; a table
+# of the wrong width is wrong from its first row on
 _BAD_DETECTIONS = [
-    pytest.param(_bad_nan_embedding, "embedding contains non-finite values", id="nan-embedding"),
-    pytest.param(_bad_attr_value, r"attribute probabilities must lie in \[0, 1\]",
+    pytest.param(_bad_nan_embedding, "embedding contains non-finite values", False,
+                 id="nan-embedding"),
+    pytest.param(_bad_attr_value, r"attribute probabilities must lie in \[0, 1\]", False,
                  id="attribute-above-1"),
-    pytest.param(_bad_attr_width, r"expected 32 attribute values, got shape \(31,\)",
+    pytest.param(_bad_attr_width, r"expected 32 attribute values, got shape \(31,\)", True,
                  id="attribute-width"),
 ]
 
@@ -537,35 +547,26 @@ _BAD_DETECTIONS = [
 class TestFeatureBoundary:
     def _frames(self):
         rng = np.random.default_rng(4)
-        return {f: [det(f, BBox(40.0 * i, 10, 20, 40), _unit(rng.standard_normal(6)),
-                        rng.uniform(0, 1, 32)) for i in range(3)] for f in (1, 2, 3)}
+        return {f: dets(f, [BBox(40.0 * i, 10, 20, 40) for i in range(3)],
+                        [_unit(rng.standard_normal(6)) for _ in range(3)],
+                        rng.uniform(0, 1, (3, 32))) for f in (1, 2, 3)}
 
-    @pytest.mark.parametrize("spoil,reason", _BAD_DETECTIONS)
-    def test_run_sequence_names_frame_and_detection(self, spoil, reason):
+    @pytest.mark.parametrize("spoil,reason,whole_table", _BAD_DETECTIONS)
+    def test_run_sequence_names_frame_and_detection(self, spoil, reason, whole_table):
         frames = self._frames()
-        frames[2][1] = spoil(frames[2][1])
-        with pytest.raises(FeatureError, match=f"^frame 2, detection 1: {reason}"):
+        row = 0 if whole_table else 1
+        with pytest.raises(FeatureError, match=f"^frame 2, detection {row}: {reason}"):
+            frames[2] = spoil(frames[2], 1)
             run_sequence(frames, AssocConfig(mode="embed+attr"))
 
-    @pytest.mark.parametrize("spoil,reason", _BAD_DETECTIONS)
-    def test_fusion_source_checks_observations_it_feeds_the_head(self, spoil, reason):
+    @pytest.mark.parametrize("spoil,reason,whole_table", _BAD_DETECTIONS)
+    def test_fusion_source_checks_observations_it_feeds_the_head(self, spoil, reason,
+                                                                 whole_table):
         params = FusionParams.random(6, n_identities=3, n_tokens=2, seed=0)
-        dets = self._frames()[1]
-        # the first detection has no observation, so the check's rows are a
-        # subset of the frame's; the message names the frame's index
-        dets[0] = det(1, dets[0].box, dets[0].embedding)
-        dets[2] = spoil(dets[2])
         cfg = AssocConfig(mode="attr", attr_source="fusion")
-        with pytest.raises(FeatureError, match=f"^frame 1, detection 2: {reason}"):
-            stack_frame(dets, cfg, (params, all_strategies()[0]))
-
-    def test_mode_checks_only_what_it_reads(self):
-        # the iou mode reads no features; the embed mode reads no attributes
-        dets = [_bad_attr_width(d) for d in self._frames()[1]]
-        stack_frame(dets, AssocConfig(mode="iou"))
-        stack_frame(dets, AssocConfig(mode="embed"))
-        with pytest.raises(FeatureError, match="^frame 1, detection 0: expected 32"):
-            stack_frame(dets, AssocConfig(mode="attr"))
+        row = 0 if whole_table else 2
+        with pytest.raises(FeatureError, match=f"^frame 1, detection {row}: {reason}"):
+            stack_frame(spoil(self._frames()[1], 2), cfg, (params, all_strategies()[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -689,22 +690,23 @@ def _cost_worlds(draw):
     tab.gallery[:] = gallery / np.linalg.norm(gallery, axis=2, keepdims=True)
     tab.gallery[~tab.gallery_filled()] = 0.0
     tab.attr[:] = rng.uniform(0.0, 1.0, (n_t, 32))
-    dets = [det(1, draw(_near_boxes), rng.normal(size=dim), rng.uniform(0.0, 1.0, 32))
+    rows = [(draw(_near_boxes), rng.normal(size=dim), rng.uniform(0.0, 1.0, 32))
             for _ in range(draw(st.integers(1, 6)))]
-    return cfg, tab, dets
+    return cfg, tab, dets(1, *zip(*rows))
 
 
-def _oracle_cost(tab, dets, cfg):
+def _oracle_cost(tab, frame, cfg):
     """The cost matrix as a per-pair loop over the scalar distances."""
-    cost = np.empty((len(tab), len(dets)))
+    cost = np.empty((len(tab), len(frame)))
     for i, box in enumerate(_box_rows(tab.mean).tolist()):
         gallery = tab.gallery[i, :tab.gal_n[i]]
-        for j, d in enumerate(dets):
+        for j, (d_box, emb, attr) in enumerate(zip(frame.boxes.tolist(), frame.embeddings,
+                                                   frame.attrs)):
             if cfg.mode == "iou":
-                cost[i, j] = 1.0 - iou(BBox(*box), d.box)
+                cost[i, j] = 1.0 - iou(BBox(*box), BBox(*d_box))
                 continue
-            e = min(cosine_distance(g, d.embedding) for g in gallery)
-            a = attribute_distance(tab.attr[i], d.attr_obs)
+            e = min(cosine_distance(g, emb) for g in gallery)
+            a = attribute_distance(tab.attr[i], attr)
             cost[i, j] = {"embed": e, "attr": a,
                           "embed+attr": cfg.lambda_e * e + cfg.lambda_a * a}[cfg.mode]
     return cost
@@ -714,10 +716,10 @@ class TestBatchedAgainstOracle:
     @given(_cost_worlds())
     @settings(max_examples=150)
     def test_cost_matrix_within_ulp_bound(self, world):
-        cfg, tab, dets = world
-        cost, infeasible = build_cost_matrix(tab, stack_frame(dets, cfg, dim=tab.dim), cfg)
-        assert infeasible.shape == cost.shape == (len(tab), len(dets))
-        np.testing.assert_array_max_ulp(cost, _oracle_cost(tab, dets, cfg),
+        cfg, tab, frame = world
+        cost, infeasible = build_cost_matrix(tab, stack_frame(frame, cfg, dim=tab.dim), cfg)
+        assert infeasible.shape == cost.shape == (len(tab), len(frame))
+        np.testing.assert_array_max_ulp(cost, _oracle_cost(tab, frame, cfg),
                                         maxulp=0 if cfg.mode == "iou" else COST_MAX_ULP)
 
     @given(_state_lists)
@@ -766,24 +768,24 @@ class TestBatchedAgainstOracle:
         tab.add_rows(len(states))
         tab.mean[:] = [m for m, _ in states]
         tab.cov[:] = [c for _, c in states]
-        dets = [det(1, b) for b in boxes]
         cfg = AssocConfig(mode="iou")
-        cost, _ = build_cost_matrix(tab, stack_frame(dets, cfg), cfg)
-        expected = [[1.0 - iou(BBox(*box), d.box) for d in dets]
+        cost, _ = build_cost_matrix(tab, stack_frame(dets(1, boxes), cfg), cfg)
+        expected = [[1.0 - iou(BBox(*box), b) for b in boxes]
                     for box in _box_rows(tab.mean).tolist()]
         np.testing.assert_array_equal(cost, expected)
 
-    @given(st.sampled_from(all_strategies()), st.integers(0, 2**16),
-           st.lists(st.booleans(), min_size=1, max_size=12))
+    @given(st.sampled_from(all_strategies()), st.integers(0, 2**16), st.integers(1, 12),
+           st.booleans())
     @settings(max_examples=30)
-    def test_fusion_attributes_match_per_detection(self, strategy, seed, observed):
+    def test_fusion_attributes_match_per_detection(self, strategy, seed, n, observed):
+        # a frame has attribute observations for all its detections or none
         params = FusionParams.random(16, n_identities=3, n_tokens=4, seed=seed)
         rng = np.random.default_rng(seed)
-        dets = [det(1, BBox(0, 0, 10, 20), rng.normal(size=16),
-                    rng.uniform(0, 1, 32) if has_obs else None)
-                for has_obs in observed]
+        frame = dets(1, [BBox(0, 0, 10, 20)] * n, rng.normal(size=(n, 16)),
+                     rng.uniform(0, 1, (n, 32)) if observed else None)
         cfg = AssocConfig(mode="embed+attr", attr_source="fusion")
-        batched = stack_frame(dets, cfg, (params, strategy)).attrs
-        single = np.stack([predict_attributes(d.embedding, d.attr_obs, strategy, params)[0]
-                           for d in dets])
+        batched = stack_frame(frame, cfg, (params, strategy)).attrs
+        obs = frame.attrs if observed else [None] * n
+        single = np.stack([predict_attributes(e, a, strategy, params)[0]
+                           for e, a in zip(frame.embeddings, obs)])
         np.testing.assert_array_max_ulp(batched, single, maxulp=ATTR_MAX_ULP)

@@ -113,16 +113,18 @@ class TestGenerate:
         assert tree_digest(out) == before
 
     def test_bad_feature_row_leaves_no_sidecar(self, tmp_path, monkeypatch, capsys):
-        # the sidecar is streamed a block of 256 rows at a time, so a bad
-        # row past the first block fails after a block has been written
+        # the sidecar is streamed in blocks of whole frames, so a row past the
+        # first block that cannot be written (one %.10g writes as inf) fails
+        # after a block has been written
         real = synthgen.observe_all_frames
 
         def poisoned(bundle):
             frames = real(bundle)
             rows = [(f, i) for f, frame in frames.items() for i in range(len(frame))]
             f, i = rows[300]
-            det = frames[f][i]
-            frames[f][i] = replace(det, embedding=np.full_like(det.embedding, np.nan))
+            emb = frames[f].embeddings.copy()
+            emb[i, 0] = 1.7976931346e308
+            frames[f] = replace(frames[f], embeddings=emb)
             return frames
 
         monkeypatch.setattr(synthgen, "observe_all_frames", poisoned)
@@ -178,6 +180,12 @@ class TestTrackEval:
         err = capsys.readouterr().err
         assert "dimension 16" in err and "dimension 32" in err
         assert not out.exists()
+
+    def test_track_refuses_missing_fusion_head(self, bench, tmp_path, capsys):
+        head = tmp_path / "nope.bin"
+        assert main(["track", "-b", str(bench), "--mode", "embed+attr", "--attr-source",
+                     "fusion", "--params", str(head), "-o", str(tmp_path / "x")]) == 1
+        assert f"no fusion head file {head}" in capsys.readouterr().err
 
     def test_eval_refuses_missing_result_files(self, bench, tmp_path, capsys):
         runs = tmp_path / "runs"
@@ -282,6 +290,13 @@ class TestAblate:
         assert "unknown ablate spec key(s) 'seed', 'lambda_attr'" in err
         assert not out.exists()
 
+    def test_repeated_variant_is_usage_error(self, bench, tmp_path, capsys):
+        spec = self._spec(tmp_path, bench, variants="embed,iou,embed")
+        out = tmp_path / "abl"
+        assert main(["ablate", "-s", str(spec), "-o", str(out)]) == 1
+        assert "repeated ablate variant(s) 'embed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_idempotent(self, bench, tmp_path):
         spec = self._spec(tmp_path, bench, variants="embed", seeds="2")
         a, b = tmp_path / "o1", tmp_path / "o2"
@@ -305,6 +320,32 @@ class TestExitCodes:
         (bench / "seq-0000" / "det.txt").write_text("1,1,not,a,number,x,1\n")
         assert main(["track", "-b", str(bench), "--mode", "iou",
                      "-o", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("argv,names", [
+        (["train", "--strategy", "bogus"], "--strategy 'bogus'"),
+        (["train", "--strategy", "cross-fertilize:x"], "--strategy 'cross-fertilize:x'"),
+        (["train", "--crops", "0"], "argument --crops: 0 is not >= 1"),
+        (["train", "--iterations", "0"], "argument --iterations: 0 is not >= 1"),
+        (["ablate", "lambda_e = abc"], "ablate spec key lambda_e 'abc'"),
+        (["ablate", "seeds = x"], "ablate spec key seeds 'x'"),
+        (["ablate", "attr_source = fusion\ntrain_strategy = nope"],
+         "ablate spec key train_strategy 'nope'"),
+        (["ablate", "attr_source = fusion\ntrain_crops = 0"],
+         "ablate spec key train_crops 0: 0 is not >= 1"),
+    ], ids=["strategy", "strategy-rounds", "crops", "iterations", "lambda_e", "seeds",
+            "train_strategy", "train_crops"])
+    def test_bad_argument_is_usage_error(self, bench, tmp_path, capsys, argv, names):
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            argv = [*argv, "-b", str(bench), "-o", str(out)]
+        else:
+            spec = tmp_path / "spec.cfg"
+            spec.write_text(f"attmot-config v1\nbenchmark = {bench}\nvariants = embed\n"
+                            f"{argv[1]}\n")
+            argv = ["ablate", "-s", str(spec), "-o", str(out)]
+        assert main(argv) == 1
+        assert names in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_cost_mode_is_usage_error(self, bench, tmp_path, capsys):
         out = tmp_path / "x"

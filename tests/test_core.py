@@ -1,27 +1,27 @@
 """Value types, distance primitives and the assignment solver."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment as scipy_assignment  # the oracle
 
 from attmot.core import (
     AttributeVector,
     BBox,
-    Detection,
+    Detections,
     FeatureError,
     GtEntry,
     attribute_distance,
     cosine_distance,
-    box_rows,
     feature_row_error,
     iou,
     linear_sum_assignment,
     occlusion_fraction,
     pairwise_iou,
-    stack_attribute_rows,
     unit_rows,
     validate_binary_attributes,
 )
@@ -36,6 +36,17 @@ def boxes(draw):
 
 
 box_strategy = st.composite(boxes)()
+
+
+def _box_table(boxes):
+    """(N, 4) (left, top, width, height) rows of the boxes."""
+    rows = [(b.left, b.top, b.width, b.height) for b in boxes]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def _frame(n, **features):
+    """A frame-3 ``Detections`` of ``n`` 5x5 boxes at confidence 0.5."""
+    return Detections(3, np.tile([0.0, 0.0, 5.0, 5.0], (n, 1)), np.full(n, 0.5), **features)
 
 
 class TestBBox:
@@ -84,7 +95,7 @@ class TestPairwiseIou:
     @example([BBox(0.1, 0.1, 0.2, 0.2)], [BBox(0.1, 0.1, 0.2, 0.2)])  # ratio rounds past 1
     def test_equals_iou_loop(self, a, b):
         expected = np.array([[iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
-        np.testing.assert_array_equal(pairwise_iou(box_rows(a), box_rows(b)), expected)
+        np.testing.assert_array_equal(pairwise_iou(_box_table(a), _box_table(b)), expected)
 
 
 def _assignment(solve, cost):
@@ -277,19 +288,33 @@ class TestAttributeVectorValidation:
 
 
 class TestCarrierTypes:
-    def test_detection_construction_leaves_arrays_to_the_frame_check(self):
-        # array fields are checked a frame or a table at a time, not per object
-        d = Detection(frame=1, box=BBox(0, 0, 5, 5), confidence=0.5,
-                      embedding=np.array([math.nan]), attr_obs=np.full(31, 2.0))
-        assert d.attr_obs.shape == (31,)
+    def test_detections_construction_checks_feature_rows(self):
+        # a frame's arrays are checked once, when its table is built
+        with pytest.raises(FeatureError,
+                           match=r"^frame 3, detection 1: embedding contains non-finite"):
+            _frame(2, embeddings=np.array([[0.0], [math.nan]]))
+        # the table keeps read-only views, so a checked row cannot change later
+        emb = np.zeros((2, 3))
+        d = _frame(2, embeddings=emb[:, :2], attrs=np.full((2, 32), 0.5))
+        assert np.shares_memory(d.embeddings, emb) and d.embeddings.shape == (2, 2)
+        assert not d.embeddings.flags.writeable and not d.boxes.flags.writeable
+        assert emb.flags.writeable
+        with pytest.raises(ValueError, match="expected 2 rows of embeddings"):
+            _frame(2, embeddings=np.zeros((3, 4)))
 
     def test_detection_validates_confidence(self):
-        with pytest.raises(ValueError):
-            Detection(frame=1, box=BBox(0, 0, 5, 5), confidence=1.5)
+        with pytest.raises(ValueError, match="^frame 3, detection 1: .*confidence 1.5"):
+            Detections(3, np.tile([0.0, 0.0, 5.0, 5.0], (2, 1)), np.array([0.5, 1.5]))
 
     def test_detection_validates_frame(self):
-        with pytest.raises(ValueError):
-            Detection(frame=0, box=BBox(0, 0, 5, 5), confidence=0.5)
+        with pytest.raises(ValueError, match="frame index must be >= 1"):
+            Detections(0, np.zeros((0, 4)), np.zeros(0))
+
+    @pytest.mark.parametrize("box", [[0.0, 0.0, 0.0, 5.0], [0.0, math.nan, 5.0, 5.0],
+                                     [math.inf, 0.0, 5.0, 5.0]])
+    def test_detections_validate_boxes(self, box):
+        with pytest.raises(ValueError, match=r"^frame 2, detection 1: box \["):
+            Detections(2, np.array([[0.0, 0.0, 5.0, 5.0], box]), np.full(2, 0.5))
 
     def test_gt_entry_requires_positive_identity(self):
         with pytest.raises(ValueError):
@@ -343,9 +368,32 @@ class TestFeatureRowError:
         assert feature_row_error(emb, attrs) == (1, "embedding contains non-finite values")
 
     def test_stacking_rejects_wrong_attribute_width(self):
-        rows = [np.full(32, 0.5), np.full(32, 0.5), np.full(33, 0.5)]
-        assert stack_attribute_rows(rows[:2], str).shape == (2, 32)
-        assert stack_attribute_rows([], str).shape == (0, 32)
-        with pytest.raises(FeatureError,
-                           match=r"^row 2: expected 32 attribute values, got shape \(33,\)$"):
-            stack_attribute_rows(rows, lambda i: f"row {i}")
+        # a frame's attributes are one table; one of the wrong width is
+        # wrong from its first row on, and ragged rows make no table
+        assert _frame(2, attrs=np.full((2, 32), 0.5)).attrs.shape == (2, 32)
+        assert _frame(0, attrs=np.zeros((0, 32))).attrs.shape == (0, 32)
+        with pytest.raises(FeatureError, match=r"^frame 3, detection 0: expected 32 attribute "
+                                               r"values, got shape \(33,\)$"):
+            _frame(3, attrs=np.full((3, 33), 0.5))
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            _frame(3, attrs=[np.full(32, 0.5), np.full(32, 0.5), np.full(33, 0.5)])
+
+    @given(st.integers(0, 6), st.integers(0, 4), st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=200)
+    def test_detections_reject_exactly_the_flagged_rows(self, n, dim, with_emb, with_attrs,
+                                                        data):
+        emb = data.draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-1e3, 1e3))).copy()
+        attrs = data.draw(hnp.arrays(np.float64, (n, 32), elements=st.floats(0.0, 1.0))).copy()
+        spoilers = st.sampled_from([math.nan, math.inf, -math.inf, -0.25, 1.0 + 2 ** -52])
+        for _ in range(data.draw(st.integers(0, 3)) if n else 0):
+            table = emb if dim and data.draw(st.booleans()) else attrs
+            table[data.draw(st.integers(0, n - 1)),
+                  data.draw(st.integers(0, table.shape[1] - 1))] = data.draw(spoilers)
+        features = dict(embeddings=emb if with_emb else None, attrs=attrs if with_attrs else None)
+        bad = feature_row_error(features["embeddings"], features["attrs"])
+        if bad is None:
+            assert len(_frame(n, **features)) == n
+        else:
+            with pytest.raises(FeatureError,
+                               match=f"^frame 3, detection {bad[0]}: {re.escape(bad[1])}$"):
+                _frame(n, **features)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from attmot.core import BBox, GtEntry, box_rows, pairwise_iou
+from attmot.core import BBox, GtEntry, pairwise_iou
 from attmot.metrics import (
     HOTA_ALPHAS,
     ClearResult,
@@ -357,8 +357,13 @@ def _ref_by_frame(entries):
     return frames
 
 
+def _box_table(entries):
+    rows = [(e.box.left, e.box.top, e.box.width, e.box.height) for e in entries]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
 def _ref_iou(a_entries, b_entries):
-    return pairwise_iou(box_rows(e.box for e in a_entries), box_rows(e.box for e in b_entries))
+    return pairwise_iou(_box_table(a_entries), _box_table(b_entries))
 
 
 def _ref_suppress(gts_f, preds_f, iou_threshold, suppress):

@@ -2,6 +2,7 @@
 import io
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from attmot import motio
-from attmot.core import (N_ATTRIBUTES, AttributeVector, BBox, Detection, FeatureError, GtEntry,
+from attmot.core import (N_ATTRIBUTES, AttributeVector, BBox, Detections, FeatureError, GtEntry,
                          validate_prob_attributes)
 from attmot.motio import MotFormatError, parse_attr_file, parse_mot_file, write_mot_file
 
@@ -22,22 +23,63 @@ def _feature_text(detections):
     return buf.getvalue()
 
 
+def _group(rows):
+    """``{frame: Detections}`` of ``(frame, box, confidence, embedding,
+    attributes)`` rows, in frame order and each frame's rows in order; a
+    frame has no features when its first row has none."""
+    frames = {}
+    for frame, *row in sorted(rows, key=lambda r: r[0]):
+        frames.setdefault(frame, []).append(row)
+    out = {}
+    for frame, frame_rows in frames.items():
+        boxes, conf, emb, attrs = zip(*frame_rows)
+        out[frame] = Detections(frame, np.array(boxes, dtype=float), np.array(conf),
+                                None if emb[0] is None else np.array(emb),
+                                None if attrs[0] is None else np.array(attrs))
+    return out
+
+
+def _rows(frames):
+    """The ``(frame, box, confidence, embedding, attributes)`` rows of a
+    ``{frame: Detections}`` mapping, in frame order."""
+    out = []
+    for d in sorted(frames.values(), key=lambda d: d.frame):
+        for i, (box, conf) in enumerate(zip(d.boxes.tolist(), d.confidences.tolist())):
+            out.append((d.frame, tuple(box), conf,
+                        None if d.embeddings is None else d.embeddings[i],
+                        None if d.attrs is None else d.attrs[i]))
+    return out
+
+
+def _with_value(frames, row, field, index, value):
+    """``frames`` with ``value`` at ``index`` of feature row ``row`` (counted
+    from 0 in frame order) of the ``embeddings`` or ``attrs`` table."""
+    out = dict(frames)
+    for frame, d in sorted(frames.items()):
+        if row < len(d):
+            table = getattr(d, field).copy()
+            table[row, index] = value
+            out[frame] = replace(d, **{field: table})
+            return out
+        row -= len(d)
+    raise IndexError(row)
+
+
 # The row-at-a-time sidecar writer and parser that the bulk versions
 # replaced, kept as their oracle.
 def _write_feature_loop(detections):
-    rows = sorted(detections, key=lambda d: d.frame)
     buf = io.StringIO()
     dim = None
-    for d in rows:
-        if d.embedding is None or d.attr_obs is None:
+    for frame, _, _, embedding, attrs in _rows(detections):
+        if embedding is None or attrs is None:
             raise ValueError("detection without features cannot be written to a feature file")
         if dim is None:
-            dim = len(d.embedding)
+            dim = len(embedding)
             buf.write(f"{motio.FEAT_HEADER_PREFIX}{dim}\n")
-        elif len(d.embedding) != dim:
+        elif len(embedding) != dim:
             raise ValueError("inconsistent embedding dimension in feature file")
-        vals = np.concatenate([d.embedding, d.attr_obs])
-        buf.write(str(d.frame) + "," + ",".join(f"{v:.10g}" for v in vals) + "\n")
+        vals = np.concatenate([embedding, attrs])
+        buf.write(str(frame) + "," + ",".join(f"{v:.10g}" for v in vals) + "\n")
     if dim is None:
         buf.write(f"{motio.FEAT_HEADER_PREFIX}0\n")
     return buf.getvalue()
@@ -56,12 +98,13 @@ def _parse_feature_loop(source, detections):
     if dim < 0:
         raise MotFormatError(f"negative embedding dimension at line {header_no}")
     body = lines[1:]
-    if len(body) != len(detections):
+    bare = _rows(detections)
+    if len(body) != len(bare):
         raise MotFormatError(
-            f"feature file has {len(body)} rows for {len(detections)} detections"
+            f"feature file has {len(body)} rows for {len(bare)} detections"
         )
     out = []
-    for (lineno, line), det in zip(body, detections):
+    for (lineno, line), (det_frame, box, conf, _, _) in zip(body, bare):
         fields = line.split(",")
         if len(fields) != 1 + dim + N_ATTRIBUTES:
             raise MotFormatError(
@@ -69,37 +112,25 @@ def _parse_feature_loop(source, detections):
             )
         try:
             frame = int(fields[0])
-            if frame != det.frame:
+            if frame != det_frame:
                 raise ValueError(f"feature row frame {frame} does not match detection"
-                                 f" frame {det.frame}")
+                                 f" frame {det_frame}")
             vals = np.array([float(x) for x in fields[1:]], dtype=np.float64)
             emb, attr = vals[:dim], np.clip(vals[dim:], 0.0, 1.0)
-            # the array checks that Detection construction ran
+            # the array checks that the Detections table runs
             if not np.all(np.isfinite(emb)):
                 raise ValueError("embedding contains non-finite values")
             validate_prob_attributes(attr)
-            out.append(
-                Detection(
-                    frame=det.frame,
-                    box=det.box,
-                    confidence=det.confidence,
-                    embedding=emb,
-                    attr_obs=attr,
-                )
-            )
+            out.append((det_frame, box, conf, emb, attr))
         except ValueError as exc:
             raise MotFormatError(f"{exc} at line {lineno}") from None
-    return out
+    return _group(out)
 
 
 def _feature_dets(n=6, dim=8):
     rng = np.random.default_rng(2)
-    out = []
-    for i in range(n):
-        out.append(Detection(
-            frame=1 + i // 2, box=BBox(i * 10, 5, 4, 9), confidence=0.9,
-            embedding=rng.normal(size=dim), attr_obs=rng.uniform(0, 1, 32)))
-    return out
+    return _group([(1 + i // 2, (i * 10, 5, 4, 9), 0.9, rng.normal(size=dim),
+                    rng.uniform(0, 1, 32)) for i in range(n)])
 
 
 def _gt_entries():
@@ -125,10 +156,11 @@ def _reads_inf(text):
 
 
 def _assert_same_features(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.frame, a.box, a.confidence) == (b.frame, b.box, b.confidence)
-        for x, y in ((a.embedding, b.embedding), (a.attr_obs, b.attr_obs)):
+    assert list(got) == list(want)
+    for a, b in zip(got.values(), want.values()):
+        assert a.frame == b.frame
+        for x, y in ((a.boxes, b.boxes), (a.confidences, b.confidences),
+                     (a.embeddings, b.embeddings), (a.attrs, b.attrs)):
             assert x.dtype == y.dtype and x.shape == y.shape
             assert np.array_equal(x, y) and x.tobytes() == y.tobytes()
 
@@ -144,7 +176,7 @@ class TestParseMot:
 
     def test_empty_file(self):
         assert parse_mot_file(b"", kind="gt") == []
-        assert parse_mot_file(b"", kind="det") == []
+        assert parse_mot_file(b"", kind="det") == {}
 
     def test_non_positive_box(self):
         with pytest.raises(MotFormatError, match="non-positive box at line 1"):
@@ -169,9 +201,10 @@ class TestParseMot:
 
     def test_det_kind_carries_confidence(self):
         dets = parse_mot_file(b"3,-1,10,10,5,5,0.75,-1,-1,-1\n", kind="det")
-        assert isinstance(dets[0], Detection)
-        assert dets[0].confidence == 0.75
-        assert dets[0].embedding is None
+        assert isinstance(dets[3], Detections)
+        assert dets[3].confidences.tolist() == [0.75]
+        assert dets[3].boxes.tolist() == [[10.0, 10.0, 5.0, 5.0]]
+        assert dets[3].embeddings is None
 
     def test_nine_field_gt_carries_visibility(self):
         entries = parse_mot_file(b"1,1,0,0,5,5,1,1,0.25\n", kind="gt")
@@ -190,7 +223,7 @@ class TestParseMot:
         text = b"1,2,0,0,5,5,1,-1,-1,-1\n2,2,0,0,5,5,1,-1,-1,-1\n"
         assert len(parse_mot_file(text, kind="gt")) == 2
         dets = b"1,-1,0,0,5,5,0.5,-1,-1,-1\n1,-1,9,9,5,5,0.5,-1,-1,-1\n"
-        assert len(parse_mot_file(dets, kind="det")) == 2
+        assert len(parse_mot_file(dets, kind="det")[1]) == 2
 
     def test_path_input(self, tmp_path):
         p = tmp_path / "gt.txt"
@@ -317,16 +350,19 @@ class TestFeatureSidecar:
         feat_text = _feature_text(dets)
         bare = parse_mot_file(det_text.encode(), kind="det")
         joined = motio.parse_feature_file(feat_text.encode(), bare)
-        for a, b in zip(dets, joined):
+        assert list(joined) == list(dets)
+        for a, b in zip(dets.values(), joined.values()):
             assert a.frame == b.frame
-            np.testing.assert_allclose(a.embedding, b.embedding, rtol=1e-9)
-            np.testing.assert_allclose(a.attr_obs, b.attr_obs, rtol=1e-9)
+            np.testing.assert_array_equal(a.boxes, b.boxes)
+            np.testing.assert_allclose(a.embeddings, b.embeddings, rtol=1e-9)
+            np.testing.assert_allclose(a.attrs, b.attrs, rtol=1e-9)
 
     def test_row_count_mismatch(self):
         dets = self._dets()
         feat_text = _feature_text(dets)
         with pytest.raises(MotFormatError, match="rows for"):
-            motio.parse_feature_file(feat_text.encode(), dets[:-1])
+            motio.parse_feature_file(feat_text.encode(),
+                                     {f: d for f, d in dets.items() if f != 3})
 
     @pytest.mark.parametrize("lineno,field,value", [
         (1, None, "# attmot-feats v1 dim=x"),    # bad dim= header
@@ -358,11 +394,7 @@ class TestFeatureSidecar:
 
     @pytest.mark.parametrize("value", [1.7976931346e308, -1.7976931348623157e308])
     def test_value_written_as_inf_names_row(self, value):
-        dets = self._dets()
-        emb = dets[4].embedding.copy()
-        emb[1] = value
-        dets[4] = Detection(frame=dets[4].frame, box=dets[4].box, confidence=0.9,
-                            embedding=emb, attr_obs=dets[4].attr_obs)
+        dets = _with_value(self._dets(), 4, "embeddings", 1, value)
         with pytest.raises(ValueError, match=r"^feature row 5 \(frame 3\) .* inf$"):
             _feature_text(dets)
 
@@ -374,28 +406,25 @@ class TestFeatureSidecar:
         ("attr_obs", slice(0, 31), None, r"expected 32 attribute values, got shape \(31,\)"),
     ])
     def test_writer_rejects_bad_row_by_number(self, field, index, value, reason):
+        # the writer takes only checked tables: feature row 5, the first row
+        # of frame 3, is refused when that frame's table is built
         dets = self._dets()
-        arrays = {"embedding": dets[4].embedding.copy(), "attr_obs": dets[4].attr_obs.copy()}
-        if value is None:
-            arrays[field] = arrays[field][index]
-        else:
-            arrays[field][index] = value
-        dets[4] = Detection(frame=dets[4].frame, box=dets[4].box, confidence=0.9, **arrays)
-        with pytest.raises(FeatureError, match=rf"^feature row 5 \(frame 3\): {reason}"):
+        table = {"embedding": "embeddings", "attr_obs": "attrs"}[field]
+        with pytest.raises(FeatureError, match=rf"^frame 3, detection 0: {reason}"):
+            if value is None:
+                dets[3] = replace(dets[3], attrs=dets[3].attrs[:, index])
+            else:
+                dets = _with_value(dets, 4, table, index, value)
             _feature_text(dets)
 
     def test_writer_names_rows_past_the_first_block(self):
         dets = _feature_dets(600, 4)
-        emb = dets[400].embedding.copy()
-        emb[2] = np.inf
-        dets[400] = Detection(frame=dets[400].frame, box=dets[400].box, confidence=0.9,
-                              embedding=emb, attr_obs=dets[400].attr_obs)
-        with pytest.raises(FeatureError, match=r"^feature row 401 \(frame 201\): embedding"):
-            _feature_text(dets)
-        dets[400] = Detection(frame=dets[400].frame, box=dets[400].box, confidence=0.9,
-                              embedding=dets[401].embedding, attr_obs=dets[400].attr_obs[:5])
-        with pytest.raises(FeatureError, match=r"^feature row 401 \(frame 201\): expected 32"):
-            _feature_text(dets)
+        with pytest.raises(ValueError, match=r"^feature row 401 \(frame 201\) .* inf$"):
+            _feature_text(_with_value(dets, 400, "embeddings", 2, 1.7976931346e308))
+        with pytest.raises(FeatureError, match=r"^frame 201, detection 0: embedding"):
+            _with_value(dets, 400, "embeddings", 2, np.inf)
+        with pytest.raises(FeatureError, match=r"^frame 201, detection 0: expected 32"):
+            replace(dets[201], attrs=dets[201].attrs[:, :5])
 
     def test_writer_memory_does_not_grow_with_rows(self):
         class Discard(io.TextIOBase):
@@ -414,14 +443,10 @@ class TestFeatureSidecar:
         assert peak(large) < 1.5 * peak(small)
 
     def test_largest_finite_text_is_written(self):
-        dets = self._dets(1)
-        emb = dets[0].embedding.copy()
-        emb[0] = 1.7976931344e308
-        dets[0] = Detection(frame=1, box=dets[0].box, confidence=0.9, embedding=emb,
-                            attr_obs=dets[0].attr_obs)
+        dets = _with_value(self._dets(1), 0, "embeddings", 0, 1.7976931344e308)
         text = _feature_text(dets)
         assert ",1.797693134e+308," in text
-        assert motio.parse_feature_file(text.encode(), dets)[0].embedding[0] == 1.797693134e308
+        assert motio.parse_feature_file(text.encode(), dets)[1].embeddings[0, 0] == 1.797693134e308
 
     def test_missing_header(self):
         with pytest.raises(MotFormatError, match="header"):
@@ -442,14 +467,14 @@ class TestFeatureSidecar:
         fields = lines[1].split(",")
         fields[1] = "1_0"
         text = ("\n".join([lines[0], ",".join(fields)]) + "\n").encode()
-        assert _parse_feature_loop(text, dets)[0].embedding[0] == 10.0
+        assert _parse_feature_loop(text, dets)[1].embeddings[0, 0] == 10.0
         with pytest.raises(MotFormatError, match="bad numeric field at line 2"):
             motio.parse_feature_file(text, dets)
 
     def test_empty_sidecar(self):
-        text = _feature_text([])
-        assert text == _write_feature_loop([])
-        assert motio.parse_feature_file(text.encode(), []) == []
+        text = _feature_text({})
+        assert text == _write_feature_loop({})
+        assert motio.parse_feature_file(text.encode(), {}) == {}
 
     def test_header_dimension_read_alone(self, tmp_path):
         path = tmp_path / "feats.csv"
@@ -468,7 +493,8 @@ _SPECIAL_ATTR = [-0.0, 0.0, 5e-324, 1e-310, 1.0, 0.5, 1 - 2 ** -53]
 
 
 def _feature_rows(dtype):
-    """Strategy for Detection lists with embeddings and attributes of ``dtype``."""
+    """Strategy for ``{frame: Detections}`` with embeddings and attributes
+    drawn as arrays of ``dtype``."""
     width = 64 if dtype == np.float64 else 32
     emb_elems = st.floats(allow_nan=False, allow_infinity=False, width=width)
     attr_elems = st.floats(0.0, 1.0, width=width)
@@ -480,10 +506,9 @@ def _feature_rows(dtype):
     def rows(draw):
         dim = draw(st.sampled_from([0, 1, 8, 512]))
         frames = draw(st.lists(st.integers(1, 5), max_size=4))
-        return [Detection(frame=f, box=BBox(1, 2, 3, 4), confidence=0.5,
-                          embedding=draw(hnp.arrays(dtype, dim, elements=emb_elems)),
-                          attr_obs=draw(hnp.arrays(dtype, N_ATTRIBUTES, elements=attr_elems)))
-                for f in frames]
+        return _group([(f, (1, 2, 3, 4), 0.5, draw(hnp.arrays(dtype, dim, elements=emb_elems)),
+                         draw(hnp.arrays(dtype, N_ATTRIBUTES, elements=attr_elems)))
+                        for f in frames])
 
     return rows()
 
@@ -513,8 +538,7 @@ class TestBulkSidecarOracle:
             # the writer refuses a row the parsers would reject as inf
             assert _reads_inf(_write_feature_loop(dets))
             return
-        bare = [Detection(frame=d.frame, box=d.box, confidence=d.confidence)
-                for d in sorted(dets, key=lambda d: d.frame)]
+        bare = {f: replace(d, embeddings=None, attrs=None) for f, d in dets.items()}
         _assert_same_features(motio.parse_feature_file(text, bare),
                               _parse_feature_loop(text, bare))
 
@@ -534,7 +558,7 @@ class TestBulkSidecarOracle:
                                       min_size=len(vals), max_size=len(vals)))
             rows.append(f"{1 + i}," + ",".join(f.format(v) for f, v in zip(fmts, vals)))
         text = (f"{motio.FEAT_HEADER_PREFIX}{dim}\n" + "\n".join(rows) + "\n").encode()
-        bare = [Detection(frame=1 + i, box=BBox(1, 2, 3, 4), confidence=0.5) for i in range(n)]
+        bare = _group([(1 + i, (1, 2, 3, 4), 0.5, None, None) for i in range(n)])
         _assert_parsers_agree(text, bare)
 
 

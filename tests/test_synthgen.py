@@ -10,7 +10,6 @@ from attmot import synthgen
 from attmot.core import (
     N_ATTRIBUTES,
     BBox,
-    Detection,
     FeatureError,
     TrainSample,
     attribute_distance,
@@ -55,6 +54,8 @@ def flip_attributes(bits, occ, config, rng):
 
 
 def _emit_observation(card, occ, frame, config, rng):
+    """One observation as a ``(frame, box, confidence, embedding,
+    attributes)`` row, or None when its box is clipped away."""
     l, t, w, h = card.trajectory[frame - 1]
     if config.jitter_sigma > 0:
         l, t, w, h = np.array([l, t, w, h]) + rng.normal(0.0, config.jitter_sigma, 4)
@@ -65,7 +66,7 @@ def _emit_observation(card, occ, frame, config, rng):
     emb, _ = perturb_embedding(card.latent, occ, config, rng)
     attr = flip_attributes(card.attributes.values, occ, config, rng)
     conf = float(np.clip(1.0 - 0.5 * occ + 0.05 * rng.standard_normal(), 0.05, 1.0))
-    return Detection(frame=frame, box=box, confidence=conf, embedding=emb, attr_obs=attr)
+    return frame, box, conf, emb, attr
 
 
 def _observe_frame_loop(bundle, frame):
@@ -92,8 +93,7 @@ def _observe_frame_loop(bundle, frame):
         emb /= np.linalg.norm(emb)
         attr = rng.uniform(0.0, 1.0, N_ATTRIBUTES)
         conf = float(rng.uniform(0.1, 0.6))
-        out.append(Detection(frame=frame, box=box, confidence=conf,
-                             embedding=emb, attr_obs=attr))
+        out.append((frame, box, conf, emb, attr))
     return out
 
 
@@ -115,7 +115,7 @@ def _crops_loop(bundles, n_samples, seed=0):
         det = _emit_observation(card, float(bundle.occlusion[frame - 1, i]), frame, cfg, rng)
         if det is None:
             continue
-        samples.append(TrainSample(embedding=det.embedding, attr_obs=det.attr_obs,
+        samples.append(TrainSample(embedding=det[3], attr_obs=det[4],
                                    identity=label_of[(b_idx, card.identity)],
                                    gt_attrs=card.attributes.values.copy()))
     return samples
@@ -215,10 +215,10 @@ class TestSimulateSequence:
             da = observe_frame(a, f)
             db = observe_frame(b, f)
             assert len(da) == len(db)
-            for x, y in zip(da, db):
-                assert x.box == y.box
-                assert np.array_equal(x.embedding, y.embedding)
-                assert np.array_equal(x.attr_obs, y.attr_obs)
+            assert np.array_equal(da.boxes, db.boxes)
+            assert np.array_equal(da.confidences, db.confidences)
+            assert np.array_equal(da.embeddings, db.embeddings)
+            assert np.array_equal(da.attrs, db.attrs)
 
     def test_boxes_inside_image(self):
         cfg = small_config(n_identities=6, n_frames=40)
@@ -298,11 +298,10 @@ class TestObserveFrame:
         card = bundle.cards[0]
         for f in (1, 10, 30):
             dets = observe_frame(bundle, f)
-            assert len(dets) == 1
-            d = dets[0]
-            assert d.box == card.box_at(f)
-            assert np.array_equal(d.embedding, card.latent)
-            assert np.array_equal(d.attr_obs, card.attributes.values)
+            assert len(dets) == 1 and dets.frame == f
+            assert BBox(*dets.boxes[0].tolist()) == card.box_at(f)
+            assert np.array_equal(dets.embeddings[0], card.latent)
+            assert np.array_equal(dets.attrs[0], card.attributes.values)
 
     def test_zero_flip_probability_preserves_attributes(self):
         cfg = small_config(attr_flip_base=0.0, attr_flip_occ_gain=0.0)
@@ -335,10 +334,11 @@ class TestObserveFrame:
         cfg = small_config(jitter_sigma=25.0, fp_rate=1.0, n_frames=20)
         bundle = simulate_sequence(cfg)
         for f in range(1, 21):
-            for det in observe_frame(bundle, f):
-                assert det.box.left >= 0 and det.box.top >= 0
-                assert det.box.right <= cfg.image_width + 1e-9
-                assert det.box.bottom <= cfg.image_height + 1e-9
+            for box in observe_frame(bundle, f).boxes.tolist():
+                box = BBox(*box)
+                assert box.left >= 0 and box.top >= 0
+                assert box.right <= cfg.image_width + 1e-9
+                assert box.bottom <= cfg.image_height + 1e-9
 
     def test_attribute_robustness_gap(self):
         # Under heavy occlusion the attribute observation stays far closer
@@ -424,6 +424,10 @@ def _features_bytes(items):
             np.array([x.attr_obs for x in items]).tobytes())
 
 
+def _row_bytes(rows, column):
+    return np.array([row[column] for row in rows], dtype=np.float64).tobytes()
+
+
 class TestEmissionOracle:
     """The frame-at-a-time emission equals the per-card loop bit for bit."""
 
@@ -434,15 +438,13 @@ class TestEmissionOracle:
         for f in range(1, config.n_frames + 1):
             got, want = observe_frame(bundle, f), _observe_frame_loop(bundle, f)
             assert len(got) == len(want)
+            assert got.frame == f and all(w[0] == f for w in want)
             if not want:
                 continue
-            assert _features_bytes(got) == _features_bytes(want)
-            for g, w in zip(got, want):
-                assert g.frame == w.frame
-                assert (np.array([g.confidence]).tobytes()
-                        == np.array([w.confidence]).tobytes())
-                assert (np.array(list(vars(g.box).values())).tobytes()
-                        == np.array(list(vars(w.box).values())).tobytes())
+            assert got.embeddings.tobytes() == _row_bytes(want, 3)
+            assert got.attrs.tobytes() == _row_bytes(want, 4)
+            assert got.confidences.tobytes() == _row_bytes(want, 2)
+            assert got.boxes.tobytes() == _row_bytes(want, 1)
 
     @given(_observation_world(), st.integers(0, 40), st.integers(1, 2), st.integers(0, 99))
     @example(_EDGE_WORLD, 40, 2, 0)
@@ -467,8 +469,10 @@ class TestEmissionOracle:
                                         _EDGE_WORLD, rng)
                 if det is None:
                     dropped += 1
-                elif (min(det.box.left, det.box.top) == 0.0 or det.box.right > 160.0 - 1e-9
-                      or det.box.bottom > 140.0 - 1e-9):
+                    continue
+                box = BBox(*det[1])
+                if (min(box.left, box.top) == 0.0 or box.right > 160.0 - 1e-9
+                        or box.bottom > 140.0 - 1e-9):
                     clipped += 1
         assert clipped > 0 and dropped > 0
 
