@@ -284,6 +284,10 @@ class AssocConfig:
     def __post_init__(self):
         if self.mode not in COST_MODES:
             raise ValueError(f"unknown cost mode {self.mode!r}")
+        for name in ("lambda_e", "lambda_a", "match_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.mode == "embed+attr" and self.lambda_e + self.lambda_a <= 0:
             raise ValueError("lambda_e + lambda_a must be positive for embed+attr")
         if self.lambda_e < 0 or self.lambda_a < 0:

@@ -12,7 +12,6 @@ no-grad pass instead of one pass per entry.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 _FLOAT = np.dtype(np.float64)
 
@@ -161,7 +160,9 @@ def relu(a: Var) -> Var:
 
 
 def sigmoid(a: Var) -> Var:
-    s = expit(a.value)
+    # exp(-x) overflows to inf for x < -709, which gives the exact limit 0
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-a.value))
     if not a.requires_grad:
         return Var(s)
     return Var(s, (a,), (lambda g: g * s * (1.0 - s),))

@@ -2,11 +2,9 @@
 run trackers, evaluate and run ablation matrices.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
-Each command imports only the modules it runs.  The assignment solver is
-attmot's own (``core.linear_sum_assignment``), so ``generate``, ``eval`` and
-``track`` load no scipy; only the fusion head's tape does (``train``, an
-``ablate`` whose ``attr_source`` is ``fusion`` and ``track --attr-source
-fusion``).
+Each command imports only the modules it runs.  numpy is the only runtime
+dependency: the assignment solver (``core.linear_sum_assignment``) and the
+fusion head's tape are attmot's own, so no command loads scipy.
 """
 from __future__ import annotations
 
@@ -18,7 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import core, motio, synthgen
-from .configfile import ConfigError, dump_world_config, load_config, world_config_from_mapping
+from .configfile import (ConfigError, dump_world_config, load_config, strict_int,
+                         world_config_from_mapping)
 
 
 class CliError(Exception):
@@ -117,8 +116,9 @@ def _checked(name: str, convert, value):
         raise CliError(f"{name} {value!r}: {exc}") from None
 
 
-def positive_int(text) -> int:
-    value = int(text)
+def positive_int(value) -> int:
+    """An int >= 1; text (a command-line argument) is read as base-10 digits."""
+    value = strict_int(int(value) if isinstance(value, str) else value)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not >= 1")
     return value
@@ -273,7 +273,8 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
     def value(key, default, convert):
         return _checked(f"ablate spec key {key}", convert, spec.get(key, default))
 
-    seeds = value("seeds", 0, lambda v: [int(s) for s in (v if isinstance(v, tuple) else (v,))])
+    seeds = value("seeds", 0,
+                  lambda v: [strict_int(s) for s in (v if isinstance(v, tuple) else (v,))])
     attr_source = str(spec.get("attr_source", "obs"))
     lambda_e = value("lambda_e", 1.0, float)
     lambda_a = value("lambda_a", 1.0, float)
@@ -282,7 +283,7 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
 
         strategy = value("train_strategy", "preproc-attr",
                          lambda v: fusion.FusionStrategy.parse(str(v)))
-        train_seed = value("train_seed", 0, int)
+        train_seed = value("train_seed", 0, strict_int)
         train_crops = value("train_crops", 5000, positive_int)
 
     bench = Path(bench_dir)

@@ -72,7 +72,18 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {os.fspath(path)}: {exc}") from None
 
 
+def strict_int(value) -> int:
+    """``value`` as an int.  An int or an integral float converts; a bool,
+    any other float and text are refused, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 _WORLD_FIELDS = {f.name for f in fields(WorldConfig)} - {"prior"}
+_INT_KEYS = {f.name for f in fields(WorldConfig) if f.type == "int"} | {"n_sequences"}
 _PRIOR_FIELDS = {f.name for f in fields(AttributePrior)}
 
 
@@ -82,8 +93,13 @@ def world_config_from_mapping(mapping: dict) -> tuple[WorldConfig, int]:
     prior_kwargs = {}
     n_sequences = 1
     for key, value in mapping.items():
+        if key in _INT_KEYS:
+            try:
+                value = strict_int(value)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from None
         if key == "n_sequences":
-            n_sequences = int(value)
+            n_sequences = value
         elif key.startswith("prior."):
             name = key[len("prior."):]
             if name not in _PRIOR_FIELDS:

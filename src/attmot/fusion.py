@@ -675,8 +675,8 @@ def save_fusion_head(path, params: FusionParams, strategy: FusionStrategy = PREP
 
 
 def load_fusion_head(path) -> tuple[FusionParams, FusionStrategy]:
-    """Read a ``save_fusion_head`` blob; a malformed or truncated file raises
-    ``ValueError`` naming it."""
+    """Read a ``save_fusion_head`` blob; a malformed or truncated file, or one
+    with bytes after the last array, raises ``ValueError`` naming it."""
     name = os.fspath(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -689,6 +689,8 @@ def load_fusion_head(path) -> tuple[FusionParams, FusionStrategy]:
                 count = int(np.prod(shape)) if shape else 1
                 buf = fh.read(count * 8)
                 arrays[field_name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if fh.read(1):
+                raise ValueError("bytes after the last array")
             params = FusionParams(
                 dim=header["dim"], n_tokens=header["n_tokens"],
                 n_identities=header["n_identities"], scale_scores=header["scale_scores"],

@@ -305,6 +305,13 @@ class TestBuildCostMatrix:
         with pytest.raises(ValueError):
             AssocConfig(mode="embed+attr", lambda_e=0.0, lambda_a=0.0)
 
+    @pytest.mark.parametrize("mode", ["iou", "embed+attr"])
+    @pytest.mark.parametrize("name", ["lambda_e", "lambda_a", "match_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_names_it(self, mode, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, not {value!r}"):
+            AssocConfig(mode=mode, **{name: value})
+
 
 class TestTrackerLifecycle:
     def test_single_detection_confirms_with_stable_id(self):

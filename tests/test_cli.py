@@ -1,7 +1,9 @@
 """Command-line orchestration: determinism, pipelines, exit codes."""
+import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +18,7 @@ from attmot.configfile import (
     ConfigError,
     dump_world_config,
     parse_config_text,
+    strict_int,
     world_config_from_mapping,
 )
 from attmot.synthgen import WorldConfig
@@ -64,6 +67,31 @@ class TestConfigFile:
         text = dump_world_config(cfg, 4)
         cfg2, n = world_config_from_mapping(parse_config_text(text))
         assert n == 4 and cfg2 == cfg
+
+    @pytest.mark.parametrize("line,names", [
+        ("n_sequences = 2.5", "config key n_sequences: 2.5 is not an integer"),
+        ("n_sequences = abc", "config key n_sequences: 'abc' is not an integer"),
+        ("n_identities = 3.5", "config key n_identities: 3.5 is not an integer"),
+        ("seed = true", "config key seed: True is not an integer"),
+    ], ids=["n_sequences-float", "n_sequences-text", "n_identities-float", "seed-bool"])
+    def test_non_integer_count_is_usage_error(self, tmp_path, capsys, line, names):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(f"attmot-config v1\nn_frames = 5\nlatent_dim = 8\n{line}\n")
+        out = tmp_path / "bench"
+        assert main(["generate", "-c", str(cfg), "-o", str(out)]) == 1
+        assert names in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_counts_convert(self):
+        cfg, n = world_config_from_mapping({"n_sequences": 3.0, "n_frames": 40.0})
+        assert (n, cfg.n_frames) == (3, 40)
+        assert type(n) is int and type(cfg.n_frames) is int
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, float("nan"), float("inf"), "3",
+                                       None, (3,)])
+    def test_strict_int_refuses(self, value):
+        with pytest.raises(ValueError, match="is not an integer"):
+            strict_int(value)
 
     def test_prior_keys(self):
         mapping = parse_config_text(
@@ -332,11 +360,29 @@ class TestExitCodes:
          "ablate spec key train_strategy 'nope'"),
         (["ablate", "attr_source = fusion\ntrain_crops = 0"],
          "ablate spec key train_crops 0: 0 is not >= 1"),
+        (["track", "--mode", "embed+attr", "--lambda-e", "nan"],
+         "lambda_e must be finite, not nan"),
+        (["track", "--mode", "embed+attr", "--lambda-a", "inf"],
+         "lambda_a must be finite, not inf"),
+        (["track", "--match-threshold", "nan"], "match_threshold must be finite, not nan"),
+        (["ablate", "lambda_e = nan"], "variant 'embed': lambda_e must be finite, not nan"),
+        (["ablate", "lambda_a = -inf"], "variant 'embed': lambda_a must be finite, not -inf"),
+        (["ablate", "seeds = 1.5"], "ablate spec key seeds 1.5: 1.5 is not an integer"),
+        (["ablate", "seeds = 3,true"],
+         "ablate spec key seeds (3, True): True is not an integer"),
+        (["ablate", "attr_source = fusion\ntrain_seed = 2.5"],
+         "ablate spec key train_seed 2.5: 2.5 is not an integer"),
+        (["ablate", "attr_source = fusion\ntrain_crops = 2.5"],
+         "ablate spec key train_crops 2.5: 2.5 is not an integer"),
+        (["ablate", "attr_source = fusion\ntrain_crops = true"],
+         "ablate spec key train_crops True: True is not an integer"),
     ], ids=["strategy", "strategy-rounds", "crops", "iterations", "lambda_e", "seeds",
-            "train_strategy", "train_crops"])
+            "train_strategy", "train_crops", "track-lambda_e-nan", "track-lambda_a-inf",
+            "track-threshold-nan", "lambda_e-nan", "lambda_a-inf", "seeds-float",
+            "seeds-bool", "train_seed-float", "train_crops-float", "train_crops-bool"])
     def test_bad_argument_is_usage_error(self, bench, tmp_path, capsys, argv, names):
         out = tmp_path / "out"
-        if argv[0] == "train":
+        if argv[0] in ("train", "track"):
             argv = [*argv, "-b", str(bench), "-o", str(out)]
         else:
             spec = tmp_path / "spec.cfg"
@@ -415,6 +461,25 @@ class TestCommandImports:
             m for m in loaded if m in ("attmot.fusion", "attmot.autodiff")]
         assert unwanted == []
 
+    def test_train_and_fusion_track_load_no_scipy(self, bench, tmp_path):
+        head = tmp_path / "head.bin"
+        loaded = self.loaded("train", "-b", bench, "--crops", "200", "--iterations", "5",
+                             "-o", head)
+        assert "attmot.autodiff" in loaded
+        assert self.scipy_modules(loaded) == []
+        loaded = self.loaded("track", "-b", bench, "--mode", "embed+attr", "--attr-source",
+                             "fusion", "--params", head, "-o", tmp_path / "fused")
+        assert "attmot.fusion" in loaded
+        assert self.scipy_modules(loaded) == []
+
+    def test_every_module_imports_with_scipy_blocked(self):
+        # a None entry in sys.modules makes any ``import scipy...`` fail
+        code = ("import sys; sys.modules['scipy'] = None; "
+                + "; ".join(f"import attmot.{p.stem}" for p in sorted(
+                    (self.SRC / "attmot").glob("*.py")) if p.stem != "__main__"))
+        proc = self.run("-c", code)
+        assert proc.returncode == 0, proc.stderr
+
     def test_track_eval_train_run_from_fresh_interpreters(self, bench, tmp_path):
         runs, head = tmp_path / "runs", tmp_path / "head.bin"
         for argv in (["track", "-b", bench, "--mode", "embed+attr", "-o", runs],
@@ -427,3 +492,28 @@ class TestCommandImports:
         assert (tmp_path / "report.csv").read_text().startswith("sequence,")
         assert sorted(p.name for p in (tmp_path / "fused").iterdir()) == [
             "seq-0000.txt", "seq-0001.txt"]
+
+
+class TestDependencies:
+    """numpy is the only runtime dependency; scipy is a test oracle."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_no_module_imports_scipy(self):
+        found = []
+        for path in sorted((self.ROOT / "src" / "attmot").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+        assert found == []
+
+    def test_runtime_dependencies_are_numpy_alone(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((self.ROOT / "pyproject.toml").read_text())["project"]
+        assert [re.match(r"[A-Za-z0-9_.-]+", d)[0] for d in project["dependencies"]] == ["numpy"]
+        assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])

@@ -623,6 +623,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"corrupt fusion-head file {re.escape(str(path))}"):
             load_fusion_head(path)
 
+    @pytest.mark.parametrize("tail", [b"\0", b"garbage"])
+    def test_trailing_bytes_name_path(self, tmp_path, tail):
+        path = tmp_path / "head.bin"
+        save_fusion_head(path, FusionParams.random(8, n_identities=2, n_tokens=2, seed=1))
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(ValueError, match=f"corrupt fusion-head file {re.escape(str(path))}"
+                                             ".*bytes after the last array"):
+            load_fusion_head(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a params file")
