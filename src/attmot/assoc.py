@@ -9,7 +9,7 @@ quantile for 4 degrees of freedom.
 A ``Tracker`` keeps all live tracks in one struct-of-arrays ``TrackTable``:
 means ``(T, 8)``, covariances ``(T, 8, 8)``, a gallery ring ``(T, B, D)`` of
 unit embeddings with fill counts and write pointers, attribute estimates
-``(T, 32)``, and status, hit, age, identity and pending-box columns.  The
+``(T, 32)``, and status, hit, age and identity columns.  The
 gallery is filled only in the modes whose cost reads embeddings, and the
 attribute estimates only in those that read attributes.  A frame arrives
 as one checked ``core.Detections`` table; ``stack_frame`` derives the views
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .core import (COST_MODES, N_ATTRIBUTES, BBox, Detections, GtEntry, linear_sum_assignment,
+from .core import (COST_MODES, N_ATTRIBUTES, Detections, MotTable, linear_sum_assignment,
                    pairwise_iou, unit_rows)
 
 CHI2_95_4DOF = 9.4877
@@ -211,7 +211,6 @@ class TrackTable:
 
     def __init__(self):
         self.dim: int | None = None       # embedding dimension of the gallery
-        self.pending: list[list] = []     # per row: (frame, box) before confirmation
         self._n = 0
         self._buf = {name: np.zeros((0, *shape), dtype)
                      for name, (shape, dtype) in _COLUMNS.items()}
@@ -247,7 +246,6 @@ class TrackTable:
         for buf in self._buf.values():
             buf[n:n + k] = 0
         self._n = n + k
-        self.pending.extend([] for _ in range(k))
         self._views()
         return slice(n, n + k)
 
@@ -258,7 +256,6 @@ class TrackTable:
         k = first + int(keep[first:].sum())
         for buf in self._buf.values():
             buf[first:k] = buf[first:n][keep[first:]]
-        self.pending = [p for p, kept in zip(self.pending, keep.tolist()) if kept]
         self._n = k
         self._views()
 
@@ -436,13 +433,6 @@ def solve_assignment(cost: np.ndarray, infeasible: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrackOutput:
-    frame: int
-    identity: int
-    box: BBox
-
-
 class Tracker:
     """Single-sequence online tracker; identities are never reused."""
 
@@ -453,6 +443,10 @@ class Tracker:
         self.fusion_params = fusion_params
         self.table = TrackTable()
         self._next_id = 1
+        # row buffers: blocks of (frames, identities, boxes) columns, and
+        # blocks of the identities confirmed so far
+        self._rows = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 4)))]
+        self._confirmed = [np.zeros(0, np.int64)]
 
     def _absorb(self, rows: np.ndarray, cols: np.ndarray, batch: FrameBatch,
                 born: bool) -> None:
@@ -468,10 +462,16 @@ class Tracker:
             new = batch.attrs[cols]
             tab.attr[rows] = new if born else ATTR_EMA * tab.attr[rows] + (1 - ATTR_EMA) * new
 
-    def step(self, frame: int, detections: Detections) -> list[TrackOutput]:
-        """Advance one frame.  Returns this frame's confirmed boxes; when a
-        track reaches confirmation its buffered tentative boxes (earlier
-        frames) are emitted retroactively in the same call."""
+    def _emit(self, frame: int, idents: np.ndarray, boxes: np.ndarray) -> None:
+        self._rows.append((np.full(len(idents), frame, dtype=np.int64), idents, boxes))
+
+    def step(self, frame: int, detections: Detections) -> None:
+        """Advance one frame.
+
+        Every matched track's box and every newborn track's detection box
+        is appended to the row buffers; a tentative track's rows wait there
+        until it is confirmed, and those of a track that dies tentative are
+        never reported (``results``)."""
         cfg = self.config
         tab = self.table
         batch = stack_frame(detections, cfg, self.fusion_params, tab.dim)
@@ -483,7 +483,6 @@ class Tracker:
         cost, infeasible = build_cost_matrix(tab, batch, cfg, (chol, pos_def))
         matches, u_tracks, u_dets = solve_assignment(cost, infeasible, cfg.threshold)
 
-        outputs: list[TrackOutput] = []
         if matches:
             rows, cols = np.array(matches).T
             tab.mean[rows], tab.cov[rows] = kalman_update(tab.mean[rows], tab.cov[rows],
@@ -492,19 +491,9 @@ class Tracker:
             tab.age[rows] = 0
             self._absorb(rows, cols, batch, born=False)
             confirm = ~tab.confirmed[rows] & (tab.hits[rows] >= cfg.n_init)
-            for r, ident, was_confirmed, now, box in zip(
-                    rows.tolist(), tab.identity[rows].tolist(), tab.confirmed[rows].tolist(),
-                    confirm.tolist(), _box_rows(tab.mean[rows]).tolist()):
-                box = BBox(*box)
-                if was_confirmed:
-                    outputs.append(TrackOutput(frame, ident, box))
-                    continue
-                pending = tab.pending[r]
-                pending.append((frame, box))
-                if now:
-                    outputs.extend(TrackOutput(f, ident, b) for f, b in pending)
-                    pending.clear()
             tab.confirmed[rows] |= confirm
+            self._confirmed.append(tab.identity[rows[confirm]])
+            self._emit(frame, tab.identity[rows], _box_rows(tab.mean[rows]))
 
         if u_tracks:
             u = np.array(u_tracks)
@@ -519,38 +508,43 @@ class Tracker:
         if u_dets:
             cols = np.array(u_dets)
             new = tab.add_rows(len(cols))
-            rows = np.arange(new.start, new.stop)
+            idents = np.arange(self._next_id, self._next_id + len(cols))
+            self._next_id += len(cols)
             tab.mean[new], tab.cov[new] = kalman_init(batch.meas[cols])
             tab.hits[new] = 1
-            tab.identity[new] = np.arange(self._next_id, self._next_id + len(cols))
-            self._next_id += len(cols)
-            self._absorb(rows, cols, batch, born=True)
+            tab.identity[new] = idents
+            self._absorb(np.arange(new.start, new.stop), cols, batch, born=True)
             tab.confirmed[new] = cfg.n_init <= 1
-            for r, box, ident in zip(rows.tolist(), batch.boxes[cols].tolist(),
-                                     tab.identity[new].tolist()):
-                if cfg.n_init <= 1:
-                    outputs.append(TrackOutput(frame, ident, BBox(*box)))
-                else:
-                    tab.pending[r].append((frame, BBox(*box)))
-        return outputs
+            if cfg.n_init <= 1:
+                self._confirmed.append(idents)
+            self._emit(frame, idents, batch.boxes[cols])
+
+    def results(self) -> MotTable:
+        """The rows of every track confirmed so far: its matched boxes, its
+        birth detection box, and the rows it had while tentative."""
+        frames, ids, boxes = map(np.concatenate, zip(*self._rows))
+        confirmed = np.zeros(self._next_id, dtype=bool)
+        confirmed[np.concatenate(self._confirmed)] = True
+        keep = confirmed[ids]
+        return MotTable(frames[keep], ids[keep], boxes[keep])
 
 
 def run_sequence(frames: dict[int, Detections], config: AssocConfig,
-                 fusion_params=None, n_frames: int | None = None) -> list[TrackOutput]:
+                 fusion_params=None, n_frames: int | None = None) -> MotTable:
     """Track a whole sequence of per-frame detections; deterministic.  A
-    frame missing from ``frames`` has no detections."""
+    frame missing from ``frames`` has no detections.  Returns the
+    confirmed tracks' rows (``Tracker.results``)."""
     tracker = Tracker(config, fusion_params)
-    out: list[TrackOutput] = []
     last = n_frames if n_frames is not None else (max(frames) if frames else 0)
     for f in range(1, last + 1):
         dets = frames.get(f)
         if dets is None:
             dets = Detections(f, np.empty((0, 4)), np.empty(0))
-        out.extend(tracker.step(f, dets))
-    out.sort(key=lambda o: (o.frame, o.identity))
-    return out
+        tracker.step(f, dets)
+    return tracker.results()
 
 
-def outputs_to_entries(outputs: list[TrackOutput]) -> list[GtEntry]:
-    """Convert tracker outputs to result-file rows."""
-    return [GtEntry(frame=o.frame, identity=o.identity, box=o.box) for o in outputs]
+def outputs_to_entries(outputs: MotTable) -> MotTable:
+    """``outputs`` itself: ``run_sequence`` already returns result-file
+    rows.  Kept only for the benchmark harness, which calls it."""
+    return outputs

@@ -16,8 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import core, motio, synthgen
-from .configfile import (ConfigError, dump_world_config, load_config, strict_int,
-                         world_config_from_mapping)
+from .configfile import (ConfigError, dump_world_config, load_config, strict_float,
+                         strict_int, world_config_from_mapping)
 
 
 class CliError(Exception):
@@ -33,39 +33,43 @@ class _Parser(argparse.ArgumentParser):
 # generate
 # ---------------------------------------------------------------------------
 
+def _write_sequence(bundle, seq_dir: Path) -> None:
+    """Write one sequence's files; its observations live only for this call."""
+    seq_dir.mkdir(exist_ok=True)
+    (seq_dir / "gt.txt").write_text(motio.write_mot_file(bundle.gt_entries()), encoding="ascii")
+    frames = synthgen.observe_all_frames(bundle)
+    (seq_dir / "det.txt").write_text(motio.write_det_file(frames), encoding="ascii")
+    feats = seq_dir / "feats.csv"
+    try:
+        with feats.open("w", encoding="ascii") as fh:
+            motio.write_feature_file(frames, fh)
+    except BaseException:
+        # the writer streams a block at a time; leave no partial sidecar
+        feats.unlink(missing_ok=True)
+        raise
+    (seq_dir / "attrs.txt").write_text(
+        motio.write_attr_file(bundle.attribute_table()), encoding="ascii")
+    (seq_dir / "meta.jsonl").write_text(
+        "\n".join(synthgen.occlusion_metadata_lines(bundle)) + "\n", encoding="ascii")
+
+
 def _write_benchmark(config, n_sequences: int, out: Path) -> None:
-    """Write a benchmark of ``n_sequences`` sequences to ``out``.  A
-    directory that already holds a sequence this benchmark would not write
-    is refused, since ``track`` and ``eval`` would read it as part of it."""
-    bundles = synthgen.generate_benchmark(config, n_sequences)
+    """Write a benchmark of ``n_sequences`` sequences to ``out``, each
+    sequence as soon as it is simulated.  A directory that already holds a
+    sequence this benchmark would not write is refused before anything is
+    written, since ``track`` and ``eval`` would read it as part of it."""
     if out.is_dir():
-        names = {bundle.name for bundle in bundles}
+        names = {synthgen.sequence_name(s) for s in range(n_sequences)}
         stale = [p.name for p in _sequence_dirs(out, require=False) if p.name not in names]
         if stale:
             raise CliError(f"{out} holds sequence directories ({', '.join(stale)}) that a "
                            f"{n_sequences}-sequence benchmark does not write; remove them "
                            "or choose another directory")
+    bundles = synthgen.iter_benchmark(config, n_sequences)
     out.mkdir(parents=True, exist_ok=True)
     (out / "world.cfg").write_text(dump_world_config(config, n_sequences), encoding="ascii")
     for bundle in bundles:
-        seq_dir = out / bundle.name
-        seq_dir.mkdir(exist_ok=True)
-        (seq_dir / "gt.txt").write_text(motio.write_mot_file(bundle.gt_entries()),
-                                        encoding="ascii")
-        frames = synthgen.observe_all_frames(bundle)
-        (seq_dir / "det.txt").write_text(motio.write_det_file(frames), encoding="ascii")
-        feats = seq_dir / "feats.csv"
-        try:
-            with feats.open("w", encoding="ascii") as fh:
-                motio.write_feature_file(frames, fh)
-        except BaseException:
-            # the writer streams a block at a time; leave no partial sidecar
-            feats.unlink(missing_ok=True)
-            raise
-        (seq_dir / "attrs.txt").write_text(
-            motio.write_attr_file(bundle.attribute_table()), encoding="ascii")
-        (seq_dir / "meta.jsonl").write_text(
-            "\n".join(synthgen.occlusion_metadata_lines(bundle)) + "\n", encoding="ascii")
+        _write_sequence(bundle, out / bundle.name)
 
 
 def cmd_generate(config_path: str, out_dir: str) -> None:
@@ -183,8 +187,7 @@ def _track_sequence(frames, config, fusion_params) -> str:
     """Result-file text of one sequence's per-frame detections."""
     from . import assoc
 
-    outputs = assoc.run_sequence(frames, config, fusion_params)
-    return motio.write_mot_file(assoc.outputs_to_entries(outputs))
+    return motio.write_mot_file(assoc.run_sequence(frames, config, fusion_params))
 
 
 def _check_head_dim(params_path: str, dim: int, seq_dirs: list[Path]) -> None:
@@ -276,8 +279,8 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
     seeds = value("seeds", 0,
                   lambda v: [strict_int(s) for s in (v if isinstance(v, tuple) else (v,))])
     attr_source = str(spec.get("attr_source", "obs"))
-    lambda_e = value("lambda_e", 1.0, float)
-    lambda_a = value("lambda_a", 1.0, float)
+    lambda_e = value("lambda_e", 1.0, strict_float)
+    lambda_a = value("lambda_a", 1.0, strict_float)
     if attr_source == "fusion":
         from . import fusion
 

@@ -82,8 +82,19 @@ def strict_int(value) -> int:
     return value
 
 
+def strict_float(value) -> float:
+    """``value`` as a float.  An int or a float converts; a bool and text
+    are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 _WORLD_FIELDS = {f.name for f in fields(WorldConfig)} - {"prior"}
 _INT_KEYS = {f.name for f in fields(WorldConfig) if f.type == "int"} | {"n_sequences"}
+# keys holding a float, or a tuple of floats for the prior's distributions
+_FLOAT_KEYS = ({f.name for f in fields(WorldConfig) if f.type == "float"}
+               | {f"prior.{f.name}" for f in fields(AttributePrior) if f.type in ("float", "tuple")})
 _PRIOR_FIELDS = {f.name for f in fields(AttributePrior)}
 
 
@@ -93,11 +104,14 @@ def world_config_from_mapping(mapping: dict) -> tuple[WorldConfig, int]:
     prior_kwargs = {}
     n_sequences = 1
     for key, value in mapping.items():
-        if key in _INT_KEYS:
-            try:
+        try:
+            if key in _INT_KEYS:
                 value = strict_int(value)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from None
+            elif key in _FLOAT_KEYS:
+                for v in value if isinstance(value, tuple) else (value,):
+                    strict_float(v)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from None
         if key == "n_sequences":
             n_sequences = value
         elif key.startswith("prior."):

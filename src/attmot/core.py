@@ -3,7 +3,9 @@
 Everything here is an immutable value or a pure function; the rest of the
 package builds on these primitives.  A frame's detections travel through
 the whole pipeline as one ``Detections`` table, checked once when it is
-built, and a sequence's as a ``{frame: Detections}`` mapping.
+built, and a sequence's as a ``{frame: Detections}`` mapping.  A
+sequence's ground truth or tracker results travel as one ``MotTable``,
+likewise checked once.
 """
 from __future__ import annotations
 
@@ -247,44 +249,6 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n_r, dtype=np.int64), cols
 
 
-def occlusion_fraction(target: BBox, occluder: BBox) -> float:
-    """Fraction of the target box covered by the occluder, in [0, 1]."""
-    return min(1.0, intersection_area(target, occluder) / target.area)
-
-
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v), clamped to [0, 2].
-
-    Raises ValueError on zero vectors or mismatched dimensions.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("degenerate embedding")
-    d = 1.0 - float(np.dot(u, v)) / (nu * nv)
-    return min(2.0, max(0.0, d))
-
-
-def attribute_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Mean absolute difference over the 32 attribute slots, in [0, 1]."""
-    p = as_attribute_values(p)
-    q = as_attribute_values(q)
-    if p.shape != (N_ATTRIBUTES,) or q.shape != (N_ATTRIBUTES,):
-        raise ValueError(f"attribute length mismatch {p.shape} vs {q.shape}")
-    return float(np.mean(np.abs(p - q)))
-
-
-def as_attribute_values(x) -> np.ndarray:
-    """Coerce an AttributeVector or array-like to a float (32,) array."""
-    if isinstance(x, AttributeVector):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
-
-
 def unit_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows of a 2-D array scaled to unit norm, written to ``out`` (which
     may be ``x``) when given.
@@ -466,20 +430,78 @@ class TrainSample:
     gt_attrs: np.ndarray
 
 
-@dataclass(frozen=True)
-class GtEntry:
-    """Ground-truth (or result) row: one identity's box in one frame.
+def _int_column(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; a float or bool column is refused,
+    never truncated."""
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {column.dtype}")
+    return column.astype(np.int64)
 
-    ``active`` mirrors the MOTChallenge confidence flag on ground-truth
-    files: inactive entries mark ignore regions for evaluation.
+
+@dataclass(frozen=True, eq=False)
+class MotTable:
+    """One sequence's ground truth or tracker results as a checked table.
+
+    ``frames`` and ``ids`` are ``(n,)`` int64, ``boxes`` ``(n, 4)`` (left,
+    top, width, height), ``active`` ``(n,)`` bool (the MOTChallenge flag of
+    a ground-truth row: an inactive row is an ignore region) and
+    ``visibility`` ``(n,)``; ``active`` defaults to all true and
+    ``visibility`` to all 1.0.  The constructor sorts the rows into
+    (frame, identity) order and is the one place they are checked: every
+    frame and identity is >= 1, every box is finite with a positive size,
+    every visibility lies in [0, 1], and no identity appears twice in one
+    frame.  The columns are read-only.  Two tables are equal when every
+    column is.
     """
 
-    frame: int
-    identity: int
-    box: BBox
-    visibility: float = 1.0
-    active: bool = True
+    frames: np.ndarray
+    ids: np.ndarray
+    boxes: np.ndarray
+    active: np.ndarray | None = None
+    visibility: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.identity < 1:
-            raise ValueError(f"identity must be positive, got {self.identity}")
+        frames = _int_column("frames", self.frames)
+        ids = _int_column("ids", self.ids)
+        n = len(frames)
+        boxes = np.asarray(self.boxes, dtype=np.float64)
+        if boxes.size == 0:
+            boxes = boxes.reshape(0, 4)
+        active = (np.ones(n, dtype=bool) if self.active is None
+                  else np.asarray(self.active, dtype=bool))
+        vis = (np.ones(n) if self.visibility is None
+               else np.asarray(self.visibility, dtype=np.float64))
+        if (frames.shape != (n,) or ids.shape != (n,) or boxes.shape != (n, 4)
+                or active.shape != (n,) or vis.shape != (n,)):
+            raise ValueError(f"expected (n,) frames, ids, active and visibility and (n, 4) "
+                             f"boxes, got shapes {frames.shape}, {ids.shape}, {active.shape}, "
+                             f"{vis.shape} and {boxes.shape}")
+        order = np.lexsort((ids, frames))
+        if (order[1:] < order[:-1]).any():
+            frames, ids, boxes, active, vis = (c[order] for c in (frames, ids, boxes, active, vis))
+        ok = ((frames >= 1) & (ids >= 1) & np.isfinite(boxes).all(axis=1)
+              & (boxes[:, 2] > 0) & (boxes[:, 3] > 0) & (vis >= 0.0) & (vis <= 1.0))
+        if not ok.all():
+            r = int(np.argmin(ok))
+            raise ValueError(f"frame {frames[r]}, identity {ids[r]}: frame and identity must be "
+                             f">= 1, box {boxes[r].tolist()} finite with a positive size and "
+                             f"visibility {vis[r]} in [0, 1]")
+        repeat = (frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])
+        if repeat.any():
+            r = int(np.argmax(repeat))
+            raise ValueError(f"frame {frames[r]}: identity {ids[r]} appears twice")
+        for name, column in (("frames", frames), ("ids", ids), ("boxes", boxes),
+                             ("active", active), ("visibility", vis)):
+            column = column.view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __eq__(self, other):
+        if not isinstance(other, MotTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("frames", "ids", "boxes", "active", "visibility"))

@@ -1,10 +1,11 @@
 """Tracking evaluation: CLEAR metrics, identity metrics, the HOTA family
 and verification TPR@FAR.
 
-Every tracking metric reads one per-frame match table (``_frame_table``):
-identities are numbered once per sequence, in order of first appearance,
-and each frame holds the index arrays of its active ground-truth and
-surviving prediction identities and their IoU matrix.
+Every tracking metric scores a sequence's ground truth and predictions,
+each one ``core.MotTable``, through one per-frame match table
+(``_frame_table``): identities are numbered once per sequence, in order
+of first appearance, and each frame holds the index arrays of its active
+ground-truth and surviving prediction identities and their IoU matrix.
 ``evaluate_sequences`` builds it once per sequence and hands it to the
 CLEAR, ID and HOTA scorers; the public ``clear_metrics``, ``id_metrics``
 and ``hota_metrics`` each build it and score it.
@@ -21,23 +22,14 @@ before scoring.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from .core import GtEntry, linear_sum_assignment, pairwise_iou, row_iou
+from .core import MotTable, linear_sum_assignment, pairwise_iou, row_iou
 
 IOU_THRESHOLD = 0.5
 HOTA_ALPHAS = np.round(np.arange(0.05, 0.96, 0.05), 2)  # 19 thresholds
-
-
-def _raise_repeated_identity(frame: int, gt: list[GtEntry], pred: list[GtEntry]) -> None:
-    for side, entries in (("gt", gt), ("prediction", pred)):
-        ids = [e.identity for e in entries if e.frame == frame]
-        for ident in ids:
-            if ids.count(ident) > 1:
-                raise ValueError(f"frame {frame}: {side} identity {ident} appears twice")
 
 
 @dataclass(frozen=True)
@@ -49,27 +41,6 @@ class FrameTable:
     frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     n_gt: int
     n_pred: int
-
-
-def _rows(entries: list[GtEntry]):
-    """Frame, identity and active-flag columns and (left, top, width,
-    height) rows of the entries, stably sorted by frame."""
-    frame = np.array([e.frame for e in entries], dtype=np.int64)
-    order = np.argsort(frame, kind="stable")
-    entries = [entries[k] for k in order.tolist()]
-    boxes = np.fromiter(itertools.chain.from_iterable(
-        (b.left, b.top, b.width, b.height) for b in (e.box for e in entries)),
-        dtype=np.float64, count=4 * len(entries)).reshape(-1, 4)
-    return (frame[order], np.array([e.identity for e in entries], dtype=np.int64),
-            np.array([e.active for e in entries], dtype=bool), boxes)
-
-
-def _repeat_frame(frames: np.ndarray, ids: np.ndarray) -> float:
-    """The first frame in which an identity repeats (inf if none)."""
-    order = np.lexsort((ids, frames))
-    f, i = frames[order], ids[order]
-    repeat = (f[1:] == f[:-1]) & (i[1:] == i[:-1])
-    return f[1:][repeat].min() if repeat.any() else math.inf
 
 
 def _distinct(sorted_values: np.ndarray) -> np.ndarray:
@@ -88,20 +59,16 @@ def _number(ids: np.ndarray) -> tuple[np.ndarray, int]:
     return rank[inverse], len(uniq)
 
 
-def _frame_table(gt: list[GtEntry], pred: list[GtEntry]) -> FrameTable:
+def _frame_table(gt: MotTable, pred: MotTable) -> FrameTable:
     """The frame table of one sequence.
 
-    Each side's columns are built once; the IoU of every same-frame
-    (active gt, prediction) pair is one elementwise pass, and each frame
-    holds views of it.  A prediction matched (Hungarian, IoU >=
-    ``IOU_THRESHOLD``) to an inactive gt row is dropped.  An identity that
-    appears twice in one frame, on either side, raises ``ValueError``.
+    The IoU of every same-frame (active gt, prediction) pair of the two
+    tables is one elementwise pass, and each frame holds views of it.  A
+    prediction matched (Hungarian, IoU >= ``IOU_THRESHOLD``) to an
+    inactive gt row is dropped.
     """
-    g_frame, g_id, g_active, g_box = _rows(gt)
-    p_frame, p_id, _, p_box = _rows(pred)
-    repeat = min(_repeat_frame(g_frame, g_id), _repeat_frame(p_frame, p_id))
-    if repeat < math.inf:
-        _raise_repeated_identity(int(repeat), gt, pred)
+    g_frame, g_id, g_active, g_box = gt.frames, gt.ids, gt.active, gt.boxes
+    p_frame, p_id, p_box = pred.frames, pred.ids, pred.boxes
     frames = _distinct(np.sort(np.concatenate((g_frame, p_frame))))
 
     keep = np.ones(len(p_frame), dtype=bool)
@@ -188,7 +155,7 @@ def _score_clear(table: FrameTable) -> ClearResult:
     return ClearResult.of(fp, fn, idsw, n_gt)
 
 
-def clear_metrics(gt: list[GtEntry], pred: list[GtEntry]) -> ClearResult:
+def clear_metrics(gt: MotTable, pred: MotTable) -> ClearResult:
     """CLEAR counts and MOTA = 1 - (FN + FP + IDSW) / total GT boxes."""
     return _score_clear(_frame_table(gt, pred))
 
@@ -232,7 +199,7 @@ def _score_id(table: FrameTable) -> IdResult:
     return IdResult.of(idtp, int(pr_len.sum()) - idtp, int(gt_len.sum()) - idtp)
 
 
-def id_metrics(gt: list[GtEntry], pred: list[GtEntry]) -> IdResult:
+def id_metrics(gt: MotTable, pred: MotTable) -> IdResult:
     """Identity metrics under the optimal trajectory-level bipartite pairing.
 
     A gt trajectory paired with a predicted trajectory scores one IDTP per
@@ -311,7 +278,7 @@ def _score_hota(table: FrameTable) -> HotaResult:
     return HotaResult(hota, deta, assa, tp=tp, fn=fn, fp=fp, ass_sum=ass_sum)
 
 
-def hota_metrics(gt: list[GtEntry], pred: list[GtEntry]) -> HotaResult:
+def hota_metrics(gt: MotTable, pred: MotTable) -> HotaResult:
     """HOTA averaged over 19 localization thresholds, with DetA and AssA.
 
     Follows the published two-pass procedure: a global alignment score per
@@ -423,8 +390,7 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_sequences(named_pairs: list[tuple[str, list[GtEntry], list[GtEntry]]]
-                       ) -> MetricsReport:
+def evaluate_sequences(named_pairs: list[tuple[str, MotTable, MotTable]]) -> MetricsReport:
     """Score (name, gt, pred) triples; rows are sorted by sequence name.
 
     Each sequence's frame table is built once and scored by CLEAR, ID and

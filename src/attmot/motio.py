@@ -8,9 +8,13 @@ Detection / ground-truth / result files are CSV lines::
 
 with ``x,y,z`` as ``-1`` placeholders.  For ground-truth files the ``conf``
 column is the MOTChallenge active flag (0 means the entry is an ignore
-region).  Nine-column ground-truth files in the MOT17 convention
-(``...,conf,class,visibility``) are also accepted; otherwise visibility
-defaults to 1.0.
+region).  Rows of 7 to 10 fields may be mixed; a nine-field ground-truth
+row in the MOT17 convention (``...,conf,class,visibility``) carries its
+visibility, and every other row has visibility 1.0.  Fields past the
+seventh are not read otherwise.  Frame and id are read as ``int()`` reads
+them and the other fields as ``float()`` does, except that ``_`` digit
+separators and integers beyond int64 are refused, as in the feature
+sidecar.
 
 The attribute sidecar holds one line per identity, ``id,b0,...,b31``, after
 a one-line header ``# attmot-attrs v1``.
@@ -24,11 +28,16 @@ text.
 
 When ``source`` is a path, parse errors name the file as well as the line.
 
-Detections are read and written as ``{frame: core.Detections}`` mappings.
-The writers take only checked batches.  ``parse_feature_file`` checks the
-sidecar's embedding and attribute columns once, as one table, and names
-the first bad line: a non-finite embedding value, or attributes that are
-not 32 values in [0, 1], are rejected.
+Ground truth and tracker results are read and written as one
+``core.MotTable`` per file, and detections as ``{frame: core.Detections}``
+mappings.  ``parse_mot_file`` converts all rows in one ``np.loadtxt``
+pass and checks each row rule once, as one mask over the rows, so the
+first bad row names its line; only a file that fails to convert is read
+line by line, up to the row that fails.  The writers
+take only checked tables.  ``parse_feature_file`` checks the sidecar's
+embedding and attribute columns once, as one table, and names the first
+bad line: a non-finite embedding value, or attributes that are not 32
+values in [0, 1], are rejected.
 """
 from __future__ import annotations
 
@@ -44,9 +53,8 @@ import numpy as np
 from .core import (
     N_ATTRIBUTES,
     AttributeVector,
-    BBox,
     Detections,
-    GtEntry,
+    MotTable,
     feature_row_error,
 )
 
@@ -101,68 +109,169 @@ def _fmt_coord(v: float) -> str:
     return s if s not in ("-0", "") else "0"
 
 
+# The first seven MOT columns of a row, as one record of the conversion.
+_MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("box", np.float64, (4,)),
+                     ("conf", np.float64)])
+_INT64 = np.iinfo(np.int64)
+_BOX_FIELDS = ("left", "top", "width", "height")
+
+
+def _loadtxt(lines: list[str], dtype, usecols):
+    return np.loadtxt(lines, delimiter=",", dtype=dtype, usecols=usecols, comments=None,
+                      ndmin=1)
+
+
+def _mot_columns(body: list[tuple[int, str]], kind: str):
+    """``(rows, visibility)`` of the MOT rows in file order, converted in
+    one ``np.loadtxt`` pass, or None when a row has the wrong number of
+    fields or fails to convert.
+
+    ``rows`` is a ``_MOT_ROW`` record array.  Frame and identity convert
+    as int64, which refuses ``1.0`` as ``int()`` does; the other fields
+    convert like ``float()``, bit for bit.  Both refuse ``_`` digit
+    separators.  Fields past the seventh are not read, except the
+    visibility of a nine-field ``"gt"`` row; every other row has
+    visibility 1.0.
+    """
+    lines = [line for _, line in body]
+    widths = np.array([line.count(",") for line in lines], dtype=np.int64) + 1
+    if len(lines) and not (7 <= widths.min() and widths.max() <= 10):
+        return None
+    try:
+        rows = _loadtxt(lines, _MOT_ROW, range(7)) if lines else np.zeros(0, _MOT_ROW)
+        vis = np.ones(len(lines))
+        nine = np.flatnonzero(widths == 9) if kind == "gt" else []
+        if len(nine):
+            vis[nine] = _loadtxt([lines[i] for i in nine.tolist()], np.float64, 8)
+    except ValueError:
+        return None
+    return rows, vis
+
+
+def _scan_columns(body: list[tuple[int, str]], kind: str):
+    """``(rows, visibility, error)`` for a file that ``_mot_columns``
+    refuses: the rows read one at a time, as ``int()`` and ``float()``
+    read them, up to the first that fails to convert, and the error naming
+    that row's line (None if every row converts).
+
+    A row whose first seven fields ``int()`` and ``float()`` read is kept
+    when only its visibility fails to convert or only ``np.loadtxt``
+    refuses it (a ``_`` digit separator), so that its rules are checked
+    before that error counts.  An integer beyond int64 fails at once.
+    """
+    rows, vis = [], []
+
+    def stop(error):
+        return np.array(rows, dtype=_MOT_ROW), np.array(vis, dtype=np.float64), error
+
+    for lineno, line in body:
+        fields = line.split(",")
+        if not 7 <= len(fields) <= 10:
+            return stop(MotFormatError(f"expected 7-10 fields at line {lineno}, got {len(fields)}"))
+        try:
+            frame, ident = int(fields[0]), int(fields[1])
+            box, conf = [float(x) for x in fields[2:6]], float(fields[6])
+        except ValueError as exc:
+            return stop(MotFormatError(f"{exc} at line {lineno}"))
+        nine = kind == "gt" and len(fields) == 9
+        try:
+            _loadtxt([line], _MOT_ROW, range(7))
+            if nine:
+                _loadtxt([line], np.float64, 8)
+            strict = None
+        except ValueError as exc:
+            strict = MotFormatError(f"bad numeric field at line {lineno}: {exc}")
+        if not all(_INT64.min <= v <= _INT64.max for v in (frame, ident)):
+            return stop(strict)
+        rows.append((frame, ident, box, conf))
+        try:
+            vis.append(float(fields[8]) if nine else 1.0)
+        except ValueError as exc:
+            vis.append(1.0)
+            return stop(MotFormatError(f"{exc} at line {lineno}"))
+        if strict:
+            return stop(strict)
+    return stop(None)
+
+
+def _broken_rule(rows: np.ndarray, vis: np.ndarray, kind: str) -> tuple[int, str] | None:
+    """``(index, reason)`` of the first row that breaks a MOT row rule, or None.
+
+    Each rule is one mask over the rows, in the order a row is checked:
+    a positive box size, frame >= 1, a finite confidence and finite box
+    fields; a ``"gt"`` row also needs identity >= 1, an identity not seen
+    before in its frame and a finite visibility.  The reason is the first
+    rule the first bad row breaks.
+    """
+    frames, ids, boxes, conf = rows["frame"], rows["id"], rows["box"], rows["conf"]
+    finite = np.isfinite(boxes)
+    rules = [
+        ((boxes[:, 2] <= 0) | (boxes[:, 3] <= 0), lambda r: "non-positive box"),
+        (frames < 1, lambda r: "frame index < 1"),
+        (~np.isfinite(conf), lambda r: f"non-finite confidence {conf[r].item()}"),
+        (~finite.all(axis=1), lambda r: "non-finite bbox field {}={!r}".format(
+            _BOX_FIELDS[int(np.argmin(finite[r]))], boxes[r, np.argmin(finite[r])].item())),
+    ]
+    if kind == "gt":
+        # lexsort is stable, so the later of two rows with one key is the repeat.
+        order = np.lexsort((ids, frames))
+        repeat = np.zeros(len(rows), dtype=bool)
+        repeat[order[1:]] = ((frames[order[1:]] == frames[order[:-1]])
+                             & (ids[order[1:]] == ids[order[:-1]]))
+        rules += [
+            (ids < 1, lambda r: "non-positive identity"),
+            (repeat, lambda r: f"duplicate identity {ids[r]} in frame {frames[r]}"),
+            (~np.isfinite(vis), lambda r: f"non-finite visibility {vis[r].item()}"),
+        ]
+    broken = np.array([mask for mask, _ in rules])
+    bad = broken.any(axis=0)
+    if not bad.any():
+        return None
+    r = int(np.argmax(bad))
+    return r, rules[int(np.argmax(broken[:, r]))][1](r)
+
+
 @_names_file
 def parse_mot_file(source, kind: str):
     """Parse a MOT-format file.
 
     ``kind`` is ``"det"`` (rows become a ``{frame: Detections}`` mapping
     in frame order, without features, each frame's rows in file order) or
-    ``"gt"`` (rows become GtEntries sorted by frame then identity; also
+    ``"gt"`` (rows become one ``MotTable`` in (frame, identity) order; also
     used for result files).  Any malformed line, or a ``"gt"`` identity
     repeated within one frame, raises MotFormatError naming the line.
     """
     if kind not in ("det", "gt"):
         raise ValueError(f"unknown kind {kind!r}")
-    out = []
-    dets: dict[int, list] = {}
-    seen = set()
-    for lineno, raw in enumerate(_open_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) < 7 or len(fields) > 10:
-            raise MotFormatError(
-                f"expected 7-10 fields at line {lineno}, got {len(fields)}"
-            )
-        try:
-            frame = int(fields[0])
-            ident = int(fields[1])
-            left, top, width, height = (float(x) for x in fields[2:6])
-            conf = float(fields[6])
-            if width <= 0 or height <= 0:
-                raise ValueError("non-positive box")
-            if frame < 1:
-                raise ValueError("frame index < 1")
-            if not math.isfinite(conf):
-                raise ValueError(f"non-finite confidence {conf}")
-            box = BBox(left, top, width, height)
-            if kind == "det":
-                dets.setdefault(frame, []).append((left, top, width, height,
-                                                   min(max(conf, 0.0), 1.0)))
-                continue
-            if ident < 1:
-                raise ValueError("non-positive identity")
-            if (frame, ident) in seen:
-                raise ValueError(f"duplicate identity {ident} in frame {frame}")
-            seen.add((frame, ident))
-            # 9-field rows follow the MOT17 gt convention and carry visibility.
-            vis = 1.0
-            if len(fields) == 9:
-                vis = float(fields[8])
-                if not math.isfinite(vis):
-                    raise ValueError(f"non-finite visibility {vis}")
-                vis = min(max(vis, 0.0), 1.0)
-            out.append(
-                GtEntry(frame=frame, identity=ident, box=box, visibility=vis, active=conf != 0.0)
-            )
-        except ValueError as exc:
-            raise MotFormatError(f"{exc} at line {lineno}") from None
-    if kind == "det":
-        tables = {frame: np.array(rows) for frame, rows in sorted(dets.items())}
-        return {frame: Detections(frame, t[:, :4], t[:, 4]) for frame, t in tables.items()}
-    out.sort(key=lambda g: (g.frame, g.identity))
-    return out
+    body, failure = [], None
+    try:
+        for n, raw in enumerate(_open_lines(source), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                body.append((n, line))
+    except MotFormatError as exc:
+        failure = exc   # a non-ASCII line: a row before it may fail first
+    columns = _mot_columns(body, kind)
+    if columns is None:
+        rows, vis, unconverted = _scan_columns(body, kind)
+        failure = unconverted or failure
+    else:
+        rows, vis = columns
+    broken = _broken_rule(rows, vis, kind)
+    if broken is not None:
+        r, reason = broken
+        raise MotFormatError(f"{reason} at line {body[r][0]}")
+    if failure is not None:
+        raise failure
+    frames, boxes = rows["frame"], np.ascontiguousarray(rows["box"])
+    if kind == "gt":
+        return MotTable(frames, rows["id"], boxes, rows["conf"] != 0.0, np.clip(vis, 0.0, 1.0))
+    order = np.argsort(frames, kind="stable")
+    frames, boxes, conf = frames[order], boxes[order], np.clip(rows["conf"][order], 0.0, 1.0)
+    bounds = np.flatnonzero(np.diff(frames, prepend=frames[:1] - 1,
+                                    append=frames[-1:] + 1)).tolist()
+    return {frames[lo].item(): Detections(frames[lo].item(), boxes[lo:hi], conf[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])}
 
 
 @_names_file
@@ -195,20 +304,16 @@ def parse_attr_file(source) -> dict[int, AttributeVector]:
     return result
 
 
-def write_mot_file(entries: Iterable[GtEntry]) -> str:
-    """Serialize result/gt rows to the 10-field MOT format.
-
-    Rows are written in (frame, id) order; returns the text.
-    """
-    rows = sorted(entries, key=lambda g: (g.frame, g.identity))
-    buf = io.StringIO()
-    for g in rows:
-        conf = "1" if g.active else "0"
-        buf.write(
-            f"{g.frame},{g.identity},{_fmt_coord(g.box.left)},{_fmt_coord(g.box.top)},"
-            f"{_fmt_coord(g.box.width)},{_fmt_coord(g.box.height)},{conf},-1,-1,-1\n"
-        )
-    return buf.getvalue()
+def write_mot_file(table: MotTable) -> str:
+    """Serialize a ``MotTable`` to the 10-field MOT format, in its
+    (frame, identity) order; returns the text."""
+    fmt = _fmt_coord
+    return "".join(
+        f"{frame},{ident},{fmt(left)},{fmt(top)},{fmt(width)},{fmt(height)},"
+        f"{'1' if active else '0'},-1,-1,-1\n"
+        for frame, ident, (left, top, width, height), active in zip(
+            table.frames.tolist(), table.ids.tolist(), table.boxes.tolist(),
+            table.active.tolist()))
 
 
 def write_det_file(frames: dict[int, Detections]) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,9 +31,8 @@ from .core import (
     N_ATTRIBUTES,
     UPPER_COLOR_SLICE,
     AttributeVector,
-    BBox,
     Detections,
-    GtEntry,
+    MotTable,
     TrainSample,
     check_feature_rows,
     pairwise_intersection,
@@ -142,11 +142,7 @@ class IdentityCard:
     identity: int
     attributes: AttributeVector
     latent: np.ndarray                 # unit norm
-    trajectory: np.ndarray             # (n_frames, 4) ltwh
-
-    def box_at(self, frame: int) -> BBox:
-        """Box for a 1-based frame index."""
-        return BBox(*self.trajectory[frame - 1])
+    trajectory: np.ndarray             # (n_frames, 4) ltwh; row f - 1 is frame f
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,13 +158,14 @@ class SequenceBundle:
     def n_frames(self) -> int:
         return self.config.n_frames
 
-    def gt_entries(self) -> list[GtEntry]:
-        out = []
-        for f in range(1, self.config.n_frames + 1):
-            for i, card in enumerate(self.cards):
-                out.append(GtEntry(frame=f, identity=card.identity, box=card.box_at(f),
-                                   visibility=1.0 - float(self.occlusion[f - 1, i])))
-        return out
+    def gt_entries(self) -> MotTable:
+        """The scripted ground truth: every identity in every frame, with
+        visibility 1 - its occlusion fraction."""
+        n_frames, n_ids = self.occlusion.shape
+        return MotTable(np.repeat(np.arange(1, n_frames + 1), n_ids),
+                        np.tile([card.identity for card in self.cards], n_frames),
+                        np.stack([card.trajectory for card in self.cards], axis=1).reshape(-1, 4),
+                        visibility=1.0 - self.occlusion.reshape(-1))
 
     def attribute_table(self) -> dict[int, AttributeVector]:
         return {card.identity: card.attributes for card in self.cards}
@@ -329,11 +326,10 @@ def _occlusion_matrix(boxes: np.ndarray) -> np.ndarray:
     """(frames, ids) occlusion fractions of (frames, ids, 4) ltwh boxes.
 
     Draw order is identity order, lower index in front: entry (f, i) is the
-    largest ``core.occlusion_fraction`` of box i by a box j < i, and 0.0
-    when there is none.  Each fraction takes the same operations in the
-    same order as the scalar function, so the matrix is bit-identical to
-    the per-pair loop.  A box that is not finite or has a non-positive size
-    raises ``ValueError``, as ``BBox`` does.
+    largest fraction of box i covered by a box j < i, capped at 1, and 0.0
+    when there is none.  Each fraction is ``min(1, intersection / area)``
+    of the two boxes, in that operation order.  A box that is not finite or
+    has a non-positive size raises ``ValueError``.
     """
     bad = ~(np.isfinite(boxes).all(axis=2) & (boxes[..., 2] > 0) & (boxes[..., 3] > 0))
     if bad.any():
@@ -483,18 +479,28 @@ def observe_all_frames(bundle: SequenceBundle) -> dict[int, Detections]:
     return {f: observe_frame(bundle, f) for f in range(1, bundle.config.n_frames + 1)}
 
 
-def generate_benchmark(config: WorldConfig, n_sequences: int) -> list[SequenceBundle]:
-    """Generate a list of sequences with per-sequence derived seeds."""
+def sequence_name(index: int) -> str:
+    """Name of the 0-based ``index``-th sequence of a benchmark."""
+    return f"seq-{index:04d}"
+
+
+def iter_benchmark(config: WorldConfig, n_sequences: int) -> Iterator[SequenceBundle]:
+    """The sequences of a benchmark, each with its own derived seed,
+    simulated one at a time as the iterator is read.  The arguments are
+    checked on the call, before any sequence is simulated."""
     if n_sequences < 1:
         raise ValueError("n_sequences must be >= 1")
     config.validate()
-    bundles = []
-    for s in range(n_sequences):
-        seed_s = int(np.random.SeedSequence(
-            [config.seed & 0xFFFFFFFFFFFFFFF, _STREAM_SEQUENCE, s]).generate_state(1)[0])
-        cfg = replace(config, seed=seed_s)
-        bundles.append(simulate_sequence(cfg, name=f"seq-{s:04d}"))
-    return bundles
+    root = config.seed & 0xFFFFFFFFFFFFFFF
+    seeds = (int(np.random.SeedSequence([root, _STREAM_SEQUENCE, s]).generate_state(1)[0])
+             for s in range(n_sequences))
+    return (simulate_sequence(replace(config, seed=seed), name=sequence_name(s))
+            for s, seed in enumerate(seeds))
+
+
+def generate_benchmark(config: WorldConfig, n_sequences: int) -> list[SequenceBundle]:
+    """Generate a list of sequences with per-sequence derived seeds."""
+    return list(iter_benchmark(config, n_sequences))
 
 
 def occlusion_metadata_lines(bundle: SequenceBundle) -> list[str]:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from attmot import fusion, metrics, motio, synthgen
-from attmot.assoc import AssocConfig, run_sequence, outputs_to_entries, solve_assignment
-from attmot.core import BBox, GtEntry
+from attmot.assoc import AssocConfig, run_sequence, solve_assignment
+from attmot.core import BBox
 from attmot.fusion import (
     FusionParams,
     TrainConfig,
@@ -25,6 +25,7 @@ from attmot.fusion import (
     weighted_bce_loss,
 )
 from attmot.synthgen import WorldConfig, generate_benchmark, observe_all_frames
+from oracles import Row, mot
 
 
 def _report(name, detail=""):
@@ -121,17 +122,28 @@ def test_criterion_4_loss_anchors():
 
 
 def _g(frame, ident, x, y=0.0, w=10.0, h=10.0, active=True):
-    return GtEntry(frame=frame, identity=ident, box=BBox(x, y, w, h), active=active)
+    return Row(frame=frame, identity=ident, box=BBox(x, y, w, h), active=active)
 
 
 def test_criterion_5_metrics_oracle():
     """Hand-derived values on crafted micro-fixtures, exactly; exhaustive
-    trajectory-pairing equivalence on all small random fixtures."""
+    trajectory-pairing equivalence on all small random fixtures.  The
+    fixtures are row lists, which the oracles read; the metrics read each
+    as one table."""
+    def clear_metrics(gt, pred):
+        return metrics.clear_metrics(mot(gt), mot(pred))
+
+    def id_metrics(gt, pred):
+        return metrics.id_metrics(mot(gt), mot(pred))
+
+    def hota_metrics(gt, pred):
+        return metrics.hota_metrics(mot(gt), mot(pred))
+
     # fixture 1: perfect tracking scores 1.0 on every metric
     gt = [_g(f, i, 100 * i) for f in range(1, 6) for i in (1, 2)]
-    assert metrics.clear_metrics(gt, gt).mota == 1.0
-    assert metrics.id_metrics(gt, gt).idf1 == 1.0
-    assert metrics.hota_metrics(gt, gt).hota == 1.0
+    assert clear_metrics(gt, gt).mota == 1.0
+    assert id_metrics(gt, gt).idf1 == 1.0
+    assert hota_metrics(gt, gt).hota == 1.0
 
     # fixture 2: 10 GT boxes with exactly 1 FP, 1 FN, 1 IDSW -> MOTA 0.7
     pred = []
@@ -140,20 +152,20 @@ def test_criterion_5_metrics_oracle():
             pred.append(_g(f, 10, 100))
         pred.append(_g(f, 20 if f <= 3 else 21, 200))
     pred.append(_g(2, 99, 500))
-    r = metrics.clear_metrics(gt, pred)
+    r = clear_metrics(gt, pred)
     assert (r.fn, r.fp, r.idsw) == (1, 1, 1) and r.mota == pytest.approx(0.7, abs=1e-12)
 
     # fixture 3: length-4 trajectory split across two ids -> IDF1 0.5
     gt4 = [_g(f, 1, 0) for f in range(1, 5)]
     split = [_g(f, 1 if f <= 2 else 2, 0) for f in range(1, 5)]
-    assert metrics.id_metrics(gt4, split).idf1 == pytest.approx(0.5, abs=1e-12)
+    assert id_metrics(gt4, split).idf1 == pytest.approx(0.5, abs=1e-12)
 
     # fixture 4: one of two frames missed -> DetA = AssA = HOTA = 0.5
-    h = metrics.hota_metrics([_g(1, 1, 0), _g(2, 1, 0)], [_g(1, 9, 0)])
+    h = hota_metrics([_g(1, 1, 0), _g(2, 1, 0)], [_g(1, 9, 0)])
     assert (h.hota, h.deta, h.assa) == (pytest.approx(0.5, abs=1e-12),) * 3
 
     # fixture 5: FP + FN + IDSW > GT makes MOTA negative
-    neg = metrics.clear_metrics([_g(1, 1, 0)], [_g(1, 2, 300), _g(1, 3, 400), _g(1, 4, 500)])
+    neg = clear_metrics([_g(1, 1, 0)], [_g(1, 2, 300), _g(1, 3, 400), _g(1, 4, 500)])
     assert neg.mota == pytest.approx(-3.0, abs=1e-12)
 
     # exhaustive-search oracle on <=3-identity, <=5-frame fixtures
@@ -173,10 +185,10 @@ def test_criterion_5_metrics_oracle():
                     pred_r.append(_g(f, j, grid[int(rng.integers(0, 5))]))
         if not gt_r:
             continue
-        res = metrics.clear_metrics(gt_r, pred_r)
+        res = clear_metrics(gt_r, pred_r)
         assert (res.fp, res.fn, res.idsw, res.n_gt) == oracle_clear(gt_r, pred_r)
         # identity metrics against brute-force bipartite pairing
-        ids = metrics.id_metrics(gt_r, pred_r)
+        ids = id_metrics(gt_r, pred_r)
         gids = sorted({e.identity for e in gt_r})
         pids = sorted({e.identity for e in pred_r})
         overlap = {}
@@ -216,8 +228,7 @@ def test_criterion_6_directional_reproduction():
             for bundle, frames in zip(bundles, observations):
                 outputs = run_sequence(frames, AssocConfig(mode=mode),
                                        n_frames=bundle.n_frames)
-                rows.append((bundle.name, bundle.gt_entries(),
-                             outputs_to_entries(outputs)))
+                rows.append((bundle.name, bundle.gt_entries(), outputs))
             agg = metrics.evaluate_sequences(rows).aggregate()
             scores[mode] = (agg.ids.idf1, agg.clear.idsw)
         gaps.append(100.0 * (scores["embed+attr"][0] - scores["embed"][0]))

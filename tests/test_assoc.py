@@ -22,22 +22,14 @@ from attmot.assoc import (
     kalman_init,
     kalman_predict,
     kalman_update,
-    outputs_to_entries,
     run_sequence,
     solve_assignment,
     stack_frame,
 )
-from attmot.core import (
-    COST_MODES,
-    BBox,
-    Detections,
-    FeatureError,
-    attribute_distance,
-    cosine_distance,
-    iou,
-)
+from attmot.core import COST_MODES, BBox, Detections, FeatureError, MotTable, iou
 from attmot.fusion import FusionParams, all_strategies, predict_attributes
 from attmot.synthgen import WorldConfig, observe_all_frames, simulate_sequence
+from oracles import Row, attribute_distance, by_frame_identity, cosine_distance, rows_of
 
 
 def box_table(boxes):
@@ -317,22 +309,24 @@ class TestTrackerLifecycle:
     def test_single_detection_confirms_with_stable_id(self):
         cfg = AssocConfig(mode="iou", n_init=3)
         tracker = Tracker(cfg)
-        outputs = []
-        for f in range(1, 6):
-            outputs += tracker.step(f, dets(f, [BBox(10 + f, 10, 20, 40)]))
+        for f in range(1, 3):
+            tracker.step(f, dets(f, [BBox(10 + f, 10, 20, 40)]))
+        assert len(tracker.results()) == 0  # still tentative: nothing reported
+        for f in range(3, 6):
+            tracker.step(f, dets(f, [BBox(10 + f, 10, 20, 40)]))
         confirmed = tracker.table.identity[tracker.table.confirmed].tolist()
         assert len(confirmed) == 1
-        ids = {o.identity for o in outputs}
-        assert ids == {confirmed[0]}
+        outputs = tracker.results()
+        assert set(outputs.ids.tolist()) == {confirmed[0]}
         # confirmation backfills the tentative frames
-        assert sorted(o.frame for o in outputs) == [1, 2, 3, 4, 5]
+        assert outputs.frames.tolist() == [1, 2, 3, 4, 5]
 
     def test_empty_frame_ages_tracks(self):
         cfg = AssocConfig(mode="iou", n_init=1)
         tracker = Tracker(cfg)
         tracker.step(1, dets(1, [BBox(0, 0, 20, 40)]))
-        out = tracker.step(2, dets(2, []))
-        assert out == []  # coasting tracks are not emitted
+        tracker.step(2, dets(2, []))
+        assert tracker.results().frames.tolist() == [1]  # coasting tracks are not emitted
         assert tracker.table.age.tolist() == [1]
 
     def test_lost_after_max_age(self):
@@ -349,26 +343,30 @@ class TestTrackerLifecycle:
         tracker.step(1, dets(1, [BBox(0, 0, 20, 40)]))
         tracker.step(2, dets(2, []))
         assert len(tracker.table) == 0
+        assert len(tracker.results()) == 0  # its birth row is never reported
 
     def test_identities_never_reused(self):
         cfg = AssocConfig(mode="iou", n_init=1, max_age=1)
         tracker = Tracker(cfg)
-        first = tracker.step(1, dets(1, [BBox(0, 0, 20, 40)]))
-        assert [o.identity for o in first] == [1]
+        tracker.step(1, dets(1, [BBox(0, 0, 20, 40)]))
+        assert tracker.results().ids.tolist() == [1]
         tracker.step(2, dets(2, []))
         tracker.step(3, dets(3, []))  # exceeds max_age: the track is dropped
         assert len(tracker.table) == 0
-        again = tracker.step(4, dets(4, [BBox(0, 0, 20, 40)]))
+        tracker.step(4, dets(4, [BBox(0, 0, 20, 40)]))
         # the re-appearing target gets a fresh identity, never a recycled one
-        assert [o.identity for o in again] == [2]
+        out = tracker.results()
+        assert list(zip(out.frames.tolist(), out.ids.tolist())) == [(1, 1), (4, 2)]
 
     def test_unique_ids_per_frame(self):
         cfg = AssocConfig(mode="iou", n_init=1)
         tracker = Tracker(cfg)
         for f in range(1, 5):
-            outs = tracker.step(f, dets(f, [BBox(0, 0, 20, 40), BBox(300, 0, 20, 40)]))
-            ids = [o.identity for o in outs if o.frame == f]
-            assert len(ids) == len(set(ids))
+            tracker.step(f, dets(f, [BBox(0, 0, 20, 40), BBox(300, 0, 20, 40)]))
+        # the table refuses an identity twice in one frame
+        out = tracker.results()
+        assert list(zip(out.frames.tolist(), out.ids.tolist())) == [
+            (f, i) for f in range(1, 5) for i in (1, 2)]
 
     def test_iou_tracker_keeps_no_appearance_state(self):
         # no iou cost reads embeddings or attributes, so none are kept
@@ -389,16 +387,18 @@ class TestTrackerLifecycle:
         tracker = Tracker(cfg)
         # 100px-tall boxes at 12px/frame keep the motion inside the gate
         speed, y, w, h = 12.0, 100.0, 40.0, 100.0
-        first = tracker.step(1, dets(1, [BBox(0, y, w, h), BBox(240, y, w, h)],
-                                     attrs=[a_attr, b_attr]))
+        tracker.step(1, dets(1, [BBox(0, y, w, h), BBox(240, y, w, h)],
+                             attrs=[a_attr, b_attr]))
+        first = rows_of(tracker.results())
         id_a = next(o.identity for o in first if o.box.left == 0)
         id_b = next(o.identity for o in first if o.box.left == 240)
         pairs = []
         for f in range(2, 22):
             ax = speed * (f - 1)
             bx = 240.0 - speed * (f - 1)
-            outs = tracker.step(f, dets(f, [BBox(ax, y, w, h), BBox(bx, y, w, h)],
-                                        attrs=[a_attr, b_attr]))
+            tracker.step(f, dets(f, [BBox(ax, y, w, h), BBox(bx, y, w, h)],
+                                 attrs=[a_attr, b_attr]))
+            outs = [o for o in rows_of(tracker.results()) if o.frame == f]
             assert len(outs) == 2
             assert len(tracker.table) == 2  # no spurious births
             if abs(ax - bx) > 2 * speed:     # skip the coincident frames
@@ -411,7 +411,7 @@ class TestTrackerLifecycle:
 
 class TestRunSequence:
     def test_empty(self):
-        assert run_sequence({}, AssocConfig(mode="iou")) == []
+        assert run_sequence({}, AssocConfig(mode="iou")) == MotTable([], [], [])
 
     def test_deterministic(self):
         cfg = WorldConfig(n_identities=3, n_frames=20, latent_dim=16, seed=8)
@@ -431,7 +431,7 @@ class TestRunSequence:
         bundle = simulate_sequence(cfg)
         outputs = run_sequence(observe_all_frames(bundle), AssocConfig(mode="embed"),
                                n_frames=bundle.n_frames)
-        rep = metrics.clear_metrics(bundle.gt_entries(), outputs_to_entries(outputs))
+        rep = metrics.clear_metrics(bundle.gt_entries(), outputs)
         assert rep.mota == 1.0 and rep.idsw == 0 and rep.fp == 0 and rep.fn == 0
 
     def test_step_updates_through_module_kalman_update(self, monkeypatch):
@@ -450,7 +450,7 @@ class TestRunSequence:
         frames = {f: dets(f, [BBox(10 + f, 10, 20, 40), BBox(300 - f, 10, 20, 40)])
                   for f in (1, 2, 3, 5, 6)}
         outputs = run_sequence(frames, AssocConfig(mode="iou"), n_frames=6)
-        assert {o.identity for o in outputs} == {1, 2}
+        assert set(outputs.ids.tolist()) == {1, 2}
         assert calls == [2, 2, 2, 2]
 
 
@@ -474,12 +474,114 @@ class TestRunSequence:
                   for f in (1, 2, 3, 5, 6)}
         cfg = AssocConfig(mode="embed+attr")
         outputs = run_sequence(frames, cfg, n_frames=6)
-        assert {o.identity for o in outputs} == {1, 2}
+        assert set(outputs.ids.tolist()) == {1, 2}
         assert [(n_t, n_d) for n_t, n_d, _, _ in calls] == [(0, 2), (2, 2), (2, 2), (2, 0),
                                                             (2, 2), (2, 2)]
         for n_t, n_d, config, (cost, infeasible) in calls:
             assert isinstance(config, AssocConfig)
             assert cost.shape == infeasible.shape == (n_t, n_d)
+
+
+
+class _ListTracker(Tracker):
+    """The oracle of ``Tracker.results``: the tracker as it reported rows
+    before its row buffers, one ``Row`` per confirmed box, returned by the
+    step that emits it, and a tentative track's boxes held in a list until
+    its confirmation emits them."""
+
+    def __init__(self, config, fusion_params=None):
+        super().__init__(config, fusion_params)
+        self.pending = {}   # identity -> [(frame, box)] while tentative
+
+    def step(self, frame, detections):
+        cfg, tab = self.config, self.table
+        batch = stack_frame(detections, cfg, self.fusion_params, tab.dim)
+        tab.mean[:], tab.cov[:] = kalman_predict(tab.mean, tab.cov)
+        tab.age += 1
+        chol, pos_def = _cholesky_rows(_innovation_cov(tab.mean, tab.cov))
+        cost, infeasible = build_cost_matrix(tab, batch, cfg, (chol, pos_def))
+        matches, u_tracks, u_dets = solve_assignment(cost, infeasible, cfg.threshold)
+        outputs = []
+        if matches:
+            rows, cols = np.array(matches).T
+            tab.mean[rows], tab.cov[rows] = kalman_update(tab.mean[rows], tab.cov[rows],
+                                                          batch.meas[cols], chol[rows])
+            tab.hits[rows] += 1
+            tab.age[rows] = 0
+            self._absorb(rows, cols, batch, born=False)
+            confirm = ~tab.confirmed[rows] & (tab.hits[rows] >= cfg.n_init)
+            for ident, was_confirmed, now, box in zip(
+                    tab.identity[rows].tolist(), tab.confirmed[rows].tolist(),
+                    confirm.tolist(), _box_rows(tab.mean[rows]).tolist()):
+                if was_confirmed:
+                    outputs.append(Row(frame, ident, BBox(*box)))
+                    continue
+                self.pending[ident].append((frame, BBox(*box)))
+                if now:
+                    outputs.extend(Row(f, ident, b) for f, b in self.pending.pop(ident))
+            tab.confirmed[rows] |= confirm
+        if u_tracks:
+            u = np.array(u_tracks)
+            kept = tab.confirmed[u] & (tab.age[u] <= cfg.max_age)
+            if not kept.all():
+                keep = np.ones(len(tab), dtype=bool)
+                keep[u[~kept]] = False
+                tab.compact(keep)
+        if u_dets:
+            cols = np.array(u_dets)
+            new = tab.add_rows(len(cols))
+            tab.mean[new], tab.cov[new] = kalman_init(batch.meas[cols])
+            tab.hits[new] = 1
+            tab.identity[new] = np.arange(self._next_id, self._next_id + len(cols))
+            self._next_id += len(cols)
+            self._absorb(np.arange(new.start, new.stop), cols, batch, born=True)
+            tab.confirmed[new] = cfg.n_init <= 1
+            for box, ident in zip(batch.boxes[cols].tolist(), tab.identity[new].tolist()):
+                if cfg.n_init <= 1:
+                    outputs.append(Row(frame, ident, BBox(*box)))
+                else:
+                    self.pending[ident] = [(frame, BBox(*box))]
+        return outputs
+
+
+def _list_run_sequence(frames, config, fusion_params=None, n_frames=None):
+    """``run_sequence`` through ``_ListTracker``: the rows, sorted."""
+    tracker = _ListTracker(config, fusion_params)
+    out = []
+    for f in range(1, (n_frames or max(frames, default=0)) + 1):
+        out += tracker.step(f, frames.get(f, Detections(f, np.empty((0, 4)), np.empty(0))))
+    return by_frame_identity(out)
+
+
+class TestRowBuffersAgainstListOracle:
+    @given(st.sampled_from(COST_MODES), st.integers(0, 2**16), st.integers(1, 3),
+           st.integers(1, 4), st.integers(1, 7), st.integers(4, 30))
+    @settings(max_examples=60)
+    def test_run_sequence_equals_list_oracle(self, mode, seed, n_init, max_age, n_ids,
+                                             n_frames):
+        world = WorldConfig(n_identities=n_ids, n_frames=n_frames, latent_dim=8, seed=seed,
+                            w_crossing=0.8, w_linear=0.1, w_loiter=0.1, fp_rate=0.5)
+        bundle = simulate_sequence(world)
+        frames = observe_all_frames(bundle)
+        cfg = AssocConfig(mode=mode, n_init=n_init, max_age=max_age)
+        got = run_sequence(frames, cfg, n_frames=n_frames)
+        want = _list_run_sequence(frames, cfg, n_frames=n_frames)
+        assert rows_of(got) == want
+        assert got.frames.dtype == got.ids.dtype == np.int64
+
+    def test_step_by_step_results_equal_list_oracle(self):
+        # results() read between steps reports exactly the rows the list
+        # tracker has emitted so far
+        bundle = simulate_sequence(WorldConfig(n_identities=6, n_frames=25, latent_dim=8,
+                                               seed=4, w_crossing=0.8, w_linear=0.1,
+                                               w_loiter=0.1))
+        frames = observe_all_frames(bundle)
+        cfg = AssocConfig(mode="embed+attr")
+        tracker, oracle, emitted = Tracker(cfg), _ListTracker(cfg), []
+        for f in range(1, 26):
+            tracker.step(f, frames[f])
+            emitted += oracle.step(f, frames[f])
+            assert rows_of(tracker.results()) == by_frame_identity(emitted)
 
 
 class TestFailureContainment:
@@ -499,14 +601,16 @@ class TestFailureContainment:
         frame = stack_frame(dets(2, boxes), cfg)
         _, infeasible = build_cost_matrix(tracker.table, frame, cfg)
         assert infeasible[0].all() and not infeasible[1, 1]
-        out = tracker.step(2, dets(2, boxes))
+        tracker.step(2, dets(2, boxes))
         # the healthy track keeps its identity; the broken one is not
         # updated, so its detection starts a new track
-        assert sorted(o.identity for o in out) == [healthy_id, 3]
+        out = tracker.results()
+        assert out.ids[out.frames == 2].tolist() == [healthy_id, 3]
         assert tab.age.tolist() == [1, 0, 0]
         for f in range(3, 6):
-            out = tracker.step(f, dets(f, boxes))
-            assert len(out) == 2
+            tracker.step(f, dets(f, boxes))
+            out = tracker.results()
+            assert (out.frames == f).sum() == 2
         # max_age ends the broken track; the others carry on
         assert tab.identity.tolist() == [healthy_id, 3]
 

@@ -82,6 +82,26 @@ class TestConfigFile:
         assert names in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,names", [
+        ("jitter_sigma = true", "config key jitter_sigma: True is not a number"),
+        ("miss_base = false", "config key miss_base: False is not a number"),
+        ("prior.p_male = true", "config key prior.p_male: True is not a number"),
+        ("prior.body = 0.2,true,0.8", "config key prior.body: True is not a number"),
+        ("fp_rate = abc", "config key fp_rate: 'abc' is not a number"),
+    ], ids=["jitter_sigma-bool", "miss_base-bool", "prior-scalar-bool", "prior-tuple-bool",
+            "fp_rate-text"])
+    def test_non_number_float_key_is_usage_error(self, tmp_path, capsys, line, names):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(f"attmot-config v1\nn_frames = 5\nlatent_dim = 8\n{line}\n")
+        out = tmp_path / "bench"
+        assert main(["generate", "-c", str(cfg), "-o", str(out)]) == 1
+        assert names in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_int_in_float_key_is_kept(self):
+        cfg, _ = world_config_from_mapping({"jitter_sigma": 2, "prior.body": (0, 1, 0)})
+        assert cfg.jitter_sigma == 2 and cfg.prior.body == (0, 1, 0)
+
     def test_integral_float_counts_convert(self):
         cfg, n = world_config_from_mapping({"n_sequences": 3.0, "n_frames": 40.0})
         assert (n, cfg.n_frames) == (3, 40)
@@ -367,6 +387,8 @@ class TestExitCodes:
         (["track", "--match-threshold", "nan"], "match_threshold must be finite, not nan"),
         (["ablate", "lambda_e = nan"], "variant 'embed': lambda_e must be finite, not nan"),
         (["ablate", "lambda_a = -inf"], "variant 'embed': lambda_a must be finite, not -inf"),
+        (["ablate", "lambda_a = true"], "ablate spec key lambda_a True: True is not a number"),
+        (["ablate", "lambda_e = false"], "ablate spec key lambda_e False: False is not a number"),
         (["ablate", "seeds = 1.5"], "ablate spec key seeds 1.5: 1.5 is not an integer"),
         (["ablate", "seeds = 3,true"],
          "ablate spec key seeds (3, True): True is not an integer"),
@@ -378,7 +400,8 @@ class TestExitCodes:
          "ablate spec key train_crops True: True is not an integer"),
     ], ids=["strategy", "strategy-rounds", "crops", "iterations", "lambda_e", "seeds",
             "train_strategy", "train_crops", "track-lambda_e-nan", "track-lambda_a-inf",
-            "track-threshold-nan", "lambda_e-nan", "lambda_a-inf", "seeds-float",
+            "track-threshold-nan", "lambda_e-nan", "lambda_a-inf", "lambda_a-bool",
+            "lambda_e-bool", "seeds-float",
             "seeds-bool", "train_seed-float", "train_crops-float", "train_crops-bool"])
     def test_bad_argument_is_usage_error(self, bench, tmp_path, capsys, argv, names):
         out = tmp_path / "out"

@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment as scipy_assignment  # the oracle
 
+from oracles import attribute_distance, cosine_distance, occlusion_fraction
+
 from attmot.core import (
     AttributeVector,
     BBox,
     Detections,
     FeatureError,
-    GtEntry,
-    attribute_distance,
-    cosine_distance,
+    MotTable,
     feature_row_error,
     iou,
     linear_sum_assignment,
-    occlusion_fraction,
     pairwise_iou,
     unit_rows,
     validate_binary_attributes,
@@ -316,9 +315,56 @@ class TestCarrierTypes:
         with pytest.raises(ValueError, match=r"^frame 2, detection 1: box \["):
             Detections(2, np.array([[0.0, 0.0, 5.0, 5.0], box]), np.full(2, 0.5))
 
-    def test_gt_entry_requires_positive_identity(self):
-        with pytest.raises(ValueError):
-            GtEntry(frame=1, identity=0, box=BBox(0, 0, 5, 5))
+    def test_mot_table_requires_positive_identity(self):
+        with pytest.raises(ValueError, match="^frame 1, identity 0: "):
+            MotTable([1], [0], [[0, 0, 5, 5]])
+
+
+class TestMotTable:
+    def test_sorts_rows_and_defaults_columns(self):
+        t = MotTable([2, 1, 1], [1, 3, 2], [[0, 0, 1, 1], [1, 1, 2, 2], [3, 3, 4, 4]],
+                     [True, False, True])
+        assert list(zip(t.frames.tolist(), t.ids.tolist())) == [(1, 2), (1, 3), (2, 1)]
+        assert t.boxes.tolist() == [[3, 3, 4, 4], [1, 1, 2, 2], [0, 0, 1, 1]]
+        assert t.active.tolist() == [True, False, True]
+        assert t.visibility.tolist() == [1.0, 1.0, 1.0]
+        assert (t.frames.dtype, t.ids.dtype, t.boxes.dtype) == (np.int64, np.int64, np.float64)
+        assert len(t) == 3 and len(MotTable([], [], [])) == 0
+
+    def test_columns_are_read_only(self):
+        t = MotTable([1], [1], [[0, 0, 1, 1]])
+        for column in (t.frames, t.ids, t.boxes, t.active, t.visibility):
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0
+
+    def test_equality_is_columnwise(self):
+        a = MotTable([1, 2], [1, 1], [[0, 0, 1, 1], [0, 0, 1, 2]])
+        assert a == MotTable([2, 1], [1, 1], [[0, 0, 1, 2], [0, 0, 1, 1]])
+        assert a != MotTable([1, 2], [1, 1], [[0, 0, 1, 1], [0, 0, 1, 2]], [True, False])
+        assert a != MotTable([1, 2], [1, 1], [[0, 0, 1, 1], [0, 0, 1, 2]], None, [1.0, 0.5])
+
+    @pytest.mark.parametrize("frame,ident,box,vis", [
+        (0, 1, [0, 0, 5, 5], 1.0), (1, 1, [0, 0, 0, 5], 1.0),
+        (1, 1, [0, 0, 5, -1], 1.0), (1, 1, [math.nan, 0, 5, 5], 1.0),
+        (1, 1, [0, math.inf, 5, 5], 1.0), (1, 1, [0, 0, 5, 5], 1.5),
+        (1, 1, [0, 0, 5, 5], math.nan)])
+    def test_refuses_a_bad_row_by_frame_and_identity(self, frame, ident, box, vis):
+        with pytest.raises(ValueError, match=f"^frame {frame}, identity {ident}: "):
+            MotTable([3, frame], [1, ident], [[0, 0, 5, 5], box], None, [1.0, vis])
+
+    def test_refuses_a_repeated_identity(self):
+        with pytest.raises(ValueError, match="^frame 2: identity 4 appears twice$"):
+            MotTable([2, 1, 2], [4, 4, 4], [[0, 0, 5, 5]] * 3)
+
+    @pytest.mark.parametrize("column", [[1.0], [True]])
+    def test_refuses_non_integer_frames_and_ids(self, column):
+        for args in ((column, [1]), ([1], column)):
+            with pytest.raises(ValueError, match="must be integers"):
+                MotTable(*args, [[0, 0, 5, 5]])
+
+    def test_refuses_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="expected \\(n,\\)"):
+            MotTable([1, 2], [1], [[0, 0, 5, 5]] * 2)
 
 
 class TestUnitRows:

@@ -110,6 +110,26 @@ def test_trace_harness_finds_every_wrapped_name():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("workload", ["occluded-crossing", "cli-roundtrip"])
+def test_benchmark_pass_runs_clean(tmp_path, workload):
+    # perfbench/passes.py threads attmot's return values from one call to
+    # the next (tables, reports, result files); one untraced pass must run
+    # every operation without a failure.
+    spec = {"workload": workload, "seed": 1, "traced": False, "inproc": False,
+            "workdir": str(tmp_path / "work"), "record": str(tmp_path / "record.json"),
+            "samples": str(tmp_path / "samples.bin"), "t_spawn": 0.0}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "perfbench"), str(ROOT / "src")])}
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "passes.py"),
+                           str(tmp_path / "spec.json")], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "record.json").read_text())
+    assert record["aborted"] is None
+    assert record["ops"] and [op for op in record["ops"] if op["failure"]] == []
+
+
 if __name__ == "__main__":
     import contextlib
     import tempfile

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from attmot.core import BBox, GtEntry, pairwise_iou
+from attmot import metrics
+from attmot.core import BBox, pairwise_iou
 from attmot.metrics import (
     HOTA_ALPHAS,
     ClearResult,
@@ -16,16 +17,32 @@ from attmot.metrics import (
     IdResult,
     _hota_from_counts,
     VerificationSet,
-    clear_metrics,
-    evaluate_sequences,
-    hota_metrics,
-    id_metrics,
     tpr_at_far,
 )
+from oracles import Row, by_frame_identity, mot
+
+
+# The fixtures are lists of ``Row``s, the form the oracles below read; the
+# scorers read each list as one ``MotTable``.
+def clear_metrics(gt, pred):
+    return metrics.clear_metrics(mot(gt), mot(pred))
+
+
+def id_metrics(gt, pred):
+    return metrics.id_metrics(mot(gt), mot(pred))
+
+
+def hota_metrics(gt, pred):
+    return metrics.hota_metrics(mot(gt), mot(pred))
+
+
+def evaluate_sequences(named_pairs):
+    return metrics.evaluate_sequences([(name, mot(gt), mot(pred))
+                                       for name, gt, pred in named_pairs])
 
 
 def g(frame, ident, x, y=0.0, w=10.0, h=10.0, active=True):
-    return GtEntry(frame=frame, identity=ident, box=BBox(x, y, w, h), active=active)
+    return Row(frame=frame, identity=ident, box=BBox(x, y, w, h), active=active)
 
 
 def perfect_gt(n_frames=5, idents=(1, 2)):
@@ -530,13 +547,16 @@ _BOXES = [(0, 0, 10, 10), (0, 0, 10, 7.5), (0, 0, 10, 5), (0, 0, 5, 5),
 
 
 def _entries(rows):
-    return [GtEntry(frame=f, identity=i, box=BBox(*_BOXES[b]), active=active)
-            for f, i, b, active in rows]
+    """The ``Row``s of ``(frame, identity, box index, active)`` tuples, in
+    ``MotTable`` order, so the oracles break ties as the scorers do."""
+    return by_frame_identity([Row(frame=f, identity=i, box=BBox(*_BOXES[b]), active=active)
+                              for f, i, b, active in rows])
 
 
 # Up to 4 frames and 3 identities per side, so a frame may hold gt only,
 # predictions only, or an ignore region.  The scored rows hold each
-# identity at most once per frame; the repeated rows may hold one twice.
+# identity at most once per frame; the repeated rows may hold one twice,
+# which the table refuses.
 _gt_row = st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, len(_BOXES) - 1),
                     st.sampled_from([True, True, True, False]))
 _pred_row = st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, len(_BOXES) - 1),
@@ -545,15 +565,13 @@ _gt_rows = st.lists(_gt_row, max_size=12, unique_by=lambda r: r[:2])
 _pred_rows = st.lists(_pred_row, max_size=12, unique_by=lambda r: r[:2])
 
 
-def _first_repeat(gt, pred):
-    """The error ``_frame_table`` must raise for the first identity that
-    appears twice in one frame (frames in order, gt before predictions)."""
-    for f in sorted({e.frame for e in gt + pred}):
-        for side, rows in (("gt", gt), ("prediction", pred)):
-            ids = [e.identity for e in rows if e.frame == f]
-            repeated = [i for i in ids if ids.count(i) > 1]
-            if repeated:
-                return f"frame {f}: {side} identity {repeated[0]} appears twice"
+def _first_repeat(rows):
+    """The error ``MotTable`` must raise for the first identity that appears
+    twice in one frame, in (frame, identity) order."""
+    keys = sorted((r.frame, r.identity) for r in rows)
+    for (f, i), nxt in zip(keys, keys[1:]):
+        if (f, i) == nxt:
+            return f"frame {f}: identity {i} appears twice"
     return None
 
 
@@ -601,6 +619,7 @@ class TestFrameTableAgainstOracle:
                     if rng.random() < 0.8:
                         pred.append(g(f, i + 100 * int(rng.integers(1, 4)), x + rng.normal(0, 3)))
             pred.append(g(f, 999, float(rng.uniform(0, 500))))
+        pred = by_frame_identity(pred)
         got = evaluate_sequences([("s", gt, pred)]).sequences[0]
         assert got.clear == _ref_clear(gt, pred)
         assert got.ids == _ref_id(gt, pred)
@@ -608,26 +627,17 @@ class TestFrameTableAgainstOracle:
 
     def test_duplicate_identity_is_rejected(self):
         # A repeated identity would be counted once in HOTA's presence
-        # counts but twice in its matches (AssA 2e12); every scorer refuses it.
-        once = [g(1, 1, 0), g(2, 1, 0)]
+        # counts but twice in its matches (AssA 2e12); no table holds one.
         twice = [g(1, 1, 0), g(2, 1, 0), g(2, 1, 100)]
-        for gt, pred, msg in ((twice, once, "frame 2: gt identity 1 appears twice"),
-                              (once, twice, "frame 2: prediction identity 1 appears twice")):
-            for score in (lambda: evaluate_sequences([("s", gt, pred)]),
-                          lambda: clear_metrics(gt, pred), lambda: id_metrics(gt, pred),
-                          lambda: hota_metrics(gt, pred)):
-                with pytest.raises(ValueError, match=re.escape(msg)):
-                    score()
+        with pytest.raises(ValueError, match=re.escape("frame 2: identity 1 appears twice")):
+            mot(twice)
 
     @given(st.lists(_gt_row, max_size=12), st.lists(_pred_row, max_size=12))
     def test_repeated_identity_property(self, gt_rows, pred_rows):
-        gt, pred = _entries(gt_rows), _entries(pred_rows)
-        msg = _first_repeat(gt, pred)
-        if msg is None:
-            try:
-                evaluate_sequences([("s", gt, pred)])
-            except ValueError as exc:
-                assert "appears twice" not in str(exc)
-            return
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            evaluate_sequences([("s", gt, pred)])
+        for rows in (_entries(gt_rows), _entries(pred_rows)):
+            msg = _first_repeat(rows)
+            if msg is None:
+                assert len(mot(rows)) == len(rows)
+            else:
+                with pytest.raises(ValueError, match=re.escape(msg)):
+                    mot(rows)

@@ -1,5 +1,6 @@
 """MOT file and sidecar parsing/writing, round-trip safety."""
 import io
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from attmot import motio
-from attmot.core import (N_ATTRIBUTES, AttributeVector, BBox, Detections, FeatureError, GtEntry,
+from attmot.core import (N_ATTRIBUTES, AttributeVector, BBox, Detections, FeatureError, MotTable,
                          validate_prob_attributes)
 from attmot.motio import MotFormatError, parse_attr_file, parse_mot_file, write_mot_file
+from oracles import Row, by_frame_identity, mot, rows_of
 
 
 def _feature_text(detections):
@@ -134,8 +136,8 @@ def _feature_dets(n=6, dim=8):
 
 
 def _gt_entries():
-    return [GtEntry(frame=1 + i // 3, identity=1 + i % 3, box=BBox(i, 2 * i, 5 + i, 9),
-                    visibility=1.0, active=i % 4 != 3) for i in range(6)]
+    return mot([Row(frame=1 + i // 3, identity=1 + i % 3, box=BBox(i, 2 * i, 5 + i, 9),
+                    visibility=1.0, active=i % 4 != 3) for i in range(6)])
 
 
 def _assert_parsers_agree(text, bare):
@@ -168,14 +170,12 @@ def _assert_same_features(got, want):
 class TestParseMot:
     def test_gt_line(self):
         entries = parse_mot_file(b"1,1,100,100,50,100,1,-1,-1,-1\n", kind="gt")
-        assert len(entries) == 1
-        g = entries[0]
-        assert (g.frame, g.identity) == (1, 1)
-        assert g.box == BBox(100, 100, 50, 100)
-        assert g.active and g.visibility == 1.0
+        assert isinstance(entries, MotTable)
+        assert rows_of(entries) == [Row(1, 1, BBox(100, 100, 50, 100), 1.0, True)]
 
     def test_empty_file(self):
-        assert parse_mot_file(b"", kind="gt") == []
+        assert parse_mot_file(b"", kind="gt") == MotTable([], [], [])
+        assert parse_mot_file(b"# only a comment\n\n", kind="gt") == MotTable([], [], [])
         assert parse_mot_file(b"", kind="det") == {}
 
     def test_non_positive_box(self):
@@ -197,7 +197,7 @@ class TestParseMot:
     def test_sorted_by_frame_then_id(self):
         text = b"2,2,0,0,5,5,1,-1,-1,-1\n1,9,0,0,5,5,1,-1,-1,-1\n2,1,0,0,5,5,1,-1,-1,-1\n"
         entries = parse_mot_file(text, kind="gt")
-        assert [(e.frame, e.identity) for e in entries] == [(1, 9), (2, 1), (2, 2)]
+        assert list(zip(entries.frames.tolist(), entries.ids.tolist())) == [(1, 9), (2, 1), (2, 2)]
 
     def test_det_kind_carries_confidence(self):
         dets = parse_mot_file(b"3,-1,10,10,5,5,0.75,-1,-1,-1\n", kind="det")
@@ -208,11 +208,11 @@ class TestParseMot:
 
     def test_nine_field_gt_carries_visibility(self):
         entries = parse_mot_file(b"1,1,0,0,5,5,1,1,0.25\n", kind="gt")
-        assert entries[0].visibility == 0.25
+        assert entries.visibility.tolist() == [0.25]
 
     def test_inactive_flag(self):
         entries = parse_mot_file(b"1,1,0,0,5,5,0,-1,-1,-1\n", kind="gt")
-        assert not entries[0].active
+        assert entries.active.tolist() == [False]
 
     def test_duplicate_identity_in_frame(self):
         text = b"1,1,0,0,5,5,1,-1,-1,-1\n1,2,0,0,5,5,1,-1,-1,-1\n1,2,9,9,5,5,0,-1,-1,-1\n"
@@ -289,8 +289,8 @@ class TestRoundTrip:
             ident = int(rng.integers(1, 12))
             box = BBox(round(float(rng.uniform(0, 500)), 2), round(float(rng.uniform(0, 300)), 2),
                        round(float(rng.uniform(1, 80)), 2), round(float(rng.uniform(1, 120)), 2))
-            out.append(GtEntry(frame=frame, identity=ident, box=box,
-                               active=bool(rng.random() > 0.1)))
+            out.append(Row(frame=frame, identity=ident, box=box,
+                           active=bool(rng.random() > 0.1)))
         # (frame, id) must be unique for a well-formed file
         seen = set()
         unique = []
@@ -302,24 +302,24 @@ class TestRoundTrip:
 
     def test_parse_write_parse_identity(self):
         entries = self._fixture_entries()
-        text = write_mot_file(entries)
+        text = write_mot_file(mot(entries))
         parsed = parse_mot_file(text.encode(), kind="gt")
-        assert parsed == sorted(entries, key=lambda g: (g.frame, g.identity))
+        assert rows_of(parsed) == by_frame_identity(entries)
+        assert text == _write_mot_loop(entries)
 
     def test_write_is_canonical(self):
-        entries = self._fixture_entries()
-        once = write_mot_file(entries)
+        once = write_mot_file(mot(self._fixture_entries()))
         twice = write_mot_file(parse_mot_file(once.encode(), kind="gt"))
         assert once == twice
 
     def test_single_track_three_frames(self):
-        entries = [GtEntry(frame=f, identity=4, box=BBox(1, 2, 3, 4)) for f in (3, 1, 2)]
-        text = write_mot_file(entries)
+        entries = [Row(frame=f, identity=4, box=BBox(1, 2, 3, 4)) for f in (3, 1, 2)]
+        text = write_mot_file(mot(entries))
         frames = [int(line.split(",")[0]) for line in text.strip().splitlines()]
         assert frames == [1, 2, 3]
 
     def test_empty_result(self):
-        assert write_mot_file([]) == ""
+        assert write_mot_file(MotTable([], [], [])) == ""
 
     @given(st.lists(
         st.tuples(st.integers(1, 20), st.integers(1, 9),
@@ -334,10 +334,198 @@ class TestRoundTrip:
             if (frame, ident) in seen:
                 continue
             seen.add((frame, ident))
-            entries.append(GtEntry(frame=frame, identity=ident, box=BBox(l, t, w, h)))
-        text = write_mot_file(entries)
-        assert parse_mot_file(text.encode(), kind="gt") == sorted(
-            entries, key=lambda g: (g.frame, g.identity))
+            entries.append(Row(frame=frame, identity=ident, box=BBox(l, t, w, h)))
+        text = write_mot_file(mot(entries))
+        assert rows_of(parse_mot_file(text.encode(), kind="gt")) == by_frame_identity(entries)
+
+
+# The row-at-a-time MOT parser and writer that the table versions replaced,
+# kept as their oracle: ``"gt"`` gives sorted ``Row``s, ``"det"`` a
+# ``{frame: [(box, confidence)]}`` mapping.
+def _parse_mot_loop(source, kind):
+    out, dets, seen = [], {}, set()
+    for lineno, raw in enumerate(motio._open_lines(source), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if len(fields) < 7 or len(fields) > 10:
+            raise MotFormatError(f"expected 7-10 fields at line {lineno}, got {len(fields)}")
+        try:
+            frame = int(fields[0])
+            ident = int(fields[1])
+            left, top, width, height = (float(x) for x in fields[2:6])
+            conf = float(fields[6])
+            if width <= 0 or height <= 0:
+                raise ValueError("non-positive box")
+            if frame < 1:
+                raise ValueError("frame index < 1")
+            if not math.isfinite(conf):
+                raise ValueError(f"non-finite confidence {conf}")
+            for name, v in zip(("left", "top", "width", "height"), (left, top, width, height)):
+                if not math.isfinite(v):
+                    raise ValueError(f"non-finite bbox field {name}={v!r}")
+            box = BBox(left, top, width, height)
+            if kind == "det":
+                dets.setdefault(frame, []).append((box, min(max(conf, 0.0), 1.0)))
+                continue
+            if ident < 1:
+                raise ValueError("non-positive identity")
+            if (frame, ident) in seen:
+                raise ValueError(f"duplicate identity {ident} in frame {frame}")
+            seen.add((frame, ident))
+            vis = 1.0
+            if len(fields) == 9:
+                vis = float(fields[8])
+                if not math.isfinite(vis):
+                    raise ValueError(f"non-finite visibility {vis}")
+                vis = min(max(vis, 0.0), 1.0)
+            out.append(Row(frame, ident, box, vis, conf != 0.0))
+        except ValueError as exc:
+            raise MotFormatError(f"{exc} at line {lineno}") from None
+    return dict(sorted(dets.items())) if kind == "det" else by_frame_identity(out)
+
+
+def _write_mot_loop(rows):
+    return "".join(
+        f"{g.frame},{g.identity},{motio._fmt_coord(g.box.left)},{motio._fmt_coord(g.box.top)},"
+        f"{motio._fmt_coord(g.box.width)},{motio._fmt_coord(g.box.height)},"
+        f"{'1' if g.active else '0'},-1,-1,-1\n" for g in by_frame_identity(rows))
+
+
+def _parsed_rows(result):
+    """A ``parse_mot_file`` result in the oracle's form."""
+    if isinstance(result, MotTable):
+        return rows_of(result)
+    return {f: [(BBox(*box), conf) for box, conf in zip(d.boxes.tolist(),
+                                                        d.confidences.tolist())]
+            for f, d in result.items()}
+
+
+def _assert_mot_parsers_agree(text, kind):
+    """The table parser returns the loop's rows, or raises its error; a row
+    with a ``_`` digit separator, which ``int()`` and ``float()`` read, is
+    refused instead when no earlier line fails, by the first line that
+    holds one."""
+    try:
+        want = _parse_mot_loop(text, kind)
+    except MotFormatError as exc:
+        want = exc
+    try:
+        got = parse_mot_file(text, kind)
+    except MotFormatError as exc:
+        if str(exc) == str(want):
+            return
+        lineno = int(re.fullmatch(r"bad numeric field at line (\d+): .*", str(exc)).group(1))
+        assert "_" in text.decode("latin-1").splitlines()[lineno - 1]
+        if isinstance(want, MotFormatError):
+            assert lineno <= int(re.search(r"at line (\d+)", str(want)).group(1))
+        return
+    assert not isinstance(want, MotFormatError), want
+    assert _parsed_rows(got) == want
+    if kind == "gt":
+        assert write_mot_file(got) == _write_mot_loop(want)
+
+
+_field = st.sampled_from(["0", "7", "12.5", "-3.25", "1e1", " 4 ", "+2", ".5", "80."])
+_conf = st.sampled_from(["1", "0", "0.5", "-0.0", "1.5", "-2", "0e0"])
+_vis = st.sampled_from(["1", "0.25", "-0.5", "2", "1e-3"])
+
+
+@st.composite
+def _mot_text(draw):
+    """MOT text of valid rows of every accepted width (ignore rows, 9-field
+    visibility rows, placeholder tails), comment and blank lines."""
+    lines, seen = [], set()
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank"]))
+        if kind != "row":
+            lines.append("# note" if kind == "comment" else "  ")
+            continue
+        frame, ident = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        if (frame, ident) in seen:
+            continue
+        seen.add((frame, ident))
+        box = [draw(_field), draw(_field), draw(st.sampled_from(["5", "0.5", "12.25"])),
+               draw(st.sampled_from(["9", "1", "3.75"]))]
+        tail = draw(st.sampled_from([[], ["-1"], ["1", draw(_vis)], ["-1", "-1", "-1"],
+                                     ["x", "", "y"]]))
+        lines.append(",".join([str(frame), str(ident), *box, draw(_conf), *tail]))
+    return ("\n".join(lines) + "\n").encode("latin-1")
+
+
+class TestMotTableAgainstLoop:
+    @given(_mot_text(), st.sampled_from(["gt", "det"]))
+    @settings(max_examples=150)
+    def test_valid_text_equals_loop(self, text, kind):
+        _assert_mot_parsers_agree(text, kind)
+
+    @given(st.data(), st.sampled_from(["gt", "det"]))
+    @settings(max_examples=200)
+    def test_malformed_text_names_the_loops_line(self, data, kind):
+        text = data.draw(_mot_text().filter(lambda t: t.strip()))
+        _assert_mot_parsers_agree(data.draw(_mutated(text.decode("latin-1"))), kind)
+
+    @pytest.mark.parametrize("line,message", [
+        ("1,1,0,0,5,5", "expected 7-10 fields at line 2, got 6"),
+        ("1,1,0,0,5,5,1,-1,-1,-1,-1", "expected 7-10 fields at line 2, got 11"),
+        ("1.0,1,0,0,5,5,1", "invalid literal for int() with base 10: '1.0' at line 2"),
+        ("1,2,0,0,5,x,1", "could not convert string to float: 'x' at line 2"),
+        ("1,2,0,0,0,5,1", "non-positive box at line 2"),
+        ("0,2,0,0,5,5,1", "frame index < 1 at line 2"),
+        ("1,2,0,0,5,5,nan", "non-finite confidence nan at line 2"),
+        ("1,2,0,inf,5,5,1", "non-finite bbox field top=inf at line 2"),
+        ("1,0,0,0,5,5,1", "non-positive identity at line 2"),
+        ("1,1,0,0,5,5,1", "duplicate identity 1 in frame 1 at line 2"),
+        ("1,2,0,0,5,5,1,1,-inf", "non-finite visibility -inf at line 2"),
+        # A row that breaks several rules is refused by the first of them.
+        ("0,2,0,0,0,5,nan", "non-positive box at line 2"),
+        ("0,0,nan,0,5,5,nan", "frame index < 1 at line 2"),
+        ("1,0,nan,0,5,5,nan", "non-finite confidence nan at line 2"),
+        ("1,0,nan,0,5,5,1,1,nan", "non-finite bbox field left=nan at line 2"),
+        ("1,0,0,0,5,5,1,1,nan", "non-positive identity at line 2"),
+        ("1,1,0,0,5,5,1,1,nan", "duplicate identity 1 in frame 1 at line 2"),
+        ("1,1_0,0,0,0,5,1", "non-positive box at line 2"),
+        ("1,2,0,0,5,5,1,1,x", "could not convert string to float: 'x' at line 2"),
+        ("1,2,0,0,5,5,1,1,", "could not convert string to float: '' at line 2"),
+        ("1,1_0,0,0,5,5,1", "bad numeric field at line 2: could not convert string '1_0'"),
+        ("1,2,0,0,5,5,1,1,0_5", "bad numeric field at line 2: could not convert string '0_5'"),
+        ("1,99999999999999999999,0,0,5,5,1", "bad numeric field at line 2"),
+    ])
+    def test_malformed_line_message(self, line, message):
+        text = f"1,1,0,0,5,5,1\n{line}\n3,1,0,0,5,5,1\n".encode()
+        with pytest.raises(MotFormatError, match="^" + re.escape(message)):
+            parse_mot_file(text, kind="gt")
+
+    @pytest.mark.parametrize("text,message", [
+        (b"0,-1,0,0,5,5,1\n1,-1,0,0,5,5,1\n", "frame index < 1 at line 1"),
+        (b"0,-1,0,0,5,5,1\n", "frame index < 1 at line 1"),
+        (b"1,-1,0,0,5,5,1\n0,-1,0,0,5,5,1\n", "frame index < 1 at line 2"),
+        (b"1,-1,0,0,5,5,1\n-1,-1,0,0,5,5,1\n", "frame index < 1 at line 2"),
+        (b"1,-1,0,0,0,5,1\n0,-1,0,0,5,5,1\n", "non-positive box at line 1"),
+        (b"0,-1,0,0,0,5,1\n", "non-positive box at line 1"),
+    ])
+    def test_malformed_det_line_message(self, text, message):
+        with pytest.raises(MotFormatError, match="^" + re.escape(message) + "$"):
+            parse_mot_file(text, kind="det")
+
+    def test_underscore_refusal_waits_for_earlier_rows(self):
+        text = b"1,1,0,0,5,5,1\n1,1,0,0,5,5,1\n1,2_0,0,0,5,5,1\n"
+        with pytest.raises(MotFormatError, match="^duplicate identity 1 in frame 1 at line 2$"):
+            parse_mot_file(text, kind="gt")
+        with pytest.raises(MotFormatError, match="^non-positive box at line 1$"):
+            parse_mot_file(b"1,2_0,0,0,0,5,1\n", kind="gt")
+
+    def test_underscore_in_an_unread_field_is_kept(self):
+        rows = parse_mot_file(b"1,1,0,0,5,5,1,1_0,-1,-1\n1,2,0,0,5,5,1,1_0,0.5\n", kind="gt")
+        assert rows.visibility.tolist() == [1.0, 0.5]
+
+    def test_mixed_widths_keep_file_order_within_a_det_frame(self):
+        text = b"2,-1,9,9,5,5,0.5\n1,-1,0,0,5,5,2,-1,-1,-1\n2,-1,1,1,5,5,-1,1,0.5\n"
+        dets = parse_mot_file(text, kind="det")
+        assert list(dets) == [1, 2]
+        assert dets[2].boxes.tolist() == [[9, 9, 5, 5], [1, 1, 5, 5]]
+        assert dets[1].confidences.tolist() == [1.0] and dets[2].confidences.tolist() == [0.5, 0.0]
 
 
 class TestFeatureSidecar:
@@ -601,7 +789,7 @@ class TestErrorsNameFile:
             parse_mot_file(b"1,1,0,0,-5,5,1,-1,-1,-1\n", kind="gt")
 
 
-_FUZZ_TOKENS = ["abc", "nan", "1_0", "#", "\xe9", "1\xe9"]
+_FUZZ_TOKENS = ["abc", "nan", "0", "1_0", "#", "\xe9", "1\xe9"]
 
 
 @st.composite
@@ -656,4 +844,4 @@ def test_fuzz_parses_or_raises_format_error(kind, data):
         result = parse(mutated)
     except MotFormatError:
         return
-    assert isinstance(result, (list, dict))
+    assert isinstance(result, (MotTable, dict))

@@ -7,15 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from attmot import synthgen
-from attmot.core import (
-    N_ATTRIBUTES,
-    BBox,
-    FeatureError,
-    TrainSample,
-    attribute_distance,
-    cosine_distance,
-    occlusion_fraction,
-)
+from attmot.core import N_ATTRIBUTES, BBox, FeatureError, MotTable, TrainSample
 from attmot.synthgen import (
     _occlusion_matrix,
     AttributePrior,
@@ -27,6 +19,7 @@ from attmot.synthgen import (
     sample_training_crops,
     simulate_sequence,
 )
+from oracles import Row, attribute_distance, cosine_distance, occlusion_fraction, rows_of
 
 
 # The per-card observation model that the frame-at-a-time emission
@@ -184,7 +177,7 @@ class TestSimulateSequence:
     def test_single_linear_identity(self):
         cfg = small_config(n_identities=1, w_linear=1.0, w_crossing=0.0, w_loiter=0.0)
         bundle = simulate_sequence(cfg)
-        gt = bundle.gt_entries()
+        gt = rows_of(bundle.gt_entries())
         assert len(gt) == cfg.n_frames
         cxs = [g.box.cx for g in gt]
         cys = [g.box.cy for g in gt]
@@ -223,16 +216,28 @@ class TestSimulateSequence:
     def test_boxes_inside_image(self):
         cfg = small_config(n_identities=6, n_frames=40)
         bundle = simulate_sequence(cfg)
-        for g in bundle.gt_entries():
+        for g in rows_of(bundle.gt_entries()):
             assert g.box.left >= 0 and g.box.top >= 0
             assert g.box.right <= cfg.image_width and g.box.bottom <= cfg.image_height
 
     def test_visibility_complements_occlusion(self):
         cfg = small_config(n_identities=2, w_crossing=1.0, w_linear=0.0, w_loiter=0.0)
         bundle = simulate_sequence(cfg)
-        for g in bundle.gt_entries():
+        for g in rows_of(bundle.gt_entries()):
             i = g.identity - 1
             assert g.visibility == pytest.approx(1.0 - bundle.occlusion[g.frame - 1, i])
+
+    def test_gt_table_equals_per_row_loop(self):
+        # the one-pass table holds exactly the rows of the loop over frames
+        # and cards that it replaced
+        cfg = small_config(n_identities=5, n_frames=30)
+        bundle = simulate_sequence(cfg)
+        gt = bundle.gt_entries()
+        assert isinstance(gt, MotTable)
+        assert rows_of(gt) == [
+            Row(f, card.identity, BBox(*card.trajectory[f - 1]),
+                1.0 - float(bundle.occlusion[f - 1, i]))
+            for f in range(1, cfg.n_frames + 1) for i, card in enumerate(bundle.cards)]
 
 
 def _occlusion_loop(boxes):
@@ -299,7 +304,7 @@ class TestObserveFrame:
         for f in (1, 10, 30):
             dets = observe_frame(bundle, f)
             assert len(dets) == 1 and dets.frame == f
-            assert BBox(*dets.boxes[0].tolist()) == card.box_at(f)
+            assert dets.boxes[0].tolist() == card.trajectory[f - 1].tolist()
             assert np.array_equal(dets.embeddings[0], card.latent)
             assert np.array_equal(dets.attrs[0], card.attributes.values)
 
