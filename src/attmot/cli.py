@@ -120,12 +120,20 @@ def _checked(name: str, convert, value):
         raise CliError(f"{name} {value!r}: {exc}") from None
 
 
-def positive_int(value) -> int:
-    """An int >= 1; text (a command-line argument) is read as base-10 digits."""
+def _int_at_least(low: int, value) -> int:
+    """An int >= ``low``; text (a command-line argument) is read as base-10 digits."""
     value = strict_int(int(value) if isinstance(value, str) else value)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{value} is not >= {low}")
     return value
+
+
+def positive_int(value) -> int:
+    return _int_at_least(1, value)
+
+
+def non_negative_int(value) -> int:
+    return _int_at_least(0, value)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +168,7 @@ def cmd_train(bench_dir: str, strategy_text: str, seed: int, out_path: str,
     fusion.save_fusion_head(out_path, params, strategy)
     if trace_path:
         Path(trace_path).write_text(fusion.trace_to_csv(trace), encoding="ascii")
-    print(f"trained {strategy} on {len(crops)} crops: "
+    print(f"trained {strategy} on {len(crops.identity)} crops: "
           f"loss {trace[0].total:.4f} -> {trace[-1].total:.4f}, "
           f"attribute accuracy {acc:.4f}")
     print(f"saved parameters to {out_path}")
@@ -286,7 +294,7 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
 
         strategy = value("train_strategy", "preproc-attr",
                          lambda v: fusion.FusionStrategy.parse(str(v)))
-        train_seed = value("train_seed", 0, strict_int)
+        train_seed = value("train_seed", 0, non_negative_int)
         train_crops = value("train_crops", 5000, positive_int)
 
     bench = Path(bench_dir)
@@ -359,7 +367,7 @@ def build_parser() -> _Parser:
     p.add_argument("-b", "--benchmark", required=True)
     p.add_argument("--strategy", default="preproc-attr",
                    help="fusion strategy (default preproc-attr; e.g. cross-fertilize:2)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--crops", type=positive_int, default=5000)
     p.add_argument("--iterations", type=positive_int, default=None)
     p.add_argument("--trace", default=None, help="write the loss trace CSV here")

@@ -422,11 +422,14 @@ class Detections:
 
 @dataclass(frozen=True, eq=False)
 class TrainSample:
-    """One fusion-head training crop: embedding, observed attributes, labels."""
+    """Fusion-head training crops as stacked columns: ``embedding``
+    ``(n, D)``, ``attr_obs`` ``(n, 32)``, ``identity`` ``(n,)`` int64 labels
+    and ``gt_attrs`` ``(n, 32)``.  ``fusion.grad_check`` reads one crop,
+    with 1-D fields and an int ``identity``."""
 
     embedding: np.ndarray
     attr_obs: np.ndarray
-    identity: int
+    identity: np.ndarray | int
     gt_attrs: np.ndarray
 
 

@@ -48,6 +48,8 @@ class FusionStrategy:
             raise ValueError(f"unknown fusion strategy {self.kind!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.rounds != 1 and self.kind not in _ITERATED_KINDS:
+            raise ValueError(f"fusion strategy {self.kind!r} takes no rounds, got {self.rounds}")
 
     @classmethod
     def parse(cls, text: str) -> "FusionStrategy":
@@ -58,7 +60,7 @@ class FusionStrategy:
         return cls(text)
 
     def __str__(self):
-        if self.kind in _ITERATED_KINDS and self.rounds != 1:
+        if self.rounds != 1:
             return f"{self.kind}:{self.rounds}"
         return self.kind
 
@@ -107,7 +109,6 @@ class FusionParams:
     attr_in_b: np.ndarray
     id_head_w: np.ndarray
     id_head_b: np.ndarray
-    scale_scores: bool = False
 
     def __post_init__(self):
         d, t, k = self.dim, self.n_tokens, self.n_identities
@@ -137,8 +138,8 @@ class FusionParams:
         return self.dim // self.n_tokens
 
     @classmethod
-    def init(cls, dim: int, n_identities: int, n_tokens: int = 8, seed: int = 0,
-             scale_scores: bool = False) -> "FusionParams":
+    def init(cls, dim: int, n_identities: int, n_tokens: int = 8,
+             seed: int = 0) -> "FusionParams":
         """Fresh parameters scaled for a unit-norm embedding input.
 
         Key/value projections are scaled against the typical token norm
@@ -169,12 +170,11 @@ class FusionParams:
             attr_in_b=np.zeros(N_ATTRIBUTES),
             id_head_w=np.zeros((dim, n_identities)),
             id_head_b=np.zeros(n_identities),
-            scale_scores=scale_scores,
         )
 
     @classmethod
-    def random(cls, dim: int, n_identities: int, n_tokens: int = 8, seed: int = 0,
-               scale_scores: bool = False) -> "FusionParams":
+    def random(cls, dim: int, n_identities: int, n_tokens: int = 8,
+               seed: int = 0) -> "FusionParams":
         """Fully random parameters (used by gradient checks)."""
         if dim % n_tokens != 0:
             raise ValueError(f"embedding dim {dim} not divisible by token count {n_tokens}")
@@ -196,15 +196,12 @@ class FusionParams:
             attr_in_b=mat(N_ATTRIBUTES, fan=1),
             id_head_w=mat(dim, n_identities, fan=dim),
             id_head_b=mat(n_identities, fan=1),
-            scale_scores=scale_scores,
         )
 
     def copy(self) -> "FusionParams":
         kwargs = {name: getattr(self, name).copy() for name in PARAM_FIELDS}
-        return FusionParams(
-            dim=self.dim, n_tokens=self.n_tokens, n_identities=self.n_identities,
-            scale_scores=self.scale_scores, **kwargs,
-        )
+        return FusionParams(dim=self.dim, n_tokens=self.n_tokens,
+                            n_identities=self.n_identities, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -270,16 +267,13 @@ def _queries(p, a1: ad.Var) -> ad.Var:
     return weights * p["attr_embed"]
 
 
-def _attention(p, q: ad.Var, kv: ad.Var, scale_scores: bool, token_dim: int) -> ad.Var:
+def _attention(p, q: ad.Var, kv: ad.Var) -> ad.Var:
     """Row-stochastic weights of the ``q`` tokens over the ``kv`` tokens."""
-    scores = (q @ p["wq"]) @ ad.transpose_last(kv @ p["wk"])
-    if scale_scores:
-        scores = ad.scale(scores, 1.0 / math.sqrt(token_dim))
-    return ad.softmax(scores, axis=-1)
+    return ad.softmax((q @ p["wq"]) @ ad.transpose_last(kv @ p["wk"]), axis=-1)
 
 
-def _attend(p, q: ad.Var, kv: ad.Var, scale_scores: bool, token_dim: int) -> ad.Var:
-    return _attention(p, q, kv, scale_scores, token_dim) @ (kv @ p["wv"])
+def _attend(p, q: ad.Var, kv: ad.Var) -> ad.Var:
+    return _attention(p, q, kv) @ (kv @ p["wv"])
 
 
 def _attr_head(p, tokens: ad.Var) -> ad.Var:
@@ -293,39 +287,39 @@ def _raw_attr_feature(p, e1: ad.Var) -> ad.Var:
 def _strategy_forward(p, e1: ad.Var, a1: ad.Var | None, strategy: FusionStrategy,
                       params: FusionParams) -> tuple[ad.Var, ad.Var]:
     """Returns (attribute logits, adapted embedding) under a strategy."""
-    t, dt, scaled = params.n_tokens, params.token_dim, params.scale_scores
+    t = params.n_tokens
     if a1 is None:
         a1 = _raw_attr_feature(p, e1)
     if strategy.kind == "attr-only":
         e_out = e1
     else:
         e_out = _adaptor(p, e1)
-    kv = _tokens(e_out, t, dt)
+    kv = _tokens(e_out, t, params.token_dim)
     q = _queries(p, a1)
 
     if strategy.kind in ("preproc-attr", "attr-only"):
-        out = _attend(p, q, kv, scaled, dt)
+        out = _attend(p, q, kv)
     elif strategy.kind == "preproc-both":
-        q = _attend(p, q, q, scaled, dt)
-        out = _attend(p, q, kv, scaled, dt)
+        q = _attend(p, q, q)
+        out = _attend(p, q, kv)
     elif strategy.kind == "cross-fertilize":
         a_tok, e_tok = q, kv
         for r in range(strategy.rounds):
-            a_new = _attend(p, a_tok, e_tok, scaled, dt)
+            a_new = _attend(p, a_tok, e_tok)
             # The enhanced embedding tokens only matter while further
             # rounds consume them; the head output comes from a_tok.
             if r + 1 < strategy.rounds:
-                e_tok = _attend(p, e_tok, a_tok, scaled, dt)
+                e_tok = _attend(p, e_tok, a_tok)
             a_tok = a_new
         out = a_tok
     elif strategy.kind == "self-enhance":
         a_tok = q
         for _ in range(strategy.rounds):
-            a_tok = _attend(p, a_tok, a_tok, scaled, dt)
+            a_tok = _attend(p, a_tok, a_tok)
         out = a_tok
     elif strategy.kind == "concat-self":
         all_tok = ad.concat([kv, q], axis=-2)
-        enhanced = _attend(p, all_tok, all_tok, scaled, dt)
+        enhanced = _attend(p, all_tok, all_tok)
         out = ad.narrow(enhanced, axis=-2, start=t, length=N_ATTRIBUTES)
     else:  # pragma: no cover - guarded by FusionStrategy validation
         raise ValueError(strategy.kind)
@@ -417,8 +411,7 @@ def cross_attention_forward(e2: np.ndarray, a1: np.ndarray, params: FusionParams
     p = _param_vars(params, requires_grad=False)
     kv = _tokens(ad.const(e2), params.n_tokens, params.token_dim)
     q = _queries(p, ad.const(a1))
-    out = _attend(p, q, kv, params.scale_scores, params.token_dim)
-    return _attr_head(p, out).value
+    return _attr_head(p, _attend(p, q, kv)).value
 
 
 def cross_attention_weights(e2: np.ndarray, a1: np.ndarray, params: FusionParams) -> np.ndarray:
@@ -428,7 +421,7 @@ def cross_attention_weights(e2: np.ndarray, a1: np.ndarray, params: FusionParams
     p = _param_vars(params, requires_grad=False)
     kv = _tokens(ad.const(e2), params.n_tokens, params.token_dim)
     q = _queries(p, ad.const(a1))
-    return _attention(p, q, kv, params.scale_scores, params.token_dim).value
+    return _attention(p, q, kv).value
 
 
 def raw_attribute_feature(e1: np.ndarray, params: FusionParams) -> np.ndarray:
@@ -450,7 +443,7 @@ def predict_attributes(e1: np.ndarray, a1_raw: np.ndarray | None,
     a1 = None if a1_raw is None else ad.const(np.asarray(a1_raw, dtype=np.float64))
     logits, e_out = _strategy_forward(p, ad.const(np.asarray(e1, dtype=np.float64)),
                                       a1, strategy, params)
-    return 1.0 / (1.0 + np.exp(-logits.value)), e_out.value
+    return ad.sigmoid(logits).value, e_out.value
 
 
 def weighted_bce_loss(pred: np.ndarray, target: np.ndarray, pos_freq: np.ndarray,
@@ -482,26 +475,20 @@ def identity_loss(e_out: np.ndarray, label: int, params: FusionParams) -> float:
 # Training and gradient verification
 # ---------------------------------------------------------------------------
 
-def _dataset_arrays(dataset: list[TrainSample]):
-    emb = np.stack([s.embedding for s in dataset], dtype=np.float64)
-    obs = np.stack([s.attr_obs for s in dataset], dtype=np.float64)
-    labels = np.array([s.identity for s in dataset], dtype=np.int64)
-    gts = np.stack([s.gt_attrs for s in dataset], dtype=np.float64)
-    return emb, obs, labels, gts
-
-
-def train(dataset: list[TrainSample], config: TrainConfig = TrainConfig(),
+def train(dataset: TrainSample, config: TrainConfig = TrainConfig(),
           strategy: FusionStrategy = PREPROC_ATTR,
           params: FusionParams | None = None) -> tuple[FusionParams, list[TraceRow]]:
     """Plain gradient descent on weighted BCE + lambda_id * identity loss.
 
-    Deterministic given (dataset order, config, strategy).  Raises on an
-    empty dataset; aborts with a diagnostic if the loss goes non-finite.
+    ``dataset`` holds the crops as stacked columns.  Deterministic given
+    (dataset order, config, strategy).  Raises on an empty dataset; aborts
+    with a diagnostic if the loss goes non-finite.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
-    emb, obs, labels, gts = _dataset_arrays(dataset)
+    emb, obs, gts = dataset.embedding, dataset.attr_obs, dataset.gt_attrs
+    labels = dataset.identity
     n, dim = emb.shape
+    if not n:
+        raise ValueError("empty dataset")
     k = int(labels.max()) + 1
     if labels.min() < 0:
         raise ValueError("identity labels must be non-negative")
@@ -612,7 +599,7 @@ def grad_check(params: FusionParams, sample: TrainSample,
     return worst
 
 
-# Most rows attribute_accuracy stacks and scores at once, which bounds its
+# Most rows attribute_accuracy scores at once, which bounds its
 # peak memory whatever the size of the dataset.
 _ACCURACY_ROWS = 256
 
@@ -628,24 +615,24 @@ def _row_chunks(n: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def attribute_accuracy(params: FusionParams, dataset: list[TrainSample],
+def attribute_accuracy(params: FusionParams, dataset: TrainSample,
                        strategy: FusionStrategy = PREPROC_ATTR,
                        attr_input: str = "learned") -> float:
     """Mean per-attribute accuracy of thresholded predictions at 0.5.
 
-    The dataset is stacked and scored ``_row_chunks`` at a time; the
-    per-attribute correct counts are summed as integers, so the result
+    The dataset's columns are sliced and scored ``_row_chunks`` at a time;
+    the per-attribute correct counts are summed as integers, so the result
     equals the one-batch ``correct.mean(axis=0).mean()`` bit for bit.
     Raises ValueError on an empty dataset.
     """
-    n = len(dataset)
+    n = len(dataset.identity)
     if not n:
         raise ValueError("empty dataset")
     counts = np.zeros(N_ATTRIBUTES, dtype=np.int64)
     for lo, hi in _row_chunks(n):
-        emb, obs, _, gts = _dataset_arrays(dataset[lo:hi])
-        probs, _ = predict_attributes(emb, obs if attr_input == "obs" else None, strategy, params)
-        counts += ((probs >= 0.5) == (gts >= 0.5)).sum(axis=0)
+        obs = dataset.attr_obs[lo:hi] if attr_input == "obs" else None
+        probs, _ = predict_attributes(dataset.embedding[lo:hi], obs, strategy, params)
+        counts += ((probs >= 0.5) == (dataset.gt_attrs[lo:hi] >= 0.5)).sum(axis=0)
     return float((counts / n).mean())
 
 
@@ -662,7 +649,7 @@ def save_fusion_head(path, params: FusionParams, strategy: FusionStrategy = PREP
         "dim": params.dim,
         "n_tokens": params.n_tokens,
         "n_identities": params.n_identities,
-        "scale_scores": params.scale_scores,
+        "scale_scores": False,
         "strategy": {"kind": strategy.kind, "rounds": strategy.rounds},
         "arrays": [[name, list(getattr(params, name).shape)] for name in PARAM_FIELDS],
     }
@@ -691,11 +678,10 @@ def load_fusion_head(path) -> tuple[FusionParams, FusionStrategy]:
                 arrays[field_name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
             if fh.read(1):
                 raise ValueError("bytes after the last array")
-            params = FusionParams(
-                dim=header["dim"], n_tokens=header["n_tokens"],
-                n_identities=header["n_identities"], scale_scores=header["scale_scores"],
-                **arrays,
-            )
+            if header["scale_scores"] is not False:
+                raise ValueError("scale_scores must be false")
+            params = FusionParams(dim=header["dim"], n_tokens=header["n_tokens"],
+                                  n_identities=header["n_identities"], **arrays)
             strat = FusionStrategy(header["strategy"]["kind"], header["strategy"]["rounds"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"corrupt fusion-head file {name}: {exc!r}") from None

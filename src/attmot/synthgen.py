@@ -40,7 +40,7 @@ from .core import (
 )
 
 # SeedSequence stream tags
-_STREAM_CARDS = 0
+_STREAM_IDENTITIES = 0
 _STREAM_PATHS = 1
 _STREAM_OBSERVE = 2
 _STREAM_SEQUENCE = 4
@@ -136,23 +136,21 @@ class WorldConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class IdentityCard:
-    """One pedestrian: attributes, appearance latent and scripted path."""
-
-    identity: int
-    attributes: AttributeVector
-    latent: np.ndarray                 # unit norm
-    trajectory: np.ndarray             # (n_frames, 4) ltwh; row f - 1 is frame f
-
-
-@dataclass(frozen=True, eq=False)
 class SequenceBundle:
-    """A generated sequence: scripted ground truth plus per-frame occlusion."""
+    """A generated sequence: its identities as arrays, with identity
+    ``i + 1`` in row ``i``, and their per-frame occlusion.
+
+    ``attributes`` is ``(n, 32)`` binary, ``latents`` ``(n, D)`` unit-norm
+    appearance latents, ``trajectories`` ``(n_frames, n, 4)`` ltwh boxes
+    (row ``f - 1`` is frame ``f``) and ``occlusion`` ``(n_frames, n)``.
+    """
 
     name: str
     config: WorldConfig
-    cards: tuple
-    occlusion: np.ndarray              # (n_frames, n_identities)
+    attributes: np.ndarray
+    latents: np.ndarray
+    trajectories: np.ndarray
+    occlusion: np.ndarray
 
     @property
     def n_frames(self) -> int:
@@ -163,12 +161,12 @@ class SequenceBundle:
         visibility 1 - its occlusion fraction."""
         n_frames, n_ids = self.occlusion.shape
         return MotTable(np.repeat(np.arange(1, n_frames + 1), n_ids),
-                        np.tile([card.identity for card in self.cards], n_frames),
-                        np.stack([card.trajectory for card in self.cards], axis=1).reshape(-1, 4),
+                        np.tile(np.arange(1, n_ids + 1), n_frames),
+                        self.trajectories.reshape(-1, 4),
                         visibility=1.0 - self.occlusion.reshape(-1))
 
     def attribute_table(self) -> dict[int, AttributeVector]:
-        return {card.identity: card.attributes for card in self.cards}
+        return {i + 1: AttributeVector.binary(bits) for i, bits in enumerate(self.attributes)}
 
 
 def _rng(config: WorldConfig, *stream) -> np.random.Generator:
@@ -192,25 +190,19 @@ def sample_attribute_bits(rng: np.random.Generator, prior: AttributePrior) -> np
 
 
 def sample_identity(rng: np.random.Generator, prior: AttributePrior,
-                    latent_dim: int, identity: int = 1,
-                    trajectory: np.ndarray | None = None,
-                    base_latent: np.ndarray | None = None,
-                    spread: float = 1.0) -> IdentityCard:
-    """Draw one identity card (attributes + unit-norm appearance latent).
+                    base_latent: np.ndarray, spread: float) -> tuple[np.ndarray, np.ndarray]:
+    """One identity's attribute bits and unit-norm appearance latent.
 
-    With ``base_latent`` the latent is a unit-normalized mix
-    ``base + spread * own``, giving controllably similar appearances.
+    The latent is the unit-normalized mix ``base_latent + spread * own`` of
+    a shared direction and the identity's own unit-normal draw, giving
+    controllably similar appearances.
     """
     bits = sample_attribute_bits(rng, prior)
-    latent = rng.standard_normal(latent_dim)
+    latent = rng.standard_normal(len(base_latent))
     latent /= np.linalg.norm(latent)
-    if base_latent is not None:
-        latent = base_latent + spread * latent
-        latent /= np.linalg.norm(latent)
-    if trajectory is None:
-        trajectory = np.array([[0.0, 0.0, 10.0, 10.0]])
-    return IdentityCard(identity=identity, attributes=AttributeVector.binary(bits),
-                        latent=latent, trajectory=trajectory)
+    latent = base_latent + spread * latent
+    latent /= np.linalg.norm(latent)
+    return bits, latent
 
 
 def _body_size(rng: np.random.Generator, config: WorldConfig) -> tuple[float, float]:
@@ -285,7 +277,7 @@ def _crossing_pair_paths(rng, config) -> tuple[np.ndarray, np.ndarray]:
 def simulate_sequence(config: WorldConfig, name: str = "seq-0000") -> SequenceBundle:
     """Generate ground truth for one sequence (no observation noise)."""
     config.validate()
-    card_rng = _rng(config, _STREAM_CARDS)
+    identity_rng = _rng(config, _STREAM_IDENTITIES)
     path_rng = _rng(config, _STREAM_PATHS)
     n_ids = config.n_identities
 
@@ -308,18 +300,17 @@ def simulate_sequence(config: WorldConfig, name: str = "seq-0000") -> SequenceBu
             paths.append(_linear_path(path_rng, config, w, h))
         i += 1
 
-    base = card_rng.standard_normal(config.latent_dim)
+    base = identity_rng.standard_normal(config.latent_dim)
     base /= np.linalg.norm(base)
-    cards = []
+    attributes = np.empty((n_ids, N_ATTRIBUTES))
+    latents = np.empty((n_ids, config.latent_dim))
     for idx in range(n_ids):
-        cards.append(
-            sample_identity(card_rng, config.prior, config.latent_dim,
-                            identity=idx + 1, trajectory=paths[idx],
-                            base_latent=base, spread=config.latent_spread)
-        )
+        attributes[idx], latents[idx] = sample_identity(identity_rng, config.prior, base,
+                                                        config.latent_spread)
 
-    occ = _occlusion_matrix(np.stack([c.trajectory for c in cards], axis=1))
-    return SequenceBundle(name=name, config=config, cards=tuple(cards), occlusion=occ)
+    trajectories = np.stack(paths, axis=1)
+    return SequenceBundle(name=name, config=config, attributes=attributes, latents=latents,
+                          trajectories=trajectories, occlusion=_occlusion_matrix(trajectories))
 
 
 def _occlusion_matrix(boxes: np.ndarray) -> np.ndarray:
@@ -357,27 +348,30 @@ def _clip_box(l, t, w, h, config) -> tuple[float, float, float, float] | None:
 
 
 class _Emissions:
-    """Noisy detections of a batch of identity cards, drawn one card at a
+    """Noisy detections of a batch of identities, drawn one identity at a
     time in stream order and finished as arrays.
 
-    The buffers hold ``capacity`` rows; ``reserve`` adds more.  ``draw``
-    takes one card's randomness in the order of the observation
-    model: the box jitter, the embedding normals (none when the card's
-    noise sigma is zero), the attribute uniforms and the confidence normal;
-    a box clipped away takes no draw after the jitter.  ``false_positive``
-    takes a clutter detection's embedding normals and attribute uniforms.
-    The normals and uniforms go straight into row buffers, and ``finish``
-    applies the model to all rows at once with the per-card formulas'
-    operations in their order, so each value equals the one-card result
-    bit for bit.
+    ``latents`` ``(n, D)`` and ``attributes`` ``(n, 32)`` hold the
+    identities, one per row.  The buffers hold ``capacity`` rows;
+    ``reserve`` adds more.  ``draw`` takes one identity's randomness in the
+    order of the observation model: the box jitter, the embedding normals
+    (none when its noise sigma is zero), the attribute uniforms and the
+    confidence normal; a box clipped away takes no draw after the jitter.
+    ``false_positive`` takes a clutter detection's embedding normals and
+    attribute uniforms.  The normals and uniforms go straight into row
+    buffers, and ``finish`` applies the model to all rows at once with the
+    one-identity formulas' operations in their order, so each value equals
+    the one-identity result bit for bit.
     """
 
-    def __init__(self, capacity: int, dim: int):
-        self.normals = np.zeros((capacity, dim))   # rows of zero-noise cards stay 0
+    def __init__(self, capacity: int, latents: np.ndarray, attributes: np.ndarray):
+        self.latents = latents
+        self.attributes = attributes
+        self.normals = np.zeros((capacity, latents.shape[1]))  # zero-noise rows stay 0
         self.uniforms = np.empty((capacity, N_ATTRIBUTES))
-        self.conf = np.empty(capacity)             # normals of cards, values of clutter
+        self.conf = np.empty(capacity)             # normals of identities, values of clutter
         self.boxes: list[tuple] = []               # (left, top, width, height)
-        self.cards: list[IdentityCard] = []        # card rows come first
+        self.rows: list[int] = []                  # identity rows come first
         self.occ: list[float] = []
         self.sigma: list[float] = []
         self.p_flip: list[float] = []
@@ -390,17 +384,17 @@ class _Emissions:
             self.uniforms = np.concatenate([self.uniforms, np.empty((short, N_ATTRIBUTES))])
             self.conf = np.concatenate([self.conf, np.empty(short)])
 
-    def draw(self, rng: np.random.Generator, card: IdentityCard, occ: float, frame: int,
-             config: WorldConfig) -> tuple | None:
-        """Draw one observation of ``card`` in a 1-based frame; the box, or
-        None when it is clipped away."""
-        l, t, w, h = card.trajectory[frame - 1].tolist()
+    def draw(self, rng: np.random.Generator, row: int, ltwh: np.ndarray, occ: float,
+             config: WorldConfig) -> None:
+        """Draw one observation of the identity in ``row`` whose true box is
+        ``ltwh``; nothing is kept when the box is clipped away."""
+        l, t, w, h = ltwh.tolist()
         if config.jitter_sigma > 0:
             jl, jt, jw, jh = rng.normal(0.0, config.jitter_sigma, 4).tolist()
             l, t, w, h = l + jl, t + jt, w + jw, h + jh
         box = _clip_box(l, t, max(w, _MIN_BOX), max(h, _MIN_BOX), config)
         if box is None:
-            return None
+            return
         k = len(self.boxes)
         # per-component embedding noise sigma * (1 + embed_occ_gain * occ)
         sigma = config.embed_noise_sigma * (1.0 + config.embed_occ_gain * occ)
@@ -409,12 +403,11 @@ class _Emissions:
         rng.random(out=self.uniforms[k])
         self.conf[k] = rng.standard_normal()
         self.boxes.append(box)
-        self.cards.append(card)
+        self.rows.append(row)
         self.occ.append(occ)
         self.sigma.append(sigma)
         # independent bit flips with min(0.5, base + gain * occ)
         self.p_flip.append(min(0.5, config.attr_flip_base + config.attr_flip_occ_gain * occ))
-        return box
 
     def false_positive(self, rng: np.random.Generator, box: tuple) -> None:
         """Draw a clutter detection: unit-normal embedding, uniform attributes."""
@@ -427,23 +420,25 @@ class _Emissions:
     def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(n, D)`` unit embeddings, ``(n, 32)`` attributes and ``(n,)``
         confidences of the drawn rows."""
-        n, k = len(self.boxes), len(self.cards)
+        n, k = len(self.boxes), len(self.rows)
+        rows = np.array(self.rows, dtype=np.intp)
         raw = self.normals[:n]
         sigma = np.array(self.sigma)
-        # latents are stacked a block of rows at a time to bound their memory
+        # latents are gathered a block of rows at a time to bound their memory
         for lo in range(0, k, _LATENT_BLOCK):
             hi = min(lo + _LATENT_BLOCK, k)
             raw[lo:hi] *= sigma[lo:hi, None]
-            raw[lo:hi] += [c.latent for c in self.cards[lo:hi]]
-        # in place when every buffer row is used (crops); else a new array,
-        # so the detections keep no unused rows alive
-        emb = unit_rows(raw, out=raw if n == len(self.conf) else None)
-        for i in np.flatnonzero(sigma == 0.0).tolist():
-            emb[i] = self.cards[i].latent    # a card without noise keeps its latent as is
+            raw[lo:hi] += self.latents[rows[lo:hi]]
+        # A new array, so the row buffers die with the emission: the
+        # detections keep no unused rows alive, and freeing the crops' large
+        # buffer raises glibc's heap-trim threshold, without which each
+        # fusion.attribute_accuracy chunk page-faults its temporaries in again.
+        emb = unit_rows(raw)
+        zero = np.flatnonzero(sigma == 0.0)
+        emb[zero] = self.latents[rows[zero]]    # no noise keeps the latent as is
         attrs = self.uniforms[:n]
         flips = attrs[:k] < np.array(self.p_flip)[:, None]
-        bits = np.array([c.attributes.values for c in self.cards]).reshape(k, N_ATTRIBUTES)
-        attrs[:k] = np.abs(bits - flips.astype(np.float64))
+        attrs[:k] = np.abs(self.attributes[rows] - flips.astype(np.float64))
         conf = self.conf[:n]
         conf[:k] = np.clip(1.0 - 0.5 * np.array(self.occ) + 0.05 * conf[:k], 0.05, 1.0)
         return emb, attrs, conf
@@ -455,12 +450,13 @@ def observe_frame(bundle: SequenceBundle, frame: int) -> Detections:
     if not 1 <= frame <= config.n_frames:
         raise ValueError(f"frame {frame} out of range 1..{config.n_frames}")
     rng = _rng(config, _STREAM_OBSERVE, frame)
-    occ = bundle.occlusion[frame - 1].tolist()
-    miss = np.minimum(1.0, config.miss_base + config.miss_occ_gain * bundle.occlusion[frame - 1])
-    em = _Emissions(len(bundle.cards), config.latent_dim)
-    for card, occ_i, miss_p in zip(bundle.cards, occ, miss.tolist()):
+    occ = bundle.occlusion[frame - 1]
+    miss = np.minimum(1.0, config.miss_base + config.miss_occ_gain * occ)
+    boxes = bundle.trajectories[frame - 1]
+    em = _Emissions(len(boxes), bundle.latents, bundle.attributes)
+    for i, (occ_i, miss_p) in enumerate(zip(occ.tolist(), miss.tolist())):
         if rng.random() >= miss_p:
-            em.draw(rng, card, occ_i, frame, config)
+            em.draw(rng, i, boxes[i], occ_i, config)
     n_fp = rng.poisson(config.fp_rate)
     em.reserve(n_fp)
     for _ in range(n_fp):
@@ -505,24 +501,21 @@ def generate_benchmark(config: WorldConfig, n_sequences: int) -> list[SequenceBu
 
 def occlusion_metadata_lines(bundle: SequenceBundle) -> list[str]:
     """JSON-lines rows of per-frame occlusion fractions."""
-    lines = []
-    for f in range(1, bundle.n_frames + 1):
-        row = {
-            "frame": f,
-            "occlusion": {
-                str(c.identity): round(float(bundle.occlusion[f - 1, i]), 6)
-                for i, c in enumerate(bundle.cards)
-            },
-        }
-        lines.append(json.dumps(row, sort_keys=True))
-    return lines
+    return [json.dumps({"frame": f, "occlusion": {str(i + 1): round(occ, 6)
+                                                  for i, occ in enumerate(row)}},
+                       sort_keys=True)
+            for f, row in enumerate(bundle.occlusion.tolist(), start=1)]
 
 
 def sample_training_crops(bundles: list[SequenceBundle], n_samples: int,
-                          seed: int = 0) -> list[TrainSample]:
-    """Draw labeled (embedding, attr_obs, identity, gt) crops from sequences.
+                          seed: int = 0) -> TrainSample:
+    """Draw labeled crops from sequences as one ``TrainSample`` of stacked
+    columns: ``embedding`` ``(n, D)``, ``attr_obs`` ``(n, 32)``,
+    ``identity`` ``(n,)`` and ``gt_attrs`` ``(n, 32)``.
 
-    Identity labels are contiguous integers global across bundles.
+    A crop's identity label is its identity's row in the bundles'
+    concatenated identity arrays, so labels are contiguous integers global
+    across bundles.
     """
     if not bundles:
         raise ValueError("no bundles to sample from")
@@ -530,23 +523,19 @@ def sample_training_crops(bundles: list[SequenceBundle], n_samples: int,
     if len(dims) > 1:
         raise ValueError(f"bundles mix latent dimensions {dims}")
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFF, _STREAM_CROPS]))
-    label_of = {}
-    for b_idx, bundle in enumerate(bundles):
-        for card in bundle.cards:
-            label_of[(b_idx, card.identity)] = len(label_of)
-    em = _Emissions(max(n_samples, 0), dims[0])
-    labels = []
-    while len(labels) < n_samples:
+    first_row = np.cumsum([0] + [len(b.latents) for b in bundles]).tolist()
+    attributes = np.concatenate([b.attributes for b in bundles])
+    em = _Emissions(max(n_samples, 0), np.concatenate([b.latents for b in bundles]), attributes)
+    while len(em.rows) < n_samples:
         b_idx = int(rng.integers(len(bundles)))
         bundle = bundles[b_idx]
         cfg = bundle.config
         frame = int(rng.integers(1, cfg.n_frames + 1))
         i = int(rng.integers(cfg.n_identities))
-        card = bundle.cards[i]
-        if em.draw(rng, card, float(bundle.occlusion[frame - 1, i]), frame, cfg) is not None:
-            labels.append(label_of[(b_idx, card.identity)])
+        em.draw(rng, first_row[b_idx] + i, bundle.trajectories[frame - 1, i],
+                float(bundle.occlusion[frame - 1, i]), cfg)
     emb, attrs, _ = em.finish()
     check_feature_rows(emb, attrs, lambda row: f"crop {row}")
-    gt = np.array([c.attributes.values for c in em.cards]).reshape(-1, N_ATTRIBUTES)
-    return [TrainSample(embedding=e, attr_obs=a, identity=label, gt_attrs=g)
-            for e, a, label, g in zip(emb, attrs, labels, gt)]
+    labels = np.array(em.rows, dtype=np.int64)
+    return TrainSample(embedding=emb, attr_obs=attrs, identity=labels,
+                       gt_attrs=attributes[labels])

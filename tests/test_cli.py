@@ -398,11 +398,21 @@ class TestExitCodes:
          "ablate spec key train_crops 2.5: 2.5 is not an integer"),
         (["ablate", "attr_source = fusion\ntrain_crops = true"],
          "ablate spec key train_crops True: True is not an integer"),
+        (["train", "--seed", "-1"], "argument --seed: -1 is not >= 0"),
+        (["ablate", "attr_source = fusion\ntrain_seed = -1"],
+         "ablate spec key train_seed -1: -1 is not >= 0"),
+        (["train", "--strategy", "preproc-attr:3"],
+         "--strategy 'preproc-attr:3': fusion strategy 'preproc-attr' takes no rounds, got 3"),
+        (["ablate", "attr_source = fusion\ntrain_strategy = attr-only:2"],
+         "ablate spec key train_strategy 'attr-only:2': fusion strategy 'attr-only' takes "
+         "no rounds, got 2"),
     ], ids=["strategy", "strategy-rounds", "crops", "iterations", "lambda_e", "seeds",
             "train_strategy", "train_crops", "track-lambda_e-nan", "track-lambda_a-inf",
             "track-threshold-nan", "lambda_e-nan", "lambda_a-inf", "lambda_a-bool",
             "lambda_e-bool", "seeds-float",
-            "seeds-bool", "train_seed-float", "train_crops-float", "train_crops-bool"])
+            "seeds-bool", "train_seed-float", "train_crops-float", "train_crops-bool",
+            "seed-negative", "train_seed-negative", "strategy-rounds-non-iterated",
+            "train_strategy-rounds-non-iterated"])
     def test_bad_argument_is_usage_error(self, bench, tmp_path, capsys, argv, names):
         out = tmp_path / "out"
         if argv[0] in ("train", "track"):

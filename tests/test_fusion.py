@@ -3,6 +3,7 @@ gradient verification and serialization."""
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,19 @@ def rand_sample(rng, dim, k=3):
     )
 
 
+def stack_samples(samples):
+    """One-crop samples as one ``TrainSample`` of stacked columns."""
+    return TrainSample(np.array([s.embedding for s in samples]),
+                       np.array([s.attr_obs for s in samples]),
+                       np.array([s.identity for s in samples], dtype=np.int64),
+                       np.array([s.gt_attrs for s in samples]))
+
+
+def empty_dataset(dim):
+    return TrainSample(np.empty((0, dim)), np.empty((0, 32)), np.empty(0, dtype=np.int64),
+                       np.empty((0, 32)))
+
+
 def zero_adaptor(params):
     for name in ("w1", "b1", "w2", "b2"):
         getattr(params, name)[...] = 0.0
@@ -58,6 +72,17 @@ class TestStrategy:
             FusionStrategy("bogus")
         with pytest.raises(ValueError):
             FusionStrategy("preproc-attr", rounds=0)
+
+    @pytest.mark.parametrize("kind", ["attr-only", "preproc-attr", "preproc-both",
+                                      "concat-self"])
+    def test_rounds_refused_for_non_iterated_kinds(self, kind):
+        with pytest.raises(ValueError, match=f"fusion strategy '{kind}' takes no rounds, got 3"):
+            FusionStrategy.parse(f"{kind}:3")
+        assert FusionStrategy.parse(f"{kind}:1") == FusionStrategy(kind)
+
+    def test_rounds_kept_for_iterated_kinds(self):
+        for kind in ("cross-fertilize", "self-enhance"):
+            assert str(FusionStrategy.parse(f"{kind}:3")) == f"{kind}:3"
 
 
 class TestParams:
@@ -149,23 +174,6 @@ class TestCrossAttention:
             expected[j] = params.attr_head_w[j] @ attended + params.attr_head_b[j]
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
-    def test_scaled_variant_divides_scores(self):
-        rng = np.random.default_rng(8)
-        base = FusionParams.random(16, n_identities=2, n_tokens=4, seed=2)
-        scaled = FusionParams.random(16, n_identities=2, n_tokens=4, seed=2,
-                                     scale_scores=True)
-        e2 = rng.normal(size=16)
-        a1 = rng.uniform(0, 1, 32)
-        w_base = cross_attention_weights(e2, a1, base)
-        w_scaled = cross_attention_weights(e2, a1, scaled)
-        assert not np.allclose(w_base, w_scaled)
-        # temper the unscaled scores by sqrt(token_dim) and they must agree
-        sharp = np.log(w_base)
-        sharp -= sharp.max(axis=1, keepdims=True)
-        tempered = np.exp(sharp / math.sqrt(4))
-        tempered /= tempered.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(w_scaled, tempered, atol=1e-9)
-
 
 class TestPredictAttributes:
     def test_preproc_attr_zero_adaptor_reduces_to_cross_attention(self):
@@ -177,6 +185,18 @@ class TestPredictAttributes:
         logits = cross_attention_forward(e1, a1, params)
         np.testing.assert_allclose(probs, 1 / (1 + np.exp(-logits)), atol=1e-12)
         np.testing.assert_array_equal(e_out, e1)
+
+    def test_very_negative_logits_give_zero_without_warning(self):
+        rng = np.random.default_rng(6)
+        params = FusionParams.random(16, n_identities=2, n_tokens=4, seed=1)
+        params.attr_head_b[...] = -1e4
+        e1, a1 = rng.normal(size=(3, 16)), rng.uniform(0, 1, (3, 32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs, _ = predict_attributes(e1, a1, PREPROC_ATTR, params)
+            logits = cross_attention_forward(adaptor_forward(e1, params), a1, params)
+            want = ad.sigmoid(ad.const(logits)).value
+        assert np.array_equal(probs, want) and not probs.any()
 
     def test_sigmoid_bounds_strict(self):
         rng = np.random.default_rng(6)
@@ -309,11 +329,11 @@ class TestTrain:
             emb /= np.linalg.norm(emb)
             obs = np.abs(bits[ident] - (rng.random(32) < 0.05))
             data.append(TrainSample(emb, obs, ident, bits[ident]))
-        return data
+        return stack_samples(data)
 
     def test_empty_dataset(self):
-        with pytest.raises(ValueError):
-            train([], TrainConfig())
+        with pytest.raises(ValueError, match="empty dataset"):
+            train(empty_dataset(32), TrainConfig())
 
     def test_zero_step_flat_trace(self):
         data = self._dataset(60)
@@ -370,15 +390,20 @@ class TestTrain:
 def _accuracy_one_batch(params, dataset, strategy, attr_input):
     """The one-batch ``attribute_accuracy`` that the chunked one replaced,
     kept as its oracle; returns the accuracy and every row's probabilities."""
-    emb, obs, _, gts = fusion._dataset_arrays(dataset)
-    probs, _ = predict_attributes(emb, obs if attr_input == "obs" else None, strategy, params)
-    correct = (probs >= 0.5) == (gts >= 0.5)
+    obs = dataset.attr_obs if attr_input == "obs" else None
+    probs, _ = predict_attributes(dataset.embedding, obs, strategy, params)
+    correct = (probs >= 0.5) == (dataset.gt_attrs >= 0.5)
     return float(correct.mean(axis=0).mean()), probs
 
 
 def _random_crops(n, dim, seed):
     rng = np.random.default_rng(seed)
-    return [rand_sample(rng, dim) for _ in range(n)]
+    return stack_samples([rand_sample(rng, dim) for _ in range(n)])
+
+
+def _rows(data, lo, hi):
+    return TrainSample(data.embedding[lo:hi], data.attr_obs[lo:hi], data.identity[lo:hi],
+                       data.gt_attrs[lo:hi])
 
 
 class TestChunkedAccuracy:
@@ -400,13 +425,15 @@ class TestChunkedAccuracy:
         assert chunks[0][0] == 0 and chunks[-1][1] == n
         assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
         assert len(chunks) == -(-n // 256) and max(sizes) - min(sizes) <= 1
-        probs = np.concatenate([_accuracy_one_batch(params, data[lo:hi], strategy, attr_input)[1]
+        probs = np.concatenate([_accuracy_one_batch(params, _rows(data, lo, hi), strategy,
+                                                    attr_input)[1]
                                 for lo, hi in chunks])
         np.testing.assert_array_equal(probs, want_probs)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty dataset"):
-            attribute_accuracy(FusionParams.random(16, n_identities=3, n_tokens=4), [])
+            attribute_accuracy(FusionParams.random(16, n_identities=3, n_tokens=4),
+                               empty_dataset(16))
 
     def test_memory_does_not_grow_with_crops(self):
         params = FusionParams.random(64, n_identities=3, n_tokens=4, seed=1)
@@ -630,6 +657,16 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + tail)
         with pytest.raises(ValueError, match=f"corrupt fusion-head file {re.escape(str(path))}"
                                              ".*bytes after the last array"):
+            load_fusion_head(path)
+
+    def test_scale_scores_true_refused(self, tmp_path):
+        path = tmp_path / "head.bin"
+        save_fusion_head(path, FusionParams.random(8, n_identities=2, n_tokens=2, seed=1))
+        blob = path.read_bytes()
+        assert blob.count(b'"scale_scores": false') == 1
+        path.write_bytes(blob.replace(b'"scale_scores": false', b'"scale_scores": true'))
+        with pytest.raises(ValueError, match=f"corrupt fusion-head file {re.escape(str(path))}"
+                                             ".*scale_scores must be false"):
             load_fusion_head(path)
 
     def test_rejects_garbage(self, tmp_path):

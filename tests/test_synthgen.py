@@ -22,7 +22,7 @@ from attmot.synthgen import (
 from oracles import Row, attribute_distance, cosine_distance, occlusion_fraction, rows_of
 
 
-# The per-card observation model that the frame-at-a-time emission
+# The per-identity observation model that the frame-at-a-time emission
 # replaced, kept verbatim as its oracle.
 def perturb_embedding(latent, occ, config, rng):
     """Occlusion-scaled embedding noise: per-component sigma grows as
@@ -46,18 +46,19 @@ def flip_attributes(bits, occ, config, rng):
     return np.abs(bits - flips.astype(np.float64))
 
 
-def _emit_observation(card, occ, frame, config, rng):
-    """One observation as a ``(frame, box, confidence, embedding,
-    attributes)`` row, or None when its box is clipped away."""
-    l, t, w, h = card.trajectory[frame - 1]
+def _emit_observation(bundle, i, occ, frame, config, rng):
+    """One observation of the identity in row ``i`` as a ``(frame, box,
+    confidence, embedding, attributes)`` row, or None when its box is
+    clipped away."""
+    l, t, w, h = bundle.trajectories[frame - 1, i]
     if config.jitter_sigma > 0:
         l, t, w, h = np.array([l, t, w, h]) + rng.normal(0.0, config.jitter_sigma, 4)
     box = synthgen._clip_box(l, t, max(w, synthgen._MIN_BOX), max(h, synthgen._MIN_BOX),
                              config)
     if box is None:
         return None
-    emb, _ = perturb_embedding(card.latent, occ, config, rng)
-    attr = flip_attributes(card.attributes.values, occ, config, rng)
+    emb, _ = perturb_embedding(bundle.latents[i], occ, config, rng)
+    attr = flip_attributes(bundle.attributes[i], occ, config, rng)
     conf = float(np.clip(1.0 - 0.5 * occ + 0.05 * rng.standard_normal(), 0.05, 1.0))
     return frame, box, conf, emb, attr
 
@@ -66,12 +67,12 @@ def _observe_frame_loop(bundle, frame):
     config = bundle.config
     rng = synthgen._rng(config, synthgen._STREAM_OBSERVE, frame)
     out = []
-    for i, card in enumerate(bundle.cards):
+    for i in range(len(bundle.latents)):
         occ = float(bundle.occlusion[frame - 1, i])
         miss_p = min(1.0, config.miss_base + config.miss_occ_gain * occ)
         if rng.random() < miss_p:
             continue
-        det = _emit_observation(card, occ, frame, config, rng)
+        det = _emit_observation(bundle, i, occ, frame, config, rng)
         if det is not None:
             out.append(det)
     for _ in range(rng.poisson(config.fp_rate)):
@@ -95,8 +96,8 @@ def _crops_loop(bundles, n_samples, seed=0):
                                                         synthgen._STREAM_CROPS]))
     label_of = {}
     for b_idx, bundle in enumerate(bundles):
-        for card in bundle.cards:
-            label_of[(b_idx, card.identity)] = len(label_of)
+        for i in range(len(bundle.latents)):
+            label_of[(b_idx, i + 1)] = len(label_of)
     samples = []
     while len(samples) < n_samples:
         b_idx = int(rng.integers(len(bundles)))
@@ -104,13 +105,13 @@ def _crops_loop(bundles, n_samples, seed=0):
         cfg = bundle.config
         frame = int(rng.integers(1, cfg.n_frames + 1))
         i = int(rng.integers(cfg.n_identities))
-        card = bundle.cards[i]
-        det = _emit_observation(card, float(bundle.occlusion[frame - 1, i]), frame, cfg, rng)
+        det = _emit_observation(bundle, i, float(bundle.occlusion[frame - 1, i]), frame, cfg,
+                                rng)
         if det is None:
             continue
         samples.append(TrainSample(embedding=det[3], attr_obs=det[4],
-                                   identity=label_of[(b_idx, card.identity)],
-                                   gt_attrs=card.attributes.values.copy()))
+                                   identity=label_of[(b_idx, i + 1)],
+                                   gt_attrs=bundle.attributes[i].copy()))
     return samples
 
 
@@ -138,13 +139,18 @@ class TestConfigValidation:
             WorldConfig(prior=AttributePrior(body=(0.5, 0.5, 0.5))).validate()
 
 
+# A zero shared direction with spread 1 leaves each latent its own unit
+# draw, and takes the identity's randomness as any base does.
+def _identity(rng, prior, latent_dim):
+    return sample_identity(rng, prior, np.zeros(latent_dim), 1.0)
+
+
 class TestSampleIdentity:
     def test_degenerate_prior_forces_body(self):
         prior = AttributePrior(body=(1.0, 0.0, 0.0))
         rng = np.random.default_rng(0)
         for _ in range(50):
-            card = sample_identity(rng, prior, latent_dim=8)
-            bits = card.attributes.values
+            bits, _ = _identity(rng, prior, latent_dim=8)
             assert bits[1] == 1 and bits[2] == 0 and bits[3] == 0
 
     def test_monte_carlo_matches_prior(self):
@@ -154,7 +160,7 @@ class TestSampleIdentity:
         n = 10000
         counts = np.zeros(32)
         for _ in range(n):
-            counts += sample_identity(rng, prior, latent_dim=4).attributes.values
+            counts += _identity(rng, prior, latent_dim=4)[0]
         freq = counts / n
         np.testing.assert_allclose(freq[1:4], prior.body, atol=0.02)
         np.testing.assert_allclose(freq[4:7], prior.hair, atol=0.02)
@@ -163,14 +169,16 @@ class TestSampleIdentity:
 
     def test_same_seed_identical_card(self):
         prior = AttributePrior()
-        a = sample_identity(np.random.default_rng(11), prior, latent_dim=32)
-        b = sample_identity(np.random.default_rng(11), prior, latent_dim=32)
-        assert np.array_equal(a.attributes.values, b.attributes.values)
-        assert np.array_equal(a.latent, b.latent)
+        a = _identity(np.random.default_rng(11), prior, latent_dim=32)
+        b = _identity(np.random.default_rng(11), prior, latent_dim=32)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_latent_unit_norm(self):
-        card = sample_identity(np.random.default_rng(0), AttributePrior(), latent_dim=64)
-        assert np.linalg.norm(card.latent) == pytest.approx(1.0, abs=1e-12)
+        base = np.ones(64) / 8.0
+        for spread in (0.06, 1.0):
+            _, latent = sample_identity(np.random.default_rng(0), AttributePrior(), base, spread)
+            assert np.linalg.norm(latent) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSimulateSequence:
@@ -199,11 +207,8 @@ class TestSimulateSequence:
         cfg = small_config()
         a = simulate_sequence(cfg)
         b = simulate_sequence(cfg)
-        for ca, cb in zip(a.cards, b.cards):
-            assert np.array_equal(ca.trajectory, cb.trajectory)
-            assert np.array_equal(ca.latent, cb.latent)
-            assert ca.attributes == cb.attributes
-        assert np.array_equal(a.occlusion, b.occlusion)
+        for name in ("attributes", "latents", "trajectories", "occlusion"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
         for f in range(1, cfg.n_frames + 1):
             da = observe_frame(a, f)
             db = observe_frame(b, f)
@@ -229,15 +234,15 @@ class TestSimulateSequence:
 
     def test_gt_table_equals_per_row_loop(self):
         # the one-pass table holds exactly the rows of the loop over frames
-        # and cards that it replaced
+        # and identities that it replaced
         cfg = small_config(n_identities=5, n_frames=30)
         bundle = simulate_sequence(cfg)
         gt = bundle.gt_entries()
         assert isinstance(gt, MotTable)
         assert rows_of(gt) == [
-            Row(f, card.identity, BBox(*card.trajectory[f - 1]),
+            Row(f, i + 1, BBox(*bundle.trajectories[f - 1, i]),
                 1.0 - float(bundle.occlusion[f - 1, i]))
-            for f in range(1, cfg.n_frames + 1) for i, card in enumerate(bundle.cards)]
+            for f in range(1, cfg.n_frames + 1) for i in range(cfg.n_identities)]
 
 
 def _occlusion_loop(boxes):
@@ -300,13 +305,12 @@ class TestObserveFrame:
                            attr_flip_occ_gain=0.0, w_linear=1.0, w_crossing=0.0,
                            w_loiter=0.0)
         bundle = simulate_sequence(cfg)
-        card = bundle.cards[0]
         for f in (1, 10, 30):
             dets = observe_frame(bundle, f)
             assert len(dets) == 1 and dets.frame == f
-            assert dets.boxes[0].tolist() == card.trajectory[f - 1].tolist()
-            assert np.array_equal(dets.embeddings[0], card.latent)
-            assert np.array_equal(dets.attrs[0], card.attributes.values)
+            assert dets.boxes[0].tolist() == bundle.trajectories[f - 1, 0].tolist()
+            assert np.array_equal(dets.embeddings[0], bundle.latents[0])
+            assert np.array_equal(dets.attrs[0], bundle.attributes[0])
 
     def test_zero_flip_probability_preserves_attributes(self):
         cfg = small_config(attr_flip_base=0.0, attr_flip_occ_gain=0.0)
@@ -354,14 +358,14 @@ class TestObserveFrame:
         rng = np.random.default_rng(77)
         attr_ds, emb_ds = [], []
         for f in range(cfg.n_frames):
-            for i, card in enumerate(bundle.cards):
+            for i, (latent, bits) in enumerate(zip(bundle.latents, bundle.attributes)):
                 occ = float(bundle.occlusion[f, i])
                 if occ < 0.5:
                     continue
-                emb, _ = perturb_embedding(card.latent, occ, cfg, rng)
-                obs = flip_attributes(card.attributes.values, occ, cfg, rng)
-                attr_ds.append(attribute_distance(obs, card.attributes.values))
-                emb_ds.append(cosine_distance(emb, card.latent) / 2.0)
+                emb, _ = perturb_embedding(latent, occ, cfg, rng)
+                obs = flip_attributes(bits, occ, cfg, rng)
+                attr_ds.append(attribute_distance(obs, bits))
+                emb_ds.append(cosine_distance(emb, latent) / 2.0)
         assert len(attr_ds) > 20
         assert np.mean(attr_ds) < np.mean(emb_ds)
 
@@ -384,13 +388,16 @@ class TestBenchmarkAndCrops:
     def test_crop_sampling(self):
         bundles = generate_benchmark(small_config(n_identities=3), 2)
         crops = sample_training_crops(bundles, 200, seed=5)
-        assert len(crops) == 200
-        labels = {c.identity for c in crops}
-        assert labels <= set(range(6))
+        assert crops.embedding.shape == (200, 16) and crops.attr_obs.shape == (200, 32)
+        assert crops.identity.shape == (200,) and crops.identity.dtype == np.int64
+        assert crops.gt_attrs.shape == (200, 32)
+        assert set(crops.identity.tolist()) <= set(range(6))
+        # a crop's label is its identity's row in the bundles' concatenated arrays
+        attributes = np.concatenate([b.attributes for b in bundles])
+        assert np.array_equal(crops.gt_attrs, attributes[crops.identity])
         again = sample_training_crops(bundles, 200, seed=5)
-        for a, b in zip(crops, again):
-            assert a.identity == b.identity
-            assert np.array_equal(a.embedding, b.embedding)
+        for name in ("embedding", "attr_obs", "identity", "gt_attrs"):
+            assert np.array_equal(getattr(crops, name), getattr(again, name))
 
     def test_crop_sampling_empty(self):
         with pytest.raises(ValueError):
@@ -418,15 +425,10 @@ def _observation_world(draw):
         seed=draw(st.integers(0, 2 ** 32)))
 
 
-# every card drawn (no misses) in a small image with a large jitter
+# every identity drawn (no misses) in a small image with a large jitter
 _EDGE_WORLD = WorldConfig(n_identities=6, n_frames=4, image_width=160, image_height=140,
                           miss_base=0.0, miss_occ_gain=0.0, jitter_sigma=40.0,
                           fp_rate=3.0, latent_dim=8, embed_noise_sigma=0.0, seed=5)
-
-
-def _features_bytes(items):
-    return (np.array([x.embedding for x in items]).tobytes(),
-            np.array([x.attr_obs for x in items]).tobytes())
 
 
 def _row_bytes(rows, column):
@@ -434,7 +436,7 @@ def _row_bytes(rows, column):
 
 
 class TestEmissionOracle:
-    """The frame-at-a-time emission equals the per-card loop bit for bit."""
+    """The frame-at-a-time emission equals the per-identity loop bit for bit."""
 
     @given(_observation_world())
     @example(_EDGE_WORLD)
@@ -456,11 +458,14 @@ class TestEmissionOracle:
     def test_crops_equal_card_loop(self, config, n, n_bundles, seed):
         bundles = generate_benchmark(config, n_bundles)
         got, want = sample_training_crops(bundles, n, seed), _crops_loop(bundles, n, seed)
-        assert [c.identity for c in got] == [c.identity for c in want]
-        if want:
-            assert _features_bytes(got) == _features_bytes(want)
-            assert (np.array([c.gt_attrs for c in got]).tobytes()
-                    == np.array([c.gt_attrs for c in want]).tobytes())
+        assert got.identity.dtype == np.int64
+        assert got.identity.tolist() == [c.identity for c in want]
+        assert got.embedding.shape == (n, config.latent_dim)
+        for name in ("embedding", "attr_obs", "gt_attrs"):
+            column = getattr(got, name)
+            assert column.shape[0] == n
+            if want:
+                assert column.tobytes() == np.array([getattr(c, name) for c in want]).tobytes()
 
     def test_edge_world_clips_and_drops_boxes(self):
         # the oracle's explicit example covers both outcomes at the image edge
@@ -468,9 +473,9 @@ class TestEmissionOracle:
         clipped = dropped = 0
         for f in range(1, _EDGE_WORLD.n_frames + 1):
             rng = synthgen._rng(_EDGE_WORLD, synthgen._STREAM_OBSERVE, f)
-            for i, card in enumerate(bundle.cards):
+            for i in range(_EDGE_WORLD.n_identities):
                 rng.random()   # the miss draw, never a miss here
-                det = _emit_observation(card, float(bundle.occlusion[f - 1, i]), f,
+                det = _emit_observation(bundle, i, float(bundle.occlusion[f - 1, i]), f,
                                         _EDGE_WORLD, rng)
                 if det is None:
                     dropped += 1
