@@ -47,8 +47,7 @@ def _write_sequence(bundle, seq_dir: Path) -> None:
         # the writer streams a block at a time; leave no partial sidecar
         feats.unlink(missing_ok=True)
         raise
-    (seq_dir / "attrs.txt").write_text(
-        motio.write_attr_file(bundle.attribute_table()), encoding="ascii")
+    (seq_dir / "attrs.txt").write_text(motio.write_attr_file(bundle.attributes), encoding="ascii")
     (seq_dir / "meta.jsonl").write_text(
         "\n".join(synthgen.occlusion_metadata_lines(bundle)) + "\n", encoding="ascii")
 

@@ -297,10 +297,6 @@ def feature_row_error(embeddings: np.ndarray | None,
     return row, "attribute probabilities must lie in [0, 1]"
 
 
-def _attribute_width_error(shape) -> str:
-    return f"expected {N_ATTRIBUTES} attribute values, got shape {tuple(shape)}"
-
-
 def check_feature_rows(embeddings: np.ndarray | None, attrs: np.ndarray | None,
                        name_row) -> None:
     """Raise ``FeatureError`` for the first invalid row (``feature_row_error``);
@@ -310,59 +306,34 @@ def check_feature_rows(embeddings: np.ndarray | None, attrs: np.ndarray | None,
         raise FeatureError(f"{name_row(bad[0])}: {bad[1]}")
 
 
-def validate_binary_attributes(bits) -> np.ndarray:
-    """Validate a binary attribute vector against the group constraints.
+def binary_attribute_error(bits: np.ndarray) -> tuple[int, str] | None:
+    """First row of an ``(n, 32)`` ground-truth attribute table that breaks
+    the group rule, as ``(row, reason)``; None when every row holds it.
 
-    Body-shape and hair-length bits are one-hot; each color group is
-    multi-hot with at least one bit set.  Returns the validated array.
+    Every value is 0 or 1, the body-shape and hair-length bits are one-hot,
+    and each color group is multi-hot with at least one bit set.  The
+    reason is the first of these rules the row breaks.  A table that is
+    not ``(n, 32)`` raises ``ValueError``.
     """
     bits = np.asarray(bits, dtype=np.float64)
-    if bits.shape != (N_ATTRIBUTES,):
-        raise ValueError(f"expected {N_ATTRIBUTES} attribute bits, got shape {bits.shape}")
-    if not np.all((bits == 0.0) | (bits == 1.0)):
-        raise ValueError("binary attribute vector contains non-binary values")
-    if bits[BODY_SLICE].sum() != 1:
-        raise ValueError("body-shape bits must be one-hot")
-    if bits[HAIR_SLICE].sum() != 1:
-        raise ValueError("hair-length bits must be one-hot")
-    if bits[UPPER_COLOR_SLICE].sum() < 1:
-        raise ValueError("upper-color bits must have at least one bit set")
-    if bits[LOWER_COLOR_SLICE].sum() < 1:
-        raise ValueError("lower-color bits must have at least one bit set")
-    return bits
-
-
-def validate_prob_attributes(values) -> np.ndarray:
-    """Validate a probabilistic attribute vector (each entry in [0, 1])."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (N_ATTRIBUTES,):
-        raise ValueError(_attribute_width_error(values.shape))
-    if not np.all(np.isfinite(values)):
-        raise ValueError("attribute vector contains non-finite values")
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise ValueError("attribute probabilities must lie in [0, 1]")
-    return values
-
-
-@dataclass(frozen=True, eq=False)
-class AttributeVector:
-    """32-slot attribute vector, binary ground truth or unit-interval probs."""
-
-    values: np.ndarray
-    mode: str  # "binary" | "prob"
-
-    @classmethod
-    def binary(cls, bits) -> "AttributeVector":
-        return cls(validate_binary_attributes(bits), "binary")
-
-    @classmethod
-    def prob(cls, values) -> "AttributeVector":
-        return cls(validate_prob_attributes(values), "prob")
-
-    def __eq__(self, other):
-        if not isinstance(other, AttributeVector):
-            return NotImplemented
-        return self.mode == other.mode and np.array_equal(self.values, other.values)
+    if bits.ndim != 2 or bits.shape[1] != N_ATTRIBUTES:
+        raise ValueError(f"expected (n, {N_ATTRIBUTES}) attribute bits, got shape {bits.shape}")
+    rules = (
+        (~((bits == 0.0) | (bits == 1.0)).all(axis=1),
+         "binary attribute vector contains non-binary values"),
+        (bits[:, BODY_SLICE].sum(axis=1) != 1, "body-shape bits must be one-hot"),
+        (bits[:, HAIR_SLICE].sum(axis=1) != 1, "hair-length bits must be one-hot"),
+        (bits[:, UPPER_COLOR_SLICE].sum(axis=1) < 1,
+         "upper-color bits must have at least one bit set"),
+        (bits[:, LOWER_COLOR_SLICE].sum(axis=1) < 1,
+         "lower-color bits must have at least one bit set"),
+    )
+    broken = np.array([mask for mask, _ in rules])
+    bad = broken.any(axis=0)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, rules[int(np.argmax(broken[:, row]))][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,8 +377,8 @@ class Detections:
                 raise ValueError(f"frame {frame}: expected {n} rows of {name}, "
                                  f"got shape {table.shape}")
         if attrs is not None and attrs.shape[1] != N_ATTRIBUTES:
-            raise FeatureError(f"frame {frame}, detection 0: "
-                               + _attribute_width_error(attrs.shape[1:]))
+            raise FeatureError(f"frame {frame}, detection 0: expected {N_ATTRIBUTES} attribute "
+                               f"values, got shape {attrs.shape[1:]}")
         ok = (np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
               & (conf >= 0.0) & (conf <= 1.0))
         if not ok.all():

@@ -82,6 +82,15 @@ PARAM_FIELDS = (
 )
 
 
+def _token_dim(dim: int, n_tokens: int, n_identities: int) -> int:
+    """Token width of a head of positive shape whose token count divides ``dim``."""
+    if dim < 1 or n_tokens < 1 or n_identities < 1:
+        raise ValueError("dimensions must be positive")
+    if dim % n_tokens != 0:
+        raise ValueError(f"embedding dim {dim} not divisible by token count {n_tokens}")
+    return dim // n_tokens
+
+
 @dataclass
 class FusionParams:
     """All trainable tensors of the fusion head.
@@ -111,12 +120,8 @@ class FusionParams:
     id_head_b: np.ndarray
 
     def __post_init__(self):
-        d, t, k = self.dim, self.n_tokens, self.n_identities
-        if d < 1 or t < 1 or k < 1:
-            raise ValueError("dimensions must be positive")
-        if d % t != 0:
-            raise ValueError(f"embedding dim {d} not divisible by token count {t}")
-        dt = d // t
+        d, k = self.dim, self.n_identities
+        dt = _token_dim(d, self.n_tokens, k)
         expected = {
             "w1": (d, d), "b1": (d,), "w2": (d, d), "b2": (d,),
             "wq": (dt, dt), "wk": (dt, dt), "wv": (dt, dt),
@@ -148,9 +153,7 @@ class FusionParams:
         adaptor matters too: exact zeros sit in a ReLU dead zone that
         never receives gradient.
         """
-        if dim % n_tokens != 0:
-            raise ValueError(f"embedding dim {dim} not divisible by token count {n_tokens}")
-        dt = dim // n_tokens
+        dt = _token_dim(dim, n_tokens, n_identities)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 91]))
         sq = 1.0 / math.sqrt(dt)
         tok_norm = math.sqrt(dt / dim)
@@ -176,9 +179,7 @@ class FusionParams:
     def random(cls, dim: int, n_identities: int, n_tokens: int = 8,
                seed: int = 0) -> "FusionParams":
         """Fully random parameters (used by gradient checks)."""
-        if dim % n_tokens != 0:
-            raise ValueError(f"embedding dim {dim} not divisible by token count {n_tokens}")
-        dt = dim // n_tokens
+        dt = _token_dim(dim, n_tokens, n_identities)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
 
         def mat(*shape, fan):
@@ -221,14 +222,15 @@ class TrainConfig:
     attr_input: str = "obs"
 
     def __post_init__(self):
-        if self.step_size < 0:
-            raise ValueError("step size must be >= 0")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
-        if self.lambda_id < 0:
-            raise ValueError("lambda_id must be >= 0")
-        if self.iterations < 1 or self.batch_size < 1:
-            raise ValueError("iterations and batch size must be >= 1")
+        if not 0.0 <= self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size!r}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        if not 0.0 <= self.lambda_id < math.inf:
+            raise ValueError(f"lambda_id must be finite and >= 0, got {self.lambda_id!r}")
+        for name, least in (("iterations", 1), ("batch_size", 1), ("n_tokens", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.attr_input not in ("learned", "obs"):
             raise ValueError(f"unknown attr_input {self.attr_input!r}")
 

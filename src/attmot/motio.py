@@ -17,7 +17,9 @@ separators and integers beyond int64 are refused, as in the feature
 sidecar.
 
 The attribute sidecar holds one line per identity, ``id,b0,...,b31``, after
-a one-line header ``# attmot-attrs v1``.
+a one-line header ``# attmot-attrs v1``, and is read and written as an
+``(n, 32)`` table.  Its identities are read as MOT identities are, and
+must be >= 1 and appear once.
 
 The feature sidecar aligns with the detection file line-for-line (in
 frame order): ``frame,<embedding floats>,<32 attribute floats>`` after a
@@ -52,9 +54,9 @@ import numpy as np
 
 from .core import (
     N_ATTRIBUTES,
-    AttributeVector,
     Detections,
     MotTable,
+    binary_attribute_error,
     feature_row_error,
 )
 
@@ -113,6 +115,7 @@ def _fmt_coord(v: float) -> str:
 _MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("box", np.float64, (4,)),
                      ("conf", np.float64)])
 _INT64 = np.iinfo(np.int64)
+_ATTR_ROW = np.dtype([("id", np.int64), ("bits", np.float64, (N_ATTRIBUTES,))])
 _BOX_FIELDS = ("left", "top", "width", "height")
 
 
@@ -275,33 +278,46 @@ def parse_mot_file(source, kind: str):
 
 
 @_names_file
-def parse_attr_file(source) -> dict[int, AttributeVector]:
-    """Parse the attribute sidecar into identity -> binary AttributeVector."""
-    result: dict[int, AttributeVector] = {}
-    for lineno, raw in enumerate(_open_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) != 1 + N_ATTRIBUTES:
-            raise MotFormatError(
-                f"expected {1 + N_ATTRIBUTES} fields at line {lineno}, got {len(fields)}"
-            )
-        try:
-            ident = int(fields[0])
-            bits = [float(x) for x in fields[1:]]
-        except ValueError as exc:
-            raise MotFormatError(f"bad numeric field at line {lineno}: {exc}") from None
-        if ident in result:
-            raise MotFormatError(f"duplicate identity {ident} at line {lineno}")
-        try:
-            vec = AttributeVector.binary(bits)
-        except ValueError as exc:
-            raise MotFormatError(f"invalid attribute vector at line {lineno}: {exc}") from None
-        result[ident] = vec
-    return result
+def parse_attr_file(source) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the attribute sidecar into ``(ids (n,) int64, bits (n, 32))``
+    in file order.
+
+    An identity is read as a MOT identity is, must be >= 1 and may appear
+    once; the bits must pass ``core.binary_attribute_error``.  The first
+    bad line raises MotFormatError naming it.
+    """
+    linenos, rows, failure = [], [], None
+    try:
+        for lineno, raw in enumerate(_open_lines(source), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            n_fields = line.count(",") + 1
+            if n_fields != 1 + N_ATTRIBUTES:
+                raise MotFormatError(
+                    f"expected {1 + N_ATTRIBUTES} fields at line {lineno}, got {n_fields}")
+            try:
+                rows.append(_loadtxt([line], _ATTR_ROW, None)[0])
+            except ValueError as exc:
+                raise MotFormatError(f"bad numeric field at line {lineno}: {exc}") from None
+            linenos.append(lineno)
+    except MotFormatError as exc:
+        failure = exc   # a row before the failing line may break a rule first
+    table = np.array(rows, dtype=_ATTR_ROW)
+    ids, bits = np.ascontiguousarray(table["id"]), np.ascontiguousarray(table["bits"])
+    bad_id = np.ones(len(ids), dtype=bool)
+    bad_id[np.unique(ids, return_index=True)[1]] = False    # repeats
+    bad_id |= ids < 1
+    r, reason = binary_attribute_error(bits) or (len(ids), None)
+    if bad_id[:r + 1].any():
+        r = int(np.argmax(bad_id))
+        rule = "non-positive" if ids[r] < 1 else "duplicate"
+        raise MotFormatError(f"{rule} identity {ids[r]} at line {linenos[r]}")
+    if reason is not None:
+        raise MotFormatError(f"invalid attribute vector at line {linenos[r]}: {reason}")
+    if failure is not None:
+        raise failure
+    return ids, bits
 
 
 def write_mot_file(table: MotTable) -> str:
@@ -330,14 +346,17 @@ def write_det_file(frames: dict[int, Detections]) -> str:
     return buf.getvalue()
 
 
-def write_attr_file(attrs: dict[int, AttributeVector]) -> str:
-    """Serialize the identity -> attributes map as the sidecar format."""
-    buf = io.StringIO()
-    buf.write(ATTR_HEADER + "\n")
-    for ident in sorted(attrs):
-        bits = ",".join(str(int(b)) for b in attrs[ident].values)
-        buf.write(f"{ident},{bits}\n")
-    return buf.getvalue()
+def write_attr_file(attributes: np.ndarray) -> str:
+    """Serialize an ``(n, 32)`` ground-truth attribute table, identity
+    ``i + 1`` in row ``i``, as the sidecar format.  A row that breaks the
+    attribute rule (``core.binary_attribute_error``) raises ValueError
+    naming its identity."""
+    bad = binary_attribute_error(attributes)
+    if bad is not None:
+        raise ValueError(f"identity {bad[0] + 1}: {bad[1]}")
+    rows = np.asarray(attributes).astype(np.int64).tolist()
+    return ATTR_HEADER + "\n" + "".join(
+        f"{ident},{','.join(map(str, bits))}\n" for ident, bits in enumerate(rows, start=1))
 
 
 def write_feature_file(frames: dict[int, Detections], out: TextIO) -> None:

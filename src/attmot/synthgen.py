@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .core import (
     LOWER_COLOR_SLICE,
     N_ATTRIBUTES,
     UPPER_COLOR_SLICE,
-    AttributeVector,
     Detections,
     MotTable,
     TrainSample,
@@ -48,6 +47,14 @@ _STREAM_CROPS = 5
 
 _MIN_BOX = 2.0  # boxes thinner than this after clipping are dropped
 _LATENT_BLOCK = 256
+
+
+def _check_finite(config, prefix: str = "") -> None:
+    """Refuse a non-finite float field, or tuple entry, naming its key."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("float", "tuple") and not np.isfinite(value).all():
+            raise ValueError(f"{prefix}{f.name} must be finite, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,7 @@ class AttributePrior:
     p_extra_color: float = 0.15                 # chance of a second clothing color
 
     def validate(self) -> None:
+        _check_finite(self, "prior.")
         for name, probs, want in (("body", self.body, 3), ("hair", self.hair, 3),
                                   ("colors", self.colors, 9)):
             if len(probs) != want:
@@ -113,6 +121,7 @@ class WorldConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.n_identities < 1 or self.n_frames < 1:
             raise ValueError("n_identities and n_frames must be >= 1")
         if self.image_width < 64 or self.image_height < 64:
@@ -164,9 +173,6 @@ class SequenceBundle:
                         np.tile(np.arange(1, n_ids + 1), n_frames),
                         self.trajectories.reshape(-1, 4),
                         visibility=1.0 - self.occlusion.reshape(-1))
-
-    def attribute_table(self) -> dict[int, AttributeVector]:
-        return {i + 1: AttributeVector.binary(bits) for i, bits in enumerate(self.attributes)}
 
 
 def _rng(config: WorldConfig, *stream) -> np.random.Generator:

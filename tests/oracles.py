@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from attmot.core import N_ATTRIBUTES, AttributeVector, BBox, MotTable, intersection_area
+from attmot.core import (BODY_SLICE, HAIR_SLICE, LOWER_COLOR_SLICE, N_ATTRIBUTES,
+                         UPPER_COLOR_SLICE, BBox, MotTable, intersection_area)
 
 
 def occlusion_fraction(target: BBox, occluder: BBox) -> float:
@@ -36,11 +37,32 @@ def cosine_distance(u, v) -> float:
 
 def attribute_distance(p, q) -> float:
     """Mean absolute difference over the 32 attribute slots, in [0, 1]."""
-    p, q = (x.values if isinstance(x, AttributeVector) else np.asarray(x, dtype=np.float64)
-            for x in (p, q))
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if p.shape != (N_ATTRIBUTES,) or q.shape != (N_ATTRIBUTES,):
         raise ValueError(f"attribute length mismatch {p.shape} vs {q.shape}")
     return float(np.mean(np.abs(p - q)))
+
+
+def validate_binary_attributes(bits) -> np.ndarray:
+    """Validate a binary attribute vector against the group constraints.
+
+    Body-shape and hair-length bits are one-hot; each color group is
+    multi-hot with at least one bit set.  Returns the validated array.
+    """
+    bits = np.asarray(bits, dtype=np.float64)
+    if bits.shape != (N_ATTRIBUTES,):
+        raise ValueError(f"expected {N_ATTRIBUTES} attribute bits, got shape {bits.shape}")
+    if not np.all((bits == 0.0) | (bits == 1.0)):
+        raise ValueError("binary attribute vector contains non-binary values")
+    if bits[BODY_SLICE].sum() != 1:
+        raise ValueError("body-shape bits must be one-hot")
+    if bits[HAIR_SLICE].sum() != 1:
+        raise ValueError("hair-length bits must be one-hot")
+    if bits[UPPER_COLOR_SLICE].sum() < 1:
+        raise ValueError("upper-color bits must have at least one bit set")
+    if bits[LOWER_COLOR_SLICE].sum() < 1:
+        raise ValueError("lower-color bits must have at least one bit set")
+    return bits
 
 
 @dataclass(frozen=True)

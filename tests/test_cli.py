@@ -135,12 +135,17 @@ class TestGenerate:
         assert main(["generate", "-c", str(cfg), "-o", str(out2)]) == 0
         assert tree_digest(bench) == tree_digest(out2)
 
-    def test_invalid_config_fails_before_writing(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("attmot-config v1\nn_frames = 0\n")
-        out = tmp_path / "never"
-        assert main(["generate", "-c", str(cfg), "-o", str(out)]) == 1
-        assert not out.exists()
+    def test_invalid_config_fails_before_writing(self, tmp_path, capsys):
+        # each bad value is refused, naming its key, before anything is written
+        for line in ("n_frames = 0", "miss_occ_gain = nan", "jitter_sigma = nan",
+                     "attr_flip_occ_gain = nan", "fp_rate = nan", "w_crossing = nan",
+                     "latent_spread = inf", "prior.body = nan,0.5,0.5"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"attmot-config v1\nn_identities = 3\n{line}\n")
+            out = tmp_path / "never"
+            assert main(["generate", "-c", str(cfg), "-o", str(out)]) == 1, line
+            assert not out.exists(), line
+            assert line.split(" =")[0] in capsys.readouterr().err, line
 
     def test_refuses_directory_with_stale_sequences(self, tmp_path, capsys):
         # a 2-sequence benchmark written over a 3-sequence one would leave

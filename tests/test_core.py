@@ -9,20 +9,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment as scipy_assignment  # the oracle
 
-from oracles import attribute_distance, cosine_distance, occlusion_fraction
+from oracles import (attribute_distance, cosine_distance, occlusion_fraction,
+                     validate_binary_attributes)
 
 from attmot.core import (
-    AttributeVector,
     BBox,
     Detections,
     FeatureError,
     MotTable,
+    binary_attribute_error,
     feature_row_error,
     iou,
     linear_sum_assignment,
     pairwise_iou,
     unit_rows,
-    validate_binary_attributes,
 )
 
 
@@ -233,57 +233,90 @@ def _valid_bits():
     return bits
 
 
+def _reason(bits):
+    """The reason ``binary_attribute_error`` gives for one row, or None."""
+    bad = binary_attribute_error(np.asarray(bits)[None])
+    return None if bad is None else bad[1]
+
+
 class TestAttributeVectorValidation:
     def test_valid_accepted(self):
-        vec = AttributeVector.binary(_valid_bits())
-        assert vec.mode == "binary"
+        assert _reason(_valid_bits()) is None
+        assert binary_attribute_error(np.zeros((0, 32))) is None
 
     def test_multi_hot_colors_allowed(self):
         bits = _valid_bits()
         bits[15] = 1
         bits[24] = 1
-        AttributeVector.binary(bits)
+        assert _reason(bits) is None
 
     def test_body_one_hot_enforced(self):
         bits = _valid_bits()
         bits[2] = 1  # two body bits
-        with pytest.raises(ValueError, match="body"):
-            validate_binary_attributes(bits)
+        assert _reason(bits) == "body-shape bits must be one-hot"
         bits = _valid_bits()
         bits[1] = 0  # no body bit
-        with pytest.raises(ValueError, match="body"):
-            validate_binary_attributes(bits)
+        assert _reason(bits) == "body-shape bits must be one-hot"
 
     def test_hair_one_hot_enforced(self):
         bits = _valid_bits()
         bits[4] = 1
-        with pytest.raises(ValueError, match="hair"):
-            validate_binary_attributes(bits)
+        assert _reason(bits) == "hair-length bits must be one-hot"
 
     def test_color_group_needs_a_bit(self):
         bits = _valid_bits()
         bits[14] = 0
-        with pytest.raises(ValueError, match="upper-color"):
-            validate_binary_attributes(bits)
+        assert _reason(bits) == "upper-color bits must have at least one bit set"
         bits = _valid_bits()
         bits[23] = 0
-        with pytest.raises(ValueError, match="lower-color"):
-            validate_binary_attributes(bits)
+        assert _reason(bits) == "lower-color bits must have at least one bit set"
 
     def test_non_binary_rejected(self):
         bits = _valid_bits()
         bits[7] = 0.5
-        with pytest.raises(ValueError, match="non-binary"):
-            validate_binary_attributes(bits)
+        assert _reason(bits) == "binary attribute vector contains non-binary values"
+        # the first rule a row breaks is its reason, and the first bad row wins
+        bits[1] = 0
+        table = np.array([_valid_bits(), bits, np.zeros(32)])
+        assert binary_attribute_error(table) == (
+            1, "binary attribute vector contains non-binary values")
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            validate_binary_attributes(np.ones(31))
+        for shape in ((1, 31), (32,), (2, 33)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                binary_attribute_error(np.ones(shape))
 
     def test_prob_mode_bounds(self):
-        AttributeVector.prob(np.linspace(0, 1, 32))
-        with pytest.raises(ValueError):
-            AttributeVector.prob(np.full(32, 1.5))
+        # predicted and observed attributes are probabilities in [0, 1]
+        assert feature_row_error(None, np.linspace(0, 1, 32)[None]) is None
+        assert feature_row_error(None, np.full((1, 32), 1.5)) == (
+            0, "attribute probabilities must lie in [0, 1]")
+
+
+@st.composite
+def _attribute_tables(draw):
+    """(n, 32) tables of valid rows with up to two values each replaced,
+    mostly by 0 or 1 in a group, so that every rule is broken often."""
+    n = draw(st.integers(0, 5))
+    bits = np.tile(_valid_bits(), (n, 1))
+    index = st.one_of(st.integers(1, 6), st.sampled_from([14, 23]), st.integers(0, 31))
+    value = st.sampled_from([0.0, 1.0] * 3 + [0.5, 2.0, math.nan, math.inf])
+    for row in bits:
+        for _ in range(draw(st.integers(0, 2))):
+            row[draw(index)] = draw(value)
+    return bits
+
+
+@given(bits=_attribute_tables())
+def test_binary_attribute_error_matches_row_oracle(bits):
+    want = None
+    for row, vector in enumerate(bits):
+        try:
+            validate_binary_attributes(vector)
+        except ValueError as exc:
+            want = (row, str(exc))
+            break
+    assert binary_attribute_error(bits) == want
 
 
 class TestCarrierTypes:

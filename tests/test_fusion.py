@@ -90,6 +90,11 @@ class TestParams:
         with pytest.raises(ValueError):
             FusionParams.init(10, n_identities=2, n_tokens=4)  # 10 % 4 != 0
 
+    @pytest.mark.parametrize("make", [FusionParams.init, FusionParams.random])
+    def test_zero_tokens_refused(self, make):
+        with pytest.raises(ValueError, match="^dimensions must be positive$"):
+            make(8, n_identities=2, n_tokens=0)
+
     def test_inconsistent_array_rejected(self):
         p = FusionParams.init(8, n_identities=2, n_tokens=4)
         with pytest.raises(ValueError):
@@ -385,6 +390,17 @@ class TestTrain:
             TrainConfig(lambda_id=-0.5)
         with pytest.raises(ValueError):
             TrainConfig(attr_input="nope")
+
+    @pytest.mark.parametrize("setting,value,match", [
+        ("seed", -1, "seed must be >= 0"),
+        ("step_size", math.nan, "step_size must be finite"),
+        ("lambda_id", math.nan, "lambda_id must be finite"),
+        ("sigma", math.inf, "sigma must be finite"),
+        ("n_tokens", 0, "n_tokens must be >= 1"),
+    ])
+    def test_refuses_setting_train_cannot_use(self, setting, value, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            TrainConfig(**{setting: value})
 
 
 def _accuracy_one_batch(params, dataset, strategy, attr_input):

@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from attmot import motio
-from attmot.core import (N_ATTRIBUTES, AttributeVector, BBox, Detections, FeatureError, MotTable,
-                         validate_prob_attributes)
+from attmot import motio, synthgen
+from attmot.core import N_ATTRIBUTES, BBox, Detections, FeatureError, MotTable
 from attmot.motio import MotFormatError, parse_attr_file, parse_mot_file, write_mot_file
 from oracles import Row, by_frame_identity, mot, rows_of
 
@@ -122,7 +121,10 @@ def _parse_feature_loop(source, detections):
             # the array checks that the Detections table runs
             if not np.all(np.isfinite(emb)):
                 raise ValueError("embedding contains non-finite values")
-            validate_prob_attributes(attr)
+            if not np.all(np.isfinite(attr)):
+                raise ValueError("attribute vector contains non-finite values")
+            if attr.min() < 0.0 or attr.max() > 1.0:
+                raise ValueError("attribute probabilities must lie in [0, 1]")
             out.append((det_frame, box, conf, emb, attr))
         except ValueError as exc:
             raise MotFormatError(f"{exc} at line {lineno}") from None
@@ -253,24 +255,36 @@ def _bits(*on):
     return bits
 
 
+def _attr_line(ident, bits):
+    return f"{ident}," + ",".join(str(int(b)) for b in bits)
+
+
 class TestAttrFile:
     def test_valid(self):
-        vec = AttributeVector.binary(_bits(0))
-        text = motio.write_attr_file({7: vec})
-        parsed = parse_attr_file(text.encode())
-        assert parsed == {7: vec}
+        text = motio.write_attr_file(np.array([_bits(0), _bits()]))
+        assert text == "# attmot-attrs v1\n" + _attr_line(1, _bits(0)) + "\n" + _attr_line(
+            2, _bits()) + "\n"
+        ids, bits = parse_attr_file(text.encode())
+        assert ids.dtype == np.int64 and ids.tolist() == [1, 2]
+        assert np.array_equal(bits, [_bits(0), _bits()])
+        # file order, not identity order
+        ids, bits = parse_attr_file(
+            f"{_attr_line(9, _bits())}\n{_attr_line(4, _bits(0))}\n".encode())
+        assert ids.tolist() == [9, 4] and np.array_equal(bits, [_bits(), _bits(0)])
 
     def test_header_written(self):
-        text = motio.write_attr_file({})
-        assert text.startswith("# attmot-attrs v1")
+        text = motio.write_attr_file(np.zeros((0, N_ATTRIBUTES)))
+        assert text == "# attmot-attrs v1\n"
+        ids, bits = parse_attr_file(text.encode())
+        assert ids.shape == (0,) and bits.shape == (0, N_ATTRIBUTES)
 
     def test_wrong_field_count(self):
         with pytest.raises(MotFormatError, match="expected 33 fields"):
             parse_attr_file(b"7," + b",".join(b"0" for _ in range(31)) + b"\n")
 
     def test_duplicate_identity(self):
-        line = "7," + ",".join(str(int(b)) for b in _bits())
-        with pytest.raises(MotFormatError, match="duplicate identity 7"):
+        line = _attr_line(7, _bits())
+        with pytest.raises(MotFormatError, match="duplicate identity 7 at line 2"):
             parse_attr_file((line + "\n" + line + "\n").encode())
 
     def test_group_violation_located(self):
@@ -278,6 +292,46 @@ class TestAttrFile:
         line = "3," + ",".join(str(int(b)) for b in bad)
         with pytest.raises(MotFormatError, match="line 1"):
             parse_attr_file(line.encode())
+
+    @pytest.mark.parametrize("ident,reason", [
+        ("0", "non-positive identity 0"),
+        ("-5", "non-positive identity -5"),
+        ("1_0", "bad numeric field"),
+        ("99999999999999999999", "bad numeric field"),
+        ("1.0", "bad numeric field"),
+    ])
+    def test_identity_follows_mot_rule(self, ident, reason):
+        text = f"{_attr_line(1, _bits())}\n{ident},{_attr_line(0, _bits()).split(',', 1)[1]}\n"
+        with pytest.raises(MotFormatError, match=f"^{re.escape(reason)}.* at line 2"):
+            parse_attr_file(text.encode())
+
+    def test_first_bad_line_wins(self):
+        good, group = _attr_line(3, _bits()), _attr_line(4, np.zeros(32))
+        for text, match in [
+            (f"{group}\n0,1\n", "invalid attribute vector at line 1"),
+            (f"{good}\n0,1\n{group}\n", "expected 33 fields at line 2"),
+            (f"{good}\n{group}\n-1,{group[2:]}\n",
+             "invalid attribute vector at line 2: body-shape"),
+            # within a line the identity is checked before the bits
+            (f"{good}\n{_attr_line(3, np.zeros(32))}\n", "duplicate identity 3 at line 2"),
+            (f"{good}\n{_attr_line(0, np.zeros(32))}\n", "non-positive identity 0 at line 2"),
+        ]:
+            with pytest.raises(MotFormatError, match=f"^{match}"):
+                parse_attr_file(text.encode())
+
+    def test_writer_refuses_row_that_breaks_rule(self):
+        bits = np.array([_bits(), _bits(), _bits()])
+        bits[1, 7] = 0.5
+        with pytest.raises(ValueError, match="^identity 2: .*non-binary"):
+            motio.write_attr_file(bits)
+        with pytest.raises(ValueError, match=r"got shape \(32,\)"):
+            motio.write_attr_file(_bits())
+
+    def test_round_trip_generated_cast(self):
+        bundle = synthgen.simulate_sequence(synthgen.WorldConfig(n_identities=6, n_frames=2))
+        ids, bits = parse_attr_file(motio.write_attr_file(bundle.attributes).encode())
+        assert ids.tolist() == list(range(1, 7))
+        assert np.array_equal(bits, bundle.attributes)
 
 
 class TestRoundTrip:
@@ -816,7 +870,7 @@ def _mutated(draw, text):
 
 
 _FUZZ_DETS = _feature_dets(4, 3)
-_FUZZ_ATTRS = {3: AttributeVector.binary(_bits()), 5: AttributeVector.binary(_bits(0))}
+_FUZZ_ATTRS = np.array([_bits(), _bits(0)])
 _FUZZ_CASES = {
     "det": (motio.write_det_file(_FUZZ_DETS), lambda b: parse_mot_file(b, kind="det")),
     "gt": (write_mot_file(_gt_entries()), lambda b: parse_mot_file(b, kind="gt")),
@@ -844,4 +898,4 @@ def test_fuzz_parses_or_raises_format_error(kind, data):
         result = parse(mutated)
     except MotFormatError:
         return
-    assert isinstance(result, (MotTable, dict))
+    assert isinstance(result, (MotTable, dict, tuple))

@@ -1,5 +1,6 @@
 """Synthetic world generation: priors, trajectories, occlusion, observation."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,6 +130,7 @@ class TestConfigValidation:
         dict(n_identities=0), dict(n_frames=0), dict(miss_base=1.5),
         dict(embed_occ_gain=-1), dict(latent_spread=0.0),
         dict(w_linear=0, w_crossing=0, w_loiter=0),
+        dict(embed_noise_sigma=math.inf), dict(latent_spread=math.nan),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -493,10 +495,10 @@ class TestEmissionOracle:
 
     def test_non_finite_embedding_rejected_with_frame(self):
         # infinite embedding noise makes NaN rows, rejected by the one array
-        # check of the frame (or of the crops)
-        cfg = small_config(embed_noise_sigma=math.inf, embed_occ_gain=0.0, miss_base=0.0,
-                           miss_occ_gain=0.0)
-        bundle = simulate_sequence(cfg)
+        # check of the frame (or of the crops); a config holding it is refused,
+        # so it is swapped in after the world is simulated
+        cfg = small_config(embed_occ_gain=0.0, miss_base=0.0, miss_occ_gain=0.0)
+        bundle = replace(simulate_sequence(cfg), config=replace(cfg, embed_noise_sigma=math.inf))
         with np.errstate(all="ignore"), pytest.raises(
                 FeatureError, match=r"^frame 1, detection 0: embedding contains non-finite"):
             observe_frame(bundle, 1)
