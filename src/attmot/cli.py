@@ -91,7 +91,9 @@ def _load_benchmark_config(bench: Path):
 
 def _sequence_dirs(bench: Path, require: bool = True) -> list[Path]:
     """The sequence directories (those holding a ``det.txt``) of a
-    benchmark; ``require`` makes none a usage error."""
+    benchmark directory; ``require`` makes none a usage error."""
+    if not bench.is_dir():
+        raise CliError(f"benchmark {bench} is not a directory")
     dirs = sorted(p for p in bench.iterdir() if p.is_dir() and (p / "det.txt").is_file())
     if require and not dirs:
         raise CliError(f"no sequence directories under {bench}")

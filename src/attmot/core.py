@@ -249,9 +249,8 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n_r, dtype=np.int64), cols
 
 
-def unit_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of a 2-D array scaled to unit norm, written to ``out`` (which
-    may be ``x``) when given.
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of a 2-D array scaled to unit norm.
 
     Each row's norm is the square root of its own dot product, as
     ``np.linalg.norm`` computes the norm of one vector, so every row is
@@ -261,7 +260,22 @@ def unit_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
     if (norms == 0).any():
         raise ValueError("degenerate embedding")
-    return np.divide(x, norms[:, None], out=out)
+    return x / norms[:, None]
+
+
+def first_broken(rules) -> tuple[int, str] | None:
+    """``(row, reason)`` of the first row that breaks a rule, or None.
+
+    ``rules`` is a sequence of ``(mask, reason)`` pairs in the order a row is
+    checked, each mask one bool per row.  The reason is that of the first
+    rule the row breaks; a callable reason is called with the row.
+    """
+    broken = np.array([mask for mask, _ in rules])
+    if not broken.any():
+        return None
+    row = int(np.argmax(broken.any(axis=0)))
+    reason = rules[int(np.argmax(broken[:, row]))][1]
+    return row, reason(row) if callable(reason) else reason
 
 
 class FeatureError(ValueError):
@@ -284,17 +298,14 @@ def feature_row_error(embeddings: np.ndarray | None,
             and (attrs is None or (attrs.min(initial=0.0) >= 0.0
                                    and attrs.max(initial=1.0) <= 1.0))):
         return None
-    ok = True
+    rules = []
     if embeddings is not None:
-        ok = np.isfinite(embeddings).all(axis=1)
+        rules.append((~np.isfinite(embeddings).all(axis=1), "embedding contains non-finite values"))
     if attrs is not None:
-        ok = ok & ((attrs >= 0.0) & (attrs <= 1.0)).all(axis=1)
-    row = int(np.argmin(ok))
-    if embeddings is not None and not np.isfinite(embeddings[row]).all():
-        return row, "embedding contains non-finite values"
-    if not np.isfinite(attrs[row]).all():
-        return row, "attribute vector contains non-finite values"
-    return row, "attribute probabilities must lie in [0, 1]"
+        rules += [(~np.isfinite(attrs).all(axis=1), "attribute vector contains non-finite values"),
+                  (~((attrs >= 0.0) & (attrs <= 1.0)).all(axis=1),
+                   "attribute probabilities must lie in [0, 1]")]
+    return first_broken(rules)
 
 
 def check_feature_rows(embeddings: np.ndarray | None, attrs: np.ndarray | None,
@@ -328,12 +339,7 @@ def binary_attribute_error(bits: np.ndarray) -> tuple[int, str] | None:
         (bits[:, LOWER_COLOR_SLICE].sum(axis=1) < 1,
          "lower-color bits must have at least one bit set"),
     )
-    broken = np.array([mask for mask, _ in rules])
-    bad = broken.any(axis=0)
-    if not bad.any():
-        return None
-    row = int(np.argmax(bad))
-    return row, rules[int(np.argmax(broken[:, row]))][1]
+    return first_broken(rules)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,23 +23,22 @@ must be >= 1 and appear once.
 
 The feature sidecar aligns with the detection file line-for-line (in
 frame order): ``frame,<embedding floats>,<32 attribute floats>`` after a
-header ``# attmot-feats v1 dim=<d>``; the floats are written ``%.10g``.
-``write_feature_file`` streams it to an open text stream a block of whole
-frames at a time, so writing a sidecar holds one block, never the whole
-text.
+header ``# attmot-feats v1 dim=<d>``; the floats are written ``%.10g``
+and the frame is read as a MOT frame is.  ``write_feature_file`` streams
+it a block of whole frames at a time, never holding the whole text.
 
 When ``source`` is a path, parse errors name the file as well as the line.
 
 Ground truth and tracker results are read and written as one
 ``core.MotTable`` per file, and detections as ``{frame: core.Detections}``
-mappings.  ``parse_mot_file`` converts all rows in one ``np.loadtxt``
-pass and checks each row rule once, as one mask over the rows, so the
-first bad row names its line; only a file that fails to convert is read
-line by line, up to the row that fails.  The writers
-take only checked tables.  ``parse_feature_file`` checks the sidecar's
-embedding and attribute columns once, as one table, and names the first
-bad line: a non-finite embedding value, or attributes that are not 32
-values in [0, 1], are rejected.
+mappings; the writers take only checked tables.  The three parsers read
+alike: the numbered lines convert to one record array in one
+``np.loadtxt`` pass, and each row rule is one mask over the rows
+(``core.first_broken``).  A file that fails to convert is read line by
+line up to the row that fails, whose error counts only when no row
+before it breaks a rule, so each parser names the first bad line.  The
+feature sidecar refuses a non-finite embedding value, or attributes
+that are not 32 values in [0, 1].
 """
 from __future__ import annotations
 
@@ -58,6 +57,7 @@ from .core import (
     MotTable,
     binary_attribute_error,
     feature_row_error,
+    first_broken,
 )
 
 ATTR_HEADER = "# attmot-attrs v1"
@@ -119,9 +119,54 @@ _ATTR_ROW = np.dtype([("id", np.int64), ("bits", np.float64, (N_ATTRIBUTES,))])
 _BOX_FIELDS = ("left", "top", "width", "height")
 
 
-def _loadtxt(lines: list[str], dtype, usecols):
+def _loadtxt(lines: list[str], dtype, usecols=None):
     return np.loadtxt(lines, delimiter=",", dtype=dtype, usecols=usecols, comments=None,
                       ndmin=1)
+
+
+def _numbered_lines(source, comments: bool):
+    """``(lines, failure)``: the stripped non-blank ``(line number, text)``
+    lines of ``source``, without those starting with ``#`` when
+    ``comments``, up to the first non-ASCII line, whose MotFormatError is
+    ``failure`` (None when every line is ASCII)."""
+    lines = []
+    try:
+        for n, raw in enumerate(_open_lines(source), start=1):
+            line = raw.strip()
+            if line and not (comments and line.startswith("#")):
+                lines.append((n, line))
+    except MotFormatError as exc:
+        return lines, exc
+    return lines, None
+
+
+def _records(body: list[tuple[int, str]], dtype: np.dtype):
+    """``(rows, failure)``: the ``(line number, text)`` rows as one
+    ``dtype`` record array, converted in one ``np.loadtxt`` pass.
+
+    An int64 field refuses ``1.0`` as ``int()`` does, a float64 field
+    converts like ``float()``, bit for bit, and both refuse ``_`` digit
+    separators.  When the pass fails, one scan names the first line with
+    the wrong number of fields or a field that fails to convert in the
+    MotFormatError ``failure``, and ``rows`` holds the rows before it.
+    """
+    lines = [line for _, line in body]
+    try:
+        return _loadtxt(lines, dtype) if lines else np.zeros(0, dtype), None
+    except ValueError:
+        pass
+    width = sum(math.prod(dtype[name].shape) for name in dtype.names)
+    rows = [np.zeros(0, dtype)]
+    for lineno, line in body:
+        try:
+            if (n_fields := line.count(",") + 1) != width:
+                return np.concatenate(rows), MotFormatError(
+                    f"expected {width} fields at line {lineno}, got {n_fields}")
+            rows.append(_loadtxt([line], dtype))
+        except ValueError as exc:
+            return np.concatenate(rows), MotFormatError(
+                f"bad numeric field at line {lineno}: {exc}")
+    return np.concatenate(rows), None
 
 
 def _mot_columns(body: list[tuple[int, str]], kind: str):
@@ -226,12 +271,7 @@ def _broken_rule(rows: np.ndarray, vis: np.ndarray, kind: str) -> tuple[int, str
             (repeat, lambda r: f"duplicate identity {ids[r]} in frame {frames[r]}"),
             (~np.isfinite(vis), lambda r: f"non-finite visibility {vis[r].item()}"),
         ]
-    broken = np.array([mask for mask, _ in rules])
-    bad = broken.any(axis=0)
-    if not bad.any():
-        return None
-    r = int(np.argmax(bad))
-    return r, rules[int(np.argmax(broken[:, r]))][1](r)
+    return first_broken(rules)
 
 
 @_names_file
@@ -246,14 +286,7 @@ def parse_mot_file(source, kind: str):
     """
     if kind not in ("det", "gt"):
         raise ValueError(f"unknown kind {kind!r}")
-    body, failure = [], None
-    try:
-        for n, raw in enumerate(_open_lines(source), start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                body.append((n, line))
-    except MotFormatError as exc:
-        failure = exc   # a non-ASCII line: a row before it may fail first
+    body, failure = _numbered_lines(source, comments=True)  # rows before a non-ASCII one go first
     columns = _mot_columns(body, kind)
     if columns is None:
         rows, vis, unconverted = _scan_columns(body, kind)
@@ -262,8 +295,7 @@ def parse_mot_file(source, kind: str):
         rows, vis = columns
     broken = _broken_rule(rows, vis, kind)
     if broken is not None:
-        r, reason = broken
-        raise MotFormatError(f"{reason} at line {body[r][0]}")
+        raise MotFormatError(f"{broken[1]} at line {body[broken[0]][0]}")
     if failure is not None:
         raise failure
     frames, boxes = rows["frame"], np.ascontiguousarray(rows["box"])
@@ -286,37 +318,23 @@ def parse_attr_file(source) -> tuple[np.ndarray, np.ndarray]:
     once; the bits must pass ``core.binary_attribute_error``.  The first
     bad line raises MotFormatError naming it.
     """
-    linenos, rows, failure = [], [], None
-    try:
-        for lineno, raw in enumerate(_open_lines(source), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            n_fields = line.count(",") + 1
-            if n_fields != 1 + N_ATTRIBUTES:
-                raise MotFormatError(
-                    f"expected {1 + N_ATTRIBUTES} fields at line {lineno}, got {n_fields}")
-            try:
-                rows.append(_loadtxt([line], _ATTR_ROW, None)[0])
-            except ValueError as exc:
-                raise MotFormatError(f"bad numeric field at line {lineno}: {exc}") from None
-            linenos.append(lineno)
-    except MotFormatError as exc:
-        failure = exc   # a row before the failing line may break a rule first
-    table = np.array(rows, dtype=_ATTR_ROW)
+    body, unread = _numbered_lines(source, comments=True)
+    table, failure = _records(body, _ATTR_ROW)
     ids, bits = np.ascontiguousarray(table["id"]), np.ascontiguousarray(table["bits"])
-    bad_id = np.ones(len(ids), dtype=bool)
-    bad_id[np.unique(ids, return_index=True)[1]] = False    # repeats
-    bad_id |= ids < 1
-    r, reason = binary_attribute_error(bits) or (len(ids), None)
-    if bad_id[:r + 1].any():
-        r = int(np.argmax(bad_id))
-        rule = "non-positive" if ids[r] < 1 else "duplicate"
-        raise MotFormatError(f"{rule} identity {ids[r]} at line {linenos[r]}")
-    if reason is not None:
-        raise MotFormatError(f"invalid attribute vector at line {linenos[r]}: {reason}")
-    if failure is not None:
-        raise failure
+    repeat = np.ones(len(ids), dtype=bool)
+    repeat[np.unique(ids, return_index=True)[1]] = False
+    bad_row, reason = binary_attribute_error(bits) or (-1, None)
+    # a row before the line that fails to convert may break a rule first
+    broken = first_broken([
+        (ids < 1, lambda r: f"non-positive identity {ids[r]} at line {body[r][0]}"),
+        (repeat, lambda r: f"duplicate identity {ids[r]} at line {body[r][0]}"),
+        (np.arange(len(ids)) == bad_row,
+         lambda r: f"invalid attribute vector at line {body[r][0]}: {reason}"),
+    ])
+    if broken is not None:
+        raise MotFormatError(broken[1])
+    if failure or unread:
+        raise failure or unread
     return ids, bits
 
 
@@ -400,33 +418,6 @@ def write_feature_file(frames: dict[int, Detections], out: TextIO) -> None:
     out.write("".join(lines))
 
 
-def _parse_feature_table(body: list[tuple[int, str]], width: int) -> np.ndarray:
-    """Convert the sidecar rows to one ``(rows, width)`` float64 table.
-
-    ``np.loadtxt`` converts every field like ``float()`` (bit for bit) but
-    rejects ``_`` digit separators.  When it fails, or the width is wrong,
-    one scan over the rows names the first bad line.
-    """
-    if not body:
-        return np.empty((0, width))
-    try:
-        table = np.loadtxt([line for _, line in body], delimiter=",", dtype=np.float64,
-                           ndmin=2, comments=None)
-        if table.shape[1] == width:
-            return table
-    except ValueError:
-        pass
-    for lineno, line in body:
-        n_fields = line.count(",") + 1
-        if n_fields != width:
-            raise MotFormatError(f"expected {width} fields at line {lineno}, got {n_fields}")
-        try:
-            np.loadtxt([line], delimiter=",", dtype=np.float64, comments=None)
-        except ValueError as exc:
-            raise MotFormatError(f"bad numeric field at line {lineno}: {exc}") from None
-    raise MotFormatError("feature rows could not be converted")
-
-
 def _header_dim(lines: list[tuple[int, str]]) -> int:
     """Embedding dimension of a feature sidecar from its first non-blank
     ``(line number, text)``, if any."""
@@ -461,29 +452,29 @@ def parse_feature_file(source, detections: dict[int, Detections]) -> dict[int, D
     """
     batches = [detections[frame] for frame in sorted(detections)]
     n_rows = sum(map(len, batches))
-    lines = [(n, ln.strip()) for n, ln in enumerate(_open_lines(source), start=1)]
-    lines = [(n, ln) for n, ln in lines if ln]
+    lines, failure = _numbered_lines(source, comments=False)
+    if failure is not None:
+        raise failure   # the row count needs every line
     dim = _header_dim(lines[:1])
     body = lines[1:]
     if len(body) != n_rows:
         raise MotFormatError(f"feature file has {len(body)} rows for {n_rows} detections")
-    table = _parse_feature_table(body, 1 + dim + N_ATTRIBUTES)
-    emb = table[:, 1:1 + dim]
-    attrs = np.clip(table[:, 1 + dim:], 0.0, 1.0)
-    # A row's frame is checked before its arrays, so the first bad line wins.
-    bad_row, reason = feature_row_error(emb, attrs) or (n_rows, None)
-    want = (d.frame for d in batches for _ in range(len(d)))
-    for i, ((lineno, line), expected) in enumerate(zip(body, want)):
-        try:
-            # int() of the text, not of the float column, so "1.5" or "1.0" fails.
-            frame = int(line[:line.index(",")])
-            if frame != expected:
-                raise ValueError(f"feature row frame {frame} does not match detection"
-                                 f" frame {expected}")
-            if i == bad_row:
-                raise ValueError(reason)
-        except ValueError as exc:
-            raise MotFormatError(f"{exc} at line {lineno}") from None
+    rows, failure = _records(body, np.dtype([("frame", np.int64),
+                                             ("values", np.float64, (dim + N_ATTRIBUTES,))]))
+    frames, emb, attrs = rows["frame"], rows["values"][:, :dim], rows["values"][:, dim:]
+    want = np.repeat([d.frame for d in batches], [len(d) for d in batches])[:len(rows)]
+    # A row's frame is checked before its arrays, and the rows that convert
+    # before a conversion failure, so the first bad line wins.
+    bad_row, reason = feature_row_error(emb, attrs) or (-1, None)
+    broken = first_broken([
+        (frames != want, lambda r: f"feature row frame {frames[r]} does not match detection"
+                                   f" frame {want[r]}"),
+        (np.arange(len(rows)) == bad_row, reason),
+    ])
+    if broken is not None:
+        raise MotFormatError(f"{broken[1]} at line {body[broken[0]][0]}")
+    if failure is not None:
+        raise failure
     ends = np.cumsum([len(d) for d in batches]).tolist()
     return {d.frame: replace(d, embeddings=emb[hi - len(d):hi], attrs=attrs[hi - len(d):hi])
             for d, hi in zip(batches, ends)}

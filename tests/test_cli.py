@@ -369,6 +369,19 @@ class TestExitCodes:
         assert main(["generate", "-c", str(tmp_path / "nope.cfg"),
                      "-o", str(tmp_path / "x")]) == 1
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "world.cfg"
+        config.write_bytes(b"attmot-config v1\n# caf\xe9\n")
+        assert main(["generate", "-c", str(config), "-o", str(tmp_path / "x")]) == 1
+        assert f"cannot read config {config}: 'utf-8' codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["track", "--mode", "iou", "-b"],
+                                      ["eval", "--res", "r", "--gt"]])
+    def test_missing_benchmark_directory(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing"
+        assert main([*argv, str(missing), "-o", str(tmp_path / "x")]) == 1
+        assert f"benchmark {missing} is not a directory" in capsys.readouterr().err
+
     def test_runtime_failure_is_exit_2(self, bench, tmp_path):
         (bench / "seq-0000" / "det.txt").write_text("1,1,not,a,number,x,1\n")
         assert main(["track", "-b", str(bench), "--mode", "iou",

@@ -1,6 +1,7 @@
 """Value types, distance primitives and the assignment solver."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from attmot.core import (
     MotTable,
     binary_attribute_error,
     feature_row_error,
+    first_broken,
     iou,
     linear_sum_assignment,
     pairwise_iou,
@@ -413,6 +415,19 @@ class TestUnitRows:
             unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+class TestFirstBroken:
+    def test_first_row_then_first_rule(self):
+        rules = [(np.array([False, False, True]), "a"),
+                 (np.array([False, True, True]), lambda r: f"b{r}")]
+        assert first_broken(rules) == (1, "b1")
+        rules[0][0][1] = True
+        assert first_broken(rules) == (1, "a")
+
+    def test_no_broken_row(self):
+        assert first_broken([(np.zeros(3, dtype=bool), "a")]) is None
+        assert first_broken([(np.zeros(0, dtype=bool), "a")]) is None
+
+
 class TestFeatureRowError:
     def _rows(self, n=4, dim=3):
         return np.zeros((n, dim)), np.full((n, 32), 0.5)
@@ -476,3 +491,13 @@ class TestFeatureRowError:
             with pytest.raises(FeatureError,
                                match=f"^frame 3, detection {bad[0]}: {re.escape(bad[1])}$"):
                 _frame(n, **features)
+
+
+def test_only_third_party_deprecations_are_ignored():
+    # hypothesis imports libcst to suggest a patch for a failing example,
+    # and the deprecation that import raises must not hide the example
+    warnings.warn_explicit("deprecated", DeprecationWarning, "type_inference_provider.py", 19,
+                           module="libcst.metadata.type_inference_provider")
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("deprecated", DeprecationWarning, "core.py", 1,
+                               module="attmot.core")

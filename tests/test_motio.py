@@ -117,7 +117,7 @@ def _parse_feature_loop(source, detections):
                 raise ValueError(f"feature row frame {frame} does not match detection"
                                  f" frame {det_frame}")
             vals = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-            emb, attr = vals[:dim], np.clip(vals[dim:], 0.0, 1.0)
+            emb, attr = vals[:dim], vals[dim:]
             # the array checks that the Detections table runs
             if not np.all(np.isfinite(emb)):
                 raise ValueError("embedding contains non-finite values")
@@ -634,6 +634,33 @@ class TestFeatureSidecar:
         with pytest.raises(MotFormatError, match=f"at line {lineno}"):
             motio.parse_feature_file(("\n".join(lines) + "\n").encode(), dets)
 
+    def _edited(self, dets, edits):
+        """The sidecar text of ``dets`` with ``{(line, field): value}`` edits."""
+        lines = _feature_text(dets).splitlines()
+        for (lineno, field), value in edits.items():
+            fields = lines[lineno - 1].split(",")
+            fields[field] = value
+            lines[lineno - 1] = ",".join(fields)
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("edits,message", [
+        ({(3, 1): "nan", (5, 2): "abc"}, "embedding contains non-finite values at line 3"),
+        ({(2, 0): "2", (4, 2): "abc"},
+         "feature row frame 2 does not match detection frame 1 at line 2"),
+        ({(4, -1): "nan", (6, 0): "1.5"}, "attribute vector contains non-finite values at line 4"),
+        ({(3, 0): "1.5", (4, 1): "nan"}, "bad numeric field at line 3: "),
+        ({(5, 3): "abc"}, "bad numeric field at line 5: "),
+        # an attribute out of [0, 1] is refused, not clipped
+        ({(4, -3): "1.5"}, "attribute probabilities must lie in [0, 1] at line 4"),
+        ({(6, -1): "-0.25", (7, 1): "abc"}, "attribute probabilities must lie in [0, 1] at line 6"),
+        ({(2, -2): "1.0000000000000002"}, "attribute probabilities must lie in [0, 1] at line 2"),
+    ])
+    def test_first_bad_line_wins(self, edits, message):
+        # the rows that convert before a field that does not are checked first
+        dets = self._dets()
+        with pytest.raises(MotFormatError, match="^" + re.escape(message)):
+            motio.parse_feature_file(self._edited(dets, edits), dets)
+
     @pytest.mark.parametrize("value", [1.7976931346e308, -1.7976931348623157e308])
     def test_value_written_as_inf_names_row(self, value):
         dets = _with_value(self._dets(), 4, "embeddings", 1, value)
@@ -788,13 +815,16 @@ class TestBulkSidecarOracle:
     @settings(max_examples=100)
     def test_parser_equals_float_on_any_decimal(self, data, dim, n):
         # Fields in forms the writer never produces (17 digits, exponents,
-        # integers, signs, out-of-range attributes that clip) still convert
-        # exactly as float() does.
+        # integers, signs) still convert exactly as float() does, and an
+        # out-of-range attribute is refused for its line.
         finite = st.floats(allow_nan=False, allow_infinity=False)
         rows = []
         for i in range(n):
             vals = data.draw(st.lists(finite, min_size=dim, max_size=dim))
-            vals += data.draw(st.lists(st.floats(-0.5, 1.5), min_size=N_ATTRIBUTES,
+            # a row of 32 draws from [-0.5, 1.5] is almost never in range,
+            # so only some rows draw from there
+            lo, hi = data.draw(st.sampled_from([(0.0, 1.0), (-0.5, 1.5)]))
+            vals += data.draw(st.lists(st.floats(lo, hi), min_size=N_ATTRIBUTES,
                                        max_size=N_ATTRIBUTES))
             fmts = data.draw(st.lists(st.sampled_from(_FIELD_FORMATS),
                                       min_size=len(vals), max_size=len(vals)))
