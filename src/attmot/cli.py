@@ -29,6 +29,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _output(path: str | Path, directory: bool) -> Path:
+    """``path`` as an output directory or file.  A path that exists as the
+    other kind, or whose nearest existing ancestor is not a directory, is a
+    usage error, raised before the command does any work."""
+    out = Path(path)
+    if out.exists():
+        if directory and not out.is_dir():
+            raise CliError(f"output directory {out} exists and is not a directory")
+        if not directory and out.is_dir():
+            raise CliError(f"output file {out} is a directory")
+    else:
+        ancestor = next((a for a in out.parents if a.exists()), None)
+        if ancestor is not None and not ancestor.is_dir():
+            raise CliError(f"cannot create output {out}: {ancestor} is not a directory")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -72,8 +89,8 @@ def _write_benchmark(config, n_sequences: int, out: Path) -> None:
 
 
 def cmd_generate(config_path: str, out_dir: str) -> None:
+    out = _output(out_dir, directory=True)
     config, n_sequences = world_config_from_mapping(load_config(config_path))
-    out = Path(out_dir)
     _write_benchmark(config, n_sequences, out)
     print(f"wrote {n_sequences} sequence(s) to {out}")
 
@@ -161,6 +178,9 @@ def cmd_train(bench_dir: str, strategy_text: str, seed: int, out_path: str,
               trace_path: str | None = None) -> None:
     from . import fusion
 
+    for path in (out_path, trace_path):
+        if path:
+            _output(path, directory=False)
     strategy = _checked("--strategy", fusion.FusionStrategy.parse, strategy_text)
     config, n_sequences = _load_benchmark_config(Path(bench_dir))
     params, trace, crops, tc = _train_head(config, n_sequences, strategy, seed, n_crops,
@@ -209,6 +229,7 @@ def _check_head_dim(params_path: str, dim: int, seq_dirs: list[Path]) -> None:
 
 
 def cmd_track(bench_dir: str, config, params_path: str | None, out_dir: str) -> None:
+    out = _output(out_dir, directory=True)
     bench = Path(bench_dir)
     seq_dirs = _sequence_dirs(bench)
     fusion_params = None
@@ -221,7 +242,6 @@ def cmd_track(bench_dir: str, config, params_path: str | None, out_dir: str) -> 
             raise CliError(f"no fusion head file {params_path}")
         fusion_params = fusion.load_fusion_head(params_path)
         _check_head_dim(params_path, fusion_params[0].dim, seq_dirs)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seq_dir in seq_dirs:
         text = _track_sequence(_load_detections(seq_dir), config, fusion_params)
@@ -237,6 +257,7 @@ def cmd_track(bench_dir: str, config, params_path: str | None, out_dir: str) -> 
 def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None):
     from . import metrics
 
+    out = _output(out_csv, directory=False) if out_csv else None
     seq_dirs = _sequence_dirs(Path(gt_dir))
     res_files = [Path(res_dir) / f"{seq_dir.name}.txt" for seq_dir in seq_dirs]
     missing = [str(f) for f in res_files if not f.is_file()]
@@ -245,8 +266,8 @@ def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None):
     report = metrics.evaluate_sequences([
         (seq_dir.name, _load_gt(seq_dir), motio.parse_mot_file(res_file, kind="gt"))
         for seq_dir, res_file in zip(seq_dirs, res_files)])
-    if out_csv:
-        Path(out_csv).write_text(report.to_csv(), encoding="ascii")
+    if out:
+        out.write_text(report.to_csv(), encoding="ascii")
     print(report.to_table(), end="")
     return report
 
@@ -264,6 +285,8 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
     ``generate -> track -> eval`` on a temporary benchmark, loaded once."""
     from . import assoc, metrics
 
+    out = _output(out_dir, directory=True)
+    runs_dir = _output(out / "runs", directory=True)
     spec = load_config(spec_path)
     unknown = [key for key in spec if key not in ABLATE_KEYS]
     if unknown:
@@ -311,8 +334,6 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
         except ValueError as exc:
             raise CliError(f"variant {mode!r}: {exc}") from None
 
-    out = Path(out_dir)
-    runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
     fusion_params = None

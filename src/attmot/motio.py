@@ -23,9 +23,14 @@ must be >= 1 and appear once.
 
 The feature sidecar aligns with the detection file line-for-line (in
 frame order): ``frame,<embedding floats>,<32 attribute floats>`` after a
-header ``# attmot-feats v1 dim=<d>``; the floats are written ``%.10g``
-and the frame is read as a MOT frame is.  ``write_feature_file`` streams
-it a block of whole frames at a time, never holding the whole text.
+header ``# attmot-feats v1 dim=<d>``; the floats are written as ``'%.10g'
+% v`` writes them and the frame is read as a MOT frame is.
+``write_feature_file`` streams it a fixed number of rows at a time, never
+holding the whole text, and formats each block in array passes: ±0.0 and
+values in [1e-4, 1) (embedding components) are built from integer digits
+of an exactly scaled value that is provably not near a decimal tie, and
+every other value is formatted by ``%`` once per distinct value in the
+block and spliced into place.
 
 When ``source`` is a path, parse errors name the file as well as the line.
 
@@ -62,7 +67,7 @@ from .core import (
 
 ATTR_HEADER = "# attmot-attrs v1"
 FEAT_HEADER_PREFIX = "# attmot-feats v1 dim="
-_WRITE_BLOCK = 256  # feature rows, in whole frames, formatted and written at once
+_WRITE_BLOCK = 16  # feature rows formatted and written at once
 
 
 class MotFormatError(ValueError):
@@ -377,16 +382,168 @@ def write_attr_file(attributes: np.ndarray) -> str:
         f"{ident},{','.join(map(str, bits))}\n" for ident, bits in enumerate(rows, start=1))
 
 
+# A value's text fills one _SLOT-byte slot of five 4-byte words: the text
+# from byte 0, NUL padding, and "," (or "\n" ending a row) in the last
+# byte, so deleting the NULs of a block of slots leaves its rows' text.
+# A value built from digits takes its words from _words(): the sign, "0",
+# "." and the zeros after it (bytes 0-5, by sign and exponent), then its
+# 10 digits as 2 + 4 + 4 (bytes 6-15), each group NUL in place of trailing
+# zeros that no nonzero digit follows.
+_SLOT = 20
+_SCALE = np.array([float(10 ** k) for k in range(9, 15)])  # exact powers of ten
+# offsets in _words() of the second words, the digit groups and the tails
+_W1 = 2 * 6
+_W2 = _W1 + 6 * 2 * 100
+_TAIL = _W2 + 2 * 10000
+
+
+@functools.cache
+def _words() -> np.ndarray:
+    """The words values are built from, made on first use.  At ``j + 6 *
+    sign``: the first word of a value at decimal exponent ``-j`` (``j`` 5 is
+    ±0, which has no "."); at ``_W1 + 200 * j + 100 * strip + q``: the
+    second, ending in the first two digits ``q``; at ``_W2 + 10000 * strip
+    + g``: a 4-digit group ``g``; at ``_TAIL`` and ``_TAIL + 1``: the last
+    word of a value and of a row.  ``strip`` puts NULs in place of the
+    trailing zeros."""
+    def head(sign, j):  # bytes 0-5: the sign, "0", "." and the zeros after it
+        if not 1 <= j <= 4:
+            return ("-" if sign else "\0") + "0\0\0\0\0"
+        return (("-" if sign else "\0") + "0." + "0" * (j - 1)).ljust(6, "\0")
+
+    def digits(value, width, strip):
+        text = f"{value:0{width}d}"
+        return (text.rstrip("0") if strip else text).ljust(width, "\0")
+
+    first = [head(sign, j)[:4] for sign in (0, 1) for j in range(6)]
+    second = [head(0, j)[4:] + digits(q, 2, strip)
+              for j in range(6) for strip in (0, 1) for q in range(100)]
+    groups = [digits(g, 4, strip) for strip in (0, 1) for g in range(10000)]
+    words = "".join(first + second + groups + ["\0\0\0,", "\0\0\0\n"]).encode("ascii")
+    return np.frombuffer(words, dtype=np.uint32)
+
+
+class _FeatureBlock:
+    """Formats up to ``rows`` feature-sidecar rows of ``width - 1`` values,
+    each value as ``'%.10g' % v`` writes it, in array passes over work
+    arrays allocated once and reused for every block of a file.
+
+    ±0.0 and every value whose 10-digit rounding has decimal exponent -4 to
+    -1 (the magnitudes of unit-norm embeddings) are built from integer
+    digits.  Such a value is scaled by an exact power of ten ``10**(9 -
+    e)``, ``e`` the exponent estimate ``floor(log10|v|)``, so the scaled
+    value ``s`` carries one rounding error, below 1.2e-6, and its digits
+    are ``rint(s)`` only when ``|s - rint(s)| < 0.5 - 1e-4`` keeps ``s``
+    away from a decimal tie.  A ``rint(s)`` of 1e10 rounded up to the next
+    power of ten, so it is 1e9 at exponent ``e + 1``; an ``s`` below 1e9
+    or a ``rint(s)`` above 1e10 means the estimate is off.  Such a value,
+    like a value near a tie or of another magnitude (>= 1, < 1e-4,
+    subnormal, huge), is formatted with ``'%.10g' %`` once per distinct
+    value in the block and spliced into place.
+    """
+
+    def __init__(self, rows: int, width: int):
+        n = rows * width
+        self.width = width
+        self.values = np.zeros((rows, width))  # column 0 is the row's frame slot
+        self.buf = bytearray(n * _SLOT)
+        self.slots = np.frombuffer(self.buf, dtype=np.uint8).reshape(n, _SLOT)
+        self.mag, self.scaled, self.rounded, self.near = (np.empty(n) for _ in range(4))
+        self.exp, self.ints = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+        self.index = np.empty((n, _SLOT // 4), dtype=np.intp)  # into _words(), per word
+        self.index[:, -1] = _TAIL
+        self.index.reshape(rows, width, -1)[:, -1, -1] = _TAIL + 1
+        self.fast, self.flag = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+
+    def text(self, chunks: list[tuple[int, int, int]], first_row: int) -> str:
+        """The text of the block's rows ``0 .. chunks[-1][2]``, where each
+        ``(frame, lo, hi)`` chunk is rows ``lo .. hi`` of one frame, and
+        ``first_row`` numbers the block's first row in the file."""
+        width, n = self.width, chunks[-1][2] * self.width
+        v = self.values.reshape(-1)[:n]
+        mag, scaled, rounded, near, exp, ints, fast, flag = (
+            a[:n] for a in (self.mag, self.scaled, self.rounded, self.near, self.exp,
+                            self.ints, self.fast, self.flag))
+        index, slots = self.index[:n], self.slots[:n]
+
+        np.abs(v, out=mag)
+        # log10(0) is -inf, a huge value scales to inf and inf - inf is nan;
+        # no such value is built from digits
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.log10(mag, out=near)
+            np.floor(near, out=near)
+            np.negative(near, out=near)
+            np.clip(near, 0, 5, out=near)             # j = -e, clipped to the tables
+            np.copyto(exp, near, casting="unsafe")
+            np.take(_SCALE, exp, out=scaled, mode="clip")
+            np.multiply(mag, scaled, out=scaled)
+            np.rint(scaled, out=rounded)
+            np.subtract(scaled, rounded, out=near)
+        np.abs(near, out=near)
+        np.less(near, 0.5 - 1e-4, out=fast)
+        fast &= np.greater_equal(scaled, 1e9, out=flag)
+        fast &= np.less_equal(rounded, 1e10, out=flag)
+        np.equal(rounded, 1e10, out=flag)             # rounded up to the next power
+        exp -= flag
+        np.copyto(rounded, 1e9, where=flag)
+        fast &= np.greater_equal(exp, 1, out=flag)
+        fast &= np.less_equal(exp, 4, out=flag)
+        fast |= np.equal(mag, 0.0, out=flag)          # "0" or "-0", j = 5
+        slow = np.logical_not(fast, out=flag)
+        np.copyto(rounded, 0.0, where=slow)           # keep the integer cast defined
+
+        # the 10 digits as q, g1, g2 (2 + 4 + 4), by exact int64 division; g2
+        # drops its trailing zeros, g1 only when g2 is 0, q when both are
+        sign, q, g1, g2 = (index[:, k] for k in range(4))
+        np.copyto(ints, rounded, casting="unsafe")
+        np.floor_divide(ints, 10 ** 8, out=q)
+        ints -= np.multiply(q, 10 ** 8, out=g2)
+        np.floor_divide(ints, 10 ** 4, out=g1)
+        np.subtract(ints, np.multiply(g1, 10 ** 4, out=g2), out=g2)
+        g1 += np.multiply(np.equal(g2, 0, out=fast), 10000, out=ints)
+        g1 += _W2
+        g2 += _W2 + 10000
+        q += np.multiply(np.equal(g1, _W2 + 10000, out=fast), 100, out=ints)
+        q += np.multiply(exp, 200, out=ints)
+        q += _W1
+        np.add(np.multiply(np.signbit(v, out=fast), 6, out=sign), exp, out=sign)
+        np.take(_words(), index, out=slots.view(np.uint32), mode="clip")
+
+        slow[::width] = False                         # the frame slots
+        spliced = np.flatnonzero(slow)
+        if len(spliced):
+            distinct, which = np.unique(v[spliced], return_inverse=True)
+            texts = ["%.10g" % x for x in distinct.tolist()]
+            # %.10g rounds values near the float64 maximum up to
+            # 1.797693135e+308, which reads back as inf; only texts with an
+            # exponent of 10 or more hold a "+".
+            inf = [i for i, t in enumerate(texts) if "+" in t and math.isinf(float(t))]
+            if inf:
+                r = int(spliced[np.isin(which, inf)][0]) // width
+                frame = next(f for f, lo, hi in chunks if lo <= r < hi)
+                raise ValueError(f"feature row {first_row + r} (frame {frame}) has a value"
+                                 " that %.10g writes as inf")
+            table = np.array(texts, dtype=f"S{_SLOT - 1}").view(np.uint8)
+            slots[spliced, :-1] = table.reshape(len(texts), -1)[which]
+        for frame, lo, hi in chunks:
+            label = str(frame).encode().ljust(_SLOT - 1, b"\0")
+            slots.reshape(-1, width, _SLOT)[lo:hi, 0, :-1] = np.frombuffer(label, np.uint8)
+        data = self.buf if n == len(self.slots) else self.buf[:n * _SLOT]
+        return data.translate(None, b"\0").decode("ascii")
+
+
 def write_feature_file(frames: dict[int, Detections], out: TextIO) -> None:
     """Write the features of a ``{frame: Detections}`` mapping, aligned with
     the det file order, to the text stream ``out``.
 
-    The header goes out first, then the rows in blocks of whole frames of
-    at least ``_WRITE_BLOCK`` rows, so memory stays at one block's text
-    whatever the number of rows.  Rows are counted from 1 after the
-    header.  A value whose ``%.10g`` text reads back as inf raises
-    ValueError naming its row and frame; the blocks before it have been
-    written by then, so a caller writing a file removes it on error.
+    The header goes out first, then the rows in blocks of ``_WRITE_BLOCK``
+    rows (a frame may span blocks), each formatted in array passes by one
+    ``_FeatureBlock`` whose work arrays are allocated once, so memory stays
+    at one block whatever the number of rows.  Every value is written as
+    ``'%.10g' % v`` writes it.  Rows are counted from 1 after the header.
+    A value whose ``%.10g`` text reads back as inf raises ValueError naming
+    its row and frame; the blocks before it have been written by then, so a
+    caller writing a file removes it on error.
     """
     if any(len(d) and (d.embeddings is None or d.attrs is None) for d in frames.values()):
         raise ValueError("detection without features cannot be written to a feature file")
@@ -396,26 +553,21 @@ def write_feature_file(frames: dict[int, Detections], out: TextIO) -> None:
     dim = dims.pop() if dims else 0
 
     out.write(f"{FEAT_HEADER_PREFIX}{dim}\n")
-    row_fmt = ",".join(["%.10g"] * (dim + N_ATTRIBUTES)) + "\n"
-    lines, row = [], 0
-    for dets in (frames[frame] for frame in sorted(frames) if len(frames[frame])):
-        # Each row is formatted alone, since one .tolist() of many rows would
-        # hold every value as a Python float at once.
-        for values in np.hstack((dets.embeddings, dets.attrs)):
-            row += 1
-            text = row_fmt % tuple(values.tolist())
-            # %.10g rounds values near the float64 maximum up to
-            # 1.797693135e+308, which reads back as inf.  "+" only appears in
-            # exponents of 10 and up, so the precise check runs on rows with
-            # huge values only.
-            if "+" in text and math.inf in map(abs, map(float, text.split(","))):
-                raise ValueError(f"feature row {row} (frame {dets.frame}) has a value that"
-                                 " %.10g writes as inf")
-            lines.append(f"{dets.frame},{text}")
-        if len(lines) >= _WRITE_BLOCK:
-            out.write("".join(lines))
-            lines.clear()
-    out.write("".join(lines))
+    block = _FeatureBlock(_WRITE_BLOCK, 1 + dim + N_ATTRIBUTES)
+    values, chunks, filled, first_row = block.values, [], 0, 1
+    for dets in (frames[frame] for frame in sorted(frames)):
+        done = 0
+        while done < len(dets):
+            take = min(len(dets) - done, _WRITE_BLOCK - filled)
+            values[filled:filled + take, 1:1 + dim] = dets.embeddings[done:done + take]
+            values[filled:filled + take, 1 + dim:] = dets.attrs[done:done + take]
+            chunks.append((dets.frame, filled, filled + take))
+            filled, done = filled + take, done + take
+            if filled == _WRITE_BLOCK:
+                out.write(block.text(chunks, first_row))
+                chunks, filled, first_row = [], 0, first_row + filled
+    if chunks:
+        out.write(block.text(chunks, first_row))
 
 
 def _header_dim(lines: list[tuple[int, str]]) -> int:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attmot import synthgen
+from attmot import motio, synthgen
 from attmot.cli import main
 from attmot.configfile import (
     ConfigError,
@@ -166,9 +166,9 @@ class TestGenerate:
         assert tree_digest(out) == before
 
     def test_bad_feature_row_leaves_no_sidecar(self, tmp_path, monkeypatch, capsys):
-        # the sidecar is streamed in blocks of whole frames, so a row past the
-        # first block that cannot be written (one %.10g writes as inf) fails
-        # after a block has been written
+        # the sidecar is streamed in blocks of a fixed number of rows, so a
+        # row past the first block that cannot be written (one %.10g writes
+        # as inf) fails after a block has been written
         real = synthgen.observe_all_frames
 
         def poisoned(bundle):
@@ -381,6 +381,46 @@ class TestExitCodes:
         missing = tmp_path / "missing"
         assert main([*argv, str(missing), "-o", str(tmp_path / "x")]) == 1
         assert f"benchmark {missing} is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,out_kind,message", [
+        ("generate", "file", "output directory {out} exists and is not a directory"),
+        ("track", "file", "output directory {out} exists and is not a directory"),
+        ("ablate", "file", "output directory {out} exists and is not a directory"),
+        ("ablate", "runs file", "output directory {out}/runs exists and is not a directory"),
+        ("eval", "directory", "output file {out} is a directory"),
+        ("eval", "below a file", "cannot create output {out}: {parent} is not a directory"),
+        ("train", "directory", "output file {out} is a directory"),
+    ], ids=["generate", "track", "ablate", "ablate-runs", "eval", "eval-below-file", "train"])
+    def test_output_path_of_the_wrong_kind(self, bench, tmp_path, monkeypatch, capsys,
+                                           command, out_kind, message):
+        # a usage error naming the path, raised before any work and leaving
+        # every file as it was (an OSError and exit 2 once the work was done)
+        out = parent = tmp_path / "out"
+        if out_kind == "directory":
+            out.mkdir()
+        elif out_kind == "runs file":
+            out.mkdir()
+            (out / "runs").write_text("kept")
+        else:
+            out.write_text("kept")
+            if out_kind == "below a file":
+                out = parent / "report.csv"
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"attmot-config v1\nbenchmark = {bench}\nvariants = embed\nseeds = 3\n")
+        inputs = {"generate": ["-c", str(tmp_path / "world.cfg")], "track": ["-b", str(bench)],
+                  "ablate": ["-s", str(spec)], "eval": ["--gt", str(bench), "--res", str(bench)],
+                  "train": ["-b", str(bench)]}[command]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command began its work")
+
+        for module, name in ((synthgen, "iter_benchmark"), (synthgen, "generate_benchmark"),
+                             (motio, "parse_mot_file")):
+            monkeypatch.setattr(module, name, no_work)
+        before = tree_digest(tmp_path)
+        assert main([command, *inputs, "-o", str(out)]) == 1
+        assert f"error: {message.format(out=out, parent=parent)}" in capsys.readouterr().err
+        assert tree_digest(tmp_path) == before
 
     def test_runtime_failure_is_exit_2(self, bench, tmp_path):
         (bench / "seq-0000" / "det.txt").write_text("1,1,not,a,number,x,1\n")

@@ -4,10 +4,11 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -129,6 +130,21 @@ def _parse_feature_loop(source, detections):
         except ValueError as exc:
             raise MotFormatError(f"{exc} at line {lineno}") from None
     return _group(out)
+
+
+def _writer_peak(dets):
+    """tracemalloc's peak, in bytes, while ``write_feature_file`` writes
+    ``dets`` to a stream that keeps nothing."""
+    class Discard(io.TextIOBase):
+        def write(self, text):
+            return len(text)
+
+    tracemalloc.start()
+    try:
+        motio.write_feature_file(dets, Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _feature_dets(n=6, dim=8):
@@ -696,20 +712,19 @@ class TestFeatureSidecar:
             replace(dets[201], attrs=dets[201].attrs[:, :5])
 
     def test_writer_memory_does_not_grow_with_rows(self):
-        class Discard(io.TextIOBase):
-            def write(self, text):
-                return len(text)
-
-        def peak(dets):
-            tracemalloc.start()
-            try:
-                motio.write_feature_file(dets, Discard())
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         small, large = _feature_dets(1024, 16), _feature_dets(4096, 16)
-        assert peak(large) < 1.5 * peak(small)
+        assert _writer_peak(large) < 1.5 * _writer_peak(small)
+
+    def test_writer_peak_memory(self):
+        # a sidecar like a generated sequence's: 1,100 rows of unit-norm
+        # 512-d embeddings and 0/1 attributes, 4 rows a frame; the
+        # row-at-a-time writer this one replaced peaked at 3.90 MB on it
+        rng = np.random.default_rng(3)
+        emb = rng.normal(size=(1100, 512))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        attrs = rng.integers(0, 2, (1100, N_ATTRIBUTES)).astype(float)
+        dets = _group([(1 + i // 4, (1, 2, 3, 4), 0.5, emb[i], attrs[i]) for i in range(1100)])
+        assert _writer_peak(dets) <= 3_900_000
 
     def test_largest_finite_text_is_written(self):
         dets = _with_value(self._dets(1), 0, "embeddings", 0, 1.7976931344e308)
@@ -832,6 +847,103 @@ class TestBulkSidecarOracle:
         text = (f"{motio.FEAT_HEADER_PREFIX}{dim}\n" + "\n".join(rows) + "\n").encode()
         bare = _group([(1 + i, (1, 2, 3, 4), 0.5, None, None) for i in range(n)])
         _assert_parsers_agree(text, bare)
+
+
+def _block_texts(values):
+    """The block formatter's text for each value of the 2-D array
+    ``values``, one list per row."""
+    rows, width = values.shape
+    block = motio._FeatureBlock(rows, 1 + width)
+    block.values[:, 1:] = values
+    return [line.split(",")[1:] for line in block.text([(7, 0, rows)], 1).splitlines()]
+
+
+# Values j * 2**-n whose exact decimal expansion has 11 significant digits
+# ending in 5: each is a tie at the 10th digit.
+_TIES = np.array([j * 2.0 ** -n for n in range(1, 15) for j in range(1, 2 ** n, 2)
+                  if len(Decimal(j * 2.0 ** -n).as_tuple().digits) == 11])
+# Zeros, the smallest subnormal, 1e-4 and its neighbours, values whose 10
+# digits round up to the next power of ten, and the largest finite text.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+          9.9999999995e-5, -9.9999999995e-5, 0.99999999995, -0.99999999995,
+          9.99999999996e-5, 0.0999999999996, -0.00999999999997,
+          1.7976931344e308, -1.7976931344e308]
+
+
+class TestBlockFormatter:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_EDGES),
+                                         st.floats(allow_nan=False, allow_infinity=False))))
+    @example(np.array([_EDGES]))
+    @example(np.stack((_TIES, -_TIES)))
+    @example(np.array([[0.03, 1.0, -2e-5, 0.5, 0.0, 1e300, -0.12345678905, 5e-324]]))
+    @settings(max_examples=150)
+    def test_equals_percent_format(self, values):
+        # every finite double, subnormals included, reads as '%.10g' % v
+        # writes it, whichever path formats it
+        want = [["%.10g" % v for v in row] for row in values.tolist()]
+        if any(math.isinf(float(t)) for row in want for t in row):
+            with pytest.raises(ValueError, match=r"^feature row \d+ \(frame 7\) .* inf$"):
+                _block_texts(values)
+        else:
+            assert _block_texts(values) == want
+
+    @pytest.mark.parametrize("off", [-1.0, 1.0])
+    def test_digits_do_not_trust_the_exponent_estimate(self, monkeypatch, off):
+        # the digits are checked on the scaled value, not on the estimate:
+        # with every log10 a decade off, the text is still '%.10g' % v
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x, out: np.add(log10(x, out=out), off, out=out))
+        values = np.random.default_rng(4).normal(size=(3, 40)) / 20
+        assert _block_texts(values) == [["%.10g" % v for v in row] for row in values.tolist()]
+
+
+def _sized_dets(sizes, dim=8):
+    """``{frame: Detections}`` with ``sizes[i]`` rows in frame ``i + 1``;
+    embeddings of magnitudes from 1e-6 to 10 and 0/1 or uniform attributes,
+    so each row holds values of both formatting paths."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for frame, size in enumerate(sizes, start=1):
+        for _ in range(size):
+            emb = rng.normal(size=dim) * 10.0 ** rng.integers(-6, 2, dim)
+            attrs = rng.integers(0, 2, N_ATTRIBUTES) if frame % 2 else rng.uniform(0, 1, 32)
+            rows.append((frame, (1, 2, 3, 4), 0.5, emb, attrs.astype(float)))
+    return _group(rows)
+
+
+class TestWriterBlocks:
+    BLOCK = motio._WRITE_BLOCK
+    # frames of 3 rows cross block edges; frame 2 * BLOCK + 1 holds more
+    # rows than a block and frame 2 * BLOCK + 3 spans three blocks
+    SIZES = [3] * (2 * BLOCK) + [BLOCK + 1, 1, 2 * BLOCK + 3, 2]
+
+    def test_rows_span_blocks(self):
+        dets = _sized_dets(self.SIZES)
+        assert _feature_text(dets) == _write_feature_loop(dets)
+
+    def test_one_frame_larger_than_a_block(self):
+        dets = _sized_dets([5 * self.BLOCK // 2], dim=0)
+        assert _feature_text(dets) == _write_feature_loop(dets)
+
+    @pytest.mark.parametrize("where", ["first", "last", "middle", "final"])
+    def test_inf_names_row_and_frame_in_a_later_block(self, where):
+        dets = _sized_dets(self.SIZES)
+        n_rows = sum(self.SIZES)
+        row = {"first": 3 * self.BLOCK, "last": 4 * self.BLOCK - 1,
+               "middle": 6 * self.BLOCK + self.BLOCK // 2, "final": n_rows - 1}[where]
+        frame = _rows(dets)[row][0]
+        bad = _with_value(dets, row, "embeddings", 3, -1.7976931346e308)
+        if row + 2 < n_rows:  # a later bad row, in the same block or not
+            bad = _with_value(bad, row + 2, "embeddings", 0, 1.7976931346e308)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=rf"^feature row {row + 1} \(frame {frame}\) .* inf$"):
+            motio.write_feature_file(bad, buf)
+        # the blocks before the one holding the row have been written
+        written = buf.getvalue().splitlines(keepends=True)
+        assert len(written) == 1 + row // self.BLOCK * self.BLOCK
+        assert "".join(written) == "".join(
+            _write_feature_loop(dets).splitlines(keepends=True)[:len(written)])
 
 
 class TestErrorsNameFile:
