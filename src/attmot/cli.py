@@ -50,6 +50,9 @@ def _output(path: str | Path, directory: bool) -> Path:
 # generate
 # ---------------------------------------------------------------------------
 
+_SEQUENCE_FILES = ("gt.txt", "det.txt", "feats.csv", "attrs.txt", "meta.jsonl")
+
+
 def _write_sequence(bundle, seq_dir: Path) -> None:
     """Write one sequence's files; its observations live only for this call."""
     seq_dir.mkdir(exist_ok=True)
@@ -73,14 +76,20 @@ def _write_benchmark(config, n_sequences: int, out: Path) -> None:
     """Write a benchmark of ``n_sequences`` sequences to ``out``, each
     sequence as soon as it is simulated.  A directory that already holds a
     sequence this benchmark would not write is refused before anything is
-    written, since ``track`` and ``eval`` would read it as part of it."""
+    written, since ``track`` and ``eval`` would read it as part of it, and
+    so is a path to be written that exists as the wrong kind."""
+    names = [synthgen.sequence_name(s) for s in range(n_sequences)]
     if out.is_dir():
-        names = {synthgen.sequence_name(s) for s in range(n_sequences)}
         stale = [p.name for p in _sequence_dirs(out, require=False) if p.name not in names]
         if stale:
             raise CliError(f"{out} holds sequence directories ({', '.join(stale)}) that a "
                            f"{n_sequences}-sequence benchmark does not write; remove them "
                            "or choose another directory")
+    _output(out / "world.cfg", directory=False)
+    for name in names:
+        _output(out / name, directory=True)
+        for file in _SEQUENCE_FILES:
+            _output(out / name / file, directory=False)
     bundles = synthgen.iter_benchmark(config, n_sequences)
     out.mkdir(parents=True, exist_ok=True)
     (out / "world.cfg").write_text(dump_world_config(config, n_sequences), encoding="ascii")
@@ -232,6 +241,8 @@ def cmd_track(bench_dir: str, config, params_path: str | None, out_dir: str) -> 
     out = _output(out_dir, directory=True)
     bench = Path(bench_dir)
     seq_dirs = _sequence_dirs(bench)
+    for seq_dir in seq_dirs:
+        _output(out / f"{seq_dir.name}.txt", directory=False)
     fusion_params = None
     if config.attr_source == "fusion":
         from . import fusion
@@ -280,6 +291,18 @@ ABLATE_KEYS = ("benchmark", "variants", "seeds", "attr_source", "lambda_e", "lam
                "train_strategy", "train_seed", "train_crops")
 
 
+def _refuse_repeats(what: str, values: list) -> None:
+    """A value an ablate spec lists twice is a usage error naming it."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise CliError(f"repeated ablate {what}(s) " + ", ".join(map(repr, repeated)))
+
+
+def _run_csv(runs_dir: Path, mode: str, seed: int) -> Path:
+    """The per-seed metrics file of one variant."""
+    return runs_dir / f"{mode.replace('+', 'P')}_seed{seed}.csv"
+
+
 def cmd_ablate(spec_path: str, out_dir: str) -> None:
     """Median metrics of every variant over the seeds.  Each seed's run is
     ``generate -> track -> eval`` on a temporary benchmark, loaded once."""
@@ -301,15 +324,17 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
     variants = [str(v).strip() for v in variants_raw if str(v).strip()]
     if not variants:
         raise CliError("no variants")
-    repeated = sorted({v for v in variants if variants.count(v) > 1})
-    if repeated:
-        raise CliError("repeated ablate variant(s) " + ", ".join(map(repr, repeated)))
+    _refuse_repeats("variant", variants)
 
     def value(key, default, convert):
         return _checked(f"ablate spec key {key}", convert, spec.get(key, default))
 
     seeds = value("seeds", 0,
                   lambda v: [strict_int(s) for s in (v if isinstance(v, tuple) else (v,))])
+    _refuse_repeats("seed", seeds)
+    for path in (out / "report.csv", out / "report.txt",
+                 *(_run_csv(runs_dir, mode, seed) for mode in variants for seed in seeds)):
+        _output(path, directory=False)
     attr_source = str(spec.get("attr_source", "obs"))
     lambda_e = value("lambda_e", 1.0, strict_float)
     lambda_a = value("lambda_a", 1.0, strict_float)
@@ -353,8 +378,7 @@ def cmd_ablate(spec_path: str, out_dir: str) -> None:
                 (name, gt, motio.parse_mot_file(
                     _track_sequence(frames, acfg, fusion_params).encode("ascii"), kind="gt"))
                 for name, frames, gt in sequences])
-            (runs_dir / f"{mode.replace('+', 'P')}_seed{seed}.csv").write_text(
-                report.to_csv(), encoding="ascii")
+            _run_csv(runs_dir, mode, seed).write_text(report.to_csv(), encoding="ascii")
             a = report.aggregate()
             rows_by_variant[mode].append((*a.row(), a.hota.deta))
 

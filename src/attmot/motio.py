@@ -11,42 +11,42 @@ column is the MOTChallenge active flag (0 means the entry is an ignore
 region).  Rows of 7 to 10 fields may be mixed; a nine-field ground-truth
 row in the MOT17 convention (``...,conf,class,visibility``) carries its
 visibility, and every other row has visibility 1.0.  Fields past the
-seventh are not read otherwise.  Frame and id are read as ``int()`` reads
-them and the other fields as ``float()`` does, except that ``_`` digit
-separators and integers beyond int64 are refused, as in the feature
-sidecar.
+seventh are not read otherwise.
 
 The attribute sidecar holds one line per identity, ``id,b0,...,b31``, after
 a one-line header ``# attmot-attrs v1``, and is read and written as an
-``(n, 32)`` table.  Its identities are read as MOT identities are, and
-must be >= 1 and appear once.
+``(n, 32)`` table.  Its identities must be >= 1 and appear once.
 
 The feature sidecar aligns with the detection file line-for-line (in
 frame order): ``frame,<embedding floats>,<32 attribute floats>`` after a
 header ``# attmot-feats v1 dim=<d>``; the floats are written as ``'%.10g'
-% v`` writes them and the frame is read as a MOT frame is.
-``write_feature_file`` streams it a fixed number of rows at a time, never
-holding the whole text, and formats each block in array passes: ±0.0 and
-values in [1e-4, 1) (embedding components) are built from integer digits
-of an exactly scaled value that is provably not near a decimal tie, and
-every other value is formatted by ``%`` once per distinct value in the
-block and spliced into place.
-
-When ``source`` is a path, parse errors name the file as well as the line.
+% v`` writes them.  ``write_feature_file`` streams it a fixed number of
+rows at a time, never holding the whole text, and formats each block in
+array passes: ±0.0 and values in [1e-4, 1) (embedding components) are
+built from integer digits of an exactly scaled value that is provably not
+near a decimal tie, and every other value is formatted by ``%`` once per
+distinct value in the block and spliced into place.
 
 Ground truth and tracker results are read and written as one
 ``core.MotTable`` per file, and detections as ``{frame: core.Detections}``
-mappings; the writers take only checked tables.  The three parsers read
-alike: the numbered lines convert to one record array in one
-``np.loadtxt`` pass, and each row rule is one mask over the rows
-(``core.first_broken``).  A file that fails to convert is read line by
-line up to the row that fails, whose error counts only when no row
-before it breaks a rule, so each parser names the first bad line.  The
-feature sidecar refuses a non-finite embedding value, or attributes
-that are not 32 values in [0, 1].
+mappings; the writers take only checked tables.  Every format is read by
+one conversion (``_records``): frames and identities as ``int()`` reads
+them, every other field as ``float()`` does, except that ``_`` digit
+separators and integers beyond int64 are refused.  The numbered lines
+convert in one ``np.loadtxt`` pass and each row rule is one mask over the
+rows (``core.first_broken``).  A file that fails to convert is scanned
+once for its first bad line, whose error (``int()``'s or ``float()``'s
+own message, a field count, or ``bad numeric field`` for a field only the
+strict conversion refuses) counts only when no row before it breaks a
+rule, so each parser names the first bad line.  The feature sidecar's
+``dim=`` is checked against the rows' field counts before it sizes any
+memory, and its rows refuse a non-finite embedding value, or attributes
+that are not 32 values in [0, 1].  When ``source`` is a path, parse errors
+name the file as well as the line.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
@@ -80,16 +80,13 @@ def _open_lines(source) -> Iterable[str]:
     byte or character raises MotFormatError naming the line."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
-            yield from _ascii_lines(fh)
-    elif isinstance(source, bytes):
-        yield from _ascii_lines(io.StringIO(source.decode("ascii", errors="surrogateescape")))
-    else:  # file-like
-        yield from _ascii_lines(line.decode("ascii", errors="surrogateescape")
-                                if isinstance(line, bytes) else line for line in source)
-
-
-def _ascii_lines(lines: Iterable[str]) -> Iterable[str]:
-    for lineno, line in enumerate(lines, start=1):
+            yield from _open_lines(fh)
+        return
+    if isinstance(source, bytes):
+        source = io.StringIO(source.decode("ascii", errors="surrogateescape"))
+    for lineno, line in enumerate(source, start=1):
+        if isinstance(line, bytes):
+            line = line.decode("ascii", errors="surrogateescape")
         if not line.isascii():
             raise MotFormatError(f"non-ASCII character at line {lineno}")
         yield line
@@ -119,7 +116,8 @@ def _fmt_coord(v: float) -> str:
 # The first seven MOT columns of a row, as one record of the conversion.
 _MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("box", np.float64, (4,)),
                      ("conf", np.float64)])
-_INT64 = np.iinfo(np.int64)
+_VISIBILITY = np.dtype([("visibility", np.float64)])
+_FRAME = np.dtype([("frame", np.int64)])
 _ATTR_ROW = np.dtype([("id", np.int64), ("bits", np.float64, (N_ATTRIBUTES,))])
 _BOX_FIELDS = ("left", "top", "width", "height")
 
@@ -145,106 +143,58 @@ def _numbered_lines(source, comments: bool):
     return lines, None
 
 
-def _records(body: list[tuple[int, str]], dtype: np.dtype):
-    """``(rows, failure)``: the ``(line number, text)`` rows as one
-    ``dtype`` record array, converted in one ``np.loadtxt`` pass.
+def _records(body: list[tuple[int, str]], dtype: np.dtype, fields=None, usecols=None):
+    """``(rows, stop)``: the ``(line number, text)`` rows of ``body``, of
+    ``fields`` ``(fewest, most)`` fields each (by default the record's
+    width), as one ``dtype`` record array of their first columns (or of
+    ``usecols``), converted in one ``np.loadtxt`` pass: an int64 field as
+    ``int()`` reads it, a float64 field as ``float()`` does, bit for bit.
 
-    An int64 field refuses ``1.0`` as ``int()`` does, a float64 field
-    converts like ``float()``, bit for bit, and both refuse ``_`` digit
-    separators.  When the pass fails, one scan names the first line with
-    the wrong number of fields or a field that fails to convert in the
-    MotFormatError ``failure``, and ``rows`` holds the rows before it.
+    When a row has the wrong number of fields or the pass fails, one scan
+    finds the first bad row; ``stop`` is its ``(index, MotFormatError)``
+    (None when every row converts), naming its line: ``expected N
+    fields``, ``int()``'s or ``float()``'s own message, or ``bad numeric
+    field`` for a field they read but the strict conversion refuses (a
+    ``_`` separator, an integer beyond int64).  ``rows`` holds the rows
+    before the bad one, and in that last case the bad row too, as they
+    read it (unless an integer does not fit), for the caller's rules.
     """
+    if not body:
+        return np.zeros(0, dtype), None
+    convert = [int if dtype[name].base.kind == "i" else float
+               for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
+    fewest, most = fields or (len(convert), len(convert))
     lines = [line for _, line in body]
-    try:
-        return _loadtxt(lines, dtype) if lines else np.zeros(0, dtype), None
-    except ValueError:
-        pass
-    width = sum(math.prod(dtype[name].shape) for name in dtype.names)
+    # without usecols, np.loadtxt refuses a row of any width but the record's
+    counts = [line.count(",") + 1 for line in lines] if usecols else [len(convert)]
+    if fewest <= min(counts) and max(counts) <= most:
+        with contextlib.suppress(ValueError):
+            return _loadtxt(lines, dtype, usecols), None
     rows = [np.zeros(0, dtype)]
-    for lineno, line in body:
+    for index, (lineno, line) in enumerate(body):
+        if not fewest <= (count := line.count(",") + 1) <= most:
+            expected = fewest if fewest == most else f"{fewest}-{most}"
+            error = f"expected {expected} fields at line {lineno}, got {count}"
+            break
         try:
-            if (n_fields := line.count(",") + 1) != width:
-                return np.concatenate(rows), MotFormatError(
-                    f"expected {width} fields at line {lineno}, got {n_fields}")
-            rows.append(_loadtxt([line], dtype))
+            rows.append(_loadtxt([line], dtype, usecols))
+            continue
         except ValueError as exc:
-            return np.concatenate(rows), MotFormatError(
-                f"bad numeric field at line {lineno}: {exc}")
-    return np.concatenate(rows), None
-
-
-def _mot_columns(body: list[tuple[int, str]], kind: str):
-    """``(rows, visibility)`` of the MOT rows in file order, converted in
-    one ``np.loadtxt`` pass, or None when a row has the wrong number of
-    fields or fails to convert.
-
-    ``rows`` is a ``_MOT_ROW`` record array.  Frame and identity convert
-    as int64, which refuses ``1.0`` as ``int()`` does; the other fields
-    convert like ``float()``, bit for bit.  Both refuse ``_`` digit
-    separators.  Fields past the seventh are not read, except the
-    visibility of a nine-field ``"gt"`` row; every other row has
-    visibility 1.0.
-    """
-    lines = [line for _, line in body]
-    widths = np.array([line.count(",") for line in lines], dtype=np.int64) + 1
-    if len(lines) and not (7 <= widths.min() and widths.max() <= 10):
-        return None
-    try:
-        rows = _loadtxt(lines, _MOT_ROW, range(7)) if lines else np.zeros(0, _MOT_ROW)
-        vis = np.ones(len(lines))
-        nine = np.flatnonzero(widths == 9) if kind == "gt" else []
-        if len(nine):
-            vis[nine] = _loadtxt([lines[i] for i in nine.tolist()], np.float64, 8)
-    except ValueError:
-        return None
-    return rows, vis
-
-
-def _scan_columns(body: list[tuple[int, str]], kind: str):
-    """``(rows, visibility, error)`` for a file that ``_mot_columns``
-    refuses: the rows read one at a time, as ``int()`` and ``float()``
-    read them, up to the first that fails to convert, and the error naming
-    that row's line (None if every row converts).
-
-    A row whose first seven fields ``int()`` and ``float()`` read is kept
-    when only its visibility fails to convert or only ``np.loadtxt``
-    refuses it (a ``_`` digit separator), so that its rules are checked
-    before that error counts.  An integer beyond int64 fails at once.
-    """
-    rows, vis = [], []
-
-    def stop(error):
-        return np.array(rows, dtype=_MOT_ROW), np.array(vis, dtype=np.float64), error
-
-    for lineno, line in body:
-        fields = line.split(",")
-        if not 7 <= len(fields) <= 10:
-            return stop(MotFormatError(f"expected 7-10 fields at line {lineno}, got {len(fields)}"))
+            error = f"bad numeric field at line {lineno}: {exc}"
+        texts = line.split(",")
         try:
-            frame, ident = int(fields[0]), int(fields[1])
-            box, conf = [float(x) for x in fields[2:6]], float(fields[6])
+            values = [conv(texts[c]) for conv, c in zip(convert, usecols or range(len(convert)))]
         except ValueError as exc:
-            return stop(MotFormatError(f"{exc} at line {lineno}"))
-        nine = kind == "gt" and len(fields) == 9
-        try:
-            _loadtxt([line], _MOT_ROW, range(7))
-            if nine:
-                _loadtxt([line], np.float64, 8)
-            strict = None
-        except ValueError as exc:
-            strict = MotFormatError(f"bad numeric field at line {lineno}: {exc}")
-        if not all(_INT64.min <= v <= _INT64.max for v in (frame, ident)):
-            return stop(strict)
-        rows.append((frame, ident, box, conf))
-        try:
-            vis.append(float(fields[8]) if nine else 1.0)
-        except ValueError as exc:
-            vis.append(1.0)
-            return stop(MotFormatError(f"{exc} at line {lineno}"))
-        if strict:
-            return stop(strict)
-    return stop(None)
+            error = f"{exc} at line {lineno}"
+            break
+        # the row as int() and float() read it: repr() round-trips every
+        # value, and an integer beyond int64 still fails
+        with contextlib.suppress(ValueError):
+            rows.append(_loadtxt([",".join(map(repr, values))], dtype))
+        break
+    else:  # every row converts on its own
+        return np.concatenate(rows), None
+    return np.concatenate(rows), (index, MotFormatError(error))
 
 
 def _broken_rule(rows: np.ndarray, vis: np.ndarray, kind: str) -> tuple[int, str] | None:
@@ -292,17 +242,23 @@ def parse_mot_file(source, kind: str):
     if kind not in ("det", "gt"):
         raise ValueError(f"unknown kind {kind!r}")
     body, failure = _numbered_lines(source, comments=True)  # rows before a non-ASCII one go first
-    columns = _mot_columns(body, kind)
-    if columns is None:
-        rows, vis, unconverted = _scan_columns(body, kind)
-        failure = unconverted or failure
-    else:
-        rows, vis = columns
+    rows, stop = _records(body, _MOT_ROW, (7, 10), range(7))
+    vis = np.ones(len(rows))
+    if kind == "gt":
+        # a visibility int() or float() refuses keeps its row for its rules,
+        # and comes before a strict refusal of the row's first seven fields
+        nine = [i for i, (_, line) in enumerate(body[:len(rows)]) if line.count(",") == 8]
+        seen, unconverted = _records([body[i] for i in nine], _VISIBILITY, (9, 9), (8,))
+        vis[nine[:len(seen)]] = seen["visibility"]
+        if unconverted is not None:
+            row = nine[unconverted[0]]
+            if stop is None or row < stop[0] or len(seen) == unconverted[0]:
+                rows, vis, stop = rows[:row + 1], vis[:row + 1], (row, unconverted[1])
     broken = _broken_rule(rows, vis, kind)
     if broken is not None:
         raise MotFormatError(f"{broken[1]} at line {body[broken[0]][0]}")
-    if failure is not None:
-        raise failure
+    if stop or failure:
+        raise stop[1] if stop else failure
     frames, boxes = rows["frame"], np.ascontiguousarray(rows["box"])
     if kind == "gt":
         return MotTable(frames, rows["id"], boxes, rows["conf"] != 0.0, np.clip(vis, 0.0, 1.0))
@@ -324,7 +280,7 @@ def parse_attr_file(source) -> tuple[np.ndarray, np.ndarray]:
     bad line raises MotFormatError naming it.
     """
     body, unread = _numbered_lines(source, comments=True)
-    table, failure = _records(body, _ATTR_ROW)
+    table, stop = _records(body, _ATTR_ROW)
     ids, bits = np.ascontiguousarray(table["id"]), np.ascontiguousarray(table["bits"])
     repeat = np.ones(len(ids), dtype=bool)
     repeat[np.unique(ids, return_index=True)[1]] = False
@@ -338,8 +294,8 @@ def parse_attr_file(source) -> tuple[np.ndarray, np.ndarray]:
     ])
     if broken is not None:
         raise MotFormatError(broken[1])
-    if failure or unread:
-        raise failure or unread
+    if stop or unread:
+        raise stop[1] if stop else unread
     return ids, bits
 
 
@@ -611,22 +567,31 @@ def parse_feature_file(source, detections: dict[int, Detections]) -> dict[int, D
     body = lines[1:]
     if len(body) != n_rows:
         raise MotFormatError(f"feature file has {len(body)} rows for {n_rows} detections")
-    rows, failure = _records(body, np.dtype([("frame", np.int64),
-                                             ("values", np.float64, (dim + N_ATTRIBUTES,))]))
+    if not body:  # header only: no record to size by dim=
+        return {d.frame: replace(d, embeddings=np.zeros((0, dim)),
+                                 attrs=np.zeros((0, N_ATTRIBUTES))) for d in batches}
+    # The record is sized by the first row's field count, not by dim=, and
+    # a first row of another width fails before any conversion.
+    width = 1 + dim + N_ATTRIBUTES
+    record = np.dtype([("frame", np.int64), ("values", np.float64, (body[0][1].count(","),))])
+    rows, stop = _records(body, record, (width, width))
     frames, emb, attrs = rows["frame"], rows["values"][:, :dim], rows["values"][:, dim:]
-    want = np.repeat([d.frame for d in batches], [len(d) for d in batches])[:len(rows)]
-    # A row's frame is checked before its arrays, and the rows that convert
-    # before a conversion failure, so the first bad line wins.
+    if stop is not None and len(rows) == stop[0]:
+        # a row's frame is read and checked before its other fields
+        head, refused = _records(body[stop[0]:stop[0] + 1], _FRAME, (width, width), (0,))
+        frames = np.concatenate([frames, head["frame"]])
+        stop = stop if len(head) else (stop[0], refused[1])
+    want = np.repeat([d.frame for d in batches], [len(d) for d in batches])[:len(frames)]
     bad_row, reason = feature_row_error(emb, attrs) or (-1, None)
     broken = first_broken([
         (frames != want, lambda r: f"feature row frame {frames[r]} does not match detection"
                                    f" frame {want[r]}"),
-        (np.arange(len(rows)) == bad_row, reason),
+        (np.arange(len(frames)) == bad_row, reason),
     ])
     if broken is not None:
         raise MotFormatError(f"{broken[1]} at line {body[broken[0]][0]}")
-    if failure is not None:
-        raise failure
+    if stop is not None:
+        raise stop[1]
     ends = np.cumsum([len(d) for d in batches]).tolist()
     return {d.frame: replace(d, embeddings=emb[hi - len(d):hi], attrs=attrs[hi - len(d):hi])
             for d, hi in zip(batches, ends)}

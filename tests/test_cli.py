@@ -350,6 +350,15 @@ class TestAblate:
         assert "repeated ablate variant(s) 'embed'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_seed_is_usage_error(self, bench, tmp_path, capsys):
+        # seed 1 would run twice, count twice in every median and write
+        # runs/iou_seed1.csv twice
+        spec = self._spec(tmp_path, bench, variants="iou", seeds="1,1,2")
+        out = tmp_path / "abl"
+        assert main(["ablate", "-s", str(spec), "-o", str(out)]) == 1
+        assert "repeated ablate seed(s) 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_idempotent(self, bench, tmp_path):
         spec = self._spec(tmp_path, bench, variants="embed", seeds="2")
         a, b = tmp_path / "o1", tmp_path / "o2"
@@ -420,6 +429,39 @@ class TestExitCodes:
         before = tree_digest(tmp_path)
         assert main([command, *inputs, "-o", str(out)]) == 1
         assert f"error: {message.format(out=out, parent=parent)}" in capsys.readouterr().err
+        assert tree_digest(tmp_path) == before
+
+    @pytest.mark.parametrize("command,inner,kind,message", [
+        ("generate", "seq-0000", "file", "output directory {path} exists and is not a directory"),
+        ("generate", "seq-0001/feats.csv", "directory", "output file {path} is a directory"),
+        ("track", "seq-0000.txt", "directory", "output file {path} is a directory"),
+        ("ablate", "report.csv", "directory", "output file {path} is a directory"),
+        ("ablate", "runs/embed_seed3.csv", "directory", "output file {path} is a directory"),
+    ], ids=["generate-sequence", "generate-file", "track", "ablate-report", "ablate-run"])
+    def test_output_inside_the_output_path_of_the_wrong_kind(
+            self, bench, tmp_path, monkeypatch, capsys, command, inner, kind, message):
+        # a path the command would write inside its output directory is
+        # checked before any work too (an OSError and exit 2 after it)
+        out = tmp_path / "out"
+        path = out / inner
+        path.parent.mkdir(parents=True)
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("kept")
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"attmot-config v1\nbenchmark = {bench}\nvariants = embed\nseeds = 3\n")
+        inputs = {"generate": ["-c", str(tmp_path / "world.cfg")], "track": ["-b", str(bench)],
+                  "ablate": ["-s", str(spec)]}[command]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command began its work")
+
+        for module, name in ((synthgen, "iter_benchmark"), (motio, "parse_mot_file")):
+            monkeypatch.setattr(module, name, no_work)
+        before = tree_digest(tmp_path)
+        assert main([command, *inputs, "-o", str(out)]) == 1
+        assert f"error: {message.format(path=path)}" in capsys.readouterr().err
         assert tree_digest(tmp_path) == before
 
     def test_runtime_failure_is_exit_2(self, bench, tmp_path):

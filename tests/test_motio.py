@@ -314,7 +314,7 @@ class TestAttrFile:
         ("-5", "non-positive identity -5"),
         ("1_0", "bad numeric field"),
         ("99999999999999999999", "bad numeric field"),
-        ("1.0", "bad numeric field"),
+        ("1.0", "invalid literal for int() with base 10: '1.0'"),
     ])
     def test_identity_follows_mot_rule(self, ident, reason):
         text = f"{_attr_line(1, _bits())}\n{ident},{_attr_line(0, _bits()).split(',', 1)[1]}\n"
@@ -472,11 +472,33 @@ def _parsed_rows(result):
             for f, d in result.items()}
 
 
+def _beyond_int64(field):
+    try:
+        return not -2 ** 63 <= int(field) < 2 ** 63
+    except ValueError:
+        return False
+
+
+def _assert_same_error(got, want, text):
+    """``got``, the bulk parser's MotFormatError, is ``want``, the loop's
+    result (its MotFormatError, or what it parsed), or the strict
+    conversion's refusal of a line no later than the loop's bad line that
+    holds a field ``int()`` and ``float()`` read: a ``_`` digit separator
+    or an integer beyond int64."""
+    if str(got) == str(want):
+        return
+    lineno = int(re.fullmatch(r"bad numeric field at line (\d+): .*", str(got)).group(1))
+    line = text.decode("latin-1").splitlines()[lineno - 1]
+    assert "_" in line or any(map(_beyond_int64, line.split(","))), line
+    if isinstance(want, MotFormatError):
+        assert lineno <= int(re.search(r"at line (\d+)", str(want)).group(1))
+
+
 def _assert_mot_parsers_agree(text, kind):
     """The table parser returns the loop's rows, or raises its error; a row
-    with a ``_`` digit separator, which ``int()`` and ``float()`` read, is
-    refused instead when no earlier line fails, by the first line that
-    holds one."""
+    with a field that ``int()`` and ``float()`` read but the strict
+    conversion refuses is refused instead when no earlier line fails, by
+    the first line that holds one (``_assert_same_error``)."""
     try:
         want = _parse_mot_loop(text, kind)
     except MotFormatError as exc:
@@ -484,12 +506,7 @@ def _assert_mot_parsers_agree(text, kind):
     try:
         got = parse_mot_file(text, kind)
     except MotFormatError as exc:
-        if str(exc) == str(want):
-            return
-        lineno = int(re.fullmatch(r"bad numeric field at line (\d+): .*", str(exc)).group(1))
-        assert "_" in text.decode("latin-1").splitlines()[lineno - 1]
-        if isinstance(want, MotFormatError):
-            assert lineno <= int(re.search(r"at line (\d+)", str(want)).group(1))
+        _assert_same_error(exc, want, text)
         return
     assert not isinstance(want, MotFormatError), want
     assert _parsed_rows(got) == want
@@ -664,8 +681,8 @@ class TestFeatureSidecar:
         ({(2, 0): "2", (4, 2): "abc"},
          "feature row frame 2 does not match detection frame 1 at line 2"),
         ({(4, -1): "nan", (6, 0): "1.5"}, "attribute vector contains non-finite values at line 4"),
-        ({(3, 0): "1.5", (4, 1): "nan"}, "bad numeric field at line 3: "),
-        ({(5, 3): "abc"}, "bad numeric field at line 5: "),
+        ({(3, 0): "1.5", (4, 1): "nan"}, "invalid literal for int() with base 10: '1.5' at line 3"),
+        ({(5, 3): "abc"}, "could not convert string to float: 'abc' at line 5"),
         # an attribute out of [0, 1] is refused, not clipped
         ({(4, -3): "1.5"}, "attribute probabilities must lie in [0, 1] at line 4"),
         ({(6, -1): "-0.25", (7, 1): "abc"}, "attribute probabilities must lie in [0, 1] at line 6"),
@@ -676,6 +693,48 @@ class TestFeatureSidecar:
         dets = self._dets()
         with pytest.raises(MotFormatError, match="^" + re.escape(message)):
             motio.parse_feature_file(self._edited(dets, edits), dets)
+
+    @pytest.mark.parametrize("edits,message", [
+        ({(3, 0): "2", (3, 4): "abc"},
+         "feature row frame 2 does not match detection frame 1 at line 3"),
+        ({(3, 0): "1_0", (3, 4): "abc"},
+         "feature row frame 10 does not match detection frame 1 at line 3"),
+        ({(3, 0): "1.0", (3, 4): "abc"}, "invalid literal for int() with base 10: '1.0' at line 3"),
+    ])
+    def test_frame_is_checked_before_the_rows_other_fields(self, edits, message):
+        # as the row-at-a-time reading does, a row that fails to convert
+        # still has its frame read and checked first
+        dets = self._dets()
+        text = self._edited(dets, edits)
+        for parse in (_parse_feature_loop, motio.parse_feature_file):
+            with pytest.raises(MotFormatError, match="^" + re.escape(message) + "$"):
+                parse(text, dets)
+
+    def test_header_width_is_checked_before_it_sizes_memory(self):
+        # dim= promises rows of 16,777,249 fields, which the file's row lacks
+        text = b"# attmot-feats v1 dim=16777216\n1,0.5\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(MotFormatError,
+                               match="^expected 16777249 fields at line 2, got 2$"):
+                motio.parse_feature_file(text, self._dets(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
+    def test_header_wider_than_any_record_names_file(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        path.write_text("# attmot-feats v1 dim=300000000\n1,0.5\n")
+        message = f"{path}: expected 300000033 fields at line 2, got 2"
+        with pytest.raises(MotFormatError, match="^" + re.escape(message) + "$"):
+            motio.parse_feature_file(path, self._dets(1))
+        # a header-only sidecar needs no record
+        bare = {4: replace(self._dets(1)[1], frame=4, boxes=np.zeros((0, 4)),
+                           confidences=np.zeros(0), embeddings=None, attrs=None)}
+        joined = motio.parse_feature_file(b"# attmot-feats v1 dim=300000000\n", bare)
+        assert joined[4].embeddings.shape == (0, 300000000)
+        assert joined[4].attrs.shape == (0, N_ATTRIBUTES)
 
     @pytest.mark.parametrize("value", [1.7976931346e308, -1.7976931348623157e308])
     def test_value_written_as_inf_names_row(self, value):
@@ -985,7 +1044,8 @@ class TestErrorsNameFile:
             parse_mot_file(b"1,1,0,0,-5,5,1,-1,-1,-1\n", kind="gt")
 
 
-_FUZZ_TOKENS = ["abc", "nan", "0", "1_0", "#", "\xe9", "1\xe9"]
+_FUZZ_TOKENS = ["abc", "nan", "0", "1_0", "#", "\xe9", "1\xe9", "1.0", "+1",
+                "99999999999999999999"]
 
 
 @st.composite
@@ -1038,6 +1098,32 @@ def test_fuzz_parses_or_raises_format_error(kind, data):
     mutated = data.draw(_mutated(text))
     try:
         result = parse(mutated)
-    except MotFormatError:
+    except MotFormatError as exc:
+        # every error names a line of the text, but for the sidecar's
+        # missing header and its row count
+        named = re.search(r"\bat line (\d+)\b", str(exc))
+        if named is None:
+            assert re.fullmatch(r"feature file (missing header|has \d+ rows for \d+ detections)",
+                                str(exc)), exc
+        else:
+            assert 1 <= int(named.group(1)) <= mutated.count(b"\n")
         return
     assert isinstance(result, (MotTable, dict, tuple))
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_fuzz_feature_errors_equal_the_loops(data):
+    text, _ = _FUZZ_CASES["feats"]
+    mutated = data.draw(_mutated(text))
+    try:
+        want = _parse_feature_loop(mutated, _FUZZ_DETS)
+    except MotFormatError as exc:
+        want = exc
+    try:
+        got = motio.parse_feature_file(mutated, _FUZZ_DETS)
+    except MotFormatError as exc:
+        _assert_same_error(exc, want, mutated)
+        return
+    assert not isinstance(want, MotFormatError), want
+    _assert_same_features(got, want)
