@@ -8,8 +8,10 @@ quantile for 4 degrees of freedom.
 
 A ``Tracker`` keeps all live tracks in one struct-of-arrays ``TrackTable``:
 means ``(T, 8)``, covariances ``(T, 8, 8)``, a gallery ring ``(T, B, D)`` of
-unit embeddings with fill counts and write pointers, attribute estimates
-``(T, 32)``, and status, hit, age and identity columns.  The
+unit embeddings, attribute estimates ``(T, 32)``, and hit, age and identity
+columns.  ``hits >= n_init`` confirms a track; a birth fills every ring slot
+with its embedding, and the match that brings ``hits`` to ``h`` writes slot
+``(h - 1) mod B``.  The
 gallery is filled only in the modes whose cost reads embeddings, and the
 attribute estimates only in those that read attributes.  A frame arrives
 as one checked ``core.Detections`` table; ``stack_frame`` derives the views
@@ -189,12 +191,9 @@ _COLUMNS = {
     "mean": ((8,), np.float64),
     "cov": ((8, 8), np.float64),
     "attr": ((N_ATTRIBUTES,), np.float64),   # attribute estimate (EMA)
-    "confirmed": ((), bool),
-    "hits": ((), np.int64),
+    "hits": ((), np.int64),                  # birth plus matches; never falls
     "age": ((), np.int64),                   # frames since the last match
     "identity": ((), np.int64),
-    "gal_n": ((), np.int64),                 # filled gallery slots
-    "gal_ptr": ((), np.int64),               # next gallery slot to write
 }
 
 
@@ -202,15 +201,15 @@ class TrackTable:
     """Struct-of-arrays state of a tracker's live tracks, one row per track
     in birth order.
 
-    Each column (``mean``, ``cov``, ``gallery``, ``attr``, ...) is an
-    attribute holding a view of the first ``len(table)`` rows of a buffer:
-    write through it in place, never rebind it.  The gallery is a ring of
-    unit embeddings; the min-distance lookup is order independent, so
-    overwriting the oldest slot in place replaces FIFO eviction.
+    Each column (``mean``, ``cov``, ``gallery``, ``attr``, ``hits``,
+    ``age``, ``identity``) is an attribute holding a view of the first
+    ``len(table)`` rows of a buffer: write through it in place, never
+    rebind it.  The gallery is a ring of unit embeddings, every slot filled
+    at birth; the min-distance lookup is order independent and blind to
+    repeats, so overwriting the oldest slot in place replaces FIFO eviction.
     """
 
     def __init__(self):
-        self.dim: int | None = None       # embedding dimension of the gallery
         self._n = 0
         self._buf = {name: np.zeros((0, *shape), dtype)
                      for name, (shape, dtype) in _COLUMNS.items()}
@@ -223,14 +222,14 @@ class TrackTable:
         for name, buf in self._buf.items():
             setattr(self, name, buf[:self._n])
 
-    def gallery_filled(self) -> np.ndarray:
-        """(T, B) mask of the filled gallery slots."""
-        return np.arange(GALLERY_BUDGET)[None, :] < self.gal_n[:, None]
+    @property
+    def dim(self) -> int | None:
+        """Embedding dimension of the gallery; None until it exists."""
+        gallery = self._buf.get("gallery")
+        return None if gallery is None else gallery.shape[2]
 
     def set_dim(self, dim: int) -> None:
-        self.dim = dim
-        cap = len(self._buf["mean"])
-        self._buf["gallery"] = np.zeros((cap, GALLERY_BUDGET, dim))
+        self._buf["gallery"] = np.zeros((len(self._buf["mean"]), GALLERY_BUDGET, dim))
         self._views()
 
     def add_rows(self, k: int) -> slice:
@@ -258,12 +257,6 @@ class TrackTable:
             buf[first:k] = buf[first:n][keep[first:]]
         self._n = k
         self._views()
-
-    def push_embeddings(self, rows: np.ndarray, unit: np.ndarray) -> None:
-        """Write one unit embedding per row into its gallery ring."""
-        self.gallery[rows, self.gal_ptr[rows]] = unit
-        self.gal_ptr[rows] = (self.gal_ptr[rows] + 1) % GALLERY_BUDGET
-        self.gal_n[rows] = np.minimum(self.gal_n[rows] + 1, GALLERY_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -365,14 +358,12 @@ def stack_frame(detections: Detections, config: AssocConfig,
     return FrameBatch(detections.boxes, _measurements(detections.boxes), unit, attrs)
 
 
-def _gallery_min_cosine(gallery: np.ndarray, filled: np.ndarray,
-                        feats_normed: np.ndarray) -> np.ndarray:
+def _gallery_min_cosine(gallery: np.ndarray, feats_normed: np.ndarray) -> np.ndarray:
     """(T, N) min cosine distance from each normalized feature row to the
-    filled slots of each track's gallery ring, in one batched product."""
-    sim = gallery @ feats_normed.T
-    dist = np.clip(1.0 - sim, 0.0, 2.0)
-    dist[~filled] = np.inf
-    return dist.min(axis=1)
+    slots of each track's gallery ring, in one batched product.  Rounding
+    and clipping are monotone, so the distance of the largest similarity
+    is the smallest distance, bit for bit."""
+    return np.clip(1.0 - (gallery @ feats_normed.T).max(axis=1), 0.0, 2.0)
 
 
 def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig,
@@ -391,7 +382,7 @@ def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig
                                  innovation_chol) > CHI2_95_4DOF
     mode = config.mode
     if mode in ("embed", "embed+attr"):
-        embed_mat = _gallery_min_cosine(tracks.gallery, tracks.gallery_filled(), frame.unit)
+        embed_mat = _gallery_min_cosine(tracks.gallery, frame.unit)
     if mode in ("attr", "embed+attr"):
         attr_mat = np.abs(tracks.attr[:, None, :] - frame.attrs[None, :, :]).mean(axis=2)
 
@@ -443,21 +434,23 @@ class Tracker:
         self.fusion_params = fusion_params
         self.table = TrackTable()
         self._next_id = 1
-        # row buffers: blocks of (frames, identities, boxes) columns, and
-        # blocks of the identities confirmed so far
+        # row buffers: blocks of (frames, identities, boxes) columns
         self._rows = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 4)))]
-        self._confirmed = [np.zeros(0, np.int64)]
 
     def _absorb(self, rows: np.ndarray, cols: np.ndarray, batch: FrameBatch,
                 born: bool) -> None:
-        """Fold detection ``cols`` into track ``rows``: the gallery push and
-        the attribute EMA, each where the cost mode reads it; a newborn row
-        takes the attribute vector as is."""
+        """Fold detection ``cols`` into track ``rows``, whose ``hits`` count
+        them already: the gallery push and the attribute EMA, each where the
+        cost mode reads it; a newborn row takes the embedding into every
+        ring slot and the attribute vector as is."""
         tab = self.table
         if batch.unit is not None:
             if tab.dim is None:
                 tab.set_dim(batch.unit.shape[1])
-            tab.push_embeddings(rows, batch.unit[cols])
+            if born:
+                tab.gallery[rows] = batch.unit[cols, None, :]
+            else:
+                tab.gallery[rows, (tab.hits[rows] - 1) % GALLERY_BUDGET] = batch.unit[cols]
         if batch.attrs is not None:
             new = batch.attrs[cols]
             tab.attr[rows] = new if born else ATTR_EMA * tab.attr[rows] + (1 - ATTR_EMA) * new
@@ -490,14 +483,11 @@ class Tracker:
             tab.hits[rows] += 1
             tab.age[rows] = 0
             self._absorb(rows, cols, batch, born=False)
-            confirm = ~tab.confirmed[rows] & (tab.hits[rows] >= cfg.n_init)
-            tab.confirmed[rows] |= confirm
-            self._confirmed.append(tab.identity[rows[confirm]])
             self._emit(frame, tab.identity[rows], _box_rows(tab.mean[rows]))
 
         if u_tracks:
             u = np.array(u_tracks)
-            kept = tab.confirmed[u] & (tab.age[u] <= cfg.max_age)
+            kept = (tab.hits[u] >= cfg.n_init) & (tab.age[u] <= cfg.max_age)
             # a tentative track needs consecutive hits; a confirmed one is
             # lost after max_age frames without a match
             if not kept.all():
@@ -514,18 +504,15 @@ class Tracker:
             tab.hits[new] = 1
             tab.identity[new] = idents
             self._absorb(np.arange(new.start, new.stop), cols, batch, born=True)
-            tab.confirmed[new] = cfg.n_init <= 1
-            if cfg.n_init <= 1:
-                self._confirmed.append(idents)
             self._emit(frame, idents, batch.boxes[cols])
 
     def results(self) -> MotTable:
         """The rows of every track confirmed so far: its matched boxes, its
-        birth detection box, and the rows it had while tentative."""
+        birth detection box, and the rows it had while tentative.  Each hit
+        emits one row, so a confirmed identity is one with at least
+        ``n_init`` rows."""
         frames, ids, boxes = map(np.concatenate, zip(*self._rows))
-        confirmed = np.zeros(self._next_id, dtype=bool)
-        confirmed[np.concatenate(self._confirmed)] = True
-        keep = confirmed[ids]
+        keep = np.bincount(ids)[ids] >= self.config.n_init
         return MotTable(frames[keep], ids[keep], boxes[keep])
 
 

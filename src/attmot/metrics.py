@@ -59,6 +59,15 @@ def _number(ids: np.ndarray) -> tuple[np.ndarray, int]:
     return rank[inverse], len(uniq)
 
 
+def _iou_match(iou: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the Hungarian match on ``1 - iou`` of the pairs
+    with IoU >= ``IOU_THRESHOLD``; no other pair is matched."""
+    cost = np.where(iou >= IOU_THRESHOLD, 1.0 - iou, 1e5)
+    rows, cols = linear_sum_assignment(cost)
+    keep = cost[rows, cols] < 1e5
+    return rows[keep], cols[keep]
+
+
 def _frame_table(gt: MotTable, pred: MotTable) -> FrameTable:
     """The frame table of one sequence.
 
@@ -78,10 +87,7 @@ def _frame_table(gt: MotTable, pred: MotTable) -> FrameTable:
     for f in ig_frames[shared].tolist():
         ig = g_box[ignored & (g_frame == f)]
         in_f = np.flatnonzero(p_frame == f)
-        ov = pairwise_iou(ig, p_box[in_f])
-        cost = np.where(ov >= IOU_THRESHOLD, 1.0 - ov, 1e5)
-        rows, cols = linear_sum_assignment(cost)
-        keep[in_f[cols[cost[rows, cols] < 1e5]]] = False
+        keep[in_f[_iou_match(pairwise_iou(ig, p_box[in_f]))[1]]] = False
     g_frame, g_box = g_frame[g_active], g_box[g_active]
     p_frame, p_box = p_frame[keep], p_box[keep]
     g_num, n_gt = _number(g_id[g_active])
@@ -139,12 +145,8 @@ def _score_clear(table: FrameTable) -> ClearResult:
         rem_g = [gi for gi in range(len(g_ids)) if gi not in matches]
         rem_p = [j for j in range(len(p_ids)) if j not in used_pred]
         if rem_g and rem_p:
-            sub = sim[np.ix_(rem_g, rem_p)]
-            cost = np.where(sub >= IOU_THRESHOLD, 1.0 - sub, 1e5)
-            rows, cols = linear_sum_assignment(cost)
-            for a, b in zip(rows, cols):
-                if cost[a, b] < 1e5:
-                    matches[rem_g[a]] = rem_p[b]
+            for a, b in zip(*_iou_match(sim[np.ix_(rem_g, rem_p)])):
+                matches[rem_g[a]] = rem_p[b]
         for gi, j in matches.items():
             gid, pid = g_ids[gi], p_ids[j]
             if last_match[gid] not in (-1, pid):

@@ -143,12 +143,14 @@ def _numbered_lines(source, comments: bool):
     return lines, None
 
 
-def _records(body: list[tuple[int, str]], dtype: np.dtype, fields=None, usecols=None):
+def _records(body: list[tuple[int, str]], dtype: np.dtype, fields=None, usecols=None,
+             counts=None):
     """``(rows, stop)``: the ``(line number, text)`` rows of ``body``, of
     ``fields`` ``(fewest, most)`` fields each (by default the record's
     width), as one ``dtype`` record array of their first columns (or of
     ``usecols``), converted in one ``np.loadtxt`` pass: an int64 field as
     ``int()`` reads it, a float64 field as ``float()`` does, bit for bit.
+    ``counts`` are the rows' field counts when the caller has taken them.
 
     When a row has the wrong number of fields or the pass fails, one scan
     finds the first bad row; ``stop`` is its ``(index, MotFormatError)``
@@ -165,8 +167,9 @@ def _records(body: list[tuple[int, str]], dtype: np.dtype, fields=None, usecols=
                for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
     fewest, most = fields or (len(convert), len(convert))
     lines = [line for _, line in body]
-    # without usecols, np.loadtxt refuses a row of any width but the record's
-    counts = [line.count(",") + 1 for line in lines] if usecols else [len(convert)]
+    if counts is None:
+        # without usecols, np.loadtxt refuses a row of any width but the record's
+        counts = [line.count(",") + 1 for line in lines] if usecols else [len(convert)]
     if fewest <= min(counts) and max(counts) <= most:
         with contextlib.suppress(ValueError):
             return _loadtxt(lines, dtype, usecols), None
@@ -242,13 +245,15 @@ def parse_mot_file(source, kind: str):
     if kind not in ("det", "gt"):
         raise ValueError(f"unknown kind {kind!r}")
     body, failure = _numbered_lines(source, comments=True)  # rows before a non-ASCII one go first
-    rows, stop = _records(body, _MOT_ROW, (7, 10), range(7))
+    counts = [line.count(",") + 1 for _, line in body]
+    rows, stop = _records(body, _MOT_ROW, (7, 10), range(7), counts)
     vis = np.ones(len(rows))
     if kind == "gt":
         # a visibility int() or float() refuses keeps its row for its rules,
         # and comes before a strict refusal of the row's first seven fields
-        nine = [i for i, (_, line) in enumerate(body[:len(rows)]) if line.count(",") == 8]
-        seen, unconverted = _records([body[i] for i in nine], _VISIBILITY, (9, 9), (8,))
+        nine = [i for i, count in enumerate(counts[:len(rows)]) if count == 9]
+        seen, unconverted = _records([body[i] for i in nine], _VISIBILITY, (9, 9), (8,),
+                                     [9] * len(nine))
         vis[nine[:len(seen)]] = seen["visibility"]
         if unconverted is not None:
             row = nine[unconverted[0]]

@@ -27,6 +27,7 @@ from .core import (
     BODY_SLICE,
     HAIR_SLICE,
     IDX_GENDER_MALE,
+    IDX_LONG_SLEEVE,
     LOWER_COLOR_SLICE,
     N_ATTRIBUTES,
     UPPER_COLOR_SLICE,
@@ -185,7 +186,7 @@ def sample_attribute_bits(rng: np.random.Generator, prior: AttributePrior) -> np
     bits[BODY_SLICE][rng.choice(3, p=prior.body)] = 1.0
     bits[HAIR_SLICE][rng.choice(3, p=prior.hair)] = 1.0
     for k, p in enumerate(prior.p_binary):
-        bits[7 + k] = 1.0 if rng.random() < p else 0.0
+        bits[IDX_LONG_SLEEVE + k] = 1.0 if rng.random() < p else 0.0
     for sl in (UPPER_COLOR_SLICE, LOWER_COLOR_SLICE):
         primary = rng.choice(9, p=prior.colors)
         bits[sl][primary] = 1.0

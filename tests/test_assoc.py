@@ -260,7 +260,8 @@ class TestBuildCostMatrix:
         expected = np.zeros((2, 2))
         for i in range(len(tab)):
             for j, (emb, attr) in enumerate(zip(frame.embeddings, frame.attrs)):
-                e_cost = min(cosine_distance(g, emb) for g in tab.gallery[i, :tab.gal_n[i]])
+                pushed = tab.gallery[i, :min(tab.hits[i], GALLERY_BUDGET)]
+                e_cost = min(cosine_distance(g, emb) for g in pushed)
                 a_cost = attribute_distance(tab.attr[i], attr)
                 expected[i, j] = e_cost + a_cost
         np.testing.assert_allclose(cost, expected, atol=1e-9)
@@ -314,7 +315,7 @@ class TestTrackerLifecycle:
         assert len(tracker.results()) == 0  # still tentative: nothing reported
         for f in range(3, 6):
             tracker.step(f, dets(f, [BBox(10 + f, 10, 20, 40)]))
-        confirmed = tracker.table.identity[tracker.table.confirmed].tolist()
+        confirmed = tracker.table.identity[tracker.table.hits >= cfg.n_init].tolist()
         assert len(confirmed) == 1
         outputs = tracker.results()
         assert set(outputs.ids.tolist()) == {confirmed[0]}
@@ -409,6 +410,47 @@ class TestTrackerLifecycle:
         assert all(pair == (id_a, id_b) for pair in pairs), pairs
 
 
+class TestGalleryRing:
+    def test_ring_keeps_last_budget_embeddings_through_compaction(self):
+        # target A is matched in frames 1-75; B, born before it in frame 1,
+        # dies after frame 5 and so moves A's row; C lives in frames 30-34
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(3, 8))
+        cfg = AssocConfig(mode="embed", max_age=5)
+        tracker = Tracker(cfg)
+        a_units = []
+        for f in range(1, 76):
+            boxes = [BBox(10 + f, 10, 20, 40)]
+            embs = [base[0] + 0.1 * rng.normal(size=8)]
+            if f <= 5:
+                boxes.insert(0, BBox(300, 10, 20, 40))
+                embs.insert(0, base[1])
+            if 30 <= f <= 34:
+                boxes.append(BBox(300, 200, 20, 40))
+                embs.append(base[2])
+            frame = dets(f, boxes, embs)
+            a_units.append(stack_frame(frame, cfg).unit[1 if f <= 5 else 0])
+            tracker.step(f, frame)
+            # every slot holds one of A's last GALLERY_BUDGET embeddings,
+            # the birth one repeated until the matches overwrite it
+            ring = tracker.table.gallery[tracker.table.identity == 2][0]
+            assert set(map(tuple, ring.tolist())) == {tuple(u.tolist())
+                                                      for u in a_units[-GALLERY_BUDGET:]}
+        tab = tracker.table
+        assert tab.identity.tolist() == [2] and tab.hits.tolist() == [75]
+        last = a_units[-GALLERY_BUDGET:]
+        # the ring holds exactly A's last GALLERY_BUDGET unit embeddings
+        assert sorted(map(tuple, tab.gallery[0].tolist())) == sorted(tuple(u.tolist())
+                                                                     for u in last)
+        # a probe equal to A's evicted birth embedding costs its distance to
+        # the ring, not 0; near-parallel units magnify rounding in 1 - cos
+        probe = dets(76, [BBox(86, 10, 20, 40)], [a_units[0]])
+        cost, _ = build_cost_matrix(tab, stack_frame(probe, cfg, dim=tab.dim), cfg)
+        expected = min(cosine_distance(g, a_units[0]) for g in last)
+        assert expected > 1e-3
+        assert cost[0, 0] == pytest.approx(expected, rel=1e-9, abs=0)
+
+
 class TestRunSequence:
     def test_empty(self):
         assert run_sequence({}, AssocConfig(mode="iou")) == MotTable([], [], [])
@@ -487,11 +529,13 @@ class _ListTracker(Tracker):
     """The oracle of ``Tracker.results``: the tracker as it reported rows
     before its row buffers, one ``Row`` per confirmed box, returned by the
     step that emits it, and a tentative track's boxes held in a list until
-    its confirmation emits them."""
+    its confirmation emits them.  It keeps its own set of confirmed
+    identities, which also decides which unmatched tracks survive."""
 
     def __init__(self, config, fusion_params=None):
         super().__init__(config, fusion_params)
-        self.pending = {}   # identity -> [(frame, box)] while tentative
+        self.pending = {}       # identity -> [(frame, box)] while tentative
+        self.confirmed = set()  # identities confirmed so far
 
     def step(self, frame, detections):
         cfg, tab = self.config, self.table
@@ -509,20 +553,19 @@ class _ListTracker(Tracker):
             tab.hits[rows] += 1
             tab.age[rows] = 0
             self._absorb(rows, cols, batch, born=False)
-            confirm = ~tab.confirmed[rows] & (tab.hits[rows] >= cfg.n_init)
-            for ident, was_confirmed, now, box in zip(
-                    tab.identity[rows].tolist(), tab.confirmed[rows].tolist(),
-                    confirm.tolist(), _box_rows(tab.mean[rows]).tolist()):
-                if was_confirmed:
+            for ident, hits, box in zip(tab.identity[rows].tolist(), tab.hits[rows].tolist(),
+                                        _box_rows(tab.mean[rows]).tolist()):
+                if ident in self.confirmed:
                     outputs.append(Row(frame, ident, BBox(*box)))
                     continue
                 self.pending[ident].append((frame, BBox(*box)))
-                if now:
+                if hits >= cfg.n_init:
+                    self.confirmed.add(ident)
                     outputs.extend(Row(f, ident, b) for f, b in self.pending.pop(ident))
-            tab.confirmed[rows] |= confirm
         if u_tracks:
             u = np.array(u_tracks)
-            kept = tab.confirmed[u] & (tab.age[u] <= cfg.max_age)
+            kept = (np.array([i in self.confirmed for i in tab.identity[u].tolist()])
+                    & (tab.age[u] <= cfg.max_age))
             if not kept.all():
                 keep = np.ones(len(tab), dtype=bool)
                 keep[u[~kept]] = False
@@ -535,9 +578,9 @@ class _ListTracker(Tracker):
             tab.identity[new] = np.arange(self._next_id, self._next_id + len(cols))
             self._next_id += len(cols)
             self._absorb(np.arange(new.start, new.stop), cols, batch, born=True)
-            tab.confirmed[new] = cfg.n_init <= 1
             for box, ident in zip(batch.boxes[cols].tolist(), tab.identity[new].tolist()):
                 if cfg.n_init <= 1:
+                    self.confirmed.add(ident)
                     outputs.append(Row(frame, ident, BBox(*box)))
                 else:
                     self.pending[ident] = [(frame, BBox(*box))]
@@ -783,9 +826,12 @@ _near_boxes = st.builds(BBox, st.floats(0.0, 100.0), st.floats(0.0, 100.0),
 def _cost_worlds(draw):
     """A config, a track table and a frame of detections of that config.
 
-    Embeddings have at least 8 dimensions, so random gallery and detection
-    directions stay far from parallel and no cost entry is a near-cancelling
-    ``1 - cos``, where an ulp bound would say nothing."""
+    Each track's hit count may pass the gallery budget; the ring slots
+    past its first ``min(hits, GALLERY_BUDGET)`` hold copies of slot 0, as
+    a birth leaves them.  Embeddings have at least 8 dimensions, so random
+    gallery and detection directions stay far from parallel and no cost
+    entry is a near-cancelling ``1 - cos``, where an ulp bound would say
+    nothing."""
     mode = draw(st.sampled_from(COST_MODES))
     cfg = AssocConfig(mode=mode, lambda_e=draw(st.floats(0.1, 3.0)),
                       lambda_a=draw(st.floats(0.0, 3.0)))
@@ -796,10 +842,12 @@ def _cost_worlds(draw):
     tab.add_rows(n_t)
     tab.mean[:], tab.cov[:] = kalman_init(_meas(*[draw(_near_boxes) for _ in range(n_t)]))
     tab.set_dim(dim)
-    tab.gal_n[:] = [draw(st.sampled_from([1, 2, 5, GALLERY_BUDGET])) for _ in range(n_t)]
+    tab.hits[:] = [draw(st.sampled_from([1, 2, 5, GALLERY_BUDGET, GALLERY_BUDGET + 1,
+                                         3 * GALLERY_BUDGET + 7])) for _ in range(n_t)]
     gallery = rng.normal(size=(n_t, GALLERY_BUDGET, dim))
     tab.gallery[:] = gallery / np.linalg.norm(gallery, axis=2, keepdims=True)
-    tab.gallery[~tab.gallery_filled()] = 0.0
+    for i, pushed in enumerate(np.minimum(tab.hits, GALLERY_BUDGET).tolist()):
+        tab.gallery[i, pushed:] = tab.gallery[i, 0]
     tab.attr[:] = rng.uniform(0.0, 1.0, (n_t, 32))
     rows = [(draw(_near_boxes), rng.normal(size=dim), rng.uniform(0.0, 1.0, 32))
             for _ in range(draw(st.integers(1, 6)))]
@@ -807,10 +855,11 @@ def _cost_worlds(draw):
 
 
 def _oracle_cost(tab, frame, cfg):
-    """The cost matrix as a per-pair loop over the scalar distances."""
+    """The cost matrix as a per-pair loop over the scalar distances; the
+    embedding distance is the minimum over a track's pushed slots."""
     cost = np.empty((len(tab), len(frame)))
     for i, box in enumerate(_box_rows(tab.mean).tolist()):
-        gallery = tab.gallery[i, :tab.gal_n[i]]
+        gallery = tab.gallery[i, :min(tab.hits[i], GALLERY_BUDGET)]
         for j, (d_box, emb, attr) in enumerate(zip(frame.boxes.tolist(), frame.embeddings,
                                                    frame.attrs)):
             if cfg.mode == "iou":
