@@ -7,7 +7,7 @@ box height, and track-detection pairs are gated at the 0.95 chi-square
 quantile for 4 degrees of freedom.
 
 A ``Tracker`` keeps all live tracks in one struct-of-arrays ``TrackTable``:
-means ``(T, 8)``, covariances ``(T, 8, 8)``, a gallery ring ``(T, B, D)`` of
+means ``(T, 8)``, covariances ``(T, 3, 4)``, a gallery ring ``(T, B, D)`` of
 unit embeddings, attribute estimates ``(T, 32)``, and hit, age and identity
 columns.  ``hits >= n_init`` confirms a track; a birth fills every ring slot
 with its embedding, and the match that brings ``hits`` to ``h`` writes slot
@@ -17,15 +17,19 @@ attribute estimates only in those that read attributes.  A frame arrives
 as one checked ``core.Detections`` table; ``stack_frame`` derives the views
 its cost mode reads once, as a ``FrameBatch`` for the gate, the costs, the
 update and the births.  All tracks are predicted, gated and updated in one
-batched pass, the gate and the update sharing one Cholesky factorization
-of the innovation covariances, and each cost mode is one array expression
+batched pass, the gate and the update sharing one set of reciprocal
+innovation standard deviations, and each cost mode is one array expression
 over the whole table.  Dead rows are removed by boolean compaction, and
 capacity grows by doubling.
 
 The Kalman filter is ``kalman_init``, ``kalman_predict``, ``kalman_update``
 and ``gating_distance``; each takes stacked rows, one per track, and a
-single track is a one-row call.  They keep the operation order of the
-one-track filter, so every row is bit-identical to it.
+single track is a one-row call.  Nothing couples the four (position,
+velocity) pairs, so a covariance row holds each pair's variances and
+covariance, ``(pxx, pxv, pvv)`` by four, and the filter is elementwise
+arithmetic on them.  It repeats the nonzero terms of the one-track 8x8
+filter in their order: means and covariances equal that filter's
+exactly, and gate distances lie within 16 ulp of it.
 
 Numeric failure stays with its track: a track whose innovation covariance
 is not positive definite is infeasible against every detection of the
@@ -58,16 +62,9 @@ _DEFAULT_MATCH_THRESHOLD = {
     "embed+attr": 1.4,
 }
 
-_I4 = np.arange(4)
-_I8 = np.arange(8)
-# Constant-velocity transition: each of (cx, cy, aspect, h) adds its velocity.
-_F = np.eye(8)
-_F[_I4, _I4 + 4] = 1.0
-_F.flags.writeable = False
-
-
 # ---------------------------------------------------------------------------
-# Kalman filter: row i of every argument belongs to track i
+# Kalman filter: row i of every argument belongs to track i, and covs[i]
+# holds the (pxx, pxv, pvv) rows of its four pairs (``TrackTable.cov``)
 # ---------------------------------------------------------------------------
 
 def _measurements(ltwh: np.ndarray) -> np.ndarray:
@@ -89,96 +86,84 @@ def _box_rows(means: np.ndarray) -> np.ndarray:
     return boxes
 
 
-def _height_std(h: np.ndarray, pos: float, vel: float,
-                aspect: float, aspect_vel: float) -> np.ndarray:
-    """(T, 8) std of the state components: ``pos * h`` for cx, cy and h,
-    ``vel * h`` for their velocities, constants for the aspect and its
-    velocity."""
-    std = h[:, None] * np.array([pos, pos, 0.0, pos, vel, vel, 0.0, vel])
-    std[:, 2] = aspect
-    std[:, 6] = aspect_vel
-    return std
+def _height_var(h: np.ndarray, std: float, aspect: float) -> np.ndarray:
+    """(T, 4) variances of the pairs' components: ``(std * h)**2`` for cx,
+    cy and h, ``aspect**2`` for the aspect."""
+    s = h[:, None] * np.array([std, std, 0.0, std])
+    s[:, 2] = aspect
+    return s * s
 
 
 def kalman_init(meas: np.ndarray):
     """Initial states from (N, 4) measurements; zero velocity."""
     means = np.zeros((len(meas), 8))
     means[:, :4] = meas
-    std = _height_std(meas[:, 3], 2 * _STD_POS, 10 * _STD_VEL, 1e-2, 1e-5)
-    covs = np.zeros((len(meas), 8, 8))
-    covs[:, _I8, _I8] = std * std
+    covs = np.zeros((len(meas), 3, 4))
+    covs[:, 0] = _height_var(meas[:, 3], 2 * _STD_POS, 1e-2)
+    covs[:, 2] = _height_var(meas[:, 3], 10 * _STD_VEL, 1e-5)
     return means, covs
 
 
 def kalman_predict(means: np.ndarray, covs: np.ndarray):
     """Constant-velocity prediction; process noise strictly grows the trace."""
-    qstd = _height_std(means[:, 3], _STD_POS, _STD_VEL, 1e-2, 1e-5)
-    means = means @ _F.T
-    covs = _F[None] @ covs @ _F.T[None]
-    covs[:, _I8, _I8] += qstd * qstd
-    covs = (covs + covs.transpose(0, 2, 1)) / 2.0
-    return means, covs
+    h = means[:, 3]
+    pxx, pxv, pvv = covs[:, 0], covs[:, 1], covs[:, 2]
+    b = pxv + pvv
+    out = np.empty_like(covs)
+    out[:, 0] = ((pxx + pxv) + b) + _height_var(h, _STD_POS, 1e-2)
+    out[:, 1] = b
+    out[:, 2] = pvv + _height_var(h, _STD_VEL, 1e-5)
+    means = means.copy()
+    means[:, :4] += means[:, 4:]
+    return means, out
 
 
-def _innovation_cov(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    std = _height_std(means[:, 3], _STD_POS, 0.0, 1e-1, 0.0)[:, :4]
-    S = covs[:, :4, :4].copy()
-    S[:, _I4, _I4] += std * std
-    return S
-
-
-def _cholesky_rows(S: np.ndarray):
-    """Lower Cholesky factors of a stack of matrices plus a mask of the rows
-    that are positive definite; failed rows get an identity placeholder."""
-    try:
-        return np.linalg.cholesky(S), np.ones(len(S), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    chol = np.empty_like(S)
-    ok = np.ones(len(S), dtype=bool)
-    for i, s in enumerate(S):
-        try:
-            chol[i] = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            chol[i] = np.eye(len(s))
-            ok[i] = False
-    return chol, ok
+def _innovation(means: np.ndarray, covs: np.ndarray):
+    """(T, 4) reciprocal square roots of the innovation variances, and the
+    (T,) mask of the rows whose four variances are all positive (not NaN);
+    the other rows get a placeholder of ones."""
+    S = covs[:, 0] + _height_var(means[:, 3], _STD_POS, 1e-1)
+    ok = (S > 0).all(axis=1)
+    return 1.0 / np.sqrt(np.where(ok[:, None], S, 1.0)), ok
 
 
 def gating_distance(means: np.ndarray, covs: np.ndarray, meas: np.ndarray,
-                    innovation_chol=None) -> np.ndarray:
+                    innovation=None) -> np.ndarray:
     """(T, N) squared Mahalanobis distances of the measurements under the
     states; +inf on every row whose innovation covariance is not positive
-    definite.  ``innovation_chol`` is the ``_cholesky_rows`` result of the
-    states' innovation covariances when the caller already has it."""
-    if innovation_chol is None:
-        innovation_chol = _cholesky_rows(_innovation_cov(means, covs))
-    chol, ok = innovation_chol
-    y = meas[None, :, :] - means[:, None, :4]          # (T, N, 4)
-    z = np.linalg.solve(chol, y.transpose(0, 2, 1))    # (T, 4, N)
-    d2 = (z * z).sum(axis=1)
+    definite.  ``innovation`` is the ``_innovation`` result of the states
+    when the caller already has it."""
+    inv, ok = _innovation(means, covs) if innovation is None else innovation
+    z = (meas.T[None, :, :] - means[:, :4, None]) * inv[:, :, None]   # (T, 4, N)
+    z *= z
+    d2 = ((z[:, 0] + z[:, 1]) + z[:, 2]) + z[:, 3]
     d2[~ok] = np.inf
     return d2
 
 
-def kalman_update(means: np.ndarray, covs: np.ndarray, meas: np.ndarray, chol=None):
+def kalman_update(means: np.ndarray, covs: np.ndarray, meas: np.ndarray, inv=None):
     """Standard correction of each state by its (cx, cy, aspect, h)
-    measurement.  ``chol`` holds the Cholesky factors of the states'
-    innovation covariances when the caller already has them (the tracker
-    passes the gate's); without it an innovation covariance that is not
-    positive definite raises LinAlgError."""
-    if chol is None:
-        chol = np.linalg.cholesky(_innovation_cov(means, covs))
+    measurement.  ``inv`` holds the reciprocal innovation standard
+    deviations of the states (``_innovation``) when the caller already has
+    them (the tracker passes the gate's); without it an innovation
+    covariance that is not positive definite raises LinAlgError."""
+    if inv is None:
+        inv, ok = _innovation(means, covs)
+        if not ok.all():
+            raise np.linalg.LinAlgError("innovation covariance is not positive definite")
+    pxx, pxv, pvv = covs[:, 0], covs[:, 1], covs[:, 2]
+    # gain K = P H' S^-1, one (position, velocity) column per pair
+    kx = (pxx * inv) * inv
+    kv = (pxv * inv) * inv
     y = meas - means[:, :4]
-    PHt = covs[:, :, :4]
-    # K = P H' S^-1 via two solves; the transposes keep each K in the
-    # memory layout of the one-track filter, so BLAS rounds identically.
-    K = np.linalg.solve(chol.transpose(0, 2, 1),
-                        np.linalg.solve(chol, PHt.transpose(0, 2, 1))).transpose(0, 2, 1)
-    means = means + (K @ y[:, :, None])[:, :, 0]
-    covs = covs - K @ PHt.transpose(0, 2, 1)
-    covs = (covs + covs.transpose(0, 2, 1)) / 2.0
-    return means, covs
+    means = means.copy()
+    means[:, :4] += kx * y
+    means[:, 4:] += kv * y
+    out = np.empty_like(covs)
+    out[:, 0] = pxx - kx * pxx
+    out[:, 1] = ((pxv - kx * pxv) + (pxv - kv * pxx)) / 2.0
+    out[:, 2] = pvv - kv * pxv
+    return means, out
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +174,7 @@ def kalman_update(means: np.ndarray, covs: np.ndarray, meas: np.ndarray, chol=No
 # first embedding fixes its dimension.
 _COLUMNS = {
     "mean": ((8,), np.float64),
-    "cov": ((8, 8), np.float64),
+    "cov": ((3, 4), np.float64),             # (pxx, pxv, pvv) of each pair
     "attr": ((N_ATTRIBUTES,), np.float64),   # attribute estimate (EMA)
     "hits": ((), np.int64),                  # birth plus matches; never falls
     "age": ((), np.int64),                   # frames since the last match
@@ -204,9 +189,14 @@ class TrackTable:
     Each column (``mean``, ``cov``, ``gallery``, ``attr``, ``hits``,
     ``age``, ``identity``) is an attribute holding a view of the first
     ``len(table)`` rows of a buffer: write through it in place, never
-    rebind it.  The gallery is a ring of unit embeddings, every slot filled
-    at birth; the min-distance lookup is order independent and blind to
-    repeats, so overwriting the oldest slot in place replaces FIFO eviction.
+    rebind it.  A ``cov`` row is the Kalman covariance as its four
+    (position, velocity) pairs, the only entries of the 8x8 matrix that
+    the filter makes nonzero: ``cov[0]``, ``cov[1]`` and ``cov[2]`` hold
+    the position variances, the position-velocity covariances and the
+    velocity variances of (cx, cy, aspect, h).  The gallery is a ring of
+    unit embeddings, every slot filled at birth; the min-distance lookup is
+    order independent and blind to repeats, so overwriting the oldest slot
+    in place replaces FIFO eviction.
     """
 
     def __init__(self):
@@ -367,19 +357,19 @@ def _gallery_min_cosine(gallery: np.ndarray, feats_normed: np.ndarray) -> np.nda
 
 
 def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig,
-                      innovation_chol=None):
+                      innovation=None):
     """Cost matrix plus infeasibility mask (Mahalanobis-gated pairs).
 
     ``tracks`` is a tracker's ``TrackTable`` and ``frame`` the
     ``stack_frame`` batch of the detections under the same ``config``.
-    ``innovation_chol`` reuses the factors and positive-definite mask of the
-    tracks' innovation covariances (``_cholesky_rows``).
+    ``innovation`` reuses the reciprocal innovation standard deviations and
+    positive-definite mask of the tracks (``_innovation``).
     """
     n_t, n_d = len(tracks), len(frame.boxes)
     if n_t == 0 or n_d == 0:
         return np.zeros((n_t, n_d)), np.zeros((n_t, n_d), dtype=bool)
     infeasible = gating_distance(tracks.mean, tracks.cov, frame.meas,
-                                 innovation_chol) > CHI2_95_4DOF
+                                 innovation) > CHI2_95_4DOF
     mode = config.mode
     if mode in ("embed", "embed+attr"):
         embed_mat = _gallery_min_cosine(tracks.gallery, frame.unit)
@@ -471,15 +461,15 @@ class Tracker:
         tab.mean[:], tab.cov[:] = kalman_predict(tab.mean, tab.cov)
         tab.age += 1
 
-        # factored once per frame: the gate and the update both use it
-        chol, pos_def = _cholesky_rows(_innovation_cov(tab.mean, tab.cov))
-        cost, infeasible = build_cost_matrix(tab, batch, cfg, (chol, pos_def))
+        # once per frame: the gate and the update both use it
+        inv, pos_def = _innovation(tab.mean, tab.cov)
+        cost, infeasible = build_cost_matrix(tab, batch, cfg, (inv, pos_def))
         matches, u_tracks, u_dets = solve_assignment(cost, infeasible, cfg.threshold)
 
         if matches:
             rows, cols = np.array(matches).T
             tab.mean[rows], tab.cov[rows] = kalman_update(tab.mean[rows], tab.cov[rows],
-                                                          batch.meas[cols], chol[rows])
+                                                          batch.meas[cols], inv[rows])
             tab.hits[rows] += 1
             tab.age[rows] = 0
             self._absorb(rows, cols, batch, born=False)
