@@ -18,9 +18,11 @@ as one checked ``core.Detections`` table; ``stack_frame`` derives the views
 its cost mode reads once, as a ``FrameBatch`` for the gate, the costs, the
 update and the births.  All tracks are predicted, gated and updated in one
 batched pass, the gate and the update sharing one set of reciprocal
-innovation standard deviations, and each cost mode is one array expression
-over the whole table.  Dead rows are removed by boolean compaction, and
-capacity grows by doubling.
+innovation standard deviations.  The ``iou`` and ``attr`` costs are one
+array expression over the whole table; the modes that read embeddings
+price only the gated-in pairs, with one gallery product per gated track,
+and set every gated-out entry to +inf.  Dead rows are removed by boolean
+compaction, and capacity grows by doubling.
 
 The Kalman filter is ``kalman_init``, ``kalman_predict``, ``kalman_update``
 and ``gating_distance``; each takes stacked rows, one per track, and a
@@ -348,12 +350,27 @@ def stack_frame(detections: Detections, config: AssocConfig,
     return FrameBatch(detections.boxes, _measurements(detections.boxes), unit, attrs)
 
 
-def _gallery_min_cosine(gallery: np.ndarray, feats_normed: np.ndarray) -> np.ndarray:
-    """(T, N) min cosine distance from each normalized feature row to the
-    slots of each track's gallery ring, in one batched product.  Rounding
-    and clipping are monotone, so the distance of the largest similarity
-    is the smallest distance, bit for bit."""
-    return np.clip(1.0 - (gallery @ feats_normed.T).max(axis=1), 0.0, 2.0)
+def _gallery_min_cosine(gallery: np.ndarray, unit: np.ndarray,
+                        feasible: np.ndarray) -> np.ndarray:
+    """(T, N) min cosine distance from each unit feature row to the slots
+    of each track's gallery ring, priced only where ``feasible`` is true.
+    The other entries are 0, and ``build_cost_matrix`` sets them to +inf
+    once the cost terms are combined.
+
+    The gated-in pairs come row by row, so each gated track takes one
+    product of its ring with its own run of gathered features, and one
+    max and clip over all of them follow.  Rounding and clipping are
+    monotone, so the distance of the largest similarity is the smallest
+    distance, bit for bit."""
+    rows, cols = np.nonzero(feasible)
+    out = np.zeros(feasible.shape)
+    if len(rows):
+        feats = unit[cols]
+        cuts = (np.flatnonzero(np.diff(rows)) + 1).tolist()
+        sims = [gallery[rows[a]] @ feats[a:b].T
+                for a, b in zip([0] + cuts, cuts + [len(rows)])]
+        out[rows, cols] = np.clip(1.0 - np.concatenate(sims, axis=1).max(axis=0), 0.0, 2.0)
+    return out
 
 
 def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig,
@@ -363,7 +380,10 @@ def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig
     ``tracks`` is a tracker's ``TrackTable`` and ``frame`` the
     ``stack_frame`` batch of the detections under the same ``config``.
     ``innovation`` reuses the reciprocal innovation standard deviations and
-    positive-definite mask of the tracks (``_innovation``).
+    positive-definite mask of the tracks (``_innovation``).  In the modes
+    that read embeddings only the gated-in pairs are priced, and every
+    gated-out entry is +inf; the ``iou`` and ``attr`` modes price every
+    pair.
     """
     n_t, n_d = len(tracks), len(frame.boxes)
     if n_t == 0 or n_d == 0:
@@ -372,7 +392,7 @@ def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig
                                  innovation) > CHI2_95_4DOF
     mode = config.mode
     if mode in ("embed", "embed+attr"):
-        embed_mat = _gallery_min_cosine(tracks.gallery, frame.unit)
+        embed_mat = _gallery_min_cosine(tracks.gallery, frame.unit, ~infeasible)
     if mode in ("attr", "embed+attr"):
         attr_mat = np.abs(tracks.attr[:, None, :] - frame.attrs[None, :, :]).mean(axis=2)
 
@@ -384,6 +404,9 @@ def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig
         cost = attr_mat
     elif mode == "embed+attr":
         cost = config.lambda_e * embed_mat + config.lambda_a * attr_mat
+    if mode in ("embed", "embed+attr"):
+        # after the terms are combined, so lambda_e = 0 never meets inf
+        cost[infeasible] = np.inf
     return cost, infeasible
 
 
@@ -510,9 +533,21 @@ def run_sequence(frames: dict[int, Detections], config: AssocConfig,
                  fusion_params=None, n_frames: int | None = None) -> MotTable:
     """Track a whole sequence of per-frame detections; deterministic.  A
     frame missing from ``frames`` has no detections.  Returns the
-    confirmed tracks' rows (``Tracker.results``)."""
-    tracker = Tracker(config, fusion_params)
+    confirmed tracks' rows (``Tracker.results``).
+
+    Every key must be its table's frame and, when ``n_frames`` is given,
+    at most ``n_frames``; any other key raises ``ValueError`` naming it,
+    since its detections would be dropped or emitted under another frame.
+    """
+    for f, dets in frames.items():
+        if dets.frame != f:
+            raise ValueError(f"frame {f}: its detections are of frame {dets.frame}")
     last = n_frames if n_frames is not None else (max(frames) if frames else 0)
+    beyond = [f for f in frames if f > last]
+    if beyond:
+        raise ValueError(f"frame {min(beyond)}: detections past the sequence's "
+                         f"{last} frames")
+    tracker = Tracker(config, fusion_params)
     for f in range(1, last + 1):
         dets = frames.get(f)
         if dets is None:

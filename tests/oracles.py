@@ -94,3 +94,10 @@ def rows_of(table: MotTable) -> list[Row]:
     return [Row(f, i, BBox(*box), vis, active) for f, i, box, vis, active in zip(
         table.frames.tolist(), table.ids.tolist(), table.boxes.tolist(),
         table.visibility.tolist(), table.active.tolist())]
+
+
+def gallery_min_cosine_batched(gallery, unit) -> np.ndarray:
+    """(T, N) min cosine distance from each unit row to each track's
+    gallery ring, every pair priced by one batched product, as the
+    tracker did before it priced only the gated-in pairs."""
+    return np.clip(1.0 - (gallery @ unit.T).max(axis=1), 0.0, 2.0)

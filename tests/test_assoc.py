@@ -1,5 +1,6 @@
 """Kalman filtering, cost matrices, assignment and track lifecycle."""
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from attmot.assoc import (
     Tracker,
     TrackTable,
     _box_rows,
+    _gallery_min_cosine,
     _innovation,
     _measurements,
     build_cost_matrix,
@@ -28,7 +30,8 @@ from attmot.assoc import (
 from attmot.core import COST_MODES, BBox, Detections, FeatureError, MotTable, iou
 from attmot.fusion import FusionParams, all_strategies, predict_attributes
 from attmot.synthgen import WorldConfig, observe_all_frames, simulate_sequence
-from oracles import Row, attribute_distance, by_frame_identity, cosine_distance, rows_of
+from oracles import (Row, attribute_distance, by_frame_identity, cosine_distance,
+                     gallery_min_cosine_batched, rows_of)
 
 
 def box_table(boxes):
@@ -277,10 +280,39 @@ class TestBuildCostMatrix:
                 e_cost = min(cosine_distance(g, emb) for g in pushed)
                 a_cost = attribute_distance(tab.attr[i], attr)
                 expected[i, j] = e_cost + a_cost
-        np.testing.assert_allclose(cost, expected, atol=1e-9)
-        # far-apart pairs fail the Mahalanobis gate
+        # far-apart pairs fail the Mahalanobis gate and are not priced
         assert infeasible[0, 1] and infeasible[1, 0]
         assert not infeasible[0, 0] and not infeasible[1, 1]
+        np.testing.assert_allclose(cost[~infeasible], expected[~infeasible], atol=1e-9)
+        assert cost[0, 1] == cost[1, 0] == np.inf
+
+    def test_zero_lambda_e_prices_attributes_alone(self):
+        # lambda_e = 0 must not multiply an unpriced embedding entry, or a
+        # 0 * inf would make NaN and warn
+        tab, frame, _ = self._tracks_and_dets()
+        attr_cfg = AssocConfig(mode="attr")
+        attr = build_cost_matrix(tab, stack_frame(frame, attr_cfg), attr_cfg)[0]
+        cfg = AssocConfig(mode="embed+attr", lambda_e=0.0, lambda_a=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cost, infeasible = build_cost_matrix(tab, stack_frame(frame, cfg), cfg)
+        assert not np.isnan(cost).any()
+        np.testing.assert_array_equal(cost[~infeasible], 1.5 * attr[~infeasible])
+
+    @pytest.mark.parametrize("mode,lambda_e,lambda_a", [
+        ("iou", 1.0, 1.0), ("embed", 1.0, 1.0), ("attr", 1.0, 1.0),
+        ("embed+attr", 0.0, 1.0), ("embed+attr", 1.0, 0.0)])
+    def test_gated_out_pairs_priced_inf_where_embeddings_are_read(self, mode, lambda_e,
+                                                                 lambda_a):
+        tab, frame, _ = self._tracks_and_dets()
+        cfg = AssocConfig(mode=mode, lambda_e=lambda_e, lambda_a=lambda_a)
+        cost, infeasible = build_cost_matrix(tab, stack_frame(frame, cfg), cfg)
+        assert infeasible.any() and not infeasible.all()
+        assert np.isfinite(cost[~infeasible]).all()
+        if mode in ("embed", "embed+attr"):
+            assert (cost[infeasible] == np.inf).all()
+        else:
+            assert np.isfinite(cost).all()
 
     def test_iou_mode(self):
         tab, frame, _ = self._tracks_and_dets()
@@ -467,6 +499,21 @@ class TestGalleryRing:
 class TestRunSequence:
     def test_empty(self):
         assert run_sequence({}, AssocConfig(mode="iou")) == MotTable([], [], [])
+
+    def test_frames_past_n_frames_rejected(self):
+        frames = {f: dets(f, [BBox(10 + f, 10, 20, 40)]) for f in range(1, 8)}
+        with pytest.raises(ValueError, match="^frame 5: detections past the sequence's 4 frames"):
+            run_sequence(frames, AssocConfig(mode="iou"), n_frames=4)
+        # with room for all of them, every frame is tracked
+        out = run_sequence(frames, AssocConfig(mode="iou", n_init=1), n_frames=7)
+        assert out.frames.tolist() == list(range(1, 8))
+
+    def test_key_of_another_frame_rejected(self):
+        frames = {1: dets(1, [BBox(10, 10, 20, 40)]), 2: dets(5, [BBox(11, 10, 20, 40)])}
+        with pytest.raises(ValueError, match="^frame 2: its detections are of frame 5"):
+            run_sequence(frames, AssocConfig(mode="iou"))
+        with pytest.raises(ValueError, match="^frame 2: its detections are of frame 5"):
+            run_sequence(frames, AssocConfig(mode="iou"), n_frames=6)
 
     def test_deterministic(self):
         cfg = WorldConfig(n_identities=3, n_frames=20, latent_dim=16, seed=8)
@@ -693,6 +740,24 @@ class TestFailureContainment:
         # max_age ends the broken track; the others carry on
         assert tab.identity.tolist() == [healthy_id, 3]
 
+    def test_nan_ring_of_far_track_stays_unpriced(self):
+        """A gallery ring spoiled to NaN is never read while its track is
+        gated out: its cost row is +inf, not NaN, and the healthy track
+        still matches."""
+        cfg = AssocConfig(mode="embed", n_init=1)
+        tracker = Tracker(cfg)
+        boxes = [BBox(0, 0, 20, 40), BBox(300, 0, 20, 40)]
+        embs = [_unit([1, 0, 0, 0]), _unit([0, 1, 0, 0])]
+        tracker.step(1, dets(1, boxes, embs))
+        tab = tracker.table
+        tab.gallery[0] = np.nan
+        frame = dets(2, boxes[1:], embs[1:])
+        cost, infeasible = build_cost_matrix(tab, stack_frame(frame, cfg, dim=tab.dim), cfg)
+        assert infeasible[0].all() and not infeasible[1].any()
+        assert (cost[0] == np.inf).all() and np.isfinite(cost[1]).all()
+        tracker.step(2, frame)
+        assert tab.age.tolist() == [1, 0]
+
     def test_embedding_dimension_change_rejected(self):
         tracker = Tracker(AssocConfig(mode="embed", n_init=1))
         tracker.step(1, dets(1, [BBox(0, 0, 20, 40)], [_unit([1, 0, 0, 0])]))
@@ -848,11 +913,18 @@ GATE_MAX_ULP = 16
 # vector products, which rounds each logit differently.
 ATTR_MAX_ULP = 16
 # Cost entries against the per-pair loop: the worst gap seen over 20,000
-# random examples was 32 ulp (embed), and the bound allows four times that.
-# The batched costs take one matrix product per track and numpy's norms and
-# means where the loop takes BLAS dots, and ``1 - cos`` magnifies the
-# difference as the cosine nears 1.  The iou and attr costs matched exactly.
+# random examples was 32 ulp (embed) when every pair was priced, and 24 ulp
+# over the 14,192 gated-in embedding entries of another 20,000 since only
+# those are; the bound allows four times the larger.  The costs take one
+# matrix product per gated track and numpy's norms and means where the loop
+# takes BLAS dots, and ``1 - cos`` magnifies the difference as the cosine
+# nears 1.  The iou and attr costs matched exactly.
 COST_MAX_ULP = 128
+# Gated-in embedding costs against the batched product over every pair:
+# the worst gap seen over 8,000 random examples was 7.8e-16 (one matrix
+# product per gated track rounds apart from the per-track product inside
+# the batched one), and the bound allows about five times that.
+EMBED_MAX_ABS = 4e-15
 
 
 _near_boxes = st.builds(BBox, st.floats(0.0, 100.0), st.floats(0.0, 100.0),
@@ -868,7 +940,8 @@ def _cost_worlds(draw):
     a birth leaves them.  Embeddings have at least 8 dimensions, so random
     gallery and detection directions stay far from parallel and no cost
     entry is a near-cancelling ``1 - cos``, where an ulp bound would say
-    nothing."""
+    nothing.  One detection sits on a drawn track's own box, so every
+    frame has a gated-in pair."""
     mode = draw(st.sampled_from(COST_MODES))
     cfg = AssocConfig(mode=mode, lambda_e=draw(st.floats(0.1, 3.0)),
                       lambda_a=draw(st.floats(0.0, 3.0)))
@@ -887,7 +960,10 @@ def _cost_worlds(draw):
         tab.gallery[i, pushed:] = tab.gallery[i, 0]
     tab.attr[:] = rng.uniform(0.0, 1.0, (n_t, 32))
     rows = [(draw(_near_boxes), rng.normal(size=dim), rng.uniform(0.0, 1.0, 32))
-            for _ in range(draw(st.integers(1, 6)))]
+            for _ in range(draw(st.integers(0, 5)))]
+    own = BBox(*_box_rows(tab.mean)[draw(st.integers(0, n_t - 1))].tolist())
+    rows.insert(draw(st.integers(0, len(rows))),
+                (own, rng.normal(size=dim), rng.uniform(0.0, 1.0, 32)))
     return cfg, tab, dets(1, *zip(*rows))
 
 
@@ -913,11 +989,38 @@ class TestBatchedAgainstOracle:
     @given(_cost_worlds())
     @settings(max_examples=150)
     def test_cost_matrix_within_ulp_bound(self, world):
+        # the modes that read embeddings price only the gated-in pairs
         cfg, tab, frame = world
         cost, infeasible = build_cost_matrix(tab, stack_frame(frame, cfg, dim=tab.dim), cfg)
         assert infeasible.shape == cost.shape == (len(tab), len(frame))
-        np.testing.assert_array_max_ulp(cost, _oracle_cost(tab, frame, cfg),
+        assert not infeasible.all()
+        priced = ~infeasible if cfg.mode in ("embed", "embed+attr") else np.ones_like(infeasible)
+        np.testing.assert_array_max_ulp(cost[priced], _oracle_cost(tab, frame, cfg)[priced],
                                         maxulp=0 if cfg.mode == "iou" else COST_MAX_ULP)
+        assert (cost[~priced] == np.inf).all()
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([8, 64, 512]),
+           st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.sampled_from([1e-3, 1e-2, 0.3]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150)
+    def test_gated_embedding_cost_near_batched_product(self, n_t, n_d, dim, pass_ratio,
+                                                       noise, seed):
+        # Half the detections lie near one gallery slot, so their cost is
+        # near 0, where an ulp count would say nothing: the bound is absolute.
+        rng = np.random.default_rng(seed)
+        gallery = rng.normal(size=(n_t, GALLERY_BUDGET, dim))
+        gallery /= np.linalg.norm(gallery, axis=2, keepdims=True)
+        unit = rng.normal(size=(n_d, dim))
+        near = rng.random(n_d) < 0.5
+        unit[near] = (gallery[rng.integers(0, n_t, n_d), rng.integers(0, GALLERY_BUDGET, n_d)]
+                      [near] + noise * unit[near])
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        feasible = rng.random((n_t, n_d)) < pass_ratio
+        priced = _gallery_min_cosine(gallery, unit, feasible)
+        batched = gallery_min_cosine_batched(gallery, unit)
+        np.testing.assert_allclose(priced[feasible], batched[feasible],
+                                   rtol=0, atol=EMBED_MAX_ABS)
+        assert (priced[~feasible] == 0).all()
 
     @given(_oracle_states())
     @settings(max_examples=150)
