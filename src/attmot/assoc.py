@@ -18,11 +18,11 @@ as one checked ``core.Detections`` table; ``stack_frame`` derives the views
 its cost mode reads once, as a ``FrameBatch`` for the gate, the costs, the
 update and the births.  All tracks are predicted, gated and updated in one
 batched pass, the gate and the update sharing one set of reciprocal
-innovation standard deviations.  The ``iou`` and ``attr`` costs are one
-array expression over the whole table; the modes that read embeddings
-price only the gated-in pairs, with one gallery product per gated track,
-and set every gated-out entry to +inf.  Dead rows are removed by boolean
-compaction, and capacity grows by doubling.
+innovation standard deviations.  The gate picks the pairs that may
+match, and every cost mode prices only those: the IoU and attribute terms
+on the gathered pair rows, the embedding term with one gallery product
+per gated track; every gated-out entry is +inf.  Dead rows are removed by
+boolean compaction, and capacity grows by doubling.
 
 The Kalman filter is ``kalman_init``, ``kalman_predict``, ``kalman_update``
 and ``gating_distance``; each takes stacked rows, one per track, and a
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from .core import (COST_MODES, N_ATTRIBUTES, Detections, MotTable, linear_sum_assignment,
-                   pairwise_iou, unit_rows)
+                   row_iou, unit_rows)
 
 CHI2_95_4DOF = 9.4877
 INF_COST = 1e5
@@ -350,27 +350,23 @@ def stack_frame(detections: Detections, config: AssocConfig,
     return FrameBatch(detections.boxes, _measurements(detections.boxes), unit, attrs)
 
 
-def _gallery_min_cosine(gallery: np.ndarray, unit: np.ndarray,
-                        feasible: np.ndarray) -> np.ndarray:
-    """(T, N) min cosine distance from each unit feature row to the slots
-    of each track's gallery ring, priced only where ``feasible`` is true.
-    The other entries are 0, and ``build_cost_matrix`` sets them to +inf
-    once the cost terms are combined.
+def _gallery_min_cosine(gallery: np.ndarray, unit: np.ndarray, rows: np.ndarray,
+                        cols: np.ndarray) -> np.ndarray:
+    """Min cosine distance from unit feature row ``cols[k]`` to the slots
+    of track ``rows[k]``'s gallery ring, one value per pair; ``rows`` is
+    ascending, as ``np.nonzero`` gives it.
 
-    The gated-in pairs come row by row, so each gated track takes one
-    product of its ring with its own run of gathered features, and one
-    max and clip over all of them follow.  Rounding and clipping are
-    monotone, so the distance of the largest similarity is the smallest
-    distance, bit for bit."""
-    rows, cols = np.nonzero(feasible)
-    out = np.zeros(feasible.shape)
-    if len(rows):
-        feats = unit[cols]
-        cuts = (np.flatnonzero(np.diff(rows)) + 1).tolist()
-        sims = [gallery[rows[a]] @ feats[a:b].T
-                for a, b in zip([0] + cuts, cuts + [len(rows)])]
-        out[rows, cols] = np.clip(1.0 - np.concatenate(sims, axis=1).max(axis=0), 0.0, 2.0)
-    return out
+    Each track takes one product of its ring with its own run of gathered
+    features, and one max and clip over all of them follow.  Rounding and
+    clipping are monotone, so the distance of the largest similarity is the
+    smallest distance, bit for bit."""
+    if not len(rows):
+        return np.zeros(0)
+    feats = unit[cols]
+    cuts = (np.flatnonzero(np.diff(rows)) + 1).tolist()
+    sims = [gallery[rows[a]] @ feats[a:b].T
+            for a, b in zip([0] + cuts, cuts + [len(rows)])]
+    return np.clip(1.0 - np.concatenate(sims, axis=1).max(axis=0), 0.0, 2.0)
 
 
 def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig,
@@ -380,33 +376,27 @@ def build_cost_matrix(tracks: TrackTable, frame: FrameBatch, config: AssocConfig
     ``tracks`` is a tracker's ``TrackTable`` and ``frame`` the
     ``stack_frame`` batch of the detections under the same ``config``.
     ``innovation`` reuses the reciprocal innovation standard deviations and
-    positive-definite mask of the tracks (``_innovation``).  In the modes
-    that read embeddings only the gated-in pairs are priced, and every
-    gated-out entry is +inf; the ``iou`` and ``attr`` modes price every
-    pair.
+    positive-definite mask of the tracks (``_innovation``).  Every mode
+    prices only the gated-in pairs, each term it reads once per pair, and
+    every gated-out entry is +inf.
     """
     n_t, n_d = len(tracks), len(frame.boxes)
     if n_t == 0 or n_d == 0:
         return np.zeros((n_t, n_d)), np.zeros((n_t, n_d), dtype=bool)
     infeasible = gating_distance(tracks.mean, tracks.cov, frame.meas,
                                  innovation) > CHI2_95_4DOF
+    rows, cols = np.nonzero(~infeasible)
     mode = config.mode
-    if mode in ("embed", "embed+attr"):
-        embed_mat = _gallery_min_cosine(tracks.gallery, frame.unit, ~infeasible)
-    if mode in ("attr", "embed+attr"):
-        attr_mat = np.abs(tracks.attr[:, None, :] - frame.attrs[None, :, :]).mean(axis=2)
-
     if mode == "iou":
-        cost = 1.0 - pairwise_iou(_box_rows(tracks.mean), frame.boxes)
-    elif mode == "embed":
-        cost = embed_mat
-    elif mode == "attr":
-        cost = attr_mat
-    elif mode == "embed+attr":
-        cost = config.lambda_e * embed_mat + config.lambda_a * attr_mat
+        priced = 1.0 - row_iou(_box_rows(tracks.mean[rows]), frame.boxes[cols])
     if mode in ("embed", "embed+attr"):
-        # after the terms are combined, so lambda_e = 0 never meets inf
-        cost[infeasible] = np.inf
+        priced = embed = _gallery_min_cosine(tracks.gallery, frame.unit, rows, cols)
+    if mode in ("attr", "embed+attr"):
+        priced = attr = np.abs(tracks.attr[rows] - frame.attrs[cols]).mean(axis=1)
+    if mode == "embed+attr":
+        priced = config.lambda_e * embed + config.lambda_a * attr
+    cost = np.full((n_t, n_d), np.inf)
+    cost[rows, cols] = priced
     return cost, infeasible
 
 

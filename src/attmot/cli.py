@@ -187,17 +187,18 @@ def cmd_train(bench_dir: str, strategy_text: str, seed: int, out_path: str,
               trace_path: str | None = None) -> None:
     from . import fusion
 
-    for path in (out_path, trace_path):
-        if path:
-            _output(path, directory=False)
+    out = _output(out_path, directory=False)
+    trace_out = _output(trace_path, directory=False) if trace_path else None
     strategy = _checked("--strategy", fusion.FusionStrategy.parse, strategy_text)
     config, n_sequences = _load_benchmark_config(Path(bench_dir))
     params, trace, crops, tc = _train_head(config, n_sequences, strategy, seed, n_crops,
                                            iterations)
     acc = fusion.attribute_accuracy(params, crops, strategy, attr_input=tc.attr_input)
-    fusion.save_fusion_head(out_path, params, strategy)
-    if trace_path:
-        Path(trace_path).write_text(fusion.trace_to_csv(trace), encoding="ascii")
+    for path in filter(None, (out, trace_out)):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    fusion.save_fusion_head(out, params, strategy)
+    if trace_out:
+        trace_out.write_text(fusion.trace_to_csv(trace), encoding="ascii")
     print(f"trained {strategy} on {len(crops.identity)} crops: "
           f"loss {trace[0].total:.4f} -> {trace[-1].total:.4f}, "
           f"attribute accuracy {acc:.4f}")
@@ -278,6 +279,7 @@ def cmd_eval(gt_dir: str, res_dir: str, out_csv: str | None):
         (seq_dir.name, _load_gt(seq_dir), motio.parse_mot_file(res_file, kind="gt"))
         for seq_dir, res_file in zip(seq_dirs, res_files)])
     if out:
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(report.to_csv(), encoding="ascii")
     print(report.to_table(), end="")
     return report

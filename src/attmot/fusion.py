@@ -664,10 +664,12 @@ def save_fusion_head(path, params: FusionParams, strategy: FusionStrategy = PREP
 
 
 def load_fusion_head(path) -> tuple[FusionParams, FusionStrategy]:
-    """Read a ``save_fusion_head`` blob; a malformed or truncated file, or one
-    with bytes after the last array, raises ``ValueError`` naming it."""
+    """Read a ``save_fusion_head`` blob; a malformed or truncated file, one
+    whose header declares an array larger than the bytes left, or one with
+    bytes after the last array, raises ``ValueError`` naming it."""
     name = os.fspath(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"not a fusion-head file: {name}")
@@ -675,9 +677,12 @@ def load_fusion_head(path) -> tuple[FusionParams, FusionStrategy]:
             header = json.loads(fh.readline().decode("ascii"))
             arrays = {}
             for field_name, shape in header["arrays"]:
-                count = int(np.prod(shape)) if shape else 1
-                buf = fh.read(count * 8)
-                arrays[field_name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                # checked before the read, so a forged shape allocates nothing
+                n_bytes, left = 8 * math.prod(shape), size - fh.tell()
+                if not 0 <= n_bytes <= left:
+                    raise ValueError(f"array {field_name!r} of shape {shape} needs "
+                                     f"{n_bytes} bytes, but {left} are left")
+                arrays[field_name] = np.frombuffer(fh.read(n_bytes), "<f8").reshape(shape).copy()
             if fh.read(1):
                 raise ValueError("bytes after the last array")
             if header["scale_scores"] is not False:

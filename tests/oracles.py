@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from attmot.core import (BODY_SLICE, HAIR_SLICE, LOWER_COLOR_SLICE, N_ATTRIBUTES,
-                         UPPER_COLOR_SLICE, BBox, MotTable, intersection_area)
+                         UPPER_COLOR_SLICE, BBox, MotTable, intersection_area, pairwise_iou)
 
 
 def occlusion_fraction(target: BBox, occluder: BBox) -> float:
@@ -101,3 +101,34 @@ def gallery_min_cosine_batched(gallery, unit) -> np.ndarray:
     gallery ring, every pair priced by one batched product, as the
     tracker did before it priced only the gated-in pairs."""
     return np.clip(1.0 - (gallery @ unit.T).max(axis=1), 0.0, 2.0)
+
+
+def dense_cost_matrix(tracks, frame, config, infeasible, box_rows) -> np.ndarray:
+    """(T, N) cost of every pair as the tracker priced it before every mode
+    priced only the gated-in pairs: the IoU and the attribute term over all
+    pairs, the embedding term on the gated-in pairs only (0 elsewhere), and
+    +inf filled into the gated-out entries once the terms are combined.
+    ``box_rows`` turns Kalman means into (left, top, width, height) rows."""
+    mode = config.mode
+    if mode in ("embed", "embed+attr"):
+        rows, cols = np.nonzero(~infeasible)
+        embed_mat = np.zeros(infeasible.shape)
+        if len(rows):
+            feats = frame.unit[cols]
+            cuts = (np.flatnonzero(np.diff(rows)) + 1).tolist()
+            sims = [tracks.gallery[rows[a]] @ feats[a:b].T
+                    for a, b in zip([0] + cuts, cuts + [len(rows)])]
+            embed_mat[rows, cols] = np.clip(
+                1.0 - np.concatenate(sims, axis=1).max(axis=0), 0.0, 2.0)
+    if mode in ("attr", "embed+attr"):
+        attr_mat = np.abs(tracks.attr[:, None, :] - frame.attrs[None, :, :]).mean(axis=2)
+    if mode == "iou":
+        cost = 1.0 - pairwise_iou(box_rows(tracks.mean), frame.boxes)
+    elif mode == "embed":
+        cost = embed_mat
+    elif mode == "attr":
+        cost = attr_mat
+    else:
+        cost = config.lambda_e * embed_mat + config.lambda_a * attr_mat
+    cost[infeasible] = np.inf
+    return cost

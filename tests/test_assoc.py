@@ -31,7 +31,7 @@ from attmot.core import COST_MODES, BBox, Detections, FeatureError, MotTable, io
 from attmot.fusion import FusionParams, all_strategies, predict_attributes
 from attmot.synthgen import WorldConfig, observe_all_frames, simulate_sequence
 from oracles import (Row, attribute_distance, by_frame_identity, cosine_distance,
-                     gallery_min_cosine_batched, rows_of)
+                     dense_cost_matrix, gallery_min_cosine_batched, rows_of)
 
 
 def box_table(boxes):
@@ -304,23 +304,24 @@ class TestBuildCostMatrix:
         ("embed+attr", 0.0, 1.0), ("embed+attr", 1.0, 0.0)])
     def test_gated_out_pairs_priced_inf_where_embeddings_are_read(self, mode, lambda_e,
                                                                  lambda_a):
+        # every mode, not only those that read embeddings, prices the
+        # gated-in pairs alone
         tab, frame, _ = self._tracks_and_dets()
         cfg = AssocConfig(mode=mode, lambda_e=lambda_e, lambda_a=lambda_a)
         cost, infeasible = build_cost_matrix(tab, stack_frame(frame, cfg), cfg)
         assert infeasible.any() and not infeasible.all()
         assert np.isfinite(cost[~infeasible]).all()
-        if mode in ("embed", "embed+attr"):
-            assert (cost[infeasible] == np.inf).all()
-        else:
-            assert np.isfinite(cost).all()
+        assert (cost[infeasible] == np.inf).all()
 
     def test_iou_mode(self):
         tab, frame, _ = self._tracks_and_dets()
         cfg = AssocConfig(mode="iou")
-        cost, _ = build_cost_matrix(tab, stack_frame(frame, cfg), cfg)
+        cost, infeasible = build_cost_matrix(tab, stack_frame(frame, cfg), cfg)
+        assert infeasible.any() and not infeasible.all()
         for i, box in enumerate(_box_rows(tab.mean).tolist()):
             for j, d_box in enumerate(frame.boxes.tolist()):
-                assert cost[i, j] == pytest.approx(1.0 - iou(BBox(*box), BBox(*d_box)))
+                expected = np.inf if infeasible[i, j] else 1.0 - iou(BBox(*box), BBox(*d_box))
+                assert cost[i, j] == expected
 
     def test_fusion_source_requires_params(self):
         _, frame, _ = self._tracks_and_dets()
@@ -989,15 +990,33 @@ class TestBatchedAgainstOracle:
     @given(_cost_worlds())
     @settings(max_examples=150)
     def test_cost_matrix_within_ulp_bound(self, world):
-        # the modes that read embeddings price only the gated-in pairs
+        # every mode prices only the gated-in pairs
         cfg, tab, frame = world
         cost, infeasible = build_cost_matrix(tab, stack_frame(frame, cfg, dim=tab.dim), cfg)
         assert infeasible.shape == cost.shape == (len(tab), len(frame))
         assert not infeasible.all()
-        priced = ~infeasible if cfg.mode in ("embed", "embed+attr") else np.ones_like(infeasible)
+        priced = ~infeasible
         np.testing.assert_array_max_ulp(cost[priced], _oracle_cost(tab, frame, cfg)[priced],
                                         maxulp=0 if cfg.mode == "iou" else COST_MAX_ULP)
-        assert (cost[~priced] == np.inf).all()
+        assert (cost[infeasible] == np.inf).all()
+
+    @given(_cost_worlds(), st.sampled_from([None, "lambda_e", "lambda_a"]))
+    @settings(max_examples=150)
+    def test_gated_pricing_equals_dense_formulas(self, world, zero):
+        # the dense (T, N) formulas, read on the gated-in pairs, are the
+        # same floats bit for bit, a zero weight included
+        cfg, tab, frame = world
+        if zero == "lambda_e":
+            cfg = replace(cfg, lambda_e=0.0, lambda_a=cfg.lambda_a or 1.0)
+        elif zero == "lambda_a":
+            cfg = replace(cfg, lambda_a=0.0)
+        batch = stack_frame(frame, cfg, dim=tab.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cost, infeasible = build_cost_matrix(tab, batch, cfg)
+            dense = dense_cost_matrix(tab, batch, cfg, infeasible, _box_rows)
+        assert not infeasible.all()
+        np.testing.assert_array_equal(cost, dense)
 
     @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([8, 64, 512]),
            st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.sampled_from([1e-3, 1e-2, 0.3]),
@@ -1015,12 +1034,11 @@ class TestBatchedAgainstOracle:
         unit[near] = (gallery[rng.integers(0, n_t, n_d), rng.integers(0, GALLERY_BUDGET, n_d)]
                       [near] + noise * unit[near])
         unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-        feasible = rng.random((n_t, n_d)) < pass_ratio
-        priced = _gallery_min_cosine(gallery, unit, feasible)
-        batched = gallery_min_cosine_batched(gallery, unit)
-        np.testing.assert_allclose(priced[feasible], batched[feasible],
+        rows, cols = np.nonzero(rng.random((n_t, n_d)) < pass_ratio)
+        priced = _gallery_min_cosine(gallery, unit, rows, cols)
+        assert priced.shape == rows.shape
+        np.testing.assert_allclose(priced, gallery_min_cosine_batched(gallery, unit)[rows, cols],
                                    rtol=0, atol=EMBED_MAX_ABS)
-        assert (priced[~feasible] == 0).all()
 
     @given(_oracle_states())
     @settings(max_examples=150)
@@ -1078,10 +1096,11 @@ class TestBatchedAgainstOracle:
         tab.mean[:] = [m for m, _ in states]
         tab.cov[:] = [_pairs(c) for _, c in states]
         cfg = AssocConfig(mode="iou")
-        cost, _ = build_cost_matrix(tab, stack_frame(dets(1, boxes), cfg), cfg)
-        expected = [[1.0 - iou(BBox(*box), b) for b in boxes]
-                    for box in _box_rows(tab.mean).tolist()]
-        np.testing.assert_array_equal(cost, expected)
+        cost, infeasible = build_cost_matrix(tab, stack_frame(dets(1, boxes), cfg), cfg)
+        expected = np.array([[1.0 - iou(BBox(*box), b) for b in boxes]
+                             for box in _box_rows(tab.mean).tolist()])
+        np.testing.assert_array_equal(cost[~infeasible], expected[~infeasible])
+        assert (cost[infeasible] == np.inf).all()
 
     @given(st.sampled_from(all_strategies()), st.integers(0, 2**16), st.integers(1, 12),
            st.booleans())

@@ -240,6 +240,13 @@ class TestTrackEval:
                      "fusion", "--params", str(head), "-o", str(tmp_path / "x")]) == 1
         assert f"no fusion head file {head}" in capsys.readouterr().err
 
+    def test_eval_creates_missing_output_directories(self, bench, tmp_path):
+        runs = tmp_path / "runs"
+        assert main(["track", "-b", str(bench), "--mode", "iou", "-o", str(runs)]) == 0
+        report = tmp_path / "missing" / "deeper" / "r.csv"
+        assert main(["eval", "--gt", str(bench), "--res", str(runs), "-o", str(report)]) == 0
+        assert report.read_text().splitlines()[-1].startswith("AGGREGATE,")
+
     def test_eval_refuses_missing_result_files(self, bench, tmp_path, capsys):
         runs = tmp_path / "runs"
         assert main(["track", "-b", str(bench), "--mode", "iou", "-o", str(runs)]) == 0
@@ -267,6 +274,14 @@ class TestTrain:
         assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
         header = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert header == "iteration,bce,id_loss,total"
+
+    def test_train_creates_missing_output_directories(self, bench, tmp_path):
+        head = tmp_path / "missing" / "head.bin"
+        trace = tmp_path / "other" / "deeper" / "trace.csv"
+        assert main(["train", "-b", str(bench), "--seed", "3", "-o", str(head),
+                     "--crops", "300", "--iterations", "5", "--trace", str(trace)]) == 0
+        assert head.is_file()
+        assert trace.read_text().splitlines()[0] == "iteration,bce,id_loss,total"
 
     def test_trained_head_tracks(self, bench, tmp_path):
         head = tmp_path / "head.bin"

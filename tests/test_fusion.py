@@ -1,5 +1,6 @@
 """Fusion head: adaptor, cross-attention, losses, strategies, trainer,
 gradient verification and serialization."""
+import json
 import math
 import re
 import tracemalloc
@@ -673,6 +674,22 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + tail)
         with pytest.raises(ValueError, match=f"corrupt fusion-head file {re.escape(str(path))}"
                                              ".*bytes after the last array"):
+            load_fusion_head(path)
+
+    @pytest.mark.parametrize("shape", [[100000, 100000], [2**40, 2**40], [-1]])
+    def test_array_larger_than_the_file_refused_before_reading(self, tmp_path, shape):
+        # a forged shape must not allocate its bytes (a bare MemoryError)
+        # nor read the rest of the file as one array
+        path = tmp_path / "head.bin"
+        save_fusion_head(path, FusionParams.random(8, n_identities=2, n_tokens=2, seed=1))
+        blob = path.read_bytes()
+        start = len(fusion._MAGIC)
+        end = blob.index(b"\n", start)
+        header = json.loads(blob[start:end])
+        header["arrays"][0][1] = shape
+        path.write_bytes(blob[:start] + json.dumps(header).encode("ascii") + blob[end:])
+        with pytest.raises(ValueError, match=f"corrupt fusion-head file {re.escape(str(path))}"
+                                             ".*needs .* bytes, but .* are left"):
             load_fusion_head(path)
 
     def test_scale_scores_true_refused(self, tmp_path):
