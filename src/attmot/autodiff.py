@@ -217,22 +217,6 @@ def concat(vars_: list[Var], axis: int) -> Var:
     return Var(out, tuple(vars_), tuple(make_fn(i) for i in range(len(vars_))))
 
 
-def narrow(a: Var, axis: int, start: int, length: int) -> Var:
-    idx = [slice(None)] * a.value.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = a.value[idx]
-    if not a.requires_grad:
-        return Var(out)
-
-    def fn(g):
-        full = np.zeros_like(a.value)
-        full[idx] = g
-        return full
-
-    return Var(out, (a,), (fn,))
-
-
 def sum_(a: Var, axis=None, keepdims: bool = False) -> Var:
     out = a.value.sum(axis=axis, keepdims=keepdims)
     if not a.requires_grad:

@@ -3,9 +3,13 @@ losses, fusion strategies, a deterministic trainer and gradient checking.
 
 The head refines a fixed appearance embedding through a residual two-layer
 MLP, then lets 32 learned attribute query tokens attend over the embedding
-tokens to produce attribute logits.  Several alternative fusion topologies
-are provided for ablation; ``preproc-attr`` (adaptor + cross-attention) is
-the default.
+tokens.  Attribute ``i``'s logit is the attention weights applied to
+head-projected values, ``sum_t A[i, t] U[t, i]`` with
+``U = tokens @ (wv @ attr_head_w.T)``: the attended tokens are never built,
+nor are the query tokens ``a1[..., None] * attr_embed``, whose projections
+by ``W`` are ``a1[..., None] * (attr_embed @ W)``.  Several alternative
+fusion topologies are provided for ablation; ``preproc-attr`` (adaptor +
+cross-attention) is the default.
 
 Convention: token rows multiply projection matrices on the right, i.e. a
 projection of tokens ``T`` by weights ``W`` is ``T @ W``.
@@ -264,22 +268,45 @@ def _tokens(e: ad.Var, n_tokens: int, token_dim: int) -> ad.Var:
     return ad.reshape(e, e.shape[:-1] + (n_tokens, token_dim))
 
 
-def _queries(p, a1: ad.Var) -> ad.Var:
+# A token set enters the attention steps as its projector: the function
+# taking weights ``W`` to the tokens' projection ``tokens @ W``.
+
+def _projector(tokens: ad.Var):
+    return lambda w: tokens @ w
+
+
+def _queries(p, a1: ad.Var):
+    """The attribute query tokens ``a1[..., None] * attr_embed``, never built:
+    their projection by ``W`` is ``a1[..., None] * (attr_embed @ W)``."""
     weights = ad.reshape(a1, a1.shape + (1,))
-    return weights * p["attr_embed"]
+    return lambda w: weights * (p["attr_embed"] @ w)
 
 
-def _attention(p, q: ad.Var, kv: ad.Var) -> ad.Var:
+def _joined(first, second):
+    """The tokens of ``first`` followed by those of ``second``."""
+    return lambda w: ad.concat([first(w), second(w)], axis=-2)
+
+
+def _attention(p, q, kv) -> ad.Var:
     """Row-stochastic weights of the ``q`` tokens over the ``kv`` tokens."""
-    return ad.softmax((q @ p["wq"]) @ ad.transpose_last(kv @ p["wk"]), axis=-1)
+    return ad.softmax(q(p["wq"]) @ ad.transpose_last(kv(p["wk"])), axis=-1)
 
 
-def _attend(p, q: ad.Var, kv: ad.Var) -> ad.Var:
-    return _attention(p, q, kv) @ (kv @ p["wv"])
+def _attend(p, q, kv):
+    """The attended ``q`` tokens, for an attend whose output feeds another."""
+    return _projector(_attention(p, q, kv) @ kv(p["wv"]))
 
 
-def _attr_head(p, tokens: ad.Var) -> ad.Var:
-    return ad.sum_(tokens * p["attr_head_w"], axis=-1) + p["attr_head_b"]
+def _attend_head(p, q, kv) -> ad.Var:
+    """Attribute logits of the attended ``q`` tokens, which are never built.
+
+    Slot ``i`` dots attended token ``i``, ``sum_t A[i, t] (kv @ wv)[t]``,
+    with ``attr_head_w[i]``; by associativity that is the attention
+    weights ``A`` applied to the head-projected values
+    ``U = kv @ (wv @ attr_head_w.T)``: ``sum_t A[i, t] U[t, i]``.
+    """
+    u = kv(p["wv"] @ ad.transpose_last(p["attr_head_w"]))
+    return ad.sum_(_attention(p, q, kv) * ad.transpose_last(u), axis=-1) + p["attr_head_b"]
 
 
 def _raw_attr_feature(p, e1: ad.Var) -> ad.Var:
@@ -289,43 +316,37 @@ def _raw_attr_feature(p, e1: ad.Var) -> ad.Var:
 def _strategy_forward(p, e1: ad.Var, a1: ad.Var | None, strategy: FusionStrategy,
                       params: FusionParams) -> tuple[ad.Var, ad.Var]:
     """Returns (attribute logits, adapted embedding) under a strategy."""
-    t = params.n_tokens
     if a1 is None:
         a1 = _raw_attr_feature(p, e1)
     if strategy.kind == "attr-only":
         e_out = e1
     else:
         e_out = _adaptor(p, e1)
-    kv = _tokens(e_out, t, params.token_dim)
+    kv = _projector(_tokens(e_out, params.n_tokens, params.token_dim))
     q = _queries(p, a1)
 
     if strategy.kind in ("preproc-attr", "attr-only"):
-        out = _attend(p, q, kv)
+        logits = _attend_head(p, q, kv)
     elif strategy.kind == "preproc-both":
-        q = _attend(p, q, q)
-        out = _attend(p, q, kv)
+        logits = _attend_head(p, _attend(p, q, q), kv)
     elif strategy.kind == "cross-fertilize":
+        # Earlier rounds enhance both token sets; the head reads the
+        # attribute tokens of the last round only.
         a_tok, e_tok = q, kv
-        for r in range(strategy.rounds):
-            a_new = _attend(p, a_tok, e_tok)
-            # The enhanced embedding tokens only matter while further
-            # rounds consume them; the head output comes from a_tok.
-            if r + 1 < strategy.rounds:
-                e_tok = _attend(p, e_tok, a_tok)
-            a_tok = a_new
-        out = a_tok
+        for _ in range(strategy.rounds - 1):
+            a_tok, e_tok = _attend(p, a_tok, e_tok), _attend(p, e_tok, a_tok)
+        logits = _attend_head(p, a_tok, e_tok)
     elif strategy.kind == "self-enhance":
         a_tok = q
-        for _ in range(strategy.rounds):
+        for _ in range(strategy.rounds - 1):
             a_tok = _attend(p, a_tok, a_tok)
-        out = a_tok
+        logits = _attend_head(p, a_tok, a_tok)
     elif strategy.kind == "concat-self":
-        all_tok = ad.concat([kv, q], axis=-2)
-        enhanced = _attend(p, all_tok, all_tok)
-        out = ad.narrow(enhanced, axis=-2, start=t, length=N_ATTRIBUTES)
+        # the head reads only the query rows of the joint self-attention
+        logits = _attend_head(p, q, _joined(kv, q))
     else:  # pragma: no cover - guarded by FusionStrategy validation
         raise ValueError(strategy.kind)
-    return _attr_head(p, out), e_out
+    return logits, e_out
 
 
 def bce_weights(pos_freq: np.ndarray, sigma: float, uniform: bool = False):
@@ -411,9 +432,8 @@ def cross_attention_forward(e2: np.ndarray, a1: np.ndarray, params: FusionParams
     if a1.shape[-1] != N_ATTRIBUTES:
         raise ValueError(f"attribute dim {a1.shape[-1]} != {N_ATTRIBUTES}")
     p = _param_vars(params, requires_grad=False)
-    kv = _tokens(ad.const(e2), params.n_tokens, params.token_dim)
-    q = _queries(p, ad.const(a1))
-    return _attr_head(p, _attend(p, q, kv)).value
+    kv = _projector(_tokens(ad.const(e2), params.n_tokens, params.token_dim))
+    return _attend_head(p, _queries(p, ad.const(a1)), kv).value
 
 
 def cross_attention_weights(e2: np.ndarray, a1: np.ndarray, params: FusionParams) -> np.ndarray:
@@ -421,9 +441,8 @@ def cross_attention_weights(e2: np.ndarray, a1: np.ndarray, params: FusionParams
     e2 = np.asarray(e2, dtype=np.float64)
     a1 = np.asarray(a1, dtype=np.float64)
     p = _param_vars(params, requires_grad=False)
-    kv = _tokens(ad.const(e2), params.n_tokens, params.token_dim)
-    q = _queries(p, ad.const(a1))
-    return _attention(p, q, kv).value
+    kv = _projector(_tokens(ad.const(e2), params.n_tokens, params.token_dim))
+    return _attention(p, _queries(p, ad.const(a1)), kv).value
 
 
 def raw_attribute_feature(e1: np.ndarray, params: FusionParams) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Scalar and row-at-a-time oracles shared by the tests.
 
 The package computes these quantities as array expressions; the tests
-check them against the one-pair and one-row definitions kept here.
+check them against the one-pair and one-row definitions kept here, and
+the fusion head, which never builds its query or attended tokens, against
+the graph that builds them all.
 """
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from attmot import autodiff as ad
+from attmot import fusion
 from attmot.core import (BODY_SLICE, HAIR_SLICE, LOWER_COLOR_SLICE, N_ATTRIBUTES,
                          UPPER_COLOR_SLICE, BBox, MotTable, intersection_area, pairwise_iou)
 
@@ -132,3 +136,59 @@ def dense_cost_matrix(tracks, frame, config, infeasible, box_rows) -> np.ndarray
         cost = config.lambda_e * embed_mat + config.lambda_a * attr_mat
     cost[infeasible] = np.inf
     return cost
+
+
+def _narrow_tokens(a: ad.Var, start: int, length: int) -> ad.Var:
+    """Token rows ``start:start + length`` of ``a``; the gradient is zero
+    on the other rows."""
+    idx = (Ellipsis, slice(start, start + length), slice(None))
+    if not a.requires_grad:
+        return ad.Var(a.value[idx])
+
+    def fn(g):
+        full = np.zeros_like(a.value)
+        full[idx] = g
+        return full
+
+    return ad.Var(a.value[idx], (a,), (fn,))
+
+
+def _attend_materialized(p, q: ad.Var, kv: ad.Var) -> ad.Var:
+    scores = (q @ p["wq"]) @ ad.transpose_last(kv @ p["wk"])
+    return ad.softmax(scores, axis=-1) @ (kv @ p["wv"])
+
+
+def materialized_strategy_forward(p, e1: ad.Var, a1, strategy, params):
+    """``fusion._strategy_forward`` as the graph that builds every token
+    tensor: the query tokens ``a1[..., None] * attr_embed``, each attend's
+    output tokens, and ``concat-self``'s joint self-attention over all its
+    tokens, whose query rows are narrowed out; the head then dots each
+    attended token with its row of ``attr_head_w``.  Same signature, so it
+    can stand in for ``_strategy_forward``."""
+    if a1 is None:
+        a1 = fusion._raw_attr_feature(p, e1)
+    e_out = e1 if strategy.kind == "attr-only" else fusion._adaptor(p, e1)
+    kv = fusion._tokens(e_out, params.n_tokens, params.token_dim)
+    q = ad.reshape(a1, a1.shape + (1,)) * p["attr_embed"]
+    if strategy.kind in ("preproc-attr", "attr-only"):
+        out = _attend_materialized(p, q, kv)
+    elif strategy.kind == "preproc-both":
+        out = _attend_materialized(p, _attend_materialized(p, q, q), kv)
+    elif strategy.kind == "cross-fertilize":
+        a_tok, e_tok = q, kv
+        for r in range(strategy.rounds):
+            a_new = _attend_materialized(p, a_tok, e_tok)
+            if r + 1 < strategy.rounds:
+                e_tok = _attend_materialized(p, e_tok, a_tok)
+            a_tok = a_new
+        out = a_tok
+    elif strategy.kind == "self-enhance":
+        out = q
+        for _ in range(strategy.rounds):
+            out = _attend_materialized(p, out, out)
+    else:
+        all_tok = ad.concat([kv, q], axis=-2)
+        out = _narrow_tokens(_attend_materialized(p, all_tok, all_tok), params.n_tokens,
+                             N_ATTRIBUTES)
+    logits = ad.sum_(out * p["attr_head_w"], axis=-1) + p["attr_head_b"]
+    return logits, e_out

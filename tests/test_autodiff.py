@@ -93,9 +93,6 @@ class TestOps:
         check_op(lambda a, b: ad.sum_(ad.concat([a, b], axis=0) @ ad.const(np.ones((4, 1)))),
                  (2, 4), (3, 4))
 
-    def test_narrow(self):
-        check_op(lambda a: ad.sum_(ad.narrow(a, axis=0, start=1, length=2)), (4, 3))
-
     def test_transpose_last(self):
         check_op(lambda a: ad.sum_(ad.transpose_last(a) @ ad.const(np.ones((3, 2)))), (3, 4))
 
